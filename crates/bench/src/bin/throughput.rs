@@ -2,27 +2,25 @@
 //! latency-under-load harness.
 //!
 //! Default mode measures operator executions/sec and network PUTs/sec
-//! for the fused functional operator on the lock-free ring plane vs. the
-//! Mutex-booked slow path (plus the all-P2P zero-copy ceiling), prints
-//! the comparison table, and writes `BENCH_throughput.json` to the
-//! results directory.
+//! for the fused functional operator over the delivery rings (plus the
+//! all-P2P zero-copy ceiling), prints the table, and writes
+//! `BENCH_throughput.json` to the results directory.
 //!
 //! ```text
-//! throughput [--pes N] [--slice W] [--execs N] [--floor F] [--check] [--tolerance T]
-//!            [--integrity]
+//! throughput [--pes N] [--slice W] [--execs N] [--check] [--tolerance T] [--integrity]
 //! throughput --serving [--pes N] [--duration-ms N] [--slo-ms N] [--seed N]
 //!            [--slo-gate] [--shed-ceiling F]
 //! ```
 //!
-//! `--floor F` exits non-zero unless the ring plane's PUTs/sec is at
-//! least `F×` the book plane's. `--check` re-reads the committed
-//! `BENCH_throughput.json` and exits non-zero if the fresh ring-plane
-//! PUTs/sec fell below `tolerance × committed` (the CI `profile-smoke`
-//! guard; default tolerance 0.2 absorbs runner noise). The gated
-//! `fused-ring` variant always runs with integrity *disabled* — that is
-//! the zero-cost contract the floor holds — while `--integrity` adds a
-//! fourth `fused-ring-integrity` variant measuring the armed checksum
-//! layer's price.
+//! `--check` reads the committed `BENCH_throughput.json`, exits
+//! non-zero if the fresh ring-plane PUTs/sec fell below `tolerance ×
+//! committed` (the CI `profile-smoke` guard; default tolerance 0.2
+//! absorbs runner noise), and never writes the artifact it compares
+//! against — only a plain run does. The gated `fused-ring` variant
+//! always runs with integrity *disabled* — that is the zero-cost
+//! contract the check holds — while `--integrity` adds a third
+//! `fused-ring-integrity` variant measuring the armed checksum layer's
+//! price.
 //!
 //! `--serving` instead drives the request frontend (`fcc-serve`) with
 //! real fused executions through the Poisson load curve, a diurnal
@@ -39,10 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fcc_bench::args::{parse_value, usage_exit};
 use fcc_bench::report::{print_table, results_dir};
 use fcc_bench::serving::run_serving;
-use fcc_bench::throughput::run_throughput_with;
+use fcc_bench::throughput::{run_throughput_with, ThroughputRun};
 use fcc_telemetry::{FlightKind, FlightRecorder, TraceCtx};
 
-const USAGE: &str = "throughput [--pes N] [--slice W] [--execs N] [--floor F] [--check] \
+const USAGE: &str = "throughput [--pes N] [--slice W] [--execs N] [--check] \
                      [--tolerance T] [--integrity] [--flight-alloc-check] | throughput --serving \
                      [--pes N] [--duration-ms N] [--slo-ms N] [--seed N] [--slo-gate] \
                      [--shed-ceiling F]";
@@ -105,7 +103,6 @@ fn main() {
     let mut pes = 4usize;
     let mut slice = 4usize;
     let mut execs = 12u64;
-    let mut floor: Option<f64> = None;
     let mut check = false;
     let mut tolerance = 0.2f64;
     let mut integrity = false;
@@ -123,7 +120,6 @@ fn main() {
             "--pes" => pes = parse_value(&mut args, "--pes"),
             "--slice" => slice = parse_value(&mut args, "--slice"),
             "--execs" => execs = parse_value(&mut args, "--execs"),
-            "--floor" => floor = Some(parse_value(&mut args, "--floor")),
             "--check" => check = true,
             "--integrity" => integrity = true,
             "--tolerance" => tolerance = parse_value(&mut args, "--tolerance"),
@@ -145,28 +141,6 @@ fn main() {
         run_serving_mode(pes, duration_ms, slo_ms, seed, slo_gate, shed_ceiling);
         return;
     }
-
-    // Read the committed baseline before the run overwrites it.
-    let dir = results_dir();
-    let artifact = dir.join("BENCH_throughput.json");
-    let mut committed_text: Option<String> = None;
-    let committed_puts_per_sec: Option<f64> = if check {
-        let text = std::fs::read_to_string(&artifact).unwrap_or_else(|e| {
-            eprintln!("--check needs {}: {e}", artifact.display());
-            std::process::exit(1);
-        });
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("{} is not valid JSON: {e}", artifact.display());
-            std::process::exit(1);
-        });
-        committed_text = Some(text);
-        v["variants"]
-            .as_array()
-            .and_then(|vs| vs.iter().find(|x| x["name"] == "fused-ring"))
-            .and_then(|x| x["puts_per_sec"].as_f64())
-    } else {
-        None
-    };
 
     let run = run_throughput_with(pes, slice, execs, integrity);
 
@@ -198,12 +172,14 @@ fn main() {
         ],
         &rows,
     );
-    println!(
-        "\nring vs book: {:.2}x PUTs/sec on the same protocol",
-        run.ring_speedup()
-    );
 
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    let dir = results_dir();
+    let artifact = dir.join("BENCH_throughput.json");
+    if check {
+        // A check compares against the committed artifact and never
+        // writes it; only a plain run does.
+        check_against_committed(&artifact, &run, tolerance);
+    } else if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
     } else {
         match std::fs::write(&artifact, run.to_json()) {
@@ -211,40 +187,42 @@ fn main() {
             Err(e) => eprintln!("warning: cannot write {}: {e}", artifact.display()),
         }
     }
+}
 
-    if let Some(floor) = floor {
-        let speedup = run.ring_speedup();
-        if speedup < floor {
-            eprintln!("ring/book speedup {speedup:.2}x is below the floor {floor:.2}x");
-            std::process::exit(1);
-        }
-        println!("ring/book speedup {speedup:.2}x >= floor {floor:.2}x");
-    }
-    if check {
-        let Some(committed) = committed_puts_per_sec else {
-            eprintln!("no committed fused-ring puts_per_sec to check against");
-            std::process::exit(1);
-        };
-        let fresh = run.variant("fused-ring").map_or(0.0, |v| v.puts_per_sec);
-        let need = committed * tolerance;
-        if fresh < need {
-            eprintln!(
-                "fused-ring throughput {fresh:.0} puts/s fell below \
-                 {tolerance} x committed {committed:.0} (= {need:.0})"
-            );
-            if let Some(before) = &committed_text {
-                eprintln!("attribution (committed -> fresh):");
-                eprint!(
-                    "{}",
-                    fcc_bench::postmortem::attribute_json(before, &run.to_json(), 10)
-                );
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "fused-ring throughput {fresh:.0} puts/s >= {tolerance} x committed {committed:.0}"
+/// Exits non-zero unless the fresh `fused-ring` PUTs/sec is at least
+/// `tolerance ×` the one in the committed artifact.
+fn check_against_committed(artifact: &std::path::Path, run: &ThroughputRun, tolerance: f64) {
+    let committed_text = std::fs::read_to_string(artifact).unwrap_or_else(|e| {
+        eprintln!("--check needs {}: {e}", artifact.display());
+        std::process::exit(1);
+    });
+    let v: serde_json::Value = serde_json::from_str(&committed_text).unwrap_or_else(|e| {
+        eprintln!("{} is not valid JSON: {e}", artifact.display());
+        std::process::exit(1);
+    });
+    let Some(committed) = v["variants"]
+        .as_array()
+        .and_then(|vs| vs.iter().find(|x| x["name"] == "fused-ring"))
+        .and_then(|x| x["puts_per_sec"].as_f64())
+    else {
+        eprintln!("no committed fused-ring puts_per_sec to check against");
+        std::process::exit(1);
+    };
+    let fresh = run.variant("fused-ring").map_or(0.0, |v| v.puts_per_sec);
+    let need = committed * tolerance;
+    if fresh < need {
+        eprintln!(
+            "fused-ring throughput {fresh:.0} puts/s fell below \
+             {tolerance} x committed {committed:.0} (= {need:.0})"
         );
+        eprintln!("attribution (committed -> fresh):");
+        eprint!(
+            "{}",
+            fcc_bench::postmortem::attribute_json(&committed_text, &run.to_json(), 10)
+        );
+        std::process::exit(1);
     }
+    println!("fused-ring throughput {fresh:.0} puts/s >= {tolerance} x committed {committed:.0}");
 }
 
 fn run_serving_mode(

@@ -1,39 +1,32 @@
 //! Data-plane throughput harness behind `--bin throughput`.
 //!
 //! Measures wall-clock operator executions per second and network PUTs
-//! per second for the functional fused operator on both data planes:
+//! per second for the functional fused operator:
 //!
-//! * **`fused-ring`** — the default lock-free SPSC delivery rings
-//!   (`fcc_shmem::ring`), active whenever no [`DeliveryOrder`] is
-//!   installed;
-//! * **`fused-book`** — the `Mutex`-booked slow path, forced by
-//!   installing [`ProgramOrder`] (program-order delivery, i.e. the
-//!   pre-ring data plane with zero schedule perturbation);
+//! * **`fused-ring`** — every network PUT rides the lock-free delivery
+//!   rings (`fcc_shmem::ring`);
 //! * **`zerocopy`** — the all-P2P operator, whose stores never touch
-//!   either plane (inline-copy ceiling).
+//!   the rings (inline-copy ceiling).
 //!
-//! Both fused variants execute the identical protocol, so their network
-//! PUT counts are equal by construction; the harness derives the count
-//! analytically from the slice map and cross-checks the ring variant
-//! against the rings' own monotone tails. Every variant's output is
-//! verified bit-identical against the unfused reference before timing
-//! begins, and scratch-pool misses are sampled so steady-state
-//! allocation-freedom shows up in the artifact
+//! The harness derives the network PUT count analytically from the
+//! slice map and cross-checks it against the rings' own monotone tails.
+//! Every variant's output is verified bit-identical against the unfused
+//! reference before timing begins, and scratch-pool misses are sampled
+//! so steady-state allocation-freedom shows up in the artifact
 //! (`results/BENCH_throughput.json`).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use fcc_core::op::reference;
 use fcc_core::{FusedPlan, ScheduleKind, ZeroCopyPlan};
 use fcc_dlrm::{DlrmConfig, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{ProgramOrder, RingStats, ShmemWorld};
+use fcc_shmem::{RingStats, ShmemWorld};
 
 /// One variant's measured throughput.
 #[derive(Debug, Clone)]
 pub struct VariantThroughput {
-    /// Variant name (`fused-ring`, `fused-book`, `zerocopy`).
+    /// Variant name (`fused-ring`, `fused-ring-integrity`, `zerocopy`).
     pub name: String,
     /// Timed operator executions (after one verified warm-up).
     pub execs: u64,
@@ -42,12 +35,12 @@ pub struct VariantThroughput {
     /// Operator executions per second.
     pub ops_per_sec: f64,
     /// Network PUTs issued per execution (slice rows shipped over the
-    /// simulated wire; identical across the fused variants by protocol).
+    /// simulated wire).
     pub network_puts_per_exec: u64,
     /// Network PUTs per second of wall time.
     pub puts_per_sec: f64,
-    /// Ring-plane counters at the end of the run (all zero on the book
-    /// path and on all-P2P worlds).
+    /// Ring-plane counters at the end of the run (all zero on all-P2P
+    /// worlds).
     pub ring: RingStats,
     /// Scratch-pool allocation misses over the whole run; flat after
     /// warm-up means the steady state was allocation-free.
@@ -69,19 +62,6 @@ impl ThroughputRun {
         self.variants.iter().find(|v| v.name == name)
     }
 
-    /// PUTs/sec of the ring plane over the book plane — the headline
-    /// number: how much faster the lock-free data plane moves the same
-    /// protocol's traffic.
-    pub fn ring_speedup(&self) -> f64 {
-        let ring = self.variant("fused-ring").map_or(0.0, |v| v.puts_per_sec);
-        let book = self.variant("fused-book").map_or(0.0, |v| v.puts_per_sec);
-        if book == 0.0 {
-            0.0
-        } else {
-            ring / book
-        }
-    }
-
     /// Hand-rolled JSON artifact (schema mirrors the other BENCH files;
     /// no serializer needed for numbers and fixed names).
     pub fn to_json(&self) -> String {
@@ -98,10 +78,6 @@ impl ThroughputRun {
         s.push_str(&format!(
             "  \"tables_per_pe\": {},\n",
             self.cfg.tables_per_pe
-        ));
-        s.push_str(&format!(
-            "  \"ring_speedup_vs_book\": {:.4},\n",
-            self.ring_speedup()
         ));
         s.push_str("  \"variants\": [\n");
         for (i, v) in self.variants.iter().enumerate() {
@@ -158,23 +134,19 @@ fn network_puts_per_exec(plan: &FusedPlan, n_pes: usize) -> u64 {
     puts
 }
 
-/// Runs the fused operator on one data plane: warm-up execution verified
-/// bit-identical against the unfused reference, then `execs` timed
-/// executions.
+/// Runs the fused operator over the delivery rings: warm-up execution
+/// verified bit-identical against the unfused reference, then `execs`
+/// timed executions.
 fn run_fused(
     cfg: &DlrmConfig,
     slice_embeddings: usize,
     execs: u64,
-    book: bool,
     integrity: bool,
 ) -> VariantThroughput {
     let mut layout = HeapLayout::new();
     let plan = FusedPlan::plan(&mut layout, cfg, slice_embeddings);
     let groups = (0..cfg.n_pes as u32).collect();
     let mut world = ShmemWorld::new(cfg.n_pes, layout).with_p2p_groups(groups);
-    if book {
-        world = world.with_delivery_order(Arc::new(ProgramOrder));
-    }
     if integrity {
         world = world.with_integrity();
     }
@@ -212,14 +184,12 @@ fn run_fused(
 
     let puts_per_exec = network_puts_per_exec(&plan, cfg.n_pes);
     let ring = world.ring_stats();
-    if !book {
-        // Cross-check the analytic count against the rings' own tails.
-        assert_eq!(
-            ring.ring_puts,
-            puts_per_exec * (execs + 1),
-            "ring tails disagree with the slice map"
-        );
-    }
+    // Cross-check the analytic count against the rings' own tails.
+    assert_eq!(
+        ring.ring_puts,
+        puts_per_exec * (execs + 1),
+        "ring tails disagree with the slice map"
+    );
     if integrity {
         let stats = world
             .integrity_stats()
@@ -232,10 +202,10 @@ fn run_fused(
     }
     let secs = wall.as_secs_f64().max(1e-9);
     VariantThroughput {
-        name: match (book, integrity) {
-            (true, _) => "fused-book",
-            (false, false) => "fused-ring",
-            (false, true) => "fused-ring-integrity",
+        name: if integrity {
+            "fused-ring-integrity"
+        } else {
+            "fused-ring"
         }
         .to_string(),
         execs,
@@ -249,7 +219,7 @@ fn run_fused(
 }
 
 /// The all-P2P zero-copy operator: no slices, no staging, no network
-/// plane — the inline-store ceiling both data planes chase.
+/// plane — the inline-store ceiling the rings chase.
 fn run_zerocopy(cfg: &DlrmConfig, execs: u64) -> VariantThroughput {
     let mut layout = HeapLayout::new();
     let plan = ZeroCopyPlan::plan(&mut layout, cfg);
@@ -292,12 +262,13 @@ fn run_zerocopy(cfg: &DlrmConfig, execs: u64) -> VariantThroughput {
 
 /// Runs every variant at `pes` endpoints, `execs` timed executions each.
 /// The gated `fused-ring` variant always runs with integrity *disabled*
-/// — the zero-cost contract CI's floor holds the data plane to.
+/// — the zero-cost contract CI's regression check holds the data plane
+/// to.
 pub fn run_throughput(pes: usize, slice_embeddings: usize, execs: u64) -> ThroughputRun {
     run_throughput_with(pes, slice_embeddings, execs, false)
 }
 
-/// [`run_throughput`] plus, when `integrity` is set, a fourth
+/// [`run_throughput`] plus, when `integrity` is set, a third
 /// `fused-ring-integrity` variant with per-put checksums armed — the
 /// measured price of the wire-integrity layer, side by side with the
 /// free-running ring it must not tax when disabled.
@@ -307,16 +278,15 @@ pub fn run_throughput_with(
     execs: u64,
     integrity: bool,
 ) -> ThroughputRun {
-    assert!(pes >= 2, "throughput comparison needs at least 2 PEs");
+    assert!(pes >= 2, "network PUTs need at least 2 PEs");
     assert!(execs >= 1);
     let cfg = bench_point(pes);
     let mut variants = vec![
-        run_fused(&cfg, slice_embeddings, execs, false, false),
-        run_fused(&cfg, slice_embeddings, execs, true, false),
+        run_fused(&cfg, slice_embeddings, execs, false),
         run_zerocopy(&cfg, execs),
     ];
     if integrity {
-        variants.push(run_fused(&cfg, slice_embeddings, execs, false, true));
+        variants.push(run_fused(&cfg, slice_embeddings, execs, true));
     }
     ThroughputRun {
         pes,
@@ -334,17 +304,14 @@ mod tests {
     fn harness_measures_all_variants() {
         let run = run_throughput(2, 4, 2);
         let names: Vec<&str> = run.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["fused-ring", "fused-book", "zerocopy"]);
+        assert_eq!(names, vec!["fused-ring", "zerocopy"]);
         let ring = run.variant("fused-ring").unwrap();
-        let book = run.variant("fused-book").unwrap();
-        // Identical protocol, identical PUT counts.
-        assert_eq!(ring.network_puts_per_exec, book.network_puts_per_exec);
+        let zerocopy = run.variant("zerocopy").unwrap();
         assert!(ring.network_puts_per_exec > 0, "slice 4 must hit the wire");
-        // The book path never touches the rings; the ring path never
-        // books.
-        assert_eq!(book.ring.ring_puts, 0);
         assert!(ring.ring.ring_puts > 0);
-        assert!(ring.ops_per_sec > 0.0 && book.ops_per_sec > 0.0);
+        // All-P2P stores never touch the rings.
+        assert_eq!(zerocopy.ring.ring_puts, 0);
+        assert!(ring.ops_per_sec > 0.0 && zerocopy.ops_per_sec > 0.0);
     }
 
     #[test]
@@ -365,8 +332,7 @@ mod tests {
         let json = run.to_json();
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         assert_eq!(v["name"], "throughput");
-        assert_eq!(v["variants"].as_array().unwrap().len(), 3);
-        assert!(v["ring_speedup_vs_book"].as_f64().unwrap() > 0.0);
+        assert_eq!(v["variants"].as_array().unwrap().len(), 2);
         assert!(v["variants"][0]["puts_per_sec"].as_f64().unwrap() > 0.0);
     }
 

@@ -1,14 +1,14 @@
 //! Differential conformance cases: one per operator variant.
 //!
-//! A [`ProtocolCase`] builds a fresh world with tracing on — with a
-//! [`DeliveryOrder`] installed (the explorable slow path) or without one
-//! (the lock-free ring fast path) — runs the operator once, and
-//! bit-compares every destination's output against the sequential
-//! unfused reference. The returned [`CaseRun`] carries the protocol
-//! trace (for [`crate::check_trace`]), the realized schedule signature
-//! (for distinct-schedule counting; 0 on the ring path, which realizes
-//! no modeled schedule), and the deterministic put-key set (the
-//! exhaustive explorer's decision dimensions; empty on the ring path).
+//! A [`ProtocolCase`] builds a fresh world with tracing on, optionally
+//! installs a [`DeliveryOrder`] as the policy on the delivery rings, runs
+//! the operator once, and bit-compares every destination's output
+//! against the sequential unfused reference. The returned [`CaseRun`]
+//! carries the protocol trace (for [`crate::check_trace`]), the realized
+//! schedule signature (for distinct-schedule counting) and the
+//! deterministic put-key set (the exhaustive explorer's decision
+//! dimensions); with no order installed nothing is logged, so the
+//! signature is 0 and the key set empty.
 //!
 //! Shapes are public fields so property tests can randomize them; the
 //! defaults from [`standard_cases`] are the smallest shapes that still
@@ -61,7 +61,7 @@ pub struct CaseRun {
     pub mismatch: Option<String>,
 }
 
-/// One operator variant, runnable on either data plane.
+/// One operator variant, runnable with or without a delivery order.
 pub trait ProtocolCase: Send + Sync {
     /// Variant and shape, e.g. `fused/p4`.
     fn name(&self) -> String;
@@ -83,11 +83,11 @@ pub trait ProtocolCase: Send + Sync {
 
     /// Runs the operator once and diffs it against the reference.
     ///
-    /// With `Some(order)` the delivery-book slow path holds deferrable
-    /// puts in flight under that order (schedule exploration). With
-    /// `None` nothing is installed, so network puts ride the lock-free
-    /// delivery rings — the production fast path, where the adversary is
-    /// real cross-thread timing instead of a modeled schedule.
+    /// With `Some(order)` that order decides which network puts stay in
+    /// the delivery rings until the issuer's next ordering point
+    /// (schedule exploration). With `None` every slot-sized put does —
+    /// production's configuration, where the adversary is real
+    /// cross-thread timing instead of a modeled schedule.
     fn run_with(&self, order: Option<Arc<dyn DeliveryOrder>>) -> CaseRun;
 
     /// Like [`run_with`](Self::run_with), with the plan's work-stealing
@@ -112,7 +112,7 @@ pub trait ProtocolCase: Send + Sync {
         0
     }
 
-    /// Runs under an installed delivery order (the slow path).
+    /// Runs under an installed delivery order.
     fn run(&self, order: Arc<dyn DeliveryOrder>) -> CaseRun {
         self.run_with(Some(order))
     }
@@ -123,8 +123,7 @@ fn internode_groups(n_pes: usize) -> Vec<u32> {
     (0..n_pes as u32).collect()
 }
 
-/// Installs `order` when present; without one the world keeps its ring
-/// fast path.
+/// Installs `order` when present.
 fn with_order(world: ShmemWorld, order: Option<Arc<dyn DeliveryOrder>>) -> ShmemWorld {
     match order {
         Some(order) => world.with_delivery_order(order),
@@ -758,13 +757,14 @@ impl ProtocolCase for UnfencedFlagCase {
 
 /// A deliberately broken runtime: a corrupted network put, then a
 /// consumer that spins on the raw flag and **bypasses the integrity
-/// gate** before reading the payload. On the ring fast path the corrupt
-/// put is quarantined, so the bypass consumes stale bytes and the trace
-/// carries an `IntegrityGate { consumed: true }` the checker must
-/// convict ([`crate::Violation::PoisonConsumed`]). Under a delivery
-/// order (where the checksummed ring is not in play) the corrupt bytes
-/// land verbatim — every schedule is convicted by the differential diff
-/// instead. The negative tests pin both convictions.
+/// gate** before reading the payload. Whenever the corrupt put is
+/// deferred — always with no order installed, and on every explored
+/// schedule that defers it — the ring pop quarantines it, so the bypass
+/// consumes stale bytes and the trace carries an
+/// `IntegrityGate { consumed: true }` the checker must convict
+/// ([`crate::Violation::PoisonConsumed`]). On a schedule that releases
+/// the put the corrupt bytes land verbatim, and the differential diff
+/// convicts it instead. The negative tests pin both convictions.
 pub struct ChecksumBypassCase;
 
 impl ProtocolCase for ChecksumBypassCase {

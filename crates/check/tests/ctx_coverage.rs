@@ -1,9 +1,9 @@
 //! Causal-coverage sweep: every slice/PUT/recovery send of every
-//! operator variant carries exactly one originating [`TraceCtx`], on
-//! both data planes.
+//! operator variant carries exactly one originating [`TraceCtx`], with
+//! and without a delivery order.
 //!
 //! The positive sweep drives all seven real variants through
-//! [`standard_cases`] on the ring fast path and the ordered slow path
+//! [`standard_cases`] with no order installed and under `ProgramOrder`
 //! and demands a violation-free [`check_ctx_trace`]; the property tests
 //! randomize shapes and schedules. The negative tests pin that the
 //! checker is not vacuous: the deliberately broken cases issue raw puts

@@ -13,6 +13,7 @@ use fcc_check::{
     check_trace, explore, Budget, CheckConfig, ChecksumBypassCase, UnfencedFlagCase, Violation,
 };
 use fcc_shmem::heap::HeapLayout;
+use fcc_shmem::ring::SLOT_PAYLOAD;
 use fcc_shmem::{AdversarialOrder, ProgramOrder, ShmemWorld, TraceEvent};
 
 fn run_pair(fenced: bool) -> (Vec<TraceEvent>, Vec<Violation>) {
@@ -166,9 +167,10 @@ fn the_explorer_convicts_the_buggy_case_on_every_schedule() {
 
 #[test]
 fn the_checksum_bypass_bug_is_convicted_by_the_differential_explorer() {
-    // Under every explored delivery order the checksummed ring is out of
-    // play, so the corrupt bytes land verbatim and the diff against the
-    // intended payload convicts every single schedule.
+    // A schedule that releases the corrupt put lands its bytes verbatim;
+    // one that defers it has the ring pop quarantine them, so the
+    // payload never lands. Either way the diff against the intended
+    // payload convicts every single schedule.
     let report = explore(&ChecksumBypassCase, &Budget::smoke());
     assert!(!report.clean());
     assert_eq!(
@@ -178,8 +180,24 @@ fn the_checksum_bypass_bug_is_convicted_by_the_differential_explorer() {
 }
 
 #[test]
+fn consuming_past_the_integrity_gate_is_caught_under_an_explored_order() {
+    // The explorer drives the same checksummed pop production runs: a
+    // deferred corrupt put is quarantined when the fence drains it, and
+    // the bypassing consumer is convicted from the trace.
+    use fcc_check::ProtocolCase;
+    let run = ChecksumBypassCase.run(Arc::new(AdversarialOrder));
+    let violations = check_trace(&run.trace, &CheckConfig::default());
+    assert!(
+        violations
+            .iter()
+            .any(|v| matches!(v, Violation::PoisonConsumed { pe: 1, .. })),
+        "the bypassed gate went unconvicted: {violations:?}"
+    );
+}
+
+#[test]
 fn consuming_past_the_integrity_gate_is_caught_on_the_ring_path() {
-    // On the ring fast path the corrupt put is quarantined at the pop,
+    // With no order installed the corrupt put is quarantined at the pop,
     // so the bypassing consumer leaves an `IntegrityGate` with
     // `consumed: true` and a non-empty quarantine in the trace — the
     // "no unverified payload consumed past fence" invariant.
@@ -199,10 +217,44 @@ fn consuming_past_the_integrity_gate_is_caught_on_the_ring_path() {
 }
 
 #[test]
+fn an_unfenced_oversized_put_is_convicted_with_no_order_installed() {
+    // A put too large for a ring slot is delivered eagerly, but it is
+    // still a network put with no completion guarantee: publishing a
+    // flag behind it without a fence is the same bug.
+    let mut layout = HeapLayout::new();
+    let data = layout.alloc::<u8>(SLOT_PAYLOAD + 1);
+    let ready = layout.alloc_flags(1);
+    let mut world = ShmemWorld::new(2, layout)
+        .with_p2p_groups(vec![0, 1])
+        .with_trace();
+    world.run(|ctx| {
+        if ctx.me() == 0 {
+            ctx.put(data, 0, &[7u8; SLOT_PAYLOAD + 1], 1);
+            // BUG under test: the fence belongs here.
+            ctx.flag_store(ready, 0, 1, 1);
+        }
+    });
+    let trace = world.take_trace();
+    assert!(
+        trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::FlagStore { unfenced: 1, .. })),
+        "the eager put went uncounted: {trace:?}"
+    );
+    let violations = check_trace(&trace, &CheckConfig::default());
+    assert!(
+        violations
+            .iter()
+            .any(|v| matches!(v, Violation::FlagBeforePayload { src: 0, dst: 1, .. })),
+        "the missing fence went unconvicted: {violations:?}"
+    );
+}
+
+#[test]
 fn the_buggy_case_is_convicted_on_the_ring_fast_path() {
-    // No delivery order: puts ride the lock-free rings. The per-thread
-    // unfenced bookkeeping must stay sound there too, or the checker
-    // would go blind exactly where production traffic runs.
+    // No delivery order: every put is deferred into its ring. The
+    // per-thread unfenced bookkeeping must stay sound there too, or the
+    // checker would go blind exactly where production traffic runs.
     use fcc_check::ProtocolCase;
     let run = UnfencedFlagCase.run_with(None);
     let violations = check_trace(&run.trace, &CheckConfig::default());

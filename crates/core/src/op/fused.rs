@@ -130,9 +130,7 @@ impl FusedPlan {
         // One deque set per PE thread that may execute concurrently.
         let workers = self.steal.effective_workers(self.map.num_wgs() as usize);
         let cap = (self.map.num_wgs() as usize) / workers + 1;
-        for _ in 0..self.cfg.n_pes {
-            self.steal_arena.prewarm(workers, cap);
-        }
+        self.steal_arena.prewarm(self.cfg.n_pes, workers, cap);
     }
 
     /// Executes the fused operator on the calling PE.

@@ -385,12 +385,13 @@ impl StealArena {
         }
     }
 
-    /// Builds a set up front so the first execution is already a hit.
-    pub fn prewarm(&self, workers: usize, cap: usize) {
+    /// Builds sets up front until `sets` parked ones fit, so that many
+    /// concurrent first executions (one per PE thread sharing the arena)
+    /// are already hits.
+    pub fn prewarm(&self, sets: usize, workers: usize, cap: usize) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if !pool.iter().any(|s| s.fits(workers, cap)) {
-            pool.push(StealSet::new(workers, cap));
-        }
+        let fitting = pool.iter().filter(|s| s.fits(workers, cap)).count();
+        pool.extend((fitting..sets).map(|_| StealSet::new(workers, cap)));
     }
 
     /// Sets built because the pool had no fit; flat across executions
@@ -745,7 +746,7 @@ mod tests {
     #[test]
     fn prewarm_absorbs_the_first_miss() {
         let arena = StealArena::new();
-        arena.prewarm(4, 33);
+        arena.prewarm(1, 4, 33);
         let tasks: Vec<u64> = (0..128).collect();
         execute_stealing(
             &arena,

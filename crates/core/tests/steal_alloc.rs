@@ -76,8 +76,8 @@ fn stealing_steady_state_does_not_allocate_per_task() {
     const WORKERS: usize = 4;
     let small: Vec<u64> = (0..64).collect();
     let large: Vec<u64> = (0..4096).collect();
-    ARENA.prewarm(WORKERS, small.len() / WORKERS + 1);
-    ARENA.prewarm(WORKERS, large.len() / WORKERS + 1);
+    ARENA.prewarm(1, WORKERS, small.len() / WORKERS + 1);
+    ARENA.prewarm(1, WORKERS, large.len() / WORKERS + 1);
     let policy = StealPolicy::concurrent(0x57ea1).with_workers(WORKERS);
     let run = |tasks: &[u64]| {
         let stats = fcc_core::schedule::steal::execute_stealing(&ARENA, tasks, policy, |_, t| {

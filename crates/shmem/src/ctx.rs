@@ -7,22 +7,24 @@ use std::time::{Duration, Instant};
 
 use fcc_telemetry::{FlightKind, FlightRecorder};
 
-use crate::delivery::{FlushScope, PendingDelivery, PutKey, RmwKey};
+use crate::delivery::{PutKey, RmwKey};
 use crate::error::ShmemError;
 use crate::heap::{SymFlags, SymSlice};
 use crate::integrity::{checksum, IntegrityLayer};
 use crate::pod::Pod;
+use crate::ring::SLOT_PAYLOAD;
 use crate::trace::{current_ctx, RmwOp, TraceEvent};
 use crate::world::ShmemWorld;
 
 thread_local! {
-    /// Ring-path network puts this thread has issued per destination PE
-    /// since its last ordering point — the `unfenced` bookkeeping the
-    /// invariant checker reads off flag stores. Maintained only while
-    /// tracing is on (the bench path never touches it). Threads are
-    /// per-run (PE threads and rayon workers alike), so entries never
-    /// leak across worlds.
-    static RING_UNFENCED: RefCell<HashMap<usize, u64>> = RefCell::new(HashMap::new());
+    /// Network puts this thread has issued per destination PE since its
+    /// last ordering point — the `unfenced` bookkeeping the invariant
+    /// checker reads off flag stores. Counts every network put, deferred
+    /// or not: a real NIC gives no inline-completion guarantee either
+    /// way. Maintained only while tracing is on (the bench path never
+    /// touches it). Threads are per-run (PE threads and rayon workers
+    /// alike), so entries never leak across worlds.
+    static UNFENCED: RefCell<HashMap<usize, u64>> = RefCell::new(HashMap::new());
 }
 
 /// The handle a PE's thread uses to communicate. One exists per PE for the
@@ -190,122 +192,69 @@ impl<'w> PeCtx<'w> {
     }
 
     /// Copies `src` into `dst[offset..]` on `pe`. The `put_nbi` analogue —
-    /// non-blocking: P2P and loopback puts complete inline, while network
-    /// puts ride the lock-free delivery ring (or, with a delivery model
-    /// installed, the explorable `Mutex` book) and are only guaranteed
-    /// delivered once the issuing PE reaches an ordering point
-    /// (`fence`/`quiet`/`barrier_all`/run end).
+    /// non-blocking: P2P and loopback puts complete inline, while a
+    /// network put that fits a ring slot rides the `(src, dst)` delivery
+    /// ring and is only guaranteed delivered once the issuing PE reaches
+    /// an ordering point (`fence`/`quiet`/`barrier_all`/run end). An
+    /// installed [`crate::DeliveryOrder`] may release individual network
+    /// puts to deliver eagerly instead, as oversized ones always do.
     ///
     /// The destination region must not be concurrently accessed (see the
     /// type-level contract).
     pub fn put<T: Pod>(&self, dst: SymSlice<T>, offset: usize, src: &[T], pe: usize) {
+        self.put_with(dst, offset, src, pe, None);
+    }
+
+    /// A [`put`](Self::put) that carries `claimed` as its wire checksum
+    /// instead of deriving one — the fault injector's hook for modelling
+    /// in-flight payload corruption on the checksummed ring.
+    ///
+    /// Passing the checksum of the *intended* bytes alongside corrupted
+    /// `src` models a bit-flip or torn put (the pop detects it and
+    /// quarantines the delivery); passing the checksum of the corrupted
+    /// bytes themselves models a self-consistent stale replay that only
+    /// an end-to-end ABFT check can catch.
+    ///
+    /// Returns `true` iff the put rode the checksummed ring; otherwise
+    /// (integrity off, P2P/loopback destination, oversized payload, or
+    /// released by the installed delivery order) it behaves exactly like
+    /// [`put`](Self::put) and returns `false` — the delivery lands
+    /// unverified, which is precisely the escape the caller is modelling.
+    pub fn put_claiming<T: Pod>(
+        &self,
+        dst: SymSlice<T>,
+        offset: usize,
+        src: &[T],
+        pe: usize,
+        claimed: u64,
+    ) -> bool {
+        self.put_with(dst, offset, src, pe, Some(claimed))
+    }
+
+    /// The one put routine; returns whether the put rode the checksummed
+    /// ring. `claimed` overrides the derived wire checksum.
+    fn put_with<T: Pod>(
+        &self,
+        dst: SymSlice<T>,
+        offset: usize,
+        src: &[T],
+        pe: usize,
+        claimed: Option<u64>,
+    ) -> bool {
         let ptr = self.data_ptr(dst, offset, src.len(), pe);
         let byte_offset = dst.byte_offset + offset * std::mem::size_of::<T>();
         let byte_len = std::mem::size_of_val(src);
-        let network = pe != self.me && !self.is_p2p(pe);
-        let mut deferred = false;
-        if network {
-            self.world.flight.record(
-                FlightKind::NetPut,
-                current_ctx(),
-                ((self.me as u64) << 32) | pe as u64,
-                byte_len as u64,
-            );
-        }
-        if network && self.world.delivery.is_none() {
-            if let Some(ring) = self.world.rings.ring(self.me, pe) {
-                // Lock-free fast path: enqueue the payload into the
-                // (src, dst) ring; the copy lands at this PE's next
-                // ordering point (fence/quiet/barrier/run end) — the
-                // window in which a one-sided PUT is legally in flight.
-                // SAFETY: src is a live &[T] of Pod elements.
-                let bytes =
-                    unsafe { std::slice::from_raw_parts(src.as_ptr() as *const u8, byte_len) };
-                // Integrity on: derive the per-put checksum carried
-                // beside the payload, verified at the ring pop.
-                let sum = match self.integrity() {
-                    Some(layer) => {
-                        layer.record_put();
-                        checksum(bytes)
-                    }
-                    None => 0,
-                };
-                let integrity = self.integrity().map(|layer| (layer, pe));
-                // SAFETY: ptr was bounds-checked against the dst arena,
-                // which outlives every PE thread; the protocol contract
-                // keeps the region free of concurrent access until the
-                // publication this delivery precedes.
-                if unsafe {
-                    ring.push(
-                        ptr as usize,
-                        bytes,
-                        sum,
-                        &self.world.rings.full_spins,
-                        integrity,
-                    )
-                } {
-                    if self.world.trace.is_some() {
-                        RING_UNFENCED.with(|m| {
-                            *m.borrow_mut().entry(pe).or_insert(0) += 1;
-                        });
-                        self.world.record_trace(TraceEvent::Put {
-                            src: self.me,
-                            dst: pe,
-                            byte_offset,
-                            byte_len,
-                            network,
-                            deferred: true,
-                        });
-                    }
-                    return;
-                }
-                // Oversized payload: deliver eagerly, after draining the
-                // ring so older puts to this destination keep their
-                // per-queue-pair FIFO order.
-                self.world.rings.bypasses.fetch_add(1, Ordering::Relaxed);
-                ring.drain(self.integrity().map(|layer| (layer, pe)));
-            }
-        }
-        if network {
-            if let Some(model) = &self.world.delivery {
-                let key = PutKey {
-                    src: self.me as u32,
-                    dst: pe as u32,
-                    byte_offset: byte_offset as u64,
-                    byte_len: byte_len as u64,
-                };
-                deferred = model.order.defer_put(key);
-                model.log.record_put(key, deferred);
-                let tid = std::thread::current().id();
-                let mut book = model.books[self.me].lock().expect("delivery book poisoned");
-                // Posted and not yet fenced from this issuing context —
-                // regardless of whether delivery is deferred (a real NIC
-                // gives no inline-completion guarantee either way).
-                *book.unfenced.entry((tid, pe)).or_insert(0) += 1;
-                if deferred {
-                    self.gauge().fetch_add(1, Ordering::AcqRel);
-                    book.pending.push(PendingDelivery {
-                        issuer: tid,
-                        dst: pe,
-                        byte_offset,
-                        dst_addr: ptr as usize,
-                        // SAFETY: src is a live &[T] of Pod elements.
-                        bytes: unsafe {
-                            std::slice::from_raw_parts(src.as_ptr() as *const u8, byte_len)
-                        }
-                        .to_vec(),
-                        ctx: current_ctx(),
-                    });
-                } else {
-                    // Delivering now: flush this context's older deferred
-                    // puts to the same destination first, preserving the
-                    // per-queue-pair FIFO the hardware does guarantee.
-                    self.world
-                        .deliver_locked(self.me, &mut book, FlushScope::ThreadDst(tid, pe));
-                }
-            }
-        }
-        if !deferred {
+        let trace_put = |network: bool, deferred: bool| {
+            self.world.record_trace(TraceEvent::Put {
+                src: self.me,
+                dst: pe,
+                byte_offset,
+                byte_len,
+                network,
+                deferred,
+            });
+        };
+        let copy_now = || {
             // The put is in flight for the duration of the copy: track it
             // on the gauge so `quiet` has the same observable meaning here
             // as on the timed backend (drain everything issued so far).
@@ -317,74 +266,80 @@ impl<'w> PeCtx<'w> {
                 std::ptr::copy_nonoverlapping(src.as_ptr(), ptr, src.len());
             }
             self.gauge().fetch_sub(1, Ordering::Release);
-        }
-        self.world.record_trace(TraceEvent::Put {
-            src: self.me,
-            dst: pe,
-            byte_offset,
-            byte_len,
-            network,
-            deferred,
-        });
-    }
+        };
 
-    /// A [`put`](Self::put) that carries `claimed` as its wire checksum
-    /// instead of deriving one — the fault injector's hook for modelling
-    /// in-flight payload corruption on the checksummed ring path.
-    ///
-    /// Passing the checksum of the *intended* bytes alongside corrupted
-    /// `src` models a bit-flip or torn put (the pop detects it and
-    /// quarantines the delivery); passing the checksum of the corrupted
-    /// bytes themselves models a self-consistent stale replay that only
-    /// an end-to-end ABFT check can catch.
-    ///
-    /// Returns `true` iff the put rode the checksummed ring path; on any
-    /// other path (integrity off, P2P/loopback destination, delivery
-    /// model installed, oversized payload) it behaves exactly like
-    /// [`put`](Self::put) and returns `false` — the delivery lands
-    /// unverified, which is precisely the escape the caller is modelling.
-    pub fn put_claiming<T: Pod>(
-        &self,
-        dst: SymSlice<T>,
-        offset: usize,
-        src: &[T],
-        pe: usize,
-        claimed: u64,
-    ) -> bool {
-        let network = pe != self.me && !self.is_p2p(pe);
-        if let (Some(layer), true, None) = (self.integrity(), network, self.world.delivery.as_ref())
-        {
-            if let Some(ring) = self.world.rings.ring(self.me, pe) {
-                let ptr = self.data_ptr(dst, offset, src.len(), pe);
-                let byte_len = std::mem::size_of_val(src);
-                // SAFETY: src is a live &[T] of Pod elements.
-                let bytes =
-                    unsafe { std::slice::from_raw_parts(src.as_ptr() as *const u8, byte_len) };
-                layer.record_put();
-                // SAFETY: same argument as the ring path of `put`.
-                if unsafe {
-                    ring.push(
-                        ptr as usize,
-                        bytes,
-                        claimed,
-                        &self.world.rings.full_spins,
-                        Some((layer, pe)),
-                    )
-                } {
-                    self.world.record_trace(TraceEvent::Put {
-                        src: self.me,
-                        dst: pe,
-                        byte_offset: dst.byte_offset + offset * std::mem::size_of::<T>(),
-                        byte_len,
-                        network,
-                        deferred: true,
-                    });
-                    return true;
-                }
+        // A ring exists exactly for the network pairs; a P2P or loopback
+        // put is a plain inline copy.
+        let Some(ring) = self.world.rings.ring(self.me, pe) else {
+            trace_put(false, false);
+            copy_now();
+            return false;
+        };
+        let ctx = current_ctx();
+        self.world.flight.record(
+            FlightKind::NetPut,
+            ctx,
+            ((self.me as u64) << 32) | pe as u64,
+            byte_len as u64,
+        );
+        // The one delivery decision. A put that fits a slot waits in its
+        // ring for this PE's next ordering point — the window in which a
+        // one-sided PUT is legally in flight — unless the installed order
+        // releases it; an oversized put is always delivered now. The log
+        // records what was realized.
+        let fits = byte_len <= SLOT_PAYLOAD;
+        let deferred = match &self.world.delivery {
+            None => fits,
+            Some(model) => {
+                let key = PutKey {
+                    src: self.me as u32,
+                    dst: pe as u32,
+                    byte_offset: byte_offset as u64,
+                    byte_len: byte_len as u64,
+                };
+                let deferred = fits && model.order.defer_put(key);
+                model.log.record_put(key, deferred);
+                deferred
             }
+        };
+        if self.world.trace.is_some() {
+            UNFENCED.with(|m| *m.borrow_mut().entry(pe).or_insert(0) += 1);
         }
-        self.put(dst, offset, src, pe);
-        false
+        // Recorded before the payload moves, so a concurrent drainer's
+        // `PutDelivered` can only follow it in the log.
+        trace_put(true, deferred);
+        let sinks = self.world.drain_sinks();
+        if !deferred {
+            // Delivering now: drain the ring first so older puts to this
+            // destination keep their per-queue-pair FIFO order.
+            self.world.rings.bypasses.fetch_add(1, Ordering::Relaxed);
+            ring.drain(sinks);
+            copy_now();
+            return false;
+        }
+        // SAFETY: src is a live &[T] of Pod elements.
+        let bytes = unsafe { std::slice::from_raw_parts(src.as_ptr() as *const u8, byte_len) };
+        // Integrity on: the put carries a checksum beside its payload,
+        // verified at the ring pop.
+        let sum = self.integrity().map_or(0, |layer| {
+            layer.record_put();
+            claimed.unwrap_or_else(|| checksum(bytes))
+        });
+        // SAFETY: ptr was bounds-checked against the dst arena, which
+        // outlives every PE thread; the protocol contract keeps the
+        // region free of concurrent access until the publication this
+        // delivery precedes.
+        unsafe {
+            ring.push(
+                ptr as usize,
+                bytes,
+                sum,
+                ctx,
+                &self.world.rings.full_spins,
+                sinks,
+            );
+        }
+        self.integrity_enabled()
     }
 
     /// Copies `src[offset..offset+out.len()]` on `pe` into `out`. The
@@ -437,45 +392,28 @@ impl<'w> PeCtx<'w> {
     }
 
     /// Orders preceding puts before subsequent puts *to the same PE* (the
-    /// `roc_shmem_fence` analogue). Without a delivery model installed the
-    /// functional backend completes puts synchronously in program order,
-    /// so this is a compiler/CPU ordering fence only; with a model it is a
-    /// real ordering point that flushes the calling context's deferred
-    /// deliveries (each issuing thread models its own queue pair).
+    /// `roc_shmem_fence` analogue): waits until every entry published so
+    /// far in this PE's rings is copied out — stronger than the per-dst
+    /// ordering `fence` promises (delivering early is always legal), and
+    /// it completes the calling thread's own puts before the Release
+    /// flag store that typically follows.
     #[inline]
     pub fn fence(&self) {
-        if let Some(model) = &self.world.delivery {
-            let tid = std::thread::current().id();
-            let mut book = model.books[self.me].lock().expect("delivery book poisoned");
-            self.world
-                .deliver_locked(self.me, &mut book, FlushScope::Thread(tid));
-            book.unfenced.retain(|&(t, _), _| t != tid);
-        } else {
-            // Ring fast path: wait until every entry published so far in
-            // this PE's rings is copied out — stronger than the per-dst
-            // ordering `fence` promises (delivering early is always
-            // legal), and it completes this thread's own puts before the
-            // Release flag store that typically follows.
-            self.world
-                .rings
-                .drain_src(self.me, self.world.integrity.as_deref());
-            if self.world.trace.is_some() {
-                RING_UNFENCED.with(|m| m.borrow_mut().clear());
-            }
-        }
+        self.drain_rings();
         self.world.record_trace(TraceEvent::Fence { pe: self.me });
         fence(Ordering::SeqCst);
     }
 
     /// Blocks until all outstanding puts are complete (`roc_shmem_quiet`).
     ///
-    /// Plain puts complete inline, so this only ever spins on deliveries
-    /// deferred via [`begin_deferred_put`](Self::begin_deferred_put) —
-    /// a delivery that never lands hangs this call forever, exactly like
-    /// classic SHMEM. Deadline-sensitive code should use
+    /// Ring entries are drained here, so past that this only ever spins
+    /// on deliveries deferred via
+    /// [`begin_deferred_put`](Self::begin_deferred_put) — a delivery that
+    /// never lands hangs this call forever, exactly like classic SHMEM.
+    /// Deadline-sensitive code should use
     /// [`quiet_timeout`](Self::quiet_timeout).
     pub fn quiet(&self) {
-        self.drain_deferred();
+        self.drain_rings();
         self.world.record_trace(TraceEvent::Quiet { pe: self.me });
         fence(Ordering::SeqCst);
         let gauge = self.gauge();
@@ -490,22 +428,15 @@ impl<'w> PeCtx<'w> {
         }
     }
 
-    /// `quiet`-style full drain of the delivery model: everything this PE
-    /// has in flight lands, from any issuing thread, and all unfenced
-    /// bookkeeping resets — `quiet` is strictly stronger than a fence.
-    fn drain_deferred(&self) {
-        if let Some(model) = &self.world.delivery {
-            let mut book = model.books[self.me].lock().expect("delivery book poisoned");
-            self.world
-                .deliver_locked(self.me, &mut book, FlushScope::All);
-            book.unfenced.clear();
-        } else {
-            self.world
-                .rings
-                .drain_src(self.me, self.world.integrity.as_deref());
-            if self.world.trace.is_some() {
-                RING_UNFENCED.with(|m| m.borrow_mut().clear());
-            }
+    /// The ordering point proper: everything this PE has in its rings
+    /// lands, from any issuing thread, and the calling thread's unfenced
+    /// bookkeeping resets.
+    fn drain_rings(&self) {
+        self.world
+            .rings
+            .drain_src(self.me, self.world.drain_sinks());
+        if self.world.trace.is_some() {
+            UNFENCED.with(|m| m.borrow_mut().clear());
         }
     }
 
@@ -545,18 +476,6 @@ impl<'w> PeCtx<'w> {
         (flags.byte_offset / 8 + idx) as u64
     }
 
-    /// Network puts the calling thread has posted to `pe` since its last
-    /// fence — from the delivery book under a model, from the ring-path
-    /// thread-local bookkeeping otherwise.
-    fn unfenced_to(&self, pe: usize) -> u64 {
-        let Some(model) = &self.world.delivery else {
-            return RING_UNFENCED.with(|m| m.borrow().get(&pe).copied().unwrap_or(0));
-        };
-        let tid = std::thread::current().id();
-        let book = model.books[self.me].lock().expect("delivery book poisoned");
-        book.unfenced.get(&(tid, pe)).copied().unwrap_or(0)
-    }
-
     /// Stalls the calling thread per the installed delivery order's RMW
     /// perturbation — schedule diversity for all-P2P protocols whose
     /// races are thread interleavings, not message reorderings.
@@ -581,8 +500,8 @@ impl<'w> PeCtx<'w> {
     ///
     /// Note the publication guarantee covers *delivered* puts: a network
     /// put posted without an intervening [`fence`](Self::fence) is
-    /// legally still in flight, and under a delivery model really can
-    /// land after this flag — the checker's payload-after-flag invariant.
+    /// legally still in flight, and really can land after this flag —
+    /// the checker's payload-after-flag invariant.
     pub fn flag_store(&self, flags: SymFlags, idx: usize, value: u64, pe: usize) {
         self.world.flight.record(
             FlightKind::FlagPub,
@@ -596,7 +515,7 @@ impl<'w> PeCtx<'w> {
                 dst: pe,
                 cell: self.flag_cell(flags, idx),
                 value,
-                unfenced: self.unfenced_to(pe),
+                unfenced: UNFENCED.with(|m| m.borrow().get(&pe).copied().unwrap_or(0)),
             });
         }
         self.flag_ref(pe, flags, idx)
@@ -733,7 +652,7 @@ impl<'w> PeCtx<'w> {
     /// zero timeout; the deadline is checked on a coarse stride (every 64
     /// spins) to keep the success path cheap.
     pub fn quiet_timeout(&self, timeout: Duration) -> Result<(), ShmemError> {
-        self.drain_deferred();
+        self.drain_rings();
         self.world.record_trace(TraceEvent::Quiet { pe: self.me });
         fence(Ordering::SeqCst);
         let gauge = self.gauge();
@@ -765,7 +684,7 @@ impl<'w> PeCtx<'w> {
     /// fence: everything before the barrier on any PE happens-before
     /// everything after it on every PE.
     pub fn barrier_all(&self) {
-        self.drain_deferred();
+        self.drain_rings();
         self.world.record_trace(TraceEvent::Barrier { pe: self.me });
         self.world.barrier.wait();
     }
@@ -1185,7 +1104,7 @@ mod tests {
             if ctx.me() == 0 {
                 ctx.put(buf, 0, &[7u64; 4], 1);
                 assert_eq!(ctx.outstanding_puts(), 1, "delivery deferred");
-                // quiet is an ordering point: it drains the book itself.
+                // quiet is an ordering point: it drains the ring itself.
                 ctx.quiet_timeout(Duration::from_secs(5))
                     .expect("quiet drains its own deferred deliveries");
                 assert_eq!(ctx.outstanding_puts(), 0);
@@ -1205,7 +1124,7 @@ mod tests {
             .with_delivery_order(Arc::new(AdversarialOrder));
         world.run(|ctx| {
             if ctx.me() == 0 {
-                // No fence, no barrier: the put stays in the book until
+                // No fence, no barrier: the put stays in the ring until
                 // the run's final ordering point.
                 ctx.put(buf, 0, &[41u64, 42], 1);
             }
@@ -1277,6 +1196,48 @@ mod tests {
             Some(1),
             "missing fence must be visible in the trace"
         );
+    }
+
+    #[test]
+    fn a_delivery_drained_by_another_thread_keeps_its_issuers_ctx() {
+        use crate::trace::scoped_ctx;
+        use fcc_telemetry::TraceCtx;
+        let issued_under = TraceCtx::step(7).with_slice(3);
+        let mut layout = HeapLayout::new();
+        let buf = layout.alloc::<u64>(4);
+        let mut world = ShmemWorld::new(2, layout)
+            .with_p2p_groups(vec![0, 1])
+            .with_trace();
+        world.run(|ctx| {
+            if ctx.me() == 0 {
+                // Thread A issues the put under its task's context; the
+                // join orders it before thread B (this one) fences under
+                // a different ambient context and drains the ring.
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let _task = scoped_ctx(issued_under);
+                        ctx.put(buf, 0, &[5u64; 4], 1);
+                    });
+                });
+                let _other = scoped_ctx(TraceCtx::step(9));
+                ctx.fence();
+            }
+        });
+        let delivered: Vec<_> = world
+            .take_trace_timed()
+            .into_iter()
+            .filter(|e| matches!(e.event, TraceEvent::PutDelivered { .. }))
+            .collect();
+        assert_eq!(delivered.len(), 1, "one ring put, one delivery");
+        assert_eq!(
+            delivered[0].event,
+            TraceEvent::PutDelivered {
+                src: 0,
+                dst: 1,
+                byte_offset: buf.byte_offset,
+            }
+        );
+        assert_eq!(delivered[0].ctx, issued_under);
     }
 
     #[test]

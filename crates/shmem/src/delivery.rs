@@ -1,17 +1,19 @@
 //! Pluggable delivery ordering — the schedule-exploration hook.
 //!
-//! The functional backend normally completes every `put` inline, which
-//! exercises exactly one delivery schedule: the program order. Real
-//! one-sided hardware is weaker — a non-blocking PUT may land *after* a
-//! later flag write unless a fence separates them, and that gap is where
-//! protocol bugs hide. This module makes the gap explorable:
+//! One-sided hardware lets a non-blocking PUT land *after* a later flag
+//! write unless a fence separates them, and that gap is where protocol
+//! bugs hide. The delivery rings ([`crate::ring`]) realize the gap —
+//! a slot-sized network put stays in its ring until the issuing PE
+//! reaches an ordering point (a fence, `quiet`, `barrier_all`, or the
+//! end of the run) — and this module makes it explorable as a *policy*
+//! on those same rings:
 //!
 //! * [`DeliveryOrder`] — a strategy consulted once per network put
-//!   (defer or deliver now?) and once per flag RMW (how long to stall the
-//!   issuing thread first?). Deferred puts sit in a per-PE
-//!   *delivery book* until the issuer reaches an ordering point — a
-//!   fence, `quiet`, `barrier_all`, or the end of the run — exactly the
-//!   points at which the SHMEM memory model forbids further reordering.
+//!   (defer into the ring, or deliver now through the ring's eager
+//!   path?) and once per flag RMW (how long to stall the issuing thread
+//!   first?). A put larger than [`crate::ring::SLOT_PAYLOAD`] is
+//!   delivered eagerly whatever the strategy says, as it is with no
+//!   strategy installed; the log records the realized decision.
 //! * [`ScheduleLog`] — the realized decisions, keyed deterministically by
 //!   *content* ([`PutKey`]/[`RmwKey`]) rather than by racy sequence
 //!   numbers, so a schedule has a stable [signature](ScheduleLog::signature)
@@ -21,14 +23,11 @@
 //! same schedule every time it is installed — `fcc-check` builds its
 //! bounded exhaustive/seeded explorer on that determinism.
 //!
-//! With no order installed (the default), none of this code runs and the
-//! backend behaves exactly as before.
+//! With no order installed (the default), every slot-sized put is
+//! deferred and nothing is logged.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
-use std::thread::ThreadId;
-
-use fcc_telemetry::TraceCtx;
 
 /// Identity of one network put, stable across runs of the same program.
 ///
@@ -67,8 +66,8 @@ pub struct RmwKey {
 /// A strategy deciding, per operation, how much the delivery schedule is
 /// perturbed. Implementations must be pure functions of the key.
 pub trait DeliveryOrder: Send + Sync {
-    /// Whether this network put's delivery is deferred to the issuer's
-    /// next ordering point instead of completing inline.
+    /// Whether this network put's delivery is deferred to the issuing
+    /// PE's next ordering point instead of completing inline.
     fn defer_put(&self, key: PutKey) -> bool;
 
     /// How many scheduler yields to insert before this flag RMW — a
@@ -83,8 +82,8 @@ pub trait DeliveryOrder: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Delivers everything inline — the historical behavior, used as the
-/// probe run that discovers a program's deferrable put set.
+/// Delivers everything inline — the probe run that discovers a
+/// program's deferrable put set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProgramOrder;
 
@@ -170,74 +169,11 @@ impl DeliveryOrder for DecisionVector {
     }
 }
 
-/// One deferred put waiting in a delivery book.
-pub(crate) struct PendingDelivery {
-    /// Thread that issued the put (a fence only flushes its issuer's
-    /// entries — each issuing context models its own queue pair).
-    pub(crate) issuer: ThreadId,
-    /// Destination PE.
-    pub(crate) dst: usize,
-    /// Destination byte offset (for the trace).
-    pub(crate) byte_offset: usize,
-    /// Raw destination address inside the dst arena, captured at issue
-    /// time while the bounds check was in scope.
-    pub(crate) dst_addr: usize,
-    /// The payload, copied out of the issuer's buffer.
-    pub(crate) bytes: Vec<u8>,
-    /// Causal context ambient at issue time — the delivery keeps its
-    /// issuer's attribution even though it lands at another ordering
-    /// point.
-    pub(crate) ctx: TraceCtx,
-}
-
-/// Which pending deliveries an ordering point releases.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FlushScope {
-    /// Everything this PE has in flight (`quiet`, barriers, run end).
-    All,
-    /// Only the calling thread's entries (a fence).
-    Thread(ThreadId),
-    /// The calling thread's entries to one destination (issued-before a
-    /// non-deferred put to that destination, preserving per-QP FIFO).
-    ThreadDst(ThreadId, usize),
-}
-
-impl FlushScope {
-    pub(crate) fn matches(&self, entry: &PendingDelivery) -> bool {
-        match *self {
-            FlushScope::All => true,
-            FlushScope::Thread(t) => entry.issuer == t,
-            FlushScope::ThreadDst(t, d) => entry.issuer == t && entry.dst == d,
-        }
-    }
-}
-
-/// Per-PE delivery state: puts held in flight plus the count of network
-/// puts posted since the issuer's last fence, per (thread, destination).
-#[derive(Default)]
-pub(crate) struct DeliveryBook {
-    pub(crate) pending: Vec<PendingDelivery>,
-    pub(crate) unfenced: HashMap<(ThreadId, usize), u64>,
-}
-
-/// The installed strategy plus all bookkeeping [`crate::ShmemWorld`]
-/// needs to realize (and report) the chosen schedule.
+/// The installed strategy plus the log [`crate::ShmemWorld`] reports
+/// the realized schedule from.
 pub(crate) struct DeliveryModel {
     pub(crate) order: Arc<dyn DeliveryOrder>,
-    pub(crate) books: Vec<Mutex<DeliveryBook>>,
     pub(crate) log: ScheduleLog,
-}
-
-impl DeliveryModel {
-    pub(crate) fn new(order: Arc<dyn DeliveryOrder>, n_pes: usize) -> DeliveryModel {
-        DeliveryModel {
-            order,
-            books: (0..n_pes)
-                .map(|_| Mutex::new(DeliveryBook::default()))
-                .collect(),
-            log: ScheduleLog::default(),
-        }
-    }
 }
 
 /// The realized schedule: every decision the installed [`DeliveryOrder`]

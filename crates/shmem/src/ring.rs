@@ -1,12 +1,15 @@
-//! Lock-free delivery rings — the default fast path for network puts.
+//! Lock-free delivery rings — the one delivery mechanism for network
+//! puts, shipped and schedule-explored alike.
 //!
 //! One bounded ring exists per ordered (src, dst) PE pair whose
 //! endpoints are *not* P2P-reachable (P2P and loopback puts stay plain
-//! inline copies). A network put enqueues its payload into the
-//! `(src, dst)` ring instead of locking the per-PE delivery book; the
-//! copy into the destination arena happens when the issuing PE reaches
-//! an ordering point (`fence`, `quiet`, `barrier_all`, or run end) —
-//! exactly the window in which a one-sided PUT is legally in flight.
+//! inline copies). A deferred network put enqueues its payload into the
+//! `(src, dst)` ring; the copy into the destination arena happens when
+//! the issuing PE reaches an ordering point (`fence`, `quiet`,
+//! `barrier_all`, or run end) — exactly the window in which a one-sided
+//! PUT is legally in flight. Whether a put is deferred is decided once,
+//! in [`crate::PeCtx::put`]: always when it fits a slot, unless an
+//! installed [`crate::DeliveryOrder`] says "deliver now".
 //!
 //! The ring is Vyukov-style bounded with a per-slot sequence number:
 //!
@@ -35,21 +38,30 @@
 //! same edge the paper's `PUT → fence → sliceRdy` protocol needs from
 //! the NIC.
 //!
-//! Delivering *early* is always legal in this model (the pre-ring data
-//! plane delivered inline), so a full ring self-drains and an
-//! oversized payload (> [`SLOT_PAYLOAD`] bytes) is delivered eagerly —
-//! after draining older entries to the same destination to preserve
-//! the per-queue-pair FIFO the hardware guarantees.
+//! Delivering *early* is always legal in this model, so a full ring
+//! self-drains and a put that is not deferred (larger than
+//! [`SLOT_PAYLOAD`] bytes, or released by the installed order) is
+//! delivered eagerly — after draining older entries to the same
+//! destination to preserve the per-queue-pair FIFO the hardware
+//! guarantees.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::integrity::IntegrityLayer;
+use fcc_telemetry::TraceCtx;
 
-/// The integrity handle a drain pass carries: the layer plus the
-/// destination PE of the ring being drained (`None` = integrity off,
-/// pops copy unconditionally).
-pub(crate) type DrainIntegrity<'a> = Option<(&'a IntegrityLayer, usize)>;
+use crate::integrity::IntegrityLayer;
+use crate::trace::{ProtocolTrace, TraceEvent};
+
+/// What a drain pass reports to besides the destination arena: the
+/// integrity layer that verifies each pop and the protocol trace that
+/// records each delivery. Both `None` (the default) on the bench path,
+/// where a pop is an unconditional copy.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct DrainSinks<'a> {
+    pub(crate) integrity: Option<&'a IntegrityLayer>,
+    pub(crate) trace: Option<&'a ProtocolTrace>,
+}
 
 /// Payload bytes stored inline in one ring slot. Covers a slice-width-4
 /// put of dim ≤ 64 f32 rows split per-row by `put_strided`; larger puts
@@ -75,11 +87,18 @@ struct Slot {
     /// Per-put wire checksum carried beside the payload (0 = none; the
     /// integrity layer never produces 0).
     sum: UnsafeCell<u64>,
+    /// Causal context ambient when the put was issued — the delivery
+    /// keeps its issuer's attribution whichever thread drains it.
+    ctx: UnsafeCell<TraceCtx>,
     bytes: UnsafeCell<[u8; SLOT_PAYLOAD]>,
 }
 
 /// One (src, dst) delivery ring.
 pub struct Ring {
+    src: usize,
+    dst: usize,
+    /// Base address of `dst`'s arena (traced deliveries report offsets).
+    dst_base: usize,
     slots: Box<[Slot]>,
     tail: CachePadded<AtomicU64>,
     head: CachePadded<AtomicU64>,
@@ -97,14 +116,18 @@ unsafe impl Sync for Ring {}
 unsafe impl Send for Ring {}
 
 impl Ring {
-    fn new() -> Ring {
+    fn new(src: usize, dst: usize, dst_base: usize) -> Ring {
         Ring {
+            src,
+            dst,
+            dst_base,
             slots: (0..CAPACITY as u64)
                 .map(|pos| Slot {
                     seq: AtomicU64::new(pos),
                     dst_addr: UnsafeCell::new(0),
                     len: UnsafeCell::new(0),
                     sum: UnsafeCell::new(0),
+                    ctx: UnsafeCell::new(TraceCtx::NONE),
                     bytes: UnsafeCell::new([0; SLOT_PAYLOAD]),
                 })
                 .collect(),
@@ -125,10 +148,14 @@ impl Ring {
         tail.saturating_sub(self.head.0.load(Ordering::Acquire))
     }
 
-    /// Enqueues one payload destined for `dst_addr`. Returns `false` if
-    /// the payload exceeds [`SLOT_PAYLOAD`] (the caller must deliver it
-    /// eagerly — call [`drain`](Self::drain) first to preserve FIFO).
-    /// A full ring self-drains; `full_spins` counts those stalls.
+    /// Enqueues one payload destined for `dst_addr`, stamped with its
+    /// wire checksum and issue-time context. A full ring self-drains;
+    /// `full_spins` counts those stalls.
+    ///
+    /// # Panics
+    /// Panics if the payload exceeds [`SLOT_PAYLOAD`]: the caller
+    /// delivers such a put eagerly (after a [`drain`](Self::drain), to
+    /// preserve FIFO) and never offers it to the ring.
     ///
     /// # Safety
     /// `dst_addr .. dst_addr + bytes.len()` must stay valid and free of
@@ -139,12 +166,15 @@ impl Ring {
         dst_addr: usize,
         bytes: &[u8],
         sum: u64,
+        ctx: TraceCtx,
         full_spins: &AtomicU64,
-        integrity: DrainIntegrity<'_>,
-    ) -> bool {
-        if bytes.len() > SLOT_PAYLOAD {
-            return false;
-        }
+        sinks: DrainSinks<'_>,
+    ) {
+        assert!(
+            bytes.len() <= SLOT_PAYLOAD,
+            "a {}-byte payload cannot ride a {SLOT_PAYLOAD}-byte slot",
+            bytes.len()
+        );
         let mut spins = 0u32;
         loop {
             let pos = self.tail.0.load(Ordering::Relaxed);
@@ -163,6 +193,7 @@ impl Ring {
                         *slot.dst_addr.get() = dst_addr;
                         *slot.len.get() = bytes.len() as u32;
                         *slot.sum.get() = sum;
+                        *slot.ctx.get() = ctx;
                         std::ptr::copy_nonoverlapping(
                             bytes.as_ptr(),
                             (*slot.bytes.get()).as_mut_ptr(),
@@ -170,14 +201,14 @@ impl Ring {
                         );
                     }
                     slot.seq.store(pos + 1, Ordering::Release);
-                    return true;
+                    return;
                 }
             } else if seq < pos {
                 // Full: the consumer side is `CAPACITY` behind. Deliver
                 // early (always legal) rather than deadlocking a
                 // producer that never reaches an ordering point.
                 full_spins.fetch_add(1, Ordering::Relaxed);
-                if !self.try_drain(integrity) {
+                if !self.try_drain(sinks) {
                     spins = spins.wrapping_add(1);
                     if spins.is_multiple_of(64) {
                         std::thread::yield_now();
@@ -193,11 +224,12 @@ impl Ring {
     /// Attempts one drain pass; returns `false` if another thread holds
     /// the drainer flag. Never blocks while holding the flag.
     ///
-    /// With an integrity handle, each pop's payload is verified against
+    /// With an integrity layer, each pop's payload is verified against
     /// the checksum it carried *before* the copy; a mismatch quarantines
     /// the delivery (the arena is never touched) and records the poison
-    /// against the destination PE.
-    fn try_drain(&self, integrity: DrainIntegrity<'_>) -> bool {
+    /// against the destination PE. With a trace, each pop is recorded as
+    /// a [`TraceEvent::PutDelivered`] under the put's issue-time context.
+    fn try_drain(&self, sinks: DrainSinks<'_>) -> bool {
         if self
             .draining
             .0
@@ -222,9 +254,9 @@ impl Ring {
             unsafe {
                 let len = *slot.len.get() as usize;
                 let addr = *slot.dst_addr.get();
-                let deliver = match integrity {
-                    Some((layer, dst)) => layer.verify_pop(
-                        dst,
+                let deliver = match sinks.integrity {
+                    Some(layer) => layer.verify_pop(
+                        self.dst,
                         addr,
                         std::slice::from_raw_parts((*slot.bytes.get()).as_ptr(), len),
                         *slot.sum.get(),
@@ -238,6 +270,16 @@ impl Ring {
                         len,
                     );
                 }
+                if let Some(trace) = sinks.trace {
+                    trace.record_with(
+                        TraceEvent::PutDelivered {
+                            src: self.src,
+                            dst: self.dst,
+                            byte_offset: addr - self.dst_base,
+                        },
+                        *slot.ctx.get(),
+                    );
+                }
             }
             slot.seq.store(pos + CAPACITY as u64, Ordering::Release);
             self.head.0.store(pos + 1, Ordering::Release);
@@ -249,11 +291,11 @@ impl Ring {
     /// Delivers every entry published so far; on return, all payloads
     /// enqueued before the call are visible in their destination arenas
     /// (whether this thread or a concurrent drainer copied them).
-    pub(crate) fn drain(&self, integrity: DrainIntegrity<'_>) {
+    pub(crate) fn drain(&self, sinks: DrainSinks<'_>) {
         let target = self.tail.0.load(Ordering::Acquire);
         let mut spins = 0u32;
         while self.head.0.load(Ordering::Acquire) < target {
-            if !self.try_drain(integrity) {
+            if !self.try_drain(sinks) {
                 spins = spins.wrapping_add(1);
                 if spins.is_multiple_of(64) {
                     std::thread::yield_now();
@@ -272,18 +314,22 @@ pub struct RingPlane {
     rings: Vec<Option<Box<Ring>>>,
     /// Producer stalls on a full ring (`shmem.ring.full_spins`).
     pub full_spins: AtomicU64,
-    /// Oversized puts delivered eagerly past the ring.
+    /// Network puts delivered eagerly past the ring: oversized, or
+    /// released by the installed delivery order.
     pub bypasses: AtomicU64,
 }
 
 impl RingPlane {
-    /// Builds rings for every ordered non-P2P pair of `p2p_group`.
-    pub fn new(n_pes: usize, p2p_group: &[u32]) -> RingPlane {
+    /// Builds rings for every ordered non-P2P pair of `p2p_group`;
+    /// `arena_bases[pe]` is the base address of `pe`'s arena.
+    pub fn new(n_pes: usize, p2p_group: &[u32], arena_bases: &[usize]) -> RingPlane {
         assert_eq!(p2p_group.len(), n_pes);
+        assert_eq!(arena_bases.len(), n_pes);
         let rings = (0..n_pes * n_pes)
             .map(|i| {
                 let (src, dst) = (i / n_pes, i % n_pes);
-                (p2p_group[src] != p2p_group[dst]).then(|| Box::new(Ring::new()))
+                (p2p_group[src] != p2p_group[dst])
+                    .then(|| Box::new(Ring::new(src, dst, arena_bases[dst])))
             })
             .collect();
         RingPlane {
@@ -301,16 +347,13 @@ impl RingPlane {
     }
 
     /// Drains every ring whose source is `src` (fence/quiet/barrier/run
-    /// end on that PE). With an integrity layer installed, every pop is
-    /// checksum-verified against the destination PE of its ring.
-    pub(crate) fn drain_src(&self, src: usize, integrity: Option<&IntegrityLayer>) {
-        for (dst, ring) in self.rings[src * self.n_pes..(src + 1) * self.n_pes]
+    /// end on that PE).
+    pub(crate) fn drain_src(&self, src: usize, sinks: DrainSinks<'_>) {
+        for ring in self.rings[src * self.n_pes..(src + 1) * self.n_pes]
             .iter()
-            .enumerate()
+            .flatten()
         {
-            if let Some(ring) = ring {
-                ring.drain(integrity.map(|layer| (layer, dst)));
-            }
+            ring.drain(sinks);
         }
     }
 
@@ -333,26 +376,43 @@ impl RingPlane {
 mod tests {
     use super::*;
 
+    /// A push with no checksum, context, or sinks — the bench-path shape.
+    ///
+    /// # Safety
+    /// As for [`Ring::push`].
+    unsafe fn push(ring: &Ring, dst_addr: usize, bytes: &[u8], spins: &AtomicU64) {
+        // SAFETY: forwarded contract.
+        unsafe {
+            ring.push(
+                dst_addr,
+                bytes,
+                0,
+                TraceCtx::NONE,
+                spins,
+                DrainSinks::default(),
+            )
+        }
+    }
+
     #[test]
     fn ring_delivers_in_fifo_order() {
-        let ring = Ring::new();
+        let ring = Ring::new(0, 1, 0);
         let spins = AtomicU64::new(0);
         let mut out = [0u64; 8];
         for (i, o) in out.iter_mut().enumerate() {
             let payload = (i as u64 + 1) * 3;
             // SAFETY: `o` outlives the drain below.
             unsafe {
-                assert!(ring.push(
+                push(
+                    &ring,
                     o as *mut u64 as usize,
                     &payload.to_ne_bytes(),
-                    0,
                     &spins,
-                    None
-                ));
-            }
+                )
+            };
         }
         assert_eq!(ring.occupancy(), 8);
-        ring.drain(None);
+        ring.drain(DrainSinks::default());
         assert_eq!(ring.occupancy(), 0);
         assert_eq!(ring.total_puts(), 8);
         for (i, o) in out.iter().enumerate() {
@@ -362,23 +422,22 @@ mod tests {
 
     #[test]
     fn full_ring_self_drains_instead_of_deadlocking() {
-        let ring = Ring::new();
+        let ring = Ring::new(0, 1, 0);
         let spins = AtomicU64::new(0);
         let n = CAPACITY * 3 + 7;
         let mut out = vec![0u32; n];
         for (i, o) in out.iter_mut().enumerate() {
             // SAFETY: `out` outlives the final drain.
             unsafe {
-                assert!(ring.push(
+                push(
+                    &ring,
                     o as *mut u32 as usize,
                     &(i as u32).to_ne_bytes(),
-                    0,
                     &spins,
-                    None
-                ));
-            }
+                )
+            };
         }
-        ring.drain(None);
+        ring.drain(DrainSinks::default());
         assert!(
             spins.load(Ordering::Relaxed) > 0,
             "overflow must be counted"
@@ -389,16 +448,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot ride")]
     fn oversized_payloads_are_rejected_for_bypass() {
-        let ring = Ring::new();
+        let ring = Ring::new(0, 1, 0);
         let spins = AtomicU64::new(0);
         let big = vec![0u8; SLOT_PAYLOAD + 1];
         let mut sink = vec![0u8; SLOT_PAYLOAD + 1];
         // SAFETY: sink outlives the call.
-        unsafe {
-            assert!(!ring.push(sink.as_mut_ptr() as usize, &big, 0, &spins, None));
-        }
-        assert_eq!(ring.total_puts(), 0);
+        unsafe { push(&ring, sink.as_mut_ptr() as usize, &big, &spins) };
     }
 
     #[test]
@@ -408,7 +465,7 @@ mod tests {
         // the single-drainer election must keep deliveries exact.
         const THREADS: usize = 4;
         const PER: usize = 200;
-        let ring = Ring::new();
+        let ring = Ring::new(0, 1, 0);
         let spins = AtomicU64::new(0);
         let out: Vec<AtomicU64> = (0..THREADS * PER).map(|_| AtomicU64::new(0)).collect();
         std::thread::scope(|s| {
@@ -422,11 +479,9 @@ mod tests {
                         // enqueue) and `out` outlives the scope. Plain
                         // byte copies into an AtomicU64 cell are fine
                         // here: the drain/join below orders the reads.
-                        unsafe {
-                            assert!(ring.push(out[idx].as_ptr() as usize, &val, 0, spins, None));
-                        }
+                        unsafe { push(ring, out[idx].as_ptr() as usize, &val, spins) };
                     }
-                    ring.drain(None);
+                    ring.drain(DrainSinks::default());
                 });
             }
         });
@@ -439,7 +494,7 @@ mod tests {
 
     #[test]
     fn plane_allocates_rings_only_for_network_pairs() {
-        let plane = RingPlane::new(4, &[0, 0, 1, 1]);
+        let plane = RingPlane::new(4, &[0, 0, 1, 1], &[0; 4]);
         assert!(plane.ring(0, 1).is_none(), "P2P pair needs no ring");
         assert!(plane.ring(0, 2).is_some());
         assert!(plane.ring(2, 0).is_some(), "rings are per ordered pair");

@@ -10,9 +10,8 @@
 //! op itself (`prev` values).
 //!
 //! The `unfenced` field on [`TraceEvent::FlagStore`] counts network puts
-//! this issuing thread posted to the flag's PE since its last fence — it
-//! is only maintained while a [`crate::DeliveryOrder`] is installed
-//! (checker runs always install one; `ProgramOrder` suffices).
+//! this issuing thread posted to the flag's PE since its last ordering
+//! point, deferred or not; it is maintained whenever the trace is on.
 
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -81,7 +80,8 @@ pub enum TraceEvent {
         byte_len: usize,
         /// Whether the put crossed the network (not self, not P2P).
         network: bool,
-        /// Whether the installed delivery order deferred it.
+        /// Whether it was deferred into its delivery ring (rather than
+        /// delivered inline).
         deferred: bool,
     },
     /// A deferred put landed at an ordering point.
@@ -221,8 +221,8 @@ impl ProtocolTrace {
 
     /// Records `event` under an explicit context instead of the ambient
     /// one — for events materialized away from their issuing thread (a
-    /// deferred put delivered at another context's ordering point keeps
-    /// its issue-time attribution).
+    /// deferred put drained at another thread's ordering point keeps its
+    /// issue-time attribution).
     pub(crate) fn record_with(&self, event: TraceEvent, ctx: TraceCtx) {
         let at = self.now();
         self.events

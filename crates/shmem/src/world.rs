@@ -4,14 +4,14 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use fcc_telemetry::{FlightRecorder, TraceCtx};
+use fcc_telemetry::FlightRecorder;
 
 use crate::ctx::PeCtx;
-use crate::delivery::{DeliveryBook, DeliveryModel, DeliveryOrder, FlushScope, PutKey};
+use crate::delivery::{DeliveryModel, DeliveryOrder, PutKey, ScheduleLog};
 use crate::heap::{HeapLayout, SymSlice};
 use crate::integrity::{IntegrityLayer, IntegrityStats};
 use crate::pod::Pod;
-use crate::ring::RingPlane;
+use crate::ring::{DrainSinks, RingPlane};
 use crate::trace::{ProtocolTrace, TraceEvent};
 
 /// Data-plane counters of one world's ring plane — what telemetry
@@ -22,7 +22,8 @@ pub struct RingStats {
     pub ring_puts: u64,
     /// Producer stalls on a full ring (delivered early instead).
     pub full_spins: u64,
-    /// Oversized puts that bypassed the ring (delivered eagerly).
+    /// Network puts delivered eagerly past the ring: oversized, or
+    /// released by the installed delivery order.
     pub bypasses: u64,
 }
 
@@ -119,6 +120,10 @@ impl Arena {
     }
 }
 
+fn arena_bases(arenas: &[Arena]) -> Vec<usize> {
+    arenas.iter().map(|a| a.base() as usize).collect()
+}
+
 /// A team of PEs sharing a symmetric heap — the `shmem_init` equivalent.
 ///
 /// Build a [`HeapLayout`] first (the collective allocation phase), then a
@@ -152,17 +157,16 @@ pub struct ShmemWorld {
     /// peers, the `roc_shmem_ptr() != NULL` case).
     pub(crate) p2p_group: Vec<u32>,
     /// Per-PE gauge of puts issued but not yet confirmed complete — what
-    /// `quiet` drains. The functional backend completes puts inline, so
-    /// the gauge only stays non-zero across a [`crate::ctx::PendingPut`]
-    /// guard (a deliberately deferred delivery, e.g. a fault injector
-    /// holding a message in flight).
+    /// `quiet` spins on once the rings are drained. An eager copy holds
+    /// it for the copy's duration, so it only stays non-zero across a
+    /// [`crate::ctx::PendingPut`] guard (a deliberately deferred
+    /// delivery, e.g. a fault injector holding a message in flight).
     pub(crate) pending: Vec<AtomicU64>,
-    /// Installed delivery-ordering model, if any — see
+    /// Installed delivery-ordering policy, if any — see
     /// [`with_delivery_order`](Self::with_delivery_order).
     pub(crate) delivery: Option<DeliveryModel>,
-    /// Lock-free per-(src, dst) delivery rings — the default fast path
-    /// for network puts whenever no [`DeliveryOrder`] is installed (the
-    /// `Mutex` book stays as the explorable slow path).
+    /// Lock-free per-(src, dst) delivery rings — the one delivery
+    /// mechanism for network puts, with or without a [`DeliveryOrder`].
     pub(crate) rings: RingPlane,
     /// Protocol event trace, if enabled — see
     /// [`with_trace`](Self::with_trace).
@@ -183,14 +187,15 @@ impl ShmemWorld {
     pub fn new(n_pes: usize, layout: HeapLayout) -> ShmemWorld {
         assert!(n_pes > 0, "need at least one PE");
         let p2p_group = vec![0; n_pes];
+        let arenas: Vec<Arena> = (0..n_pes)
+            .map(|_| Arena::new(layout.bytes_used()))
+            .collect();
         ShmemWorld {
-            arenas: (0..n_pes)
-                .map(|_| Arena::new(layout.bytes_used()))
-                .collect(),
+            rings: RingPlane::new(n_pes, &p2p_group, &arena_bases(&arenas)),
+            arenas,
             barrier: SenseBarrier::new(n_pes),
             pending: (0..n_pes).map(|_| AtomicU64::new(0)).collect(),
             delivery: None,
-            rings: RingPlane::new(n_pes, &p2p_group),
             p2p_group,
             trace: None,
             integrity: None,
@@ -208,23 +213,28 @@ impl ShmemWorld {
     pub fn with_p2p_groups(mut self, groups: Vec<u32>) -> ShmemWorld {
         assert_eq!(groups.len(), self.n_pes, "one group per PE");
         // Rings exist exactly for the network pairs the groups define.
-        self.rings = RingPlane::new(self.n_pes, &groups);
+        self.rings = RingPlane::new(self.n_pes, &groups, &arena_bases(&self.arenas));
         self.p2p_group = groups;
         self
     }
 
-    /// Installs a [`DeliveryOrder`]: network puts it defers sit in a
-    /// per-PE delivery book until the issuing context reaches an
-    /// ordering point (fence, `quiet`, `barrier_all`, or run end) —
-    /// modelling the window in which a one-sided PUT is legally still
-    /// in flight. Flag operations are never deferred; the model relaxes
-    /// only what the SHMEM ordering rules actually leave open.
+    /// Installs a [`DeliveryOrder`] as the policy on the delivery rings:
+    /// a network put it defers stays in its ring until the issuing PE
+    /// reaches an ordering point (fence, `quiet`, `barrier_all`, or run
+    /// end) — the window in which a one-sided PUT is legally still in
+    /// flight — and one it releases takes the ring's eager path. Without
+    /// an order every slot-sized put is deferred. Flag operations are
+    /// never deferred; the order relaxes only what the SHMEM ordering
+    /// rules actually leave open.
     pub fn with_delivery_order(mut self, order: Arc<dyn DeliveryOrder>) -> ShmemWorld {
-        self.delivery = Some(DeliveryModel::new(order, self.n_pes));
+        self.delivery = Some(DeliveryModel {
+            order,
+            log: ScheduleLog::default(),
+        });
         self
     }
 
-    /// Enables the wire-integrity layer: every ring-path network put
+    /// Enables the wire-integrity layer: every deferred network put
     /// carries a per-put checksum beside its payload, verified at the
     /// delivery-ring pop; a mismatch quarantines the delivery and is
     /// surfaced to the destination PE at its next `wait`/fence boundary
@@ -258,9 +268,8 @@ impl ShmemWorld {
     }
 
     /// Enables the protocol event trace consumed by `fcc-check`'s
-    /// invariant checker. Pair with
-    /// [`with_delivery_order`](Self::with_delivery_order) so the
-    /// `unfenced` bookkeeping on flag stores is maintained.
+    /// invariant checker, and with it the per-thread `unfenced`
+    /// bookkeeping flag stores report.
     pub fn with_trace(mut self) -> ShmemWorld {
         self.trace = Some(ProtocolTrace::default());
         self
@@ -301,7 +310,7 @@ impl ShmemWorld {
             .unwrap_or_default()
     }
 
-    /// Data-plane counters of the ring fast path since world creation.
+    /// Data-plane counters of the delivery rings since world creation.
     pub fn ring_stats(&self) -> RingStats {
         RingStats {
             ring_puts: self.rings.total_puts(),
@@ -316,52 +325,13 @@ impl ShmemWorld {
         }
     }
 
-    pub(crate) fn record_trace_with(&self, event: TraceEvent, ctx: TraceCtx) {
-        if let Some(trace) = &self.trace {
-            trace.record_with(event, ctx);
+    /// The sinks every drain of this world's rings reports to.
+    #[inline]
+    pub(crate) fn drain_sinks(&self) -> DrainSinks<'_> {
+        DrainSinks {
+            integrity: self.integrity.as_deref(),
+            trace: self.trace.as_ref(),
         }
-    }
-
-    /// Delivers `src`'s pending puts matching `scope`, in issue order.
-    pub(crate) fn deliver_pending(&self, src: usize, scope: FlushScope) {
-        let Some(model) = &self.delivery else { return };
-        let mut book = model.books[src].lock().expect("delivery book poisoned");
-        self.deliver_locked(src, &mut book, scope);
-    }
-
-    pub(crate) fn deliver_locked(&self, src: usize, book: &mut DeliveryBook, scope: FlushScope) {
-        if book.pending.is_empty() {
-            return;
-        }
-        let mut kept = Vec::with_capacity(book.pending.len());
-        for entry in book.pending.drain(..) {
-            if scope.matches(&entry) {
-                // SAFETY: dst_addr was bounds-checked against the dst
-                // arena when the put was issued, and arenas outlive every
-                // PE thread; the protocol contract makes the region free
-                // of concurrent readers until the (not yet issued or not
-                // yet observed) publication that this delivery precedes.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        entry.bytes.as_ptr(),
-                        entry.dst_addr as *mut u8,
-                        entry.bytes.len(),
-                    );
-                }
-                self.pending[src].fetch_sub(1, Ordering::Release);
-                self.record_trace_with(
-                    TraceEvent::PutDelivered {
-                        src,
-                        dst: entry.dst,
-                        byte_offset: entry.byte_offset,
-                    },
-                    entry.ctx,
-                );
-            } else {
-                kept.push(entry);
-            }
-        }
-        book.pending = kept;
     }
 
     /// Number of PEs.
@@ -391,10 +361,8 @@ impl ShmemWorld {
                     let ctx = PeCtx::new(self, me);
                     f(&ctx);
                     // Run end is the final ordering point: anything still
-                    // in the delivery book or the ring plane lands before
-                    // the world can be inspected.
-                    self.deliver_pending(me, FlushScope::All);
-                    self.rings.drain_src(me, self.integrity.as_deref());
+                    // in the rings lands before the world can be inspected.
+                    self.rings.drain_src(me, self.drain_sinks());
                 });
             }
         });
@@ -415,8 +383,7 @@ impl ShmemWorld {
                     scope.spawn(move || {
                         let ctx = PeCtx::new(self, me);
                         let out = f(&ctx);
-                        self.deliver_pending(me, FlushScope::All);
-                        self.rings.drain_src(me, self.integrity.as_deref());
+                        self.rings.drain_src(me, self.drain_sinks());
                         out
                     })
                 })

@@ -61,7 +61,7 @@ fn assert_clean_on_rings(case: &dyn ProtocolCase, repeats: usize) -> Result<(), 
         );
         prop_assert!(
             run.put_keys.is_empty(),
-            "{}: ring path must not route puts through the delivery book",
+            "{}: with no order installed there is no schedule log",
             case.name()
         );
         let violations = check_trace(&run.trace, &case.check_config());
