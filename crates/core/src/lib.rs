@@ -15,14 +15,15 @@
 //! * [`progress`] — the `WG_Done` last-finisher election (bitmask ≤ 64
 //!   WGs, counter beyond), sequential flavour for the simulator, plus the
 //!   recovery policy/counters of the fault-tolerant path.
-//! * [`op`] — **functional** operators over the `fcc-shmem` runtime:
-//!   [`op::FusedPlan`] (staging + slice PUT + `sliceRdy` flags, with the
-//!   zero-copy store path for P2P peers) and [`op::ZeroCopyPlan`]
-//!   (all-P2P nodes, per-thread direct stores). Both are tested
-//!   bit-for-bit against the unfused `embedding → All-to-All` reference.
-//!   [`op::ResilientFusedPlan`] adds timeout + bounded-retry recovery and
-//!   a degraded-mode fallback to the bulk All-to-All under injected
-//!   faults.
+//! * [`op`] — **functional** operators over the `fcc-shmem` runtime. One
+//!   protocol core (staging + slice PUT + `sliceRdy` flags, with the
+//!   zero-copy store path for P2P peers) carries [`op::FusedPlan`], the
+//!   producer-generic [`op::GenericFusedPlan`] and
+//!   [`op::ResilientFusedPlan`], which adds timeout + bounded-retry
+//!   recovery and a degraded-mode fallback to the bulk All-to-All under
+//!   injected faults; [`op::ZeroCopyPlan`] covers all-P2P nodes with
+//!   per-thread direct stores. All are tested bit-for-bit against the
+//!   unfused `embedding → All-to-All` reference.
 //! * [`sim`] — **timed** simulations of the same designs on the GPU and
 //!   NIC models, which regenerate the paper's Figures 9–14.
 //! * [`ext`] — §3.5 generality: fused `AllGather + GEMM` (fully sharded

@@ -15,18 +15,23 @@
 //! * after its task loop drains, each PE waits on the `sliceRdy` flags of
 //!   exactly the slices destined to it.
 //!
-//! Data placement follows the paper's `{local batch, tables × dim}` output
-//! layout — point-to-point slice writes land pre-shuffled.
+//! That protocol is the shared core's (`op/protocol.rs`); this module adds
+//! the embedding producer, the slice table of [`SliceMap`] and the
+//! [`schedule::order`] task order. Data placement follows the paper's
+//! `{local batch, tables × dim}` output layout — point-to-point slice
+//! writes land pre-shuffled.
 
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use fcc_dlrm::{BatchGenerator, DlrmConfig, EmbeddingTable, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{PeCtx, ShmemError, SymFlags, SymSlice};
+use fcc_shmem::{PeCtx, ShmemError, SymSlice};
 
-use crate::schedule::steal::{execute_stealing, StealArena, StealPolicy};
+use crate::op::generic::FusedProducer;
+use crate::op::protocol::FusedCore;
+use crate::schedule::steal::StealPolicy;
 use crate::schedule::{self, ScheduleKind};
-use crate::scratch::ScratchPool;
 use crate::slice::SliceMap;
 
 /// Symmetric-heap plan for the fused operator.
@@ -34,24 +39,47 @@ use crate::slice::SliceMap;
 pub struct FusedPlan {
     /// Output buffer: `{local_batch, total_tables × dim}` per PE.
     pub output: SymSlice<f32>,
-    /// Per-source staging for network slices: `{num_wgs × dim}` in WG-id
-    /// order (a slice's rows are contiguous here).
-    pub(crate) staging: SymSlice<f32>,
-    /// `WG_Done` completion counters, one per local slice.
-    pub(crate) wg_done: SymFlags,
-    /// `sliceRdy` flags, indexed `src_pe × num_slices + slice_id`, set at
-    /// the destination.
-    pub(crate) slice_rdy: SymFlags,
-    pub(crate) map: SliceMap,
-    pub(crate) cfg: DlrmConfig,
-    /// Per-WG `dim`-wide pooling workspaces, reused across executions.
-    pub(crate) scratch: ScratchPool,
-    /// Slice-wide payload workspaces for elected last finishers.
-    pub(crate) payload_scratch: ScratchPool,
-    /// How the logical-WG order maps onto persistent WGs at runtime.
-    pub(crate) steal: StealPolicy,
-    /// Pooled per-execution deque sets (allocation-free steady state).
-    pub(crate) steal_arena: StealArena,
+    core: FusedCore,
+    map: SliceMap,
+    cfg: DlrmConfig,
+}
+
+/// Elements of the `{local_batch, total_tables × dim}` output buffer.
+fn output_len(cfg: &DlrmConfig) -> usize {
+    cfg.local_batch() * cfg.n_pes * cfg.tables_per_pe * cfg.dim
+}
+
+/// The paper's producer: item = logical WG id, pooled from the calling
+/// PE's table shard, landing in the `{local batch, tables × dim}` layout.
+pub(crate) struct EmbeddingProducer<'a> {
+    map: &'a SliceMap,
+    cfg: &'a DlrmConfig,
+    local_tables: &'a [EmbeddingTable],
+    gen: &'a BatchGenerator,
+    mode: PoolingMode,
+}
+
+impl FusedProducer for EmbeddingProducer<'_> {
+    fn dim(&self) -> usize {
+        self.cfg.dim
+    }
+    fn num_items(&self, _me: usize) -> usize {
+        self.map.num_wgs() as usize
+    }
+    fn output_len(&self) -> usize {
+        output_len(self.cfg)
+    }
+    fn destination(&self, me: usize, item: usize) -> (usize, usize) {
+        let (lt, sample) = self.map.decode_wg(item as u32);
+        let (dst, off) = self.map.dst_offset(me as u32, lt, sample, self.cfg.dim);
+        (dst as usize, off)
+    }
+    fn produce(&self, me: usize, item: usize, out: &mut [f32]) {
+        let (lt, sample) = self.map.decode_wg(item as u32);
+        let global_table = me * self.cfg.tables_per_pe + lt as usize;
+        let bag = self.gen.bag(global_table, sample as usize);
+        self.local_tables[lt as usize].pool_into(&bag, self.mode, out);
+    }
 }
 
 impl FusedPlan {
@@ -64,41 +92,42 @@ impl FusedPlan {
             cfg.global_batch,
             slice_embeddings,
         );
-        let total_tables = cfg.n_pes * cfg.tables_per_pe;
+        // Every source has the same table; `SliceMap` lists slices in WG-id
+        // order, so their lengths alone place them.
+        let table: Vec<(usize, usize)> = map
+            .slices()
+            .iter()
+            .map(|s| (s.len as usize, s.dst_pe as usize))
+            .collect();
+        let core = FusedCore::new(layout, cfg.dim, output_len(cfg), &vec![table; cfg.n_pes]);
         FusedPlan {
-            output: layout.alloc::<f32>(cfg.local_batch() * total_tables * cfg.dim),
-            staging: layout.alloc::<f32>(map.num_wgs() as usize * cfg.dim),
-            wg_done: layout.alloc_flags(map.num_slices()),
-            slice_rdy: layout.alloc_flags(cfg.n_pes * map.num_slices()),
+            output: core.output(),
+            core,
             map,
             cfg: cfg.clone(),
-            scratch: ScratchPool::new(),
-            payload_scratch: ScratchPool::new(),
-            steal: StealPolicy::default(),
-            steal_arena: StealArena::new(),
         }
     }
 
     /// Replaces the work-stealing policy (builder form).
     pub fn with_steal(mut self, steal: StealPolicy) -> FusedPlan {
-        self.steal = steal;
+        self.core.set_steal(steal);
         self
     }
 
     /// Replaces the work-stealing policy in place (call before running).
     pub fn set_steal(&mut self, steal: StealPolicy) {
-        self.steal = steal;
+        self.core.set_steal(steal);
     }
 
     /// The active work-stealing policy.
     pub fn steal_policy(&self) -> StealPolicy {
-        self.steal
+        self.core.steal_policy()
     }
 
     /// Deque sets built because the arena had no pooled fit; flat across
     /// executions means stealing's steady state is allocation-free.
     pub fn steal_misses(&self) -> u64 {
-        self.steal_arena.misses()
+        self.core.steal_misses()
     }
 
     /// The slice partition in use.
@@ -109,7 +138,7 @@ impl FusedPlan {
     /// Scratch-buffer allocations that missed the pools — zero growth
     /// across executions means the steady state is allocation-free.
     pub fn scratch_misses(&self) -> u64 {
-        self.scratch.misses() + self.payload_scratch.misses()
+        self.core.scratch_misses()
     }
 
     /// Pre-sizes the scratch pools for `concurrency` simultaneous workers
@@ -117,20 +146,41 @@ impl FusedPlan {
     /// hot path never allocates and [`scratch_misses`](Self::scratch_misses)
     /// stays exactly zero.
     pub fn prewarm(&self, concurrency: usize) {
-        let dim = self.cfg.dim;
-        let max_payload = self
-            .map
-            .slices()
-            .iter()
-            .map(|s| s.len as usize * dim)
-            .max()
-            .unwrap_or(0);
-        self.scratch.reserve(concurrency, dim);
-        self.payload_scratch.reserve(concurrency, max_payload);
-        // One deque set per PE thread that may execute concurrently.
-        let workers = self.steal.effective_workers(self.map.num_wgs() as usize);
-        let cap = (self.map.num_wgs() as usize) / workers + 1;
-        self.steal_arena.prewarm(self.cfg.n_pes, workers, cap);
+        self.core.prewarm(concurrency, 0);
+    }
+
+    /// The shared protocol core, for the fault-tolerant wrapper's hooks.
+    pub(crate) fn core(&self) -> &FusedCore {
+        &self.core
+    }
+
+    /// This PE's embedding producer for one execution. `local_tables` are
+    /// the `tables_per_pe` tables the PE owns (global indices `me×tpp ..`).
+    pub(crate) fn producer<'a>(
+        &'a self,
+        local_tables: &'a [EmbeddingTable],
+        gen: &'a BatchGenerator,
+        mode: PoolingMode,
+    ) -> EmbeddingProducer<'a> {
+        assert_eq!(
+            local_tables.len(),
+            self.cfg.tables_per_pe,
+            "PE must hold its table shard"
+        );
+        EmbeddingProducer {
+            map: &self.map,
+            cfg: &self.cfg,
+            local_tables,
+            gen,
+            mode,
+        }
+    }
+
+    /// The task list of PE `me`: one logical WG id per task, in the
+    /// comm-aware (or oblivious) priority order.
+    pub(crate) fn tasks(&self, me: usize, kind: ScheduleKind) -> Vec<u64> {
+        let order = schedule::order(&self.map, me as u32, kind);
+        order.iter().map(|&wg| wg as u64).collect()
     }
 
     /// Executes the fused operator on the calling PE.
@@ -148,28 +198,12 @@ impl FusedPlan {
         kind: ScheduleKind,
         exec: u64,
     ) {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(ctx.n_pes(), self.cfg.n_pes, "plan/world size mismatch");
-        assert_eq!(
-            local_tables.len(),
-            self.cfg.tables_per_pe,
-            "PE must hold its table shard"
-        );
-        let me = ctx.me() as u32;
-        let num_slices = self.map.num_slices() as u64;
         let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
-
         self.compute_and_put(ctx, local_tables, gen, mode, kind, exec);
-
-        // Drain: wait for every slice destined to me, from every source.
-        for src in 0..self.cfg.n_pes as u64 {
-            for info in self.map.slices() {
-                if info.dst_pe == me {
-                    let idx = (src * num_slices + info.id as u64) as usize;
-                    ctx.wait_until(self.slice_rdy, idx, |v| v >= exec);
-                }
-            }
-        }
+        self.core.drain(ctx.me(), |s| {
+            self.core.wait_ready(ctx, s, exec);
+            ControlFlow::Continue(())
+        });
     }
 
     /// Deadline-aware [`execute`](Self::execute) — the serving-path hook.
@@ -194,47 +228,25 @@ impl FusedPlan {
         exec: u64,
         deadline: Duration,
     ) -> Result<(), ShmemError> {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(ctx.n_pes(), self.cfg.n_pes, "plan/world size mismatch");
-        assert_eq!(
-            local_tables.len(),
-            self.cfg.tables_per_pe,
-            "PE must hold its table shard"
-        );
         let start = Instant::now();
-        let me = ctx.me() as u32;
-        let num_slices = self.map.num_slices() as u64;
         let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
-
         self.compute_and_put(ctx, local_tables, gen, mode, kind, exec);
 
-        // Deadline-aware drain: each wait gets whatever budget is left.
-        // After the first miss, finish the drain with unbounded waits —
-        // the writers are still live, correctness is never at stake, only
-        // the latency report.
+        // Each wait gets whatever budget is left. After the first miss,
+        // finish the drain with unbounded waits — the writers are still
+        // live, correctness is never at stake, only the latency report.
         let mut missed: Option<ShmemError> = None;
-        for src in 0..self.cfg.n_pes as u64 {
-            for info in self.map.slices() {
-                if info.dst_pe == me {
-                    let idx = (src * num_slices + info.id as u64) as usize;
-                    if missed.is_none() {
-                        let remaining = deadline.saturating_sub(start.elapsed());
-                        match ctx.wait_until_timeout(self.slice_rdy, idx, remaining, |v| v >= exec)
-                        {
-                            Ok(_) => {}
-                            Err(e) => missed = Some(e),
-                        }
-                    }
-                    if missed.is_some() {
-                        ctx.wait_until(self.slice_rdy, idx, |v| v >= exec);
-                    }
-                }
+        self.core.drain(ctx.me(), |s| {
+            if missed.is_none() {
+                let remaining = deadline.saturating_sub(start.elapsed());
+                missed = self.core.wait_ready_timeout(ctx, s, exec, remaining).err();
             }
-        }
-        match missed {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+            if missed.is_some() {
+                self.core.wait_ready(ctx, s, exec);
+            }
+            ControlFlow::Continue(())
+        });
+        missed.map_or(Ok(()), Err)
     }
 
     /// The compute + slice-PUT phase shared by [`execute`](Self::execute)
@@ -248,79 +260,10 @@ impl FusedPlan {
         kind: ScheduleKind,
         exec: u64,
     ) {
-        let me = ctx.me() as u32;
-        let dim = self.cfg.dim;
-        let num_slices = self.map.num_slices() as u64;
-        let order = schedule::order(&self.map, me, kind);
-        let root = crate::op::ctx_root(exec);
-
-        // The persistent kernel's task loop. Each task is one logical WG;
-        // the comm-aware priority order seeds one Chase–Lev deque per
-        // persistent WG, and a WG that drains its own deque steals a
-        // sibling's local-slice tail instead of idling.
-        let tasks: Vec<u64> = order.iter().map(|&wg| wg as u64).collect();
-        execute_stealing(&self.steal_arena, &tasks, self.steal, |_worker, task| {
-            let wg = task as u32;
-            let info = *self.map.slice_of_wg(wg);
-            let dst = info.dst_pe as usize;
-            // Rayon workers are not the PE thread: re-seed the causal
-            // context, qualified with this WG's slice publication.
-            let _ctx_guard =
-                fcc_shmem::scoped_ctx(root.with_slice(me as u64 * num_slices + info.id as u64));
-
-            let (lt, sample) = self.map.decode_wg(wg);
-            let global_table = me as usize * self.cfg.tables_per_pe + lt as usize;
-            let bag = gen.bag(global_table, sample as usize);
-            let mut pooled = self.scratch.take(dim);
-            local_tables[lt as usize].pool_into(&bag, mode, &mut pooled);
-
-            if dst == me as usize || ctx.is_p2p(dst) {
-                // Zero-copy: store the vector straight into the destination
-                // output buffer (own buffer, or a peer's over xGMI).
-                let (dst_pe, off) = self.map.dst_offset(me, lt, sample, dim);
-                debug_assert_eq!(dst_pe as usize, dst);
-                ctx.put(self.output, off, &pooled, dst);
-            } else {
-                // Network path: stage locally; the last finisher ships the
-                // slice.
-                ctx.put(self.staging, wg as usize * dim, &pooled, me as usize);
-            }
-
-            // WG_Done: count completions (AcqRel, so every WG's stores are
-            // visible to the elected last finisher); the unique last
-            // finisher publishes the slice. The counter is monotonic
-            // across executions, hence the `exec ×` target.
-            let done = ctx.flag_fetch_add(self.wg_done, info.id as usize, 1, me as usize) + 1;
-            if done == exec * info.len as u64 {
-                if dst != me as usize && !ctx.is_p2p(dst) {
-                    // Ship the whole slice with one strided PUT: rows are
-                    // contiguous in staging, row-strided at the
-                    // destination (`{local batch, tables × dim}` layout).
-                    let first_wg = self.map.encode_wg(info.table, info.sample_start);
-                    let mut payload = self.payload_scratch.take(info.len as usize * dim);
-                    ctx.get(
-                        &mut payload,
-                        self.staging,
-                        first_wg as usize * dim,
-                        me as usize,
-                    );
-                    let (_, first_off) =
-                        self.map.dst_offset(me, info.table, info.sample_start, dim);
-                    let total_tables = self.cfg.n_pes * self.cfg.tables_per_pe;
-                    ctx.put_strided(
-                        self.output,
-                        first_off,
-                        total_tables * dim,
-                        &payload,
-                        dim,
-                        dst,
-                    );
-                }
-                // Payload before flag: the fence orders the PUTs.
-                ctx.fence();
-                let flag_idx = me as u64 * num_slices + info.id as u64;
-                ctx.flag_store(self.slice_rdy, flag_idx as usize, exec, dst);
-            }
+        let producer = self.producer(local_tables, gen, mode);
+        let tasks = self.tasks(ctx.me(), kind);
+        self.core.run_tasks(ctx, &producer, &tasks, exec, |s| {
+            self.core.ship(ctx, &producer, s, exec)
         });
     }
 }

@@ -1,22 +1,24 @@
 //! Generic fused computation-collective operator.
 //!
-//! [`super::fused::FusedPlan`] hard-codes the paper's producer (embedding
-//! pooling) and routing (batch-shard All-to-All). The fusion recipe,
-//! though, only needs three things from a workload: *what* each logical
-//! workgroup computes, *where* its vector goes, and *how wide* vectors
-//! are. [`FusedProducer`] captures that contract, and
-//! [`GenericFusedPlan`] runs the full protocol — slice grouping,
+//! The fusion recipe only needs three things from a workload: *what* each
+//! logical workgroup computes, *where* its vector goes, and *how wide*
+//! vectors are. [`FusedProducer`] captures that contract —
+//! [`super::fused::FusedPlan`] is the paper's instance of it (embedding
+//! pooling, batch-shard All-to-All) — and [`GenericFusedPlan`] runs the
+//! full protocol of the shared core — slice grouping,
 //! remote-first scheduling, `WG_Done` last-finisher election, staging +
 //! PUT + fence + `sliceRdy` for network peers, zero-copy stores for P2P
 //! peers — for any implementor. This is how a downstream user fuses a
 //! GEMM, a graph gather, or anything else with its dependent exchange
 //! (§3.5's generality, as an API instead of an example).
 
-use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{PeCtx, SymFlags, SymSlice};
+use std::ops::ControlFlow;
 
-use crate::schedule::steal::{execute_stealing, StealArena, StealPolicy};
-use crate::scratch::ScratchPool;
+use fcc_shmem::heap::HeapLayout;
+use fcc_shmem::{PeCtx, SymSlice};
+
+use crate::op::protocol::{FusedCore, Slice};
+use crate::schedule::steal::StealPolicy;
 
 /// A workload that can be fused with its output exchange.
 ///
@@ -37,33 +39,12 @@ pub trait FusedProducer: Sync {
     fn produce(&self, me: usize, item: usize, out: &mut [f32]);
 }
 
-/// One slice of a PE's item range: consecutive items sharing a
-/// destination.
-#[derive(Debug, Clone, Copy)]
-struct GenericSlice {
-    first_item: usize,
-    len: usize,
-    dst: usize,
-}
-
 /// The generic fused plan for one world size.
 #[derive(Debug)]
 pub struct GenericFusedPlan {
     /// Per-PE output buffer.
     pub output: SymSlice<f32>,
-    staging: SymSlice<f32>,
-    wg_done: SymFlags,
-    slice_rdy: SymFlags,
-    /// Per source PE: its slice table (destinations may differ per PE).
-    slices: Vec<Vec<GenericSlice>>,
-    max_slices: usize,
-    n_pes: usize,
-    /// `dim`-wide produce/ship workspaces, reused across executions.
-    scratch: ScratchPool,
-    /// How item-level tasks map onto persistent WGs at runtime.
-    steal: StealPolicy,
-    /// Pooled per-execution deque sets (allocation-free steady state).
-    steal_arena: StealArena,
+    core: FusedCore,
 }
 
 impl GenericFusedPlan {
@@ -79,127 +60,72 @@ impl GenericFusedPlan {
         items_per_slice: usize,
     ) -> GenericFusedPlan {
         assert!(items_per_slice >= 1);
-        let dim = producer.dim();
-        let mut slices = Vec::with_capacity(n_pes);
-        let mut max_items = 0usize;
-        for me in 0..n_pes {
-            let n = producer.num_items(me);
-            max_items = max_items.max(n);
-            let mut pe_slices: Vec<GenericSlice> = Vec::new();
-            for item in 0..n {
-                let (dst, _) = producer.destination(me, item);
-                assert!(dst < n_pes, "destination PE out of range");
-                match pe_slices.last_mut() {
-                    Some(s) if s.dst == dst && s.len < items_per_slice => s.len += 1,
-                    _ => pe_slices.push(GenericSlice {
-                        first_item: item,
-                        len: 1,
-                        dst,
-                    }),
+        let runs: Vec<Vec<(usize, usize)>> = (0..n_pes)
+            .map(|me| {
+                let mut table: Vec<(usize, usize)> = Vec::new();
+                for item in 0..producer.num_items(me) {
+                    let (dst, _) = producer.destination(me, item);
+                    match table.last_mut() {
+                        Some((len, d)) if *d == dst && *len < items_per_slice => *len += 1,
+                        _ => table.push((1, dst)),
+                    }
                 }
-            }
-            slices.push(pe_slices);
-        }
-        let max_slices = slices.iter().map(Vec::len).max().unwrap_or(0);
+                table
+            })
+            .collect();
+        let core = FusedCore::new(layout, producer.dim(), producer.output_len(), &runs);
         GenericFusedPlan {
-            output: layout.alloc::<f32>(producer.output_len()),
-            staging: layout.alloc::<f32>(max_items * dim),
-            wg_done: layout.alloc_flags(max_slices.max(1)),
-            slice_rdy: layout.alloc_flags(n_pes * max_slices.max(1)),
-            slices,
-            max_slices,
-            n_pes,
-            scratch: ScratchPool::new(),
-            steal: StealPolicy::default(),
-            steal_arena: StealArena::new(),
+            output: core.output(),
+            core,
         }
     }
 
     /// Replaces the work-stealing policy (builder form).
     pub fn with_steal(mut self, steal: StealPolicy) -> GenericFusedPlan {
-        self.steal = steal;
+        self.core.set_steal(steal);
         self
     }
 
     /// Replaces the work-stealing policy in place (call before running).
     pub fn set_steal(&mut self, steal: StealPolicy) {
-        self.steal = steal;
+        self.core.set_steal(steal);
     }
 
     /// Slices PE `me` will communicate (diagnostics).
     pub fn num_slices(&self, me: usize) -> usize {
-        self.slices[me].len()
+        self.core.slices(me).len()
     }
 
-    /// Scratch-buffer allocations that missed the pool — zero growth
+    /// Scratch-buffer allocations that missed the pools — zero growth
     /// across executions means the steady state is allocation-free.
     pub fn scratch_misses(&self) -> u64 {
-        self.scratch.misses()
+        self.core.scratch_misses()
     }
 
     /// Executes the fused operator on the calling PE. `exec` is 1-based
     /// and monotonic across plan reuses.
     pub fn execute(&self, ctx: &PeCtx<'_>, producer: &impl FusedProducer, exec: u64) {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(ctx.n_pes(), self.n_pes, "plan/world size mismatch");
         let me = ctx.me();
-        let dim = producer.dim();
-        let my_slices = &self.slices[me];
-        let root = crate::op::ctx_root(exec);
-        let _ctx_guard = fcc_shmem::scoped_ctx(root);
+        let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
 
         // Remote-first (communication-aware) execution order over slices,
-        // flattened to item-level tasks (`slice << 32 | item-in-slice`) so
-        // the work-stealing deques rebalance at the same granularity the
-        // old nested fan-out parallelized.
-        let mut order: Vec<usize> = (0..my_slices.len()).collect();
-        order.sort_by_key(|&s| my_slices[s].dst == me);
+        // flattened to item-level tasks so the work-stealing deques
+        // rebalance within a slice too.
+        let mut order: Vec<&Slice> = self.core.slices(me).iter().collect();
+        order.sort_by_key(|s| s.dst == me);
         let tasks: Vec<u64> = order
             .iter()
-            .flat_map(|&si| (0..my_slices[si].len).map(move |k| ((si as u64) << 32) | k as u64))
+            .flat_map(|s| (s.first_item..s.first_item + s.len).map(|item| item as u64))
             .collect();
 
-        execute_stealing(&self.steal_arena, &tasks, self.steal, |_worker, task| {
-            let (si, k) = ((task >> 32) as usize, (task & 0xffff_ffff) as usize);
-            let slice = my_slices[si];
-            let _ctx_guard =
-                fcc_shmem::scoped_ctx(root.with_slice((me * self.max_slices + si) as u64));
-            let item = slice.first_item + k;
-            let mut vec = self.scratch.take(dim);
-            producer.produce(me, item, &mut vec);
-            let (dst, off) = producer.destination(me, item);
-            if dst == me || ctx.is_p2p(dst) {
-                ctx.put(self.output, off, &vec, dst);
-            } else {
-                ctx.put(self.staging, item * dim, &vec, me);
-            }
-            let done = ctx.flag_fetch_add(self.wg_done, si, 1, me) + 1;
-            if done == exec * slice.len as u64 {
-                if dst != me && !ctx.is_p2p(dst) {
-                    // Ship each row to its (arbitrary) destination
-                    // offset.
-                    let mut row = self.scratch.take(dim);
-                    for j in 0..slice.len {
-                        let it = slice.first_item + j;
-                        ctx.get(&mut row, self.staging, it * dim, me);
-                        let (_, o) = producer.destination(me, it);
-                        ctx.put(self.output, o, &row, dst);
-                    }
-                }
-                ctx.fence();
-                let idx = me * self.max_slices + si;
-                ctx.flag_store(self.slice_rdy, idx, exec, slice.dst);
-            }
+        let core = &self.core;
+        core.run_tasks(ctx, producer, &tasks, exec, |s| {
+            core.ship(ctx, producer, s, exec)
         });
-
-        // Drain: wait for every slice destined to me, from every source.
-        for src in 0..self.n_pes {
-            for (si, slice) in self.slices[src].iter().enumerate() {
-                if slice.dst == me {
-                    ctx.wait_until(self.slice_rdy, src * self.max_slices + si, |v| v >= exec);
-                }
-            }
-        }
+        core.drain(me, |s| {
+            core.wait_ready(ctx, s, exec);
+            ControlFlow::Continue(())
+        });
     }
 }
 
@@ -366,6 +292,25 @@ mod tests {
         // items_per_slice 3 over 5-item destination runs: 3+2 per dst.
         let plan = GenericFusedPlan::plan(&mut layout, 2, &producer, 3);
         assert_eq!(plan.num_slices(0), 4);
+    }
+
+    #[test]
+    fn prewarmed_plan_never_misses_a_pool() {
+        let producer = ExchangeProducer {
+            n_pes: 2,
+            items_per_dst: 4,
+            dim: 3,
+        };
+        let mut layout = HeapLayout::new();
+        let plan = GenericFusedPlan::plan(&mut layout, 2, &producer, 2)
+            .with_steal(StealPolicy::concurrent(7).with_workers(2));
+        plan.core.prewarm(2 * 2, 0);
+        let world = ShmemWorld::new(2, layout).with_p2p_groups(vec![0, 1]);
+        for exec in 1..=4 {
+            world.run(|ctx| plan.execute(ctx, &producer, exec));
+        }
+        assert_eq!(plan.scratch_misses(), 0);
+        assert_eq!(plan.core.steal_misses(), 0);
     }
 
     #[test]

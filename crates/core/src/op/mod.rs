@@ -1,10 +1,20 @@
 //! Functional (real-data) executions of the fused operators.
+//!
+//! The paper's recipe — task loop, `WG_Done` election, slice PUT + fence +
+//! `sliceRdy`, drain — lives once, in the crate-private `protocol` core.
+//! [`FusedPlan`] (embedding pooling), [`GenericFusedPlan`] (any
+//! [`FusedProducer`]) and [`ResilientFusedPlan`] (the fault ladder) are a
+//! producer, a slice table, an item order and a ship/wait policy on it.
+//! [`ZeroCopyPlan`] and [`ElasticFusedPlan`] signal differently (one
+//! arrival counter; slice-granular jobs without an election) and keep
+//! their own loops.
 
 use fcc_shmem::TraceCtx;
 
 pub mod elastic;
 pub mod fused;
 pub mod generic;
+mod protocol;
 pub mod recovery;
 pub mod reference;
 pub mod resilient;

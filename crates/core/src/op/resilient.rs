@@ -28,6 +28,7 @@
 //! [`RecoveryCounters`], so tests (and operators) can see recovery
 //! happening rather than infer it.
 
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 use fcc_collectives::functional::AllToAllPlan;
@@ -37,10 +38,11 @@ use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{checksum, FlightKind, PeCtx, ShmemError, SymFlags, SymSlice};
 use fcc_sim::SimTime;
 
-use crate::op::fused::FusedPlan;
+use crate::op::fused::{EmbeddingProducer, FusedPlan};
+use crate::op::generic::FusedProducer;
+use crate::op::protocol::Slice;
 use crate::progress::{RecoveryCounters, RecoveryPolicy};
-use crate::schedule::{self, ScheduleKind};
-use crate::slice::SliceInfo;
+use crate::schedule::ScheduleKind;
 
 fn to_duration(t: SimTime) -> Duration {
     Duration::from_nanos(t.as_nanos())
@@ -53,10 +55,12 @@ fn f32_bytes(v: &[f32]) -> &[u8] {
 }
 
 /// A [`FusedPlan`] with timeout, bounded retry, and a degraded-mode
-/// fallback to the bulk All-to-All.
+/// fallback to the bulk All-to-All: the same task loop and drain, with
+/// the fault ladder as their ship hook and wait closure.
 #[derive(Debug)]
 pub struct ResilientFusedPlan {
     inner: FusedPlan,
+    cfg: DlrmConfig,
     /// Degradation verdict per execution: holds the highest `exec` any PE
     /// gave up on. Written to *all* PEs before the post-drain barrier, so
     /// the whole team agrees on the fallback decision.
@@ -81,6 +85,15 @@ pub struct ResilientFusedPlan {
     policy: RecoveryPolicy,
 }
 
+/// What the ship hook and the wait closure share for one execution.
+struct Attempt<'a> {
+    ctx: &'a PeCtx<'a>,
+    producer: &'a EmbeddingProducer<'a>,
+    exec: u64,
+    faults: &'a FaultPlan,
+    counters: &'a RecoveryCounters,
+}
+
 impl ResilientFusedPlan {
     /// Allocates the fused plan plus recovery state in `layout`.
     pub fn plan(
@@ -91,9 +104,10 @@ impl ResilientFusedPlan {
     ) -> ResilientFusedPlan {
         let inner = FusedPlan::plan(layout, cfg, slice_embeddings);
         let per_pair = cfg.local_batch() * cfg.tables_per_pe * cfg.dim;
-        let slice_sum = layout.alloc_flags(cfg.n_pes * inner.map.num_slices());
+        let slice_sum = layout.alloc_flags(cfg.n_pes * inner.map().num_slices());
         ResilientFusedPlan {
             inner,
+            cfg: cfg.clone(),
             slice_sum,
             degraded: layout.alloc_flags(1),
             fallback_rounds: layout.alloc_flags(1),
@@ -117,8 +131,7 @@ impl ResilientFusedPlan {
         self.policy
     }
 
-    /// Replaces the work-stealing policy on the wrapped plan (the
-    /// fault-aware task loop runs the same deques as the clean path).
+    /// Replaces the work-stealing policy on the wrapped plan.
     pub fn set_steal(&mut self, steal: crate::schedule::steal::StealPolicy) {
         self.inner.set_steal(steal);
     }
@@ -134,7 +147,7 @@ impl ResilientFusedPlan {
     /// fallback's gather buffers (the full `n_pes × per-pair` exchange),
     /// so even a faulted run stays allocation-free after prewarming.
     pub fn prewarm(&self, concurrency: usize) {
-        let cfg = &self.inner.cfg;
+        let cfg = &self.cfg;
         // A PE thread on the degraded path holds up to two gather buffers
         // itself, outside any rayon region — while other PEs' workers may
         // still hold theirs — so the holder bound is `concurrency` plus
@@ -143,11 +156,8 @@ impl ResilientFusedPlan {
         // PE thread verifying a slice holds one landed buffer: double the
         // worker share and add the per-PE verify buffers.
         let holders = 2 * concurrency + 3 * cfg.n_pes;
-        self.inner.prewarm(holders);
         let per_pair = cfg.local_batch() * cfg.tables_per_pe * cfg.dim;
-        self.inner
-            .payload_scratch
-            .reserve(holders, cfg.n_pes * per_pair);
+        self.inner.core().prewarm(holders, cfg.n_pes * per_pair);
     }
 
     /// Marks execution `exec` degraded on every PE. Racing writers all
@@ -165,23 +175,17 @@ impl ResilientFusedPlan {
         }
     }
 
-    /// Ships one staged slice under the fault plan: deliver, deliver
-    /// late, or lose-and-retry with exponential backoff. On exhausting
-    /// `max_retries` the execution is marked degraded instead of
-    /// delivering.
+    /// The ship hook: ships one staged slice under the fault plan —
+    /// deliver, deliver late, or lose-and-retry with exponential backoff.
+    /// On exhausting `max_retries` the execution is marked degraded
+    /// instead of delivering.
     ///
     /// A `Delay` blocks the *sender* before the PUT (the wire holding the
     /// message), so every delivery still happens-before the sender's
     /// barrier entry — no write can race the fallback's rebuild.
-    fn send_slice(
-        &self,
-        ctx: &PeCtx<'_>,
-        info: &SliceInfo,
-        exec: u64,
-        faults: &FaultPlan,
-        counters: &RecoveryCounters,
-    ) {
-        let me = ctx.me() as u32;
+    fn send_slice(&self, at: &Attempt<'_>, s: &Slice) {
+        let (ctx, exec, faults) = (at.ctx, at.exec, at.faults);
+        let (me, dst) = (s.src as u32, s.dst as u32);
         // Fail-stop: the GPU-initiated path is dead, nothing we post
         // leaves this PE. Give up immediately rather than burning the
         // retry budget per slice.
@@ -189,25 +193,10 @@ impl ResilientFusedPlan {
             self.mark_degraded(ctx, exec);
             return;
         }
-        let dim = self.inner.cfg.dim;
-        let dst = info.dst_pe as usize;
-        let num_slices = self.inner.map.num_slices() as u64;
+        let core = self.inner.core();
 
         // Stage the slice payload, as the fault-oblivious path does.
-        let first_wg = self.inner.map.encode_wg(info.table, info.sample_start);
-        let mut payload = self.inner.payload_scratch.take(info.len as usize * dim);
-        ctx.get(
-            &mut payload,
-            self.inner.staging,
-            first_wg as usize * dim,
-            me as usize,
-        );
-        let (_, first_off) = self
-            .inner
-            .map
-            .dst_offset(me, info.table, info.sample_start, dim);
-        let total_tables = self.inner.cfg.n_pes * self.inner.cfg.tables_per_pe;
-        let flag_idx = (me as u64 * num_slices + info.id as u64) as usize;
+        let payload = core.staged(ctx, s);
         // The fused slice checksum, accumulated from the staged payload
         // the compute pass produced — whatever the wire later does to the
         // bytes, this is the sum of what the sender *meant* to ship.
@@ -221,31 +210,21 @@ impl ResilientFusedPlan {
 
         let mut attempt: u32 = 0;
         loop {
-            match faults.decide(me, info.dst_pe, info.id as u64, exec, attempt) {
+            match faults.decide(me, dst, s.index as u64, exec, attempt) {
                 FaultAction::Drop => {
-                    if attempt >= self.policy.max_retries {
-                        self.mark_degraded(ctx, exec);
+                    if !self.retry(at, s, &mut attempt) {
                         return;
                     }
-                    counters.record_retry();
-                    ctx.flight().record(
-                        FlightKind::Retry,
-                        fcc_shmem::current_ctx(),
-                        ((me as u64) << 32) | info.dst_pe as u64,
-                        attempt as u64,
-                    );
-                    std::thread::sleep(self.policy.backoff(attempt));
-                    attempt += 1;
                 }
                 FaultAction::Corrupt(ev) => {
-                    counters.record_corruption();
+                    at.counters.record_corruption();
                     ctx.flight().record(
                         FlightKind::Corruption,
                         fcc_shmem::current_ctx(),
-                        ((me as u64) << 32) | info.dst_pe as u64,
+                        ((me as u64) << 32) | dst as u64,
                         exec,
                     );
-                    self.send_corrupted(ctx, info, exec, &payload, first_off, flag_idx, sum, ev);
+                    self.send_corrupted(at, s, &payload, sum, ev);
                     if !ctx.integrity_enabled() {
                         // No wire checksum, no fused verify: nothing
                         // downstream can tell, so no NAK ever reaches this
@@ -256,47 +235,50 @@ impl ResilientFusedPlan {
                     // verify) rejects the transmission; go back and
                     // re-send the whole slice clean, like any NAK'd
                     // reliable stream — bounded like a drop.
-                    if attempt >= self.policy.max_retries {
-                        self.mark_degraded(ctx, exec);
+                    if !self.retry(at, s, &mut attempt) {
                         return;
                     }
-                    counters.record_retry();
-                    ctx.flight().record(
-                        FlightKind::Retry,
-                        fcc_shmem::current_ctx(),
-                        ((me as u64) << 32) | info.dst_pe as u64,
-                        attempt as u64,
-                    );
-                    std::thread::sleep(self.policy.backoff(attempt));
-                    attempt += 1;
                 }
                 action => {
                     if let FaultAction::Delay(by) = action {
-                        counters.record_delay();
+                        at.counters.record_delay();
                         std::thread::sleep(to_duration(by));
                     }
                     // `Duplicate` delivers once here: a duplicated RDMA
                     // write of identical bytes is invisible to the
                     // functional layer (the timed layer charges its wire
                     // cost instead).
-                    ctx.put_strided(
-                        self.inner.output,
-                        first_off,
-                        total_tables * dim,
-                        &payload,
-                        dim,
-                        dst,
-                    );
+                    core.put_rows(ctx, at.producer, s, &payload);
                     ctx.fence();
                     // The fused checksum rides the rdy edge: stored after
                     // the payload fence, before the Release on `sliceRdy`
                     // that publishes both to the Acquiring receiver.
-                    ctx.flag_store(self.slice_sum, flag_idx, sum, dst);
-                    ctx.flag_store(self.inner.slice_rdy, flag_idx, exec, dst);
+                    ctx.flag_store(self.slice_sum, s.flag, sum, s.dst);
+                    core.publish(ctx, s, exec);
                     return;
                 }
             }
         }
+    }
+
+    /// The bounded retry both lost and NAK'd transmissions take: back off
+    /// and go around again, or — the budget exhausted — mark the
+    /// execution degraded and return `false`.
+    fn retry(&self, at: &Attempt<'_>, s: &Slice, attempt: &mut u32) -> bool {
+        if *attempt >= self.policy.max_retries {
+            self.mark_degraded(at.ctx, at.exec);
+            return false;
+        }
+        at.counters.record_retry();
+        at.ctx.flight().record(
+            FlightKind::Retry,
+            fcc_shmem::current_ctx(),
+            ((s.src as u64) << 32) | s.dst as u64,
+            *attempt as u64,
+        );
+        std::thread::sleep(self.policy.backoff(*attempt));
+        *attempt += 1;
+        true
     }
 
     /// Ships `payload` with `ev` applied to its wire image, row by row —
@@ -308,22 +290,18 @@ impl ResilientFusedPlan {
     /// loses its trailing rows outright. The *intended* slice checksum is
     /// still published beside `sliceRdy`: the sender accumulated it
     /// during compute, before the wire touched the bytes.
-    #[allow(clippy::too_many_arguments)]
     fn send_corrupted(
         &self,
-        ctx: &PeCtx<'_>,
-        info: &SliceInfo,
-        exec: u64,
+        at: &Attempt<'_>,
+        s: &Slice,
         payload: &[f32],
-        first_off: usize,
-        flag_idx: usize,
         sum: u64,
         ev: CorruptEvent,
     ) {
-        let dim = self.inner.cfg.dim;
-        let dst = info.dst_pe as usize;
-        let stride = self.inner.cfg.n_pes * self.inner.cfg.tables_per_pe * dim;
-        let mut dirty = self.inner.payload_scratch.take(payload.len());
+        let ctx = at.ctx;
+        let core = self.inner.core();
+        let dim = self.cfg.dim;
+        let mut dirty = core.payload(payload.len());
         dirty.copy_from_slice(payload);
         let byte_len = std::mem::size_of_val(payload);
         // SAFETY: dirty is a live &mut [f32]; every byte pattern is a
@@ -332,7 +310,7 @@ impl ResilientFusedPlan {
             std::slice::from_raw_parts_mut(dirty.as_mut_ptr() as *mut u8, byte_len)
         });
         let row_bytes = dim * std::mem::size_of::<f32>();
-        for row in 0..info.len as usize {
+        for row in 0..s.len {
             let start = row * row_bytes;
             if start >= delivered {
                 break; // torn off the wire: trailing rows were never sent
@@ -349,59 +327,37 @@ impl ResilientFusedPlan {
             } else {
                 checksum(f32_bytes(sent))
             };
-            ctx.put_claiming(
-                self.inner.output,
-                first_off + row * stride,
-                sent,
-                dst,
-                claimed,
-            );
+            let (_, off) = at.producer.destination(s.src, s.first_item + row);
+            ctx.put_claiming(self.inner.output, off, sent, s.dst, claimed);
         }
         ctx.fence();
         // Same publication order as the clean path: sum after the fence,
         // before the rdy Release. The *intended* sum is published even
         // though the wire image was corrupted — exactly what a sender
         // unaware of the in-flight fault would do.
-        ctx.flag_store(self.slice_sum, flag_idx, sum, dst);
-        ctx.flag_store(self.inner.slice_rdy, flag_idx, exec, dst);
+        ctx.flag_store(self.slice_sum, s.flag, sum, s.dst);
+        core.publish(ctx, s, at.exec);
     }
 
-    /// Recomputes the fused checksum over the rows `src`'s slice landed
-    /// in this PE's output and compares against the sum published beside
+    /// Recomputes the fused checksum over the rows `s` landed in this
+    /// PE's output and compares against the sum published beside
     /// `sliceRdy`. On a mismatch, re-verifies with backoff — the sender's
     /// clean go-back-N re-put is already on its way — and on exhausting
     /// the budget marks the execution degraded. Returns whether the
     /// slice verified (or was repaired) in place.
-    fn verify_slice(
-        &self,
-        ctx: &PeCtx<'_>,
-        src: u32,
-        info: &SliceInfo,
-        idx: usize,
-        exec: u64,
-        counters: &RecoveryCounters,
-    ) -> bool {
+    fn verify_slice(&self, at: &Attempt<'_>, s: &Slice) -> bool {
+        let (ctx, exec, counters) = (at.ctx, at.exec, at.counters);
         let me = ctx.me();
-        let dim = self.inner.cfg.dim;
-        let stride = self.inner.cfg.n_pes * self.inner.cfg.tables_per_pe * dim;
-        let (_, first_off) = self
-            .inner
-            .map
-            .dst_offset(src, info.table, info.sample_start, dim);
-        let rows = info.len as usize;
-        let mut landed = self.inner.payload_scratch.take(rows * dim);
+        let dim = self.cfg.dim;
+        let mut landed = self.inner.core().payload(s.len * dim);
         let mut attempt: u32 = 0;
         let mut detected = false;
         loop {
-            for row in 0..rows {
-                ctx.get(
-                    &mut landed[row * dim..][..dim],
-                    self.inner.output,
-                    first_off + row * stride,
-                    me,
-                );
+            for (row, out) in landed.chunks_exact_mut(dim).enumerate() {
+                let (_, off) = at.producer.destination(s.src, s.first_item + row);
+                ctx.get(out, self.inner.output, off, me);
             }
-            let want = ctx.flag_load(self.slice_sum, idx, me);
+            let want = ctx.flag_load(self.slice_sum, s.flag, me);
             if checksum(f32_bytes(&landed)) == want {
                 if detected {
                     counters.record_corrupt_repaired();
@@ -416,7 +372,7 @@ impl ResilientFusedPlan {
                 ctx.flight().record(
                     FlightKind::Corruption,
                     fcc_shmem::current_ctx(),
-                    src as u64,
+                    s.src as u64,
                     exec,
                 );
             }
@@ -434,6 +390,64 @@ impl ResilientFusedPlan {
         }
     }
 
+    /// The wait closure: waits for `s` with deadlines, and on each timeout
+    /// checks whether anyone has already called the run degraded before
+    /// burning another retry. Exhausting the budget makes *this* PE the
+    /// one that calls it. With the integrity layer on, each satisfied wait
+    /// is also a detection point: wire-quarantine verdicts surface here,
+    /// and every network slice is re-verified against its fused checksum
+    /// before the drain accepts it. Breaks the drain once the execution is
+    /// degraded.
+    fn await_slice(&self, at: &Attempt<'_>, s: &Slice) -> ControlFlow<()> {
+        let (ctx, exec, counters) = (at.ctx, at.exec, at.counters);
+        let me = ctx.me();
+        let network = s.src != me && !ctx.is_p2p(s.src);
+        let mut attempt: u32 = 0;
+        loop {
+            let timeout = self.policy.slice_timeout;
+            match self.inner.core().wait_ready_timeout(ctx, s, exec, timeout) {
+                Ok(_) => {
+                    let verify = network && ctx.integrity_enabled();
+                    if verify && !self.verify_slice(at, s) {
+                        return ControlFlow::Break(());
+                    }
+                    return ControlFlow::Continue(());
+                }
+                Err(ShmemError::Corruption { .. }) => {
+                    // The wire layer quarantined a delivery headed
+                    // here; the sender's clean go-back-N re-put is
+                    // already in flight, so consume the verdict
+                    // and re-poll without burning the retry budget
+                    // — each surfaced record is progress.
+                    counters.record_corrupt_detected();
+                    ctx.flight().record(
+                        FlightKind::Corruption,
+                        fcc_shmem::current_ctx(),
+                        s.src as u64,
+                        exec,
+                    );
+                }
+                Err(_) => {
+                    counters.record_timeout();
+                    ctx.flight().record(
+                        FlightKind::Timeout,
+                        fcc_shmem::current_ctx(),
+                        ((s.src as u64) << 32) | me as u64,
+                        attempt as u64,
+                    );
+                    if ctx.flag_load(self.degraded, 0, me) >= exec {
+                        return ControlFlow::Break(());
+                    }
+                    if attempt >= self.policy.max_retries {
+                        self.mark_degraded(ctx, exec);
+                        return ControlFlow::Break(());
+                    }
+                    attempt += 1;
+                }
+            }
+        }
+    }
+
     /// The degraded path: re-pool every output vector on the host side,
     /// run the bulk All-to-All, and scatter into the paper's
     /// `{local batch, tables × dim}` output layout. Rebuilds the whole
@@ -447,7 +461,8 @@ impl ResilientFusedPlan {
         round: u64,
     ) {
         let me = ctx.me();
-        let cfg = &self.inner.cfg;
+        let cfg = &self.cfg;
+        let core = self.inner.core();
         let (dim, tpp) = (cfg.dim, cfg.tables_per_pe);
         let local_batch = cfg.local_batch();
         let per_pair = local_batch * tpp * dim;
@@ -455,7 +470,7 @@ impl ResilientFusedPlan {
         // Stage my send buffer: chunk `p` holds the pooled vectors for
         // `p`'s batch shard, laid out `[sample][local table][dim]`. Pooling
         // lands directly in the chunk — no per-vector staging.
-        let mut chunk = self.inner.payload_scratch.take(per_pair);
+        let mut chunk = core.payload(per_pair);
         for p in 0..ctx.n_pes() {
             for si in 0..local_batch {
                 let sample = p * local_batch + si;
@@ -471,7 +486,7 @@ impl ResilientFusedPlan {
 
         // Scatter received chunks into the destination layout: source
         // `s`'s local table `lt` is global table `s × tpp + lt`.
-        let mut recv = self.inner.payload_scratch.take(ctx.n_pes() * per_pair);
+        let mut recv = core.payload(ctx.n_pes() * per_pair);
         ctx.get(&mut recv, self.fallback.dst, 0, me);
         let total_tables = ctx.n_pes() * tpp;
         for src in 0..ctx.n_pes() {
@@ -507,147 +522,32 @@ impl ResilientFusedPlan {
         faults: &FaultPlan,
         counters: &RecoveryCounters,
     ) -> bool {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(
-            ctx.n_pes(),
-            self.inner.cfg.n_pes,
-            "plan/world size mismatch"
-        );
-        assert_eq!(
-            local_tables.len(),
-            self.inner.cfg.tables_per_pe,
-            "PE must hold its table shard"
-        );
-        let me = ctx.me() as u32;
-        let dim = self.inner.cfg.dim;
-        let num_slices = self.inner.map.num_slices() as u64;
-        let root = crate::op::ctx_root(exec);
-        let _ctx_guard = fcc_shmem::scoped_ctx(root);
+        let me = ctx.me();
+        let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
+        let producer = self.inner.producer(local_tables, gen, mode);
+        let at = Attempt {
+            ctx,
+            producer: &producer,
+            exec,
+            faults,
+            counters,
+        };
 
         // A crashed PE knows its sends cannot arrive: declare degradation
         // up front so peers' drain phases abort after one timeout instead
         // of exhausting their full retry budgets.
-        if faults.is_crashed(me, exec) {
+        if faults.is_crashed(me as u32, exec) {
             self.mark_degraded(ctx, exec);
         }
 
-        let order = schedule::order(&self.inner.map, me, kind);
-
-        // Identical to the fault-oblivious task loop, except the elected
-        // last finisher routes network slices through the fault-aware
-        // retry path. Zero-copy stores (own shard, xGMI peers) are plain
-        // memory traffic — the fault model applies to the NIC only. The
-        // loop runs on the same work-stealing deques as the clean path
-        // (the policy and arena live on the inner plan).
-        let tasks: Vec<u64> = order.iter().map(|&wg| wg as u64).collect();
-        crate::schedule::steal::execute_stealing(
-            &self.inner.steal_arena,
-            &tasks,
-            self.inner.steal,
-            |_worker, task| {
-                let wg = task as u32;
-                let (lt, sample) = self.inner.map.decode_wg(wg);
-                let info = *self.inner.map.slice_of_wg(wg);
-                let dst = info.dst_pe as usize;
-                // Rayon workers don't inherit the PE thread's ambient context;
-                // re-install it slice-qualified inside every closure.
-                let _ctx_guard =
-                    fcc_shmem::scoped_ctx(root.with_slice(me as u64 * num_slices + info.id as u64));
-                let global_table = me as usize * self.inner.cfg.tables_per_pe + lt as usize;
-                let bag = gen.bag(global_table, sample as usize);
-                let mut pooled = self.inner.scratch.take(dim);
-                local_tables[lt as usize].pool_into(&bag, mode, &mut pooled);
-
-                if dst == me as usize || ctx.is_p2p(dst) {
-                    let (dst_pe, off) = self.inner.map.dst_offset(me, lt, sample, dim);
-                    debug_assert_eq!(dst_pe as usize, dst);
-                    ctx.put(self.inner.output, off, &pooled, dst);
-                } else {
-                    ctx.put(self.inner.staging, wg as usize * dim, &pooled, me as usize);
-                }
-
-                let done =
-                    ctx.flag_fetch_add(self.inner.wg_done, info.id as usize, 1, me as usize) + 1;
-                if done == exec * info.len as u64 {
-                    if dst != me as usize && !ctx.is_p2p(dst) {
-                        self.send_slice(ctx, &info, exec, faults, counters);
-                    } else {
-                        ctx.fence();
-                        let flag_idx = me as u64 * num_slices + info.id as u64;
-                        ctx.flag_store(self.inner.slice_rdy, flag_idx as usize, exec, dst);
-                    }
-                }
-            },
-        );
-
-        // Drain with deadlines: wait, and on each timeout check whether
-        // anyone has already called the run degraded before burning
-        // another retry. Exhausting the budget makes *this* PE the one
-        // that calls it. With the integrity layer on, each satisfied wait
-        // is also a detection point: wire-quarantine verdicts surface
-        // here, and every network slice is re-verified against its fused
-        // checksum before the drain accepts it.
-        let abft = ctx.integrity_enabled();
-        'drain: for src in 0..self.inner.cfg.n_pes as u64 {
-            for info in self.inner.map.slices() {
-                if info.dst_pe != me {
-                    continue;
-                }
-                let network = src != me as u64 && !ctx.is_p2p(src as usize);
-                let idx = (src * num_slices + info.id as u64) as usize;
-                let mut attempt: u32 = 0;
-                loop {
-                    let wait = ctx.wait_until_timeout(
-                        self.inner.slice_rdy,
-                        idx,
-                        self.policy.slice_timeout,
-                        |v| v >= exec,
-                    );
-                    match wait {
-                        Ok(_) => {
-                            if abft
-                                && network
-                                && !self.verify_slice(ctx, src as u32, info, idx, exec, counters)
-                            {
-                                break 'drain;
-                            }
-                            break;
-                        }
-                        Err(ShmemError::Corruption { .. }) => {
-                            // The wire layer quarantined a delivery headed
-                            // here; the sender's clean go-back-N re-put is
-                            // already in flight, so consume the verdict
-                            // and re-poll without burning the retry budget
-                            // — each surfaced record is progress.
-                            counters.record_corrupt_detected();
-                            ctx.flight().record(
-                                FlightKind::Corruption,
-                                fcc_shmem::current_ctx(),
-                                src,
-                                exec,
-                            );
-                        }
-                        Err(_) => {
-                            counters.record_timeout();
-                            ctx.flight().record(
-                                FlightKind::Timeout,
-                                fcc_shmem::current_ctx(),
-                                (src << 32) | me as u64,
-                                attempt as u64,
-                            );
-                            if ctx.flag_load(self.degraded, 0, ctx.me()) >= exec {
-                                break 'drain;
-                            }
-                            if attempt >= self.policy.max_retries {
-                                self.mark_degraded(ctx, exec);
-                                break 'drain;
-                            }
-                            attempt += 1;
-                        }
-                    }
-                }
-            }
-        }
+        // The fault-oblivious task loop and drain, with the fault ladder
+        // as ship hook and wait closure. Zero-copy stores (own shard, xGMI
+        // peers) are plain memory traffic — the fault model applies to the
+        // NIC only.
+        let core = self.inner.core();
+        let tasks = self.inner.tasks(me, kind);
+        core.run_tasks(ctx, &producer, &tasks, exec, |s| self.send_slice(&at, s));
+        core.drain(me, |s| self.await_slice(&at, s));
 
         // Unconditional rendezvous: publishes every PE's `degraded`
         // stores (and all in-flight slice writes — delayed senders sleep
@@ -663,18 +563,18 @@ impl ResilientFusedPlan {
             counters.record_corrupt_detected();
         }
 
-        let degraded = ctx.flag_load(self.degraded, 0, ctx.me()) >= exec;
+        let degraded = ctx.flag_load(self.degraded, 0, me) >= exec;
         if degraded {
             counters.record_fallback();
             ctx.flight().record(
                 FlightKind::Fallback,
                 fcc_shmem::current_ctx(),
-                ctx.me() as u64,
+                me as u64,
                 exec,
             );
             // Per-PE fallback count = the bulk collective's monotonic
             // round number; counts agree because degradation is team-wide.
-            let round = ctx.flag_fetch_add(self.fallback_rounds, 0, 1, ctx.me()) + 1;
+            let round = ctx.flag_fetch_add(self.fallback_rounds, 0, 1, me) + 1;
             self.run_fallback(ctx, local_tables, gen, mode, round);
         }
         degraded

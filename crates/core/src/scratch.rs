@@ -27,6 +27,13 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+/// Spare elements allocated behind every pooled buffer (128 bytes: a
+/// cache line and its prefetch buddy). The allocator places the buffers
+/// of one `reserve` back to back, and two PE threads accumulating into
+/// neighbouring vectors whose ends share a line ping-pong it on every
+/// add; with the pad, used ranges never touch the same line.
+const LINE_PAD: usize = 32;
+
 /// A pool of reusable `f32` scratch buffers.
 ///
 /// Buffers of mixed lengths may share a pool; capacity converges to the
@@ -55,10 +62,11 @@ impl ScratchPool {
     pub fn take(&self, len: usize) -> ScratchGuard<'_> {
         let mut buf = self.free.lock().expect("scratch pool poisoned").pop();
         let mut inner = buf.take().unwrap_or_default();
+        inner.clear();
         if inner.capacity() < len {
             self.misses.fetch_add(1, Ordering::Relaxed);
+            inner.reserve_exact(len + LINE_PAD);
         }
-        inner.clear();
         inner.resize(len, 0.0);
         ScratchGuard {
             pool: self,
@@ -83,11 +91,11 @@ impl ScratchPool {
     pub fn reserve(&self, count: usize, len: usize) {
         let mut free = self.free.lock().expect("scratch pool poisoned");
         while free.len() < count {
-            free.push(Vec::with_capacity(len));
+            free.push(Vec::with_capacity(len + LINE_PAD));
         }
         for buf in free.iter_mut() {
             if buf.capacity() < len {
-                buf.reserve(len - buf.len());
+                buf.reserve_exact(len + LINE_PAD - buf.len());
             }
         }
     }
@@ -193,6 +201,21 @@ mod tests {
         pool.reserve(3, 32); // re-reserving grows parked buffers in place
         drop(pool.take(32));
         assert_eq!(pool.misses(), 0);
+    }
+
+    #[test]
+    fn pooled_buffers_never_share_a_cache_line() {
+        let pool = ScratchPool::new();
+        pool.reserve(4, 100);
+        let held: Vec<_> = (0..4).map(|_| pool.take(100)).collect();
+        let mut lines: Vec<(usize, usize)> = held
+            .iter()
+            .map(|g| (g.as_ptr() as usize / 64, (g.as_ptr() as usize + 399) / 64))
+            .collect();
+        lines.sort_unstable();
+        for pair in lines.windows(2) {
+            assert!(pair[0].1 < pair[1].0, "neighbours share a line: {pair:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!    arrival (backpressure), it does not buffer hope.
 //! 2. **Pre-execution budget shed** — at batch close, any request whose
 //!    remaining budget is below the measured execution floor is shed
-//!    (`HopelessBudget`) *before* consuming pipeline capacity.
+//!    (`HopelessBudget`) *before* consuming pipeline capacity. A close
+//!    that sheds its whole queue this way although no victim ever had a
+//!    floor of budget runs one empty probe execution instead of a batch,
+//!    so a floor estimate above the SLO corrects itself.
 //! 3. **Priority-aware overload shed** — while the degrade ladder is
 //!    engaged, backlog beyond `overload_backlog_factor` batches is shed
 //!    (`Overload`), lowest priority first, seeded tie-break.
@@ -419,8 +422,22 @@ pub fn serve(
         // Rung 2: shed requests whose remaining budget is below the
         // measured floor — executing them cannot possibly succeed.
         let hopeless = queue.drain_failing(|r| r.remaining_us(now) >= floor);
+        // A floor above a request's whole SLO is an estimate gone wrong,
+        // not load: nothing such a floor admits ever executes, so nothing
+        // would correct it. When this close shed everything it held and
+        // every victim was infeasible on arrival, run one empty probe
+        // execution in the batch's place to re-measure the floor.
+        let probe = queue.is_empty()
+            && !hopeless.is_empty()
+            && hopeless
+                .iter()
+                .all(|r| r.deadline_us - r.arrival_us < floor);
         for req in hopeless {
             rec.shed(&req, now, ShedReason::HopelessBudget);
+        }
+        if probe {
+            now += executor.execute(&[], u64::MAX, level).service_us;
+            floor_g.set(executor.floor_us() as f64);
         }
         if queue.is_empty() {
             continue;
@@ -541,7 +558,7 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ModelExecutor;
+    use crate::exec::{ExecReport, ModelExecutor};
     use crate::loadgen::{LoadPattern, LoadSpec};
     use crate::request::Priority;
     use crate::trace::check_serve_trace;
@@ -633,6 +650,93 @@ mod tests {
                 b.floor_us
             );
         }
+    }
+
+    /// Service time is fixed; the floor is an EWMA that starts wherever
+    /// the test puts it. Counts the empty (probe) executions it is asked
+    /// for.
+    struct ScriptedExecutor {
+        service_us: u64,
+        floor_us: u64,
+        probes: u64,
+    }
+
+    impl BatchExecutor for ScriptedExecutor {
+        fn execute(&mut self, batch: &[Request], budget_us: u64, _: DegradeLevel) -> ExecReport {
+            self.probes += batch.is_empty() as u64;
+            self.floor_us = (self.floor_us * 3 + self.service_us) / 4;
+            ExecReport {
+                service_us: self.service_us,
+                within_budget: self.service_us <= budget_us,
+            }
+        }
+
+        fn floor_us(&self) -> u64 {
+            self.floor_us
+        }
+    }
+
+    #[test]
+    fn floor_above_the_slo_recovers_through_probe_executions() {
+        let s = spec(2_000.0, LoadPattern::Poisson);
+        let workload = s.generate();
+        let mut exec = ScriptedExecutor {
+            service_us: s.slo_us / 10,
+            floor_us: 2 * s.slo_us,
+            probes: 0,
+        };
+        let report = serve(
+            ServerConfig::new(256, policy(), 42),
+            &mut exec,
+            &workload,
+            &Telemetry::disabled(),
+        );
+        assert!(!report.batches.is_empty(), "the floor must recover");
+        // 40 ms decays below the 20 ms SLO in three quarter-steps toward
+        // 2 ms; every hopeless shed belongs to a close before that.
+        assert!((1..=3).contains(&exec.probes), "probes {}", exec.probes);
+        let first_batch = report.batches[0].close_at_us;
+        let last_hopeless = report
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                ServeEvent::Shed {
+                    at_us,
+                    reason: ShedReason::HopelessBudget,
+                    ..
+                } => Some(*at_us),
+                _ => None,
+            })
+            .max()
+            .expect("the bad floor sheds a prefix");
+        assert!(last_hopeless <= first_batch, "sheds outlive the recovery");
+        assert!(report.completed > report.shed_total());
+        for b in &report.batches {
+            assert!(b.min_remaining_us >= b.floor_us);
+        }
+        check_serve_trace(&report.events).expect("clean trace");
+    }
+
+    #[test]
+    fn honest_floor_never_probes() {
+        // 3x capacity on an SLO of two executions: queueing alone makes
+        // requests hopeless, none is infeasible on arrival.
+        let mut s = spec(200_000.0, LoadPattern::Poisson);
+        s.slo_us = 1_000;
+        let workload = s.generate();
+        let mut exec = ScriptedExecutor {
+            service_us: 456,
+            floor_us: 456,
+            probes: 0,
+        };
+        let report = serve(
+            ServerConfig::new(256, policy(), 42),
+            &mut exec,
+            &workload,
+            &Telemetry::disabled(),
+        );
+        assert!(report.shed_hopeless > 0, "overload must shed as hopeless");
+        assert_eq!(exec.probes, 0);
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub struct PsResource {
     heap: BinaryHeap<Reverse<(VirtualInstant, JobId)>>,
     next_id: u64,
     generation: u64,
-    total_completed_work: f64,
 }
 
 impl std::fmt::Debug for PsResource {
@@ -103,7 +102,6 @@ impl PsResource {
             heap: BinaryHeap::new(),
             next_id: 0,
             generation: 0,
-            total_completed_work: 0.0,
         }
     }
 
@@ -124,12 +122,6 @@ impl PsResource {
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Total work units of all completed jobs (conservation diagnostics).
-    #[inline]
-    pub fn total_completed_work(&self) -> f64 {
-        self.total_completed_work
     }
 
     fn advance_to(&mut self, now: SimTime) {
@@ -209,7 +201,6 @@ impl PsResource {
             );
             self.vnow = finish_v;
         }
-        self.total_completed_work += finish_v; // finish_v - insert_v summed telescopes; tracked loosely
         self.refresh_rate();
         self.generation += 1;
         id
