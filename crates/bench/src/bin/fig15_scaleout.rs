@@ -20,12 +20,10 @@
 //! restricted CI invocation (`--point 1024 --check`) can never clobber
 //! the regression baseline it is checking against.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use fcc_bench::args::{die, parse_value, usage_exit};
 use fcc_bench::report::{print_table, results_dir};
 use fcc_bench::scaleout::{self, ScaleOutRun};
+use fcc_telemetry::alloc_count::{allocs_during, CountingAlloc};
 
 const USAGE: &str = "fig15_scaleout [--fast] [--point N] [--fabric NAME] [--check] \
                      [--tolerance T] [--alloc-check]";
@@ -33,24 +31,6 @@ const USAGE: &str = "fig15_scaleout [--fast] [--point N] [--fabric NAME] [--chec
 /// Counting allocator so `--alloc-check` can assert the fabric bench's
 /// steady-state allocation discipline (see crates/net/tests/fabric_alloc.rs
 /// for the test-suite version of the same contract).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
@@ -60,10 +40,9 @@ fn alloc_check() {
     // stay within a fixed budget per run regardless of flow count.
     let topo = fcc_net::presets::torus_scaleout(256);
     let probe = |bytes: u64| {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let (wire, _) = scaleout::measure_wire(&topo, bytes);
+        let (allocs, (wire, _)) = allocs_during(|| scaleout::measure_wire(&topo, bytes));
         assert!(wire > fcc_sim::SimTime::ZERO);
-        ALLOCS.load(Ordering::Relaxed) - before
+        allocs
     };
     probe(4 * 1024); // warm-up
     let small = probe(4 * 1024);

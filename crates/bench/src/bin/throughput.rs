@@ -31,13 +31,11 @@
 //! crowd's *nominal phase* shed more than fraction `F` — overload may
 //! shed, nominal load must not.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use fcc_bench::args::{parse_value, usage_exit};
 use fcc_bench::report::{print_table, results_dir};
 use fcc_bench::serving::run_serving;
 use fcc_bench::throughput::{run_throughput_with, ThroughputRun};
+use fcc_telemetry::alloc_count::{allocs_during, CountingAlloc};
 use fcc_telemetry::{FlightKind, FlightRecorder, TraceCtx};
 
 const USAGE: &str = "throughput [--pes N] [--slice W] [--execs N] [--check] \
@@ -45,27 +43,8 @@ const USAGE: &str = "throughput [--pes N] [--slice W] [--execs N] [--check] \
                      [--pes N] [--duration-ms N] [--slo-ms N] [--seed N] [--slo-gate] \
                      [--shed-ceiling F]";
 
-/// Counting allocator backing `--flight-alloc-check` (same pattern as
-/// `fig15_scaleout --alloc-check`; the test-suite version lives in
-/// crates/telemetry/tests/recorder_alloc.rs).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Counting allocator backing `--flight-alloc-check` (the test-suite
+/// version of the check lives in crates/telemetry/tests/recorder_alloc.rs).
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
@@ -74,16 +53,17 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// the enabled one allocation-free in steady state (overwrites included).
 fn flight_alloc_check() {
     let burst = |r: &FlightRecorder, n: u64| {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for i in 0..n {
-            r.record(
-                FlightKind::NetPut,
-                TraceCtx::step(1).with_slice(i),
-                i % 4,
-                64,
-            );
-        }
-        ALLOCS.load(Ordering::Relaxed) - before
+        let records = || {
+            for i in 0..n {
+                r.record(
+                    FlightKind::NetPut,
+                    TraceCtx::step(1).with_slice(i),
+                    i % 4,
+                    64,
+                );
+            }
+        };
+        allocs_during(records).0
     };
     let disabled = FlightRecorder::disabled();
     let d = burst(&disabled, 10_000);

@@ -262,7 +262,7 @@ pub fn explore_steal(case: &dyn ProtocolCase, budget: &Budget) -> Report {
         && stale < STEAL_STALE_CUTOFF
     {
         let policy = StealPolicy::sequential(seed);
-        let sig = execute_stealing(&arena, &ids, policy, |_, _| {}).signature;
+        let sig = execute_stealing(&arena, &ids, policy, |_| (), |_, _| {}).signature;
         if sigs.contains(&sig) {
             stale += 1;
             seed += 1;

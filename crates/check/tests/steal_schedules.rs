@@ -97,18 +97,24 @@ fn a_sliced_publication_by_a_thief_keeps_its_causal_context() {
                 return 0;
             }
             let tasks: Vec<u64> = (0..n_tasks).collect();
-            let stats = execute_stealing(&arena, &tasks, policy, |_, task| {
-                // The deal is strided, so the first deque owns the low
-                // task ids; stalling on them starves the owner while the
-                // other workers finish and turn thief.
-                if task < 2 {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                let _guard = fcc_shmem::scoped_ctx(TraceCtx::step(1).with_slice(task));
-                ctx.put(data, task as usize, &[task as f32], 1);
-                ctx.fence();
-                ctx.flag_store(ready, task as usize, 1, 1);
-            });
+            let stats = execute_stealing(
+                &arena,
+                &tasks,
+                policy,
+                |_| (),
+                |_, task| {
+                    // The deal is strided, so the first deque owns the low
+                    // task ids; stalling on them starves the owner while the
+                    // other workers finish and turn thief.
+                    if task < 2 {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    let _guard = fcc_shmem::scoped_ctx(TraceCtx::step(1).with_slice(task));
+                    ctx.put(data, task as usize, &[task as f32], 1);
+                    ctx.fence();
+                    ctx.flag_store(ready, task as usize, 1, 1);
+                },
+            );
             assert_eq!(stats.executed, n_tasks, "seed {seed}: lost tasks");
             stats.stolen
         })[0];

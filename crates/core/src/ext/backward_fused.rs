@@ -16,6 +16,8 @@ use fcc_dlrm::{BatchGenerator, DlrmConfig, EmbeddingTable, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{PeCtx, SymFlags, SymSlice};
 
+use crate::scratch::{fit, Workspace, Workspaces};
+
 /// Symmetric-heap plan for the backward fused operator.
 #[derive(Debug)]
 pub struct BackwardFusedPlan {
@@ -30,6 +32,9 @@ pub struct BackwardFusedPlan {
     cfg: DlrmConfig,
     slice_embeddings: usize,
     slices_per_shard: usize,
+    /// One workspace per PE: the gradient row in flight and the bag it
+    /// scatters through.
+    workspaces: Workspaces,
 }
 
 impl BackwardFusedPlan {
@@ -50,6 +55,7 @@ impl BackwardFusedPlan {
             cfg: cfg.clone(),
             slice_embeddings,
             slices_per_shard,
+            workspaces: Workspaces::sized(cfg.n_pes, 1, cfg.dim, cfg.pooling, 0),
         }
     }
 
@@ -121,7 +127,9 @@ impl BackwardFusedPlan {
         // --- Send phase: slice-granular gradient PUTs -------------------
         // Remote owners first (the communication-aware order), then the
         // local shard, which is "shipped" with plain local copies.
-        let mut row = vec![0.0f32; dim];
+        let mut ws = self.workspaces.borrow(me, 0);
+        let ws: &mut Workspace = &mut ws;
+        let row = fit(&mut ws.vector, dim);
         let owners = (0..self.cfg.n_pes)
             .filter(|&o| o != me)
             .chain(std::iter::once(me));
@@ -135,9 +143,9 @@ impl BackwardFusedPlan {
                         let ls = start + i;
                         let sample = me * local_batch + ls;
                         let src_off = ls * total_tables * dim + gt * dim;
-                        ctx.get(&mut row, self.grads_in, src_off, me);
+                        ctx.get(row, self.grads_in, src_off, me);
                         let dst_off = (lt * self.cfg.global_batch + sample) * dim;
-                        ctx.put(self.staging, dst_off, &row, owner);
+                        ctx.put(self.staging, dst_off, row, owner);
                     }
                     ctx.fence();
                     ctx.flag_store(self.slice_rdy, self.flag_index(me, lt, slice), exec, owner);
@@ -160,9 +168,9 @@ impl BackwardFusedPlan {
                     for i in 0..len {
                         let sample = sender * local_batch + start + i;
                         let off = (lt * self.cfg.global_batch + sample) * dim;
-                        ctx.get(&mut row, self.staging, off, me);
-                        let bag = gen.bag(gt, sample);
-                        apply(lt, &bag, &row);
+                        ctx.get(row, self.staging, off, me);
+                        gen.bag_into(gt, sample, &mut ws.bag);
+                        apply(lt, &ws.bag, row);
                     }
                 }
             }

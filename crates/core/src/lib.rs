@@ -48,7 +48,7 @@ pub use op::{
 pub use progress::{RecoveryCounters, RecoveryPolicy, RecoverySnapshot};
 pub use schedule::steal::{StealArena, StealBug, StealMode, StealPolicy, StealStats};
 pub use schedule::ScheduleKind;
-pub use scratch::{ScratchGuard, ScratchPool};
+pub use scratch::{Workspace, WorkspaceGuard, Workspaces};
 pub use sim::fused::{simulate_fused, FusedParams, FusedResult, SkewSpec, WgSchedule};
 pub use sim::FusedTuning;
 pub use slice::{SliceInfo, SliceMap};

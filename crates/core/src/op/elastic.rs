@@ -38,7 +38,7 @@ use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{FailureDetector, PeCtx, ShmemError, SymFlags, SymSlice};
 
 use crate::schedule::steal::{sequential_order, StealPolicy};
-use crate::scratch::ScratchPool;
+use crate::scratch::{fit, Workspace, Workspaces};
 use crate::team::{RecoveryBoard, TeamView};
 
 /// One unit of elastic work: pool `len` samples of `table` for `dst` and
@@ -71,8 +71,9 @@ pub struct ElasticFusedPlan {
     cfg: DlrmConfig,
     slice_embeddings: usize,
     slices_per_shard: usize,
-    /// Slice-payload workspaces, reused across rounds and survivors.
-    scratch: ScratchPool,
+    /// One workspace per PE (the scatter loop is sequential), reused
+    /// across rounds and survivors.
+    workspaces: Workspaces,
     /// Issue order of the scatter loop when no crash limit is armed. The
     /// loop stays sequential — [`Self::jobs_for`] order is the
     /// crash-injection coordinate, so `limit: Some(k)` always walks the
@@ -100,7 +101,7 @@ impl ElasticFusedPlan {
             cfg: cfg.clone(),
             slice_embeddings,
             slices_per_shard,
-            scratch: ScratchPool::new(),
+            workspaces: Workspaces::sized(cfg.n_pes, 1, 0, cfg.pooling, slice_embeddings * cfg.dim),
             steal: StealPolicy::sequential(0),
         }
     }
@@ -118,10 +119,10 @@ impl ElasticFusedPlan {
         self.steal = steal;
     }
 
-    /// Scratch-buffer allocations that missed the pool — zero growth
-    /// across rounds means the steady state is allocation-free.
+    /// Workspace re-allocations — zero growth across rounds means the
+    /// steady state is allocation-free.
     pub fn scratch_misses(&self) -> u64 {
-        self.scratch.misses()
+        self.workspaces.misses()
     }
 
     /// The global slice id of `(table, dst, chunk)`.
@@ -226,7 +227,8 @@ impl ElasticFusedPlan {
         let jobs = self.jobs_for(me, view, assignment);
         let n = limit.map_or(jobs.len(), |k| k.min(jobs.len()));
         let root = crate::op::ctx_root(round);
-        let mut payload = self.scratch.take(self.slice_embeddings * dim);
+        let mut ws = self.workspaces.borrow(me, 0);
+        let ws: &mut Workspace = &mut ws;
         // A crash limit pins the canonical `jobs_for` order (it *is* the
         // crash coordinate); an unlimited scatter issues in steal order.
         let order: Vec<u64> = if limit.is_some() {
@@ -241,14 +243,11 @@ impl ElasticFusedPlan {
             let table = tables
                 .get(&job.table)
                 .unwrap_or_else(|| panic!("PE {me} assigned table {} it does not hold", job.table));
-            let buf = &mut payload[..job.len * dim];
+            let buf = fit(&mut ws.payload, job.len * dim);
             for i in 0..job.len {
                 let sample = job.dst * local_batch + job.start + i;
-                table.pool_into(
-                    &gen.bag(job.table, sample),
-                    mode,
-                    &mut buf[i * dim..][..dim],
-                );
+                gen.bag_into(job.table, sample, &mut ws.bag);
+                table.pool_into(&ws.bag, mode, &mut buf[i * dim..][..dim]);
                 board.beats.beat(ctx);
             }
             // Payload first, fence, then the flag — the same publication

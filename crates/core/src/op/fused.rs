@@ -42,6 +42,16 @@ pub struct FusedPlan {
     core: FusedCore,
     map: SliceMap,
     cfg: DlrmConfig,
+    /// `tasks[me][kind]`: PE `me`'s logical-WG order under
+    /// [`kind_index`]`(kind)`, fixed at plan time.
+    tasks: Vec<[Vec<u64>; 2]>,
+}
+
+fn kind_index(kind: ScheduleKind) -> usize {
+    match kind {
+        ScheduleKind::Oblivious => 0,
+        ScheduleKind::CommAware => 1,
+    }
 }
 
 /// Elements of the `{local_batch, total_tables × dim}` output buffer.
@@ -75,10 +85,13 @@ impl FusedProducer for EmbeddingProducer<'_> {
         (dst as usize, off)
     }
     fn produce(&self, me: usize, item: usize, out: &mut [f32]) {
+        self.produce_with(me, item, &mut Vec::new(), out);
+    }
+    fn produce_with(&self, me: usize, item: usize, bag: &mut Vec<u32>, out: &mut [f32]) {
         let (lt, sample) = self.map.decode_wg(item as u32);
         let global_table = me * self.cfg.tables_per_pe + lt as usize;
-        let bag = self.gen.bag(global_table, sample as usize);
-        self.local_tables[lt as usize].pool_into(&bag, self.mode, out);
+        self.gen.bag_into(global_table, sample as usize, bag);
+        self.local_tables[lt as usize].pool_into(bag, self.mode, out);
     }
 }
 
@@ -99,12 +112,22 @@ impl FusedPlan {
             .iter()
             .map(|s| (s.len as usize, s.dst_pe as usize))
             .collect();
-        let core = FusedCore::new(layout, cfg.dim, output_len(cfg), &vec![table; cfg.n_pes]);
+        let runs = vec![table; cfg.n_pes];
+        let core = FusedCore::new(layout, cfg.dim, cfg.pooling, output_len(cfg), &runs);
+        let tasks = (0..cfg.n_pes as u32)
+            .map(|me| {
+                [ScheduleKind::Oblivious, ScheduleKind::CommAware].map(|kind| {
+                    let order = schedule::order(&map, me, kind);
+                    order.iter().map(|&wg| wg as u64).collect()
+                })
+            })
+            .collect();
         FusedPlan {
             output: core.output(),
             core,
             map,
             cfg: cfg.clone(),
+            tasks,
         }
     }
 
@@ -135,18 +158,27 @@ impl FusedPlan {
         &self.map
     }
 
-    /// Scratch-buffer allocations that missed the pools — zero growth
-    /// across executions means the steady state is allocation-free.
+    /// Workspace re-allocations: task loops during which a worker's
+    /// buffer had to grow — zero growth across executions means the steady
+    /// state is allocation-free.
     pub fn scratch_misses(&self) -> u64 {
         self.core.scratch_misses()
     }
 
-    /// Pre-sizes the scratch pools for `concurrency` simultaneous workers
-    /// (across every PE sharing this plan), so even the first execution's
-    /// hot path never allocates and [`scratch_misses`](Self::scratch_misses)
-    /// stays exactly zero.
+    /// Times a worker borrowed its workspace: once per persistent WG per
+    /// task loop, however many logical WGs the loop runs.
+    pub fn workspace_borrows(&self) -> u64 {
+        self.core.workspace_borrows()
+    }
+
+    /// Pre-sizes the steal arena, so even the first execution's hot path
+    /// never allocates and [`scratch_misses`](Self::scratch_misses) and
+    /// [`steal_misses`](Self::steal_misses) stay exactly zero. Every
+    /// (PE, persistent WG) owns a workspace sized at plan time, whatever
+    /// the `concurrency`; the argument is kept for its callers.
     pub fn prewarm(&self, concurrency: usize) {
-        self.core.prewarm(concurrency, 0);
+        let _ = concurrency;
+        self.core.prewarm(0);
     }
 
     /// The shared protocol core, for the fault-tolerant wrapper's hooks.
@@ -178,9 +210,8 @@ impl FusedPlan {
 
     /// The task list of PE `me`: one logical WG id per task, in the
     /// comm-aware (or oblivious) priority order.
-    pub(crate) fn tasks(&self, me: usize, kind: ScheduleKind) -> Vec<u64> {
-        let order = schedule::order(&self.map, me as u32, kind);
-        order.iter().map(|&wg| wg as u64).collect()
+    pub(crate) fn tasks(&self, me: usize, kind: ScheduleKind) -> &[u64] {
+        &self.tasks[me][kind_index(kind)]
     }
 
     /// Executes the fused operator on the calling PE.
@@ -262,8 +293,8 @@ impl FusedPlan {
     ) {
         let producer = self.producer(local_tables, gen, mode);
         let tasks = self.tasks(ctx.me(), kind);
-        self.core.run_tasks(ctx, &producer, &tasks, exec, |s| {
-            self.core.ship(ctx, &producer, s, exec)
+        self.core.run_tasks(ctx, &producer, tasks, exec, |s, ws| {
+            self.core.ship(ctx, &producer, s, exec, ws)
         });
     }
 }

@@ -35,8 +35,19 @@ pub trait FusedProducer: Sync {
     fn output_len(&self) -> usize;
     /// Where item `(me, item)`'s vector lands: `(dst_pe, element offset)`.
     fn destination(&self, me: usize, item: usize) -> (usize, usize);
-    /// Computes item `(me, item)` into `out` (`dim()` elements).
+    /// Computes item `(me, item)` into `out` (`dim()` elements). `out`
+    /// arrives holding the worker's previous item, not zeros: write every
+    /// element.
     fn produce(&self, me: usize, item: usize, out: &mut [f32]);
+    /// [`produce`](Self::produce) with the calling worker's reusable index
+    /// buffer, for producers that gather through a per-item index list
+    /// (an embedding bag): fill `indices` instead of allocating one. The
+    /// buffer's contents on entry are the previous item's. Defaults to
+    /// plain `produce`.
+    fn produce_with(&self, me: usize, item: usize, indices: &mut Vec<u32>, out: &mut [f32]) {
+        let _ = indices;
+        self.produce(me, item, out);
+    }
 }
 
 /// The generic fused plan for one world size.
@@ -45,6 +56,8 @@ pub struct GenericFusedPlan {
     /// Per-PE output buffer.
     pub output: SymSlice<f32>,
     core: FusedCore,
+    /// Per PE: its item order, fixed at plan time.
+    tasks: Vec<Vec<u64>>,
 }
 
 impl GenericFusedPlan {
@@ -73,10 +86,22 @@ impl GenericFusedPlan {
                 table
             })
             .collect();
-        let core = FusedCore::new(layout, producer.dim(), producer.output_len(), &runs);
+        let core = FusedCore::new(layout, producer.dim(), 0, producer.output_len(), &runs);
+        // Remote-first (communication-aware) execution order over slices,
+        // flattened to item-level tasks so the work-stealing deques
+        // rebalance within a slice too.
+        let tasks = (0..n_pes)
+            .map(|me| {
+                let mut order: Vec<&Slice> = core.slices(me).iter().collect();
+                order.sort_by_key(|s| s.dst == me);
+                let items = |s: &&Slice| (s.first_item..s.first_item + s.len).map(|i| i as u64);
+                order.iter().flat_map(items).collect()
+            })
+            .collect();
         GenericFusedPlan {
             output: core.output(),
             core,
+            tasks,
         }
     }
 
@@ -107,20 +132,9 @@ impl GenericFusedPlan {
     pub fn execute(&self, ctx: &PeCtx<'_>, producer: &impl FusedProducer, exec: u64) {
         let me = ctx.me();
         let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
-
-        // Remote-first (communication-aware) execution order over slices,
-        // flattened to item-level tasks so the work-stealing deques
-        // rebalance within a slice too.
-        let mut order: Vec<&Slice> = self.core.slices(me).iter().collect();
-        order.sort_by_key(|s| s.dst == me);
-        let tasks: Vec<u64> = order
-            .iter()
-            .flat_map(|s| (s.first_item..s.first_item + s.len).map(|item| item as u64))
-            .collect();
-
         let core = &self.core;
-        core.run_tasks(ctx, producer, &tasks, exec, |s| {
-            core.ship(ctx, producer, s, exec)
+        core.run_tasks(ctx, producer, &self.tasks[me], exec, |s, ws| {
+            core.ship(ctx, producer, s, exec, ws)
         });
         core.drain(me, |s| {
             core.wait_ready(ctx, s, exec);
@@ -304,7 +318,7 @@ mod tests {
         let mut layout = HeapLayout::new();
         let plan = GenericFusedPlan::plan(&mut layout, 2, &producer, 2)
             .with_steal(StealPolicy::concurrent(7).with_workers(2));
-        plan.core.prewarm(2 * 2, 0);
+        plan.core.prewarm(0);
         let world = ShmemWorld::new(2, layout).with_p2p_groups(vec![0, 1]);
         for exec in 1..=4 {
             world.run(|ctx| plan.execute(ctx, &producer, exec));

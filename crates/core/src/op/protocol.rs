@@ -8,18 +8,23 @@
 //! slice, fences, and sets the destination's `sliceRdy` flag; afterwards
 //! every PE drains the flags of exactly the slices destined to it.
 //!
-//! [`FusedCore`] owns the buffers, flag banks, slice tables, scratch
-//! pools and steal state of that recipe and exposes its two routines,
+//! [`FusedCore`] owns the buffers, flag banks, slice tables, worker
+//! workspaces and steal state of that recipe and exposes its two routines,
 //! [`run_tasks`](FusedCore::run_tasks) and [`drain`](FusedCore::drain).
 //! What varies between the operators built on it is passed in:
 //!
 //! * the **producer** ([`FusedProducer`]: what an item computes and where
 //!   it lands) and the plan-time **slice table** derived from it;
 //! * the **item order** handed to the task loop;
-//! * the **ship** hook the elected last finisher of a network slice runs
-//!   ([`FusedCore::ship`] on the clean path, the fault ladder of
-//!   `ResilientFusedPlan`), and the **wait** closure the drain applies to
-//!   each flag (spin, deadline, or timeout + verify + abort).
+//! * the **ship** hook the elected last finisher of a network slice runs,
+//!   on that worker's own workspace ([`FusedCore::ship`] on the clean
+//!   path, the fault ladder of `ResilientFusedPlan`), and the **wait**
+//!   closure the drain applies to each flag (spin, deadline, or timeout +
+//!   verify + abort).
+//!
+//! Each persistent WG borrows its [`Workspace`] once per task loop and
+//! keeps it across logical WGs, so an item costs no lock and no
+//! allocation (`scratch.rs`).
 //!
 //! Not built on this core, on purpose: `ZeroCopyPlan` signals with one
 //! arrival counter per PE (§3.3), `ElasticFusedPlan` runs slice-granular
@@ -34,7 +39,7 @@ use fcc_shmem::{PeCtx, ShmemError, SymFlags, SymSlice};
 
 use crate::op::generic::FusedProducer;
 use crate::schedule::steal::{execute_stealing, StealArena, StealPolicy};
-use crate::scratch::{ScratchGuard, ScratchPool};
+use crate::scratch::{fit, Workspace, WorkspaceGuard, Workspaces};
 
 /// One slice: `len` consecutive items of source PE `src`, from
 /// `first_item`, all bound for `dst`. What the ship hook and the drain's
@@ -52,8 +57,8 @@ pub(crate) struct Slice {
     pub flag: usize,
 }
 
-/// Buffers, flag banks, slice tables, scratch pools and steal state of
-/// one fused operator plan; see the module doc.
+/// Buffers, flag banks, slice tables, workspaces and steal state of one
+/// fused operator plan; see the module doc.
 #[derive(Debug)]
 pub(crate) struct FusedCore {
     /// Per-PE output buffer the producer's destinations index.
@@ -71,10 +76,10 @@ pub(crate) struct FusedCore {
     /// Per source PE: item → index into its slice table.
     slice_of_item: Vec<Vec<u32>>,
     dim: usize,
-    /// Per-item `dim`-wide produce workspaces, reused across executions.
-    scratch: ScratchPool,
-    /// Slice-wide payload workspaces for elected last finishers.
-    payload_scratch: ScratchPool,
+    /// Index-buffer elements the producer needs per item.
+    bag_len: usize,
+    /// One workspace per (PE, persistent WG), sized for the steal policy.
+    workspaces: Workspaces,
     /// How the item order maps onto persistent WGs at runtime.
     steal: StealPolicy,
     /// Pooled per-execution deque sets (allocation-free steady state).
@@ -82,12 +87,14 @@ pub(crate) struct FusedCore {
 }
 
 impl FusedCore {
-    /// Allocates output, staging and both flag banks in `layout`.
+    /// Allocates output, staging and both flag banks in `layout`, and the
+    /// workspaces (`bag_len` index elements per item) on the host heap.
     /// `runs[src]` lists source PE `src`'s slices as `(len, dst)` in item
     /// order: slice `k` starts where slice `k − 1` ends.
     pub(crate) fn new(
         layout: &mut HeapLayout,
         dim: usize,
+        bag_len: usize,
         output_len: usize,
         runs: &[Vec<(usize, usize)>],
     ) -> FusedCore {
@@ -112,7 +119,7 @@ impl FusedCore {
             }
         }
         let max_items = slice_of_item.iter().map(Vec::len).max().unwrap_or(0);
-        FusedCore {
+        let mut core = FusedCore {
             output: layout.alloc::<f32>(output_len),
             staging: layout.alloc::<f32>(max_items * dim),
             wg_done: layout.alloc_flags(slices_per_source),
@@ -120,11 +127,24 @@ impl FusedCore {
             slices,
             slice_of_item,
             dim,
-            scratch: ScratchPool::new(),
-            payload_scratch: ScratchPool::new(),
+            bag_len,
+            workspaces: Workspaces::new(n_pes, 1),
             steal: StealPolicy::default(),
             steal_arena: StealArena::new(),
-        }
+        };
+        core.set_steal(core.steal);
+        core
+    }
+
+    /// Most items any source PE computes.
+    fn max_items(&self) -> usize {
+        self.slice_of_item.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// Elements of the widest slice's payload.
+    pub(crate) fn widest_payload(&self) -> usize {
+        let widest = self.slices.iter().flatten().map(|s| s.len).max();
+        widest.unwrap_or(0) * self.dim
     }
 
     pub(crate) fn output(&self) -> SymSlice<f32> {
@@ -136,8 +156,14 @@ impl FusedCore {
         &self.slices[me]
     }
 
+    /// Installs `steal` and rebuilds the workspaces for its worker count:
+    /// one per (PE, persistent WG), each sized for an item and the widest
+    /// slice.
     pub(crate) fn set_steal(&mut self, steal: StealPolicy) {
         self.steal = steal;
+        let workers = steal.effective_workers(self.max_items());
+        let (n_pes, payload) = (self.slices.len(), self.widest_payload());
+        self.workspaces = Workspaces::sized(n_pes, workers, self.dim, self.bag_len, payload);
     }
 
     pub(crate) fn steal_policy(&self) -> StealPolicy {
@@ -149,36 +175,43 @@ impl FusedCore {
         self.steal_arena.misses()
     }
 
-    /// Scratch-buffer allocations that missed either pool.
+    /// Workspace borrows during which a buffer had to grow.
     pub(crate) fn scratch_misses(&self) -> u64 {
-        self.scratch.misses() + self.payload_scratch.misses()
+        self.workspaces.misses()
     }
 
-    /// Pre-sizes both scratch pools for `concurrency` simultaneous
-    /// holders and the steal arena for one deque set per PE, so even the
-    /// first execution's hot path never allocates. Payload buffers are
-    /// sized for the widest slice, or `min_payload` elements if larger.
-    pub(crate) fn prewarm(&self, concurrency: usize, min_payload: usize) {
-        let widest = self.slices.iter().flatten().map(|s| s.len).max();
-        let payload = (widest.unwrap_or(0) * self.dim).max(min_payload);
-        self.scratch.reserve(concurrency, self.dim);
-        self.payload_scratch.reserve(concurrency, payload);
-        let items = self.slice_of_item.iter().map(Vec::len).max().unwrap_or(0);
+    /// Workspace borrows so far: one per worker per task loop (plus the
+    /// fault ladder's per-drain and per-fallback borrows), never per item.
+    pub(crate) fn workspace_borrows(&self) -> u64 {
+        self.workspaces.borrows()
+    }
+
+    /// Sizes the steal arena for one deque set per PE and every
+    /// workspace's payload for `min_payload` elements if that exceeds the
+    /// widest slice, so even the first execution's hot path never
+    /// allocates. Call after [`set_steal`](Self::set_steal), which
+    /// rebuilds the workspaces at their plan-time size.
+    pub(crate) fn prewarm(&self, min_payload: usize) {
+        let payload = self.widest_payload().max(min_payload);
+        self.workspaces.reserve(self.dim, self.bag_len, payload);
+        let items = self.max_items();
         let workers = self.steal.effective_workers(items);
         self.steal_arena
             .prewarm(self.slices.len(), workers, items / workers + 1);
     }
 
-    /// A slice-payload workspace of `len` elements from the shared pool.
-    pub(crate) fn payload(&self, len: usize) -> ScratchGuard<'_> {
-        self.payload_scratch.take(len)
+    /// Worker `worker`'s workspace on PE `pe`, for the loops the fault
+    /// ladder runs on the PE thread outside [`run_tasks`](Self::run_tasks).
+    pub(crate) fn workspace(&self, pe: usize, worker: usize) -> WorkspaceGuard<'_> {
+        self.workspaces.borrow(pe, worker)
     }
 
     /// The persistent kernel's task loop on the calling PE: each task is
     /// one item id; `tasks` in priority order seed one Chase–Lev deque per
     /// persistent WG, and a WG that drains its own deque steals a
-    /// sibling's tail instead of idling. `ship` runs on the elected last
-    /// finisher of every *network* slice and must end by
+    /// sibling's tail instead of idling. Each WG holds its workspace for
+    /// the whole loop. `ship` runs on the elected last finisher of every
+    /// *network* slice, with that WG's workspace, and must end by
     /// [`publish`](Self::publish)ing it (or giving the execution up);
     /// own-PE and P2P slices are published here.
     ///
@@ -189,32 +222,34 @@ impl FusedCore {
         producer: &P,
         tasks: &[u64],
         exec: u64,
-        ship: impl Fn(&Slice) + Sync,
+        ship: impl Fn(&Slice, &mut Workspace) + Sync,
     ) {
         assert!(exec >= 1, "executions are 1-based");
         assert_eq!(ctx.n_pes(), self.slices.len(), "plan/world size mismatch");
         let me = ctx.me();
         let dim = self.dim;
         let root = crate::op::ctx_root(exec);
-        execute_stealing(&self.steal_arena, tasks, self.steal, |_worker, task| {
+        let borrow = |worker| self.workspaces.borrow(me, worker);
+        let item_body = |ws: &mut WorkspaceGuard<'_>, task: u64| {
             let item = task as usize;
             let s = &self.slices[me][self.slice_of_item[me][item] as usize];
             // Rayon workers are not the PE thread: re-seed the causal
             // context, qualified with this item's slice publication.
             let _ctx_guard = fcc_shmem::scoped_ctx(root.with_slice(s.flag as u64));
-            let mut vector = self.scratch.take(dim);
-            producer.produce(me, item, &mut vector);
+            let ws: &mut Workspace = ws;
+            let vector = fit(&mut ws.vector, dim);
+            producer.produce_with(me, item, &mut ws.bag, vector);
 
             let network = s.dst != me && !ctx.is_p2p(s.dst);
             if network {
                 // Stage locally; the last finisher ships the slice.
-                ctx.put(self.staging, item * dim, &vector, me);
+                ctx.put(self.staging, item * dim, vector, me);
             } else {
                 // Zero-copy: store the vector straight into the destination
                 // output buffer (own buffer, or a peer's over xGMI).
                 let (dst, off) = producer.destination(me, item);
                 debug_assert_eq!(dst, s.dst);
-                ctx.put(self.output, off, &vector, dst);
+                ctx.put(self.output, off, vector, dst);
             }
 
             // WG_Done: count completions (AcqRel, so every WG's stores are
@@ -224,13 +259,14 @@ impl FusedCore {
             let done = ctx.flag_fetch_add(self.wg_done, s.index, 1, me) + 1;
             if done == exec * s.len as u64 {
                 if network {
-                    ship(s);
+                    ship(s, ws);
                 } else {
                     ctx.fence();
                     self.publish(ctx, s, exec);
                 }
             }
-        });
+        };
+        execute_stealing(&self.steal_arena, tasks, self.steal, borrow, item_body);
     }
 
     /// The fault-oblivious ship hook: stage out, PUT every row, fence,
@@ -241,18 +277,19 @@ impl FusedCore {
         producer: &P,
         s: &Slice,
         exec: u64,
+        ws: &mut Workspace,
     ) {
-        let payload = self.staged(ctx, s);
-        self.put_rows(ctx, producer, s, &payload);
+        let payload = fit(&mut ws.payload, s.len * self.dim);
+        self.staged(ctx, s, payload);
+        self.put_rows(ctx, producer, s, payload);
         ctx.fence();
         self.publish(ctx, s, exec);
     }
 
-    /// One bulk read of the slice's contiguous staging rows.
-    pub(crate) fn staged(&self, ctx: &PeCtx<'_>, s: &Slice) -> ScratchGuard<'_> {
-        let mut payload = self.payload_scratch.take(s.len * self.dim);
-        ctx.get(&mut payload, self.staging, s.first_item * self.dim, s.src);
-        payload
+    /// One bulk read of the slice's contiguous staging rows into
+    /// `payload` (`s.len × dim` elements).
+    pub(crate) fn staged(&self, ctx: &PeCtx<'_>, s: &Slice, payload: &mut [f32]) {
+        ctx.get(payload, self.staging, s.first_item * self.dim, s.src);
     }
 
     /// One PUT per row of `payload`, each at its item's destination offset.
@@ -336,14 +373,16 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_generic_plans_run_the_same_protocol() {
+    fn fused_generic_and_resilient_plans_run_the_same_protocol() {
         // One table per PE: the sample-major WG order and the generic
         // plan's slice-major item order coincide, so under a sequential
-        // steal seed both plans must issue the very same operations.
+        // steal seed all three plans must issue the very same operations —
+        // the fault-free resilient plan adding only its `slice_sum` store
+        // before each network publication.
         let cfg = tiny_cfg(4, 16, 1, 16);
         let tables = reference::build_tables(&cfg);
         let gen = reference::build_generator(&cfg);
-        let mode = PoolingMode::Sum;
+        let (mode, kind) = (PoolingMode::Sum, ScheduleKind::CommAware);
         for seed in 0..4u64 {
             let steal = StealPolicy::sequential(seed);
             let world = |layout| {
@@ -358,27 +397,109 @@ mod tests {
             let routing = fused.producer(&tables[..1], &gen, mode);
             let generic = GenericFusedPlan::plan(&mut layout, 4, &routing, 2).with_steal(steal);
             let mut generic_world = world(layout);
+            let mut layout = HeapLayout::new();
+            let mut resilient =
+                ResilientFusedPlan::plan(&mut layout, &cfg, 2, RecoveryPolicy::default());
+            resilient.set_steal(steal);
+            let mut resilient_world = world(layout);
+            let (faults, counters) = (FaultPlan::new(seed), RecoveryCounters::new());
 
             fused_world.run(|ctx| {
                 let me = ctx.me();
-                let local = &tables[me..me + 1];
-                fused.execute(ctx, local, &gen, mode, ScheduleKind::CommAware, 1);
+                fused.execute(ctx, &tables[me..me + 1], &gen, mode, kind, 1);
             });
             generic_world.run(|ctx| {
                 let me = ctx.me();
                 generic.execute(ctx, &fused.producer(&tables[me..me + 1], &gen, mode), 1);
+            });
+            resilient_world.run(|ctx| {
+                let local = &tables[ctx.me()..ctx.me() + 1];
+                let degraded =
+                    resilient.execute(ctx, local, &gen, mode, kind, 1, &faults, &counters);
+                assert!(!degraded, "seed {seed}: a clean run degraded");
             });
 
             for pe in 0..4 {
                 let want = reference::expected_output(&cfg, &tables, &gen, mode, pe);
                 assert_eq!(fused_world.read(pe, fused.output), want, "seed {seed}");
                 assert_eq!(generic_world.read(pe, generic.output), want, "seed {seed}");
+                assert_eq!(resilient_world.read(pe, resilient.output()), want);
             }
             let a = publications(fused_world.take_trace(), 4);
             let b = publications(generic_world.take_trace(), 4);
-            assert!(a.iter().all(|pe| !pe.is_empty()));
             assert_eq!(a, b, "seed {seed}: the plans' protocol traces diverge");
+
+            // Per PE: 16 items — 8 stored directly (own shard, P2P peer), 8
+            // staged and re-put row by row by their slice's last finisher;
+            // 8 two-item slices, each fenced and flagged once. The counts
+            // of the parent commit's fused and generic plans.
+            for pe in &a {
+                let count = |f: fn(&TraceEvent) -> bool| pe.iter().filter(|e| f(e)).count();
+                assert_eq!(count(|e| matches!(e, TraceEvent::Put { .. })), 24);
+                assert_eq!(count(|e| matches!(e, TraceEvent::Fence { .. })), 8);
+                assert_eq!(count(|e| matches!(e, TraceEvent::FlagStore { .. })), 8);
+            }
+
+            // The resilient plan's extra stores go to a bank the fused plan
+            // does not have; on the fused plan's cells it is the same trace.
+            let fused_cells: std::collections::HashSet<u64> = a
+                .iter()
+                .flatten()
+                .filter_map(|e| match e {
+                    TraceEvent::FlagStore { cell, .. } => Some(*cell),
+                    _ => None,
+                })
+                .collect();
+            let mut c = publications(resilient_world.take_trace(), 4);
+            let mut sums = 0;
+            for pe in &mut c {
+                pe.retain(|e| match e {
+                    TraceEvent::FlagStore { cell, .. } if !fused_cells.contains(cell) => {
+                        sums += 1;
+                        false
+                    }
+                    _ => true,
+                });
+            }
+            assert_eq!(sums, 4 * 4, "one checksum store per network slice");
+            assert_eq!(a, c, "seed {seed}: the resilient plan's trace diverges");
         }
+    }
+
+    #[test]
+    fn one_plan_shared_by_four_pes_and_eight_workers_stays_exact_and_warm() {
+        // Every PE thread and every steal worker goes through the one
+        // plan; nothing they hold may be shared or re-allocated.
+        let cfg = tiny_cfg(4, 32, 2, 16);
+        let tables = reference::build_tables(&cfg);
+        let gen = reference::build_generator(&cfg);
+        let steal = StealPolicy::concurrent(11).with_workers(2);
+        let mut layout = HeapLayout::new();
+        let plan = FusedPlan::plan(&mut layout, &cfg, 4).with_steal(steal);
+        plan.prewarm(4 * 2);
+        let mut world = ShmemWorld::new(4, layout).with_p2p_groups(vec![0, 0, 1, 1]);
+        let want: Vec<_> = (0..4)
+            .map(|pe| reference::expected_output(&cfg, &tables, &gen, PoolingMode::Sum, pe))
+            .collect();
+        for exec in 1..=50u64 {
+            world.run(|ctx| {
+                let local = &tables[ctx.me() * 2..(ctx.me() + 1) * 2];
+                let (mode, kind) = (PoolingMode::Sum, ScheduleKind::CommAware);
+                plan.execute(ctx, local, &gen, mode, kind, exec);
+            });
+            for (pe, want) in want.iter().enumerate() {
+                assert_eq!(&world.read(pe, plan.output), want, "exec {exec}, PE {pe}");
+            }
+            let zeros = vec![0.0; plan.output.len()];
+            (0..4).for_each(|pe| world.write(pe, plan.output, 0, &zeros));
+        }
+        assert_eq!(plan.scratch_misses(), 0);
+        assert_eq!(plan.steal_misses(), 0);
+        assert_eq!(
+            plan.workspace_borrows(),
+            50 * 4 * 2,
+            "one borrow per worker per task loop"
+        );
     }
 
     #[test]

@@ -43,6 +43,7 @@ use crate::op::generic::FusedProducer;
 use crate::op::protocol::Slice;
 use crate::progress::{RecoveryCounters, RecoveryPolicy};
 use crate::schedule::ScheduleKind;
+use crate::scratch::{fit, Workspace};
 
 fn to_duration(t: SimTime) -> Duration {
     Duration::from_nanos(t.as_nanos())
@@ -136,28 +137,26 @@ impl ResilientFusedPlan {
         self.inner.set_steal(steal);
     }
 
-    /// Scratch-buffer allocations that missed the shared pools — zero
-    /// growth across executions means the steady state is allocation-free.
+    /// Workspace re-allocations — zero growth across executions means the
+    /// steady state is allocation-free.
     pub fn scratch_misses(&self) -> u64 {
         self.inner.scratch_misses()
     }
 
-    /// Pre-sizes the shared scratch pools for `concurrency` simultaneous
-    /// workers; see [`FusedPlan::prewarm`]. Also covers the degraded-mode
-    /// fallback's gather buffers (the full `n_pes × per-pair` exchange),
-    /// so even a faulted run stays allocation-free after prewarming.
+    /// Pre-sizes the steal arena and the workspaces; see
+    /// [`FusedPlan::prewarm`]. Payloads also cover what the fault ladder
+    /// holds — a sending worker's slice beside its corrupt wire image, and
+    /// one per-pair chunk of the degraded-mode fallback — so even a
+    /// faulted run stays allocation-free after prewarming.
     pub fn prewarm(&self, concurrency: usize) {
-        let cfg = &self.cfg;
-        // A PE thread on the degraded path holds up to two gather buffers
-        // itself, outside any rayon region — while other PEs' workers may
-        // still hold theirs — so the holder bound is `concurrency` plus
-        // the PE threads' own fallback buffers. A sending worker under
-        // corruption holds its payload plus the corrupt wire image, and a
-        // PE thread verifying a slice holds one landed buffer: double the
-        // worker share and add the per-PE verify buffers.
-        let holders = 2 * concurrency + 3 * cfg.n_pes;
-        let per_pair = cfg.local_batch() * cfg.tables_per_pe * cfg.dim;
-        self.inner.core().prewarm(holders, cfg.n_pes * per_pair);
+        let _ = concurrency;
+        let core = self.inner.core();
+        core.prewarm(self.per_pair().max(2 * core.widest_payload()));
+    }
+
+    /// Elements one PE sends another in the bulk fallback.
+    fn per_pair(&self) -> usize {
+        self.cfg.local_batch() * self.cfg.tables_per_pe * self.cfg.dim
     }
 
     /// Marks execution `exec` degraded on every PE. Racing writers all
@@ -183,7 +182,7 @@ impl ResilientFusedPlan {
     /// A `Delay` blocks the *sender* before the PUT (the wire holding the
     /// message), so every delivery still happens-before the sender's
     /// barrier entry — no write can race the fallback's rebuild.
-    fn send_slice(&self, at: &Attempt<'_>, s: &Slice) {
+    fn send_slice(&self, at: &Attempt<'_>, s: &Slice, ws: &mut Workspace) {
         let (ctx, exec, faults) = (at.ctx, at.exec, at.faults);
         let (me, dst) = (s.src as u32, s.dst as u32);
         // Fail-stop: the GPU-initiated path is dead, nothing we post
@@ -195,12 +194,16 @@ impl ResilientFusedPlan {
         }
         let core = self.inner.core();
 
-        // Stage the slice payload, as the fault-oblivious path does.
-        let payload = core.staged(ctx, s);
+        // Stage the slice payload, as the fault-oblivious path does; the
+        // workspace's second half is where a corrupted wire image is built.
+        let len = s.len * self.cfg.dim;
+        let (payload, dirty) = fit(&mut ws.payload, 2 * len).split_at_mut(len);
+        core.staged(ctx, s, payload);
+        let payload = &*payload;
         // The fused slice checksum, accumulated from the staged payload
         // the compute pass produced — whatever the wire later does to the
         // bytes, this is the sum of what the sender *meant* to ship.
-        let sum = checksum(f32_bytes(&payload));
+        let sum = checksum(f32_bytes(payload));
 
         // A straggler PE is slow on every send.
         let straggle = faults.straggle(me);
@@ -224,7 +227,7 @@ impl ResilientFusedPlan {
                         ((me as u64) << 32) | dst as u64,
                         exec,
                     );
-                    self.send_corrupted(at, s, &payload, sum, ev);
+                    self.send_corrupted(at, s, payload, dirty, sum, ev);
                     if !ctx.integrity_enabled() {
                         // No wire checksum, no fused verify: nothing
                         // downstream can tell, so no NAK ever reaches this
@@ -248,7 +251,7 @@ impl ResilientFusedPlan {
                     // write of identical bytes is invisible to the
                     // functional layer (the timed layer charges its wire
                     // cost instead).
-                    core.put_rows(ctx, at.producer, s, &payload);
+                    core.put_rows(ctx, at.producer, s, payload);
                     ctx.fence();
                     // The fused checksum rides the rdy edge: stored after
                     // the payload fence, before the Release on `sliceRdy`
@@ -281,7 +284,8 @@ impl ResilientFusedPlan {
         true
     }
 
-    /// Ships `payload` with `ev` applied to its wire image, row by row —
+    /// Ships `payload` with `ev` applied to its wire image (built in
+    /// `dirty`, as long as `payload`), row by row —
     /// each row is one ring message carrying its own wire checksum, so a
     /// wire-detectable kind presents corrupt bytes beside the checksum of
     /// the intended row (the pop quarantines it, the link-CRC analogue),
@@ -295,13 +299,13 @@ impl ResilientFusedPlan {
         at: &Attempt<'_>,
         s: &Slice,
         payload: &[f32],
+        dirty: &mut [f32],
         sum: u64,
         ev: CorruptEvent,
     ) {
         let ctx = at.ctx;
         let core = self.inner.core();
         let dim = self.cfg.dim;
-        let mut dirty = core.payload(payload.len());
         dirty.copy_from_slice(payload);
         let byte_len = std::mem::size_of_val(payload);
         // SAFETY: dirty is a live &mut [f32]; every byte pattern is a
@@ -345,11 +349,11 @@ impl ResilientFusedPlan {
     /// clean go-back-N re-put is already on its way — and on exhausting
     /// the budget marks the execution degraded. Returns whether the
     /// slice verified (or was repaired) in place.
-    fn verify_slice(&self, at: &Attempt<'_>, s: &Slice) -> bool {
+    fn verify_slice(&self, at: &Attempt<'_>, s: &Slice, ws: &mut Workspace) -> bool {
         let (ctx, exec, counters) = (at.ctx, at.exec, at.counters);
         let me = ctx.me();
         let dim = self.cfg.dim;
-        let mut landed = self.inner.core().payload(s.len * dim);
+        let landed = fit(&mut ws.payload, s.len * dim);
         let mut attempt: u32 = 0;
         let mut detected = false;
         loop {
@@ -358,7 +362,7 @@ impl ResilientFusedPlan {
                 ctx.get(out, self.inner.output, off, me);
             }
             let want = ctx.flag_load(self.slice_sum, s.flag, me);
-            if checksum(f32_bytes(&landed)) == want {
+            if checksum(f32_bytes(landed)) == want {
                 if detected {
                     counters.record_corrupt_repaired();
                 }
@@ -397,8 +401,8 @@ impl ResilientFusedPlan {
     /// is also a detection point: wire-quarantine verdicts surface here,
     /// and every network slice is re-verified against its fused checksum
     /// before the drain accepts it. Breaks the drain once the execution is
-    /// degraded.
-    fn await_slice(&self, at: &Attempt<'_>, s: &Slice) -> ControlFlow<()> {
+    /// degraded. `ws` is the draining PE thread's workspace.
+    fn await_slice(&self, at: &Attempt<'_>, s: &Slice, ws: &mut Workspace) -> ControlFlow<()> {
         let (ctx, exec, counters) = (at.ctx, at.exec, at.counters);
         let me = ctx.me();
         let network = s.src != me && !ctx.is_p2p(s.src);
@@ -408,7 +412,7 @@ impl ResilientFusedPlan {
             match self.inner.core().wait_ready_timeout(ctx, s, exec, timeout) {
                 Ok(_) => {
                     let verify = network && ctx.integrity_enabled();
-                    if verify && !self.verify_slice(at, s) {
+                    if verify && !self.verify_slice(at, s, ws) {
                         return ControlFlow::Break(());
                     }
                     return ControlFlow::Continue(());
@@ -462,37 +466,40 @@ impl ResilientFusedPlan {
     ) {
         let me = ctx.me();
         let cfg = &self.cfg;
-        let core = self.inner.core();
         let (dim, tpp) = (cfg.dim, cfg.tables_per_pe);
         let local_batch = cfg.local_batch();
-        let per_pair = local_batch * tpp * dim;
+        let per_pair = self.per_pair();
+        // No task loop runs now: the PE thread takes its first worker's
+        // workspace for the whole rebuild.
+        let mut ws = self.inner.core().workspace(me, 0);
+        let ws: &mut Workspace = &mut ws;
+        let chunk = fit(&mut ws.payload, per_pair);
 
         // Stage my send buffer: chunk `p` holds the pooled vectors for
         // `p`'s batch shard, laid out `[sample][local table][dim]`. Pooling
         // lands directly in the chunk — no per-vector staging.
-        let mut chunk = core.payload(per_pair);
         for p in 0..ctx.n_pes() {
             for si in 0..local_batch {
                 let sample = p * local_batch + si;
                 for (lt, table) in local_tables.iter().enumerate() {
-                    let bag = gen.bag(me * tpp + lt, sample);
-                    table.pool_into(&bag, mode, &mut chunk[(si * tpp + lt) * dim..][..dim]);
+                    gen.bag_into(me * tpp + lt, sample, &mut ws.bag);
+                    table.pool_into(&ws.bag, mode, &mut chunk[(si * tpp + lt) * dim..][..dim]);
                 }
             }
-            ctx.put(self.fallback.src, p * per_pair, &chunk, me);
+            ctx.put(self.fallback.src, p * per_pair, chunk, me);
         }
 
         self.fallback.execute(ctx, round);
 
-        // Scatter received chunks into the destination layout: source
-        // `s`'s local table `lt` is global table `s × tpp + lt`.
-        let mut recv = core.payload(ctx.n_pes() * per_pair);
-        ctx.get(&mut recv, self.fallback.dst, 0, me);
+        // Scatter received chunks into the destination layout, one source
+        // at a time through the same buffer: source `s`'s local table `lt`
+        // is global table `s × tpp + lt`.
         let total_tables = ctx.n_pes() * tpp;
         for src in 0..ctx.n_pes() {
+            ctx.get(chunk, self.fallback.dst, src * per_pair, me);
             for si in 0..local_batch {
                 for lt in 0..tpp {
-                    let vector = &recv[src * per_pair + (si * tpp + lt) * dim..][..dim];
+                    let vector = &chunk[(si * tpp + lt) * dim..][..dim];
                     let off = si * total_tables * dim + (src * tpp + lt) * dim;
                     ctx.put(self.inner.output, off, vector, me);
                 }
@@ -546,8 +553,15 @@ impl ResilientFusedPlan {
         // NIC only.
         let core = self.inner.core();
         let tasks = self.inner.tasks(me, kind);
-        core.run_tasks(ctx, &producer, &tasks, exec, |s| self.send_slice(&at, s));
-        core.drain(me, |s| self.await_slice(&at, s));
+        core.run_tasks(ctx, &producer, tasks, exec, |s, ws| {
+            self.send_slice(&at, s, ws)
+        });
+        {
+            // The task loop is over: the draining PE thread verifies landed
+            // slices in its first worker's workspace.
+            let mut ws = core.workspace(me, 0);
+            core.drain(me, |s| self.await_slice(&at, s, &mut ws));
+        }
 
         // Unconditional rendezvous: publishes every PE's `degraded`
         // stores (and all in-flight slice writes — delayed senders sleep

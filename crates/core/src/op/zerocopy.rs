@@ -12,7 +12,7 @@ use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{PeCtx, SymFlags, SymSlice};
 
 use crate::schedule::steal::{execute_stealing, StealArena, StealPolicy};
-use crate::scratch::ScratchPool;
+use crate::scratch::{fit, Workspace, WorkspaceGuard, Workspaces};
 use crate::slice::SliceMap;
 
 /// Symmetric-heap plan for the zero-copy fused operator.
@@ -24,8 +24,10 @@ pub struct ZeroCopyPlan {
     arrivals: SymFlags,
     map: SliceMap,
     cfg: DlrmConfig,
-    /// Per-thread `dim`-wide pooling workspaces, reused across executions.
-    scratch: ScratchPool,
+    /// Every table kernel's task list: the global batch, in order.
+    samples: Vec<u64>,
+    /// One workspace per (PE, persistent WG), sized for the steal policy.
+    workspaces: Workspaces,
     /// How per-sample tasks map onto persistent WGs at runtime.
     steal: StealPolicy,
     /// Pooled per-execution deque sets (allocation-free steady state).
@@ -39,32 +41,39 @@ impl ZeroCopyPlan {
         // the map is used only for offsets.
         let map = SliceMap::new(cfg.n_pes, cfg.tables_per_pe, cfg.global_batch, 1);
         let total_tables = cfg.n_pes * cfg.tables_per_pe;
-        ZeroCopyPlan {
+        let mut plan = ZeroCopyPlan {
             output: layout.alloc::<f32>(cfg.local_batch() * total_tables * cfg.dim),
             arrivals: layout.alloc_flags(1),
             map,
             cfg: cfg.clone(),
-            scratch: ScratchPool::new(),
+            samples: (0..cfg.global_batch as u64).collect(),
+            workspaces: Workspaces::new(cfg.n_pes, 1),
             steal: StealPolicy::default(),
             steal_arena: StealArena::new(),
-        }
+        };
+        plan.set_steal(plan.steal);
+        plan
     }
 
     /// Replaces the work-stealing policy (builder form).
     pub fn with_steal(mut self, steal: StealPolicy) -> ZeroCopyPlan {
-        self.steal = steal;
+        self.set_steal(steal);
         self
     }
 
-    /// Replaces the work-stealing policy in place (call before running).
+    /// Replaces the work-stealing policy in place (call before running)
+    /// and rebuilds the workspaces for its worker count.
     pub fn set_steal(&mut self, steal: StealPolicy) {
         self.steal = steal;
+        let workers = steal.effective_workers(self.samples.len());
+        let cfg = &self.cfg;
+        self.workspaces = Workspaces::sized(cfg.n_pes, workers, cfg.dim, cfg.pooling, 0);
     }
 
-    /// Scratch-buffer allocations that missed the pool — zero growth
-    /// across executions means the steady state is allocation-free.
+    /// Workspace re-allocations — zero growth across executions means the
+    /// steady state is allocation-free.
     pub fn scratch_misses(&self) -> u64 {
-        self.scratch.misses()
+        self.workspaces.misses()
     }
 
     /// Vectors each PE receives per execution.
@@ -100,21 +109,25 @@ impl ZeroCopyPlan {
         // straight to their destination. There are no slices here, so the
         // per-publication qualifier is the table kernel itself —
         // `global_table` encodes the owning PE, keeping it src-unique.
-        let samples: Vec<u64> = (0..self.cfg.global_batch as u64).collect();
+        let dim = self.cfg.dim;
+        let borrow = |worker| self.workspaces.borrow(me, worker);
         for (lt, table) in local_tables.iter().enumerate() {
             let global_table = me * self.cfg.tables_per_pe + lt;
-            execute_stealing(&self.steal_arena, &samples, self.steal, |_worker, task| {
+            let pool_and_store = |ws: &mut WorkspaceGuard<'_>, task: u64| {
+                let ws: &mut Workspace = ws;
                 let sample = task as usize;
                 let _ctx_guard = fcc_shmem::scoped_ctx(root.with_slice(global_table as u64));
-                let bag = gen.bag(global_table, sample);
-                let mut pooled = self.scratch.take(self.cfg.dim);
-                table.pool_into(&bag, mode, &mut pooled);
-                let (dst, off) =
-                    self.map
-                        .dst_offset(me as u32, lt as u32, sample as u32, self.cfg.dim);
-                ctx.store_direct(self.output, off, &pooled, dst as usize);
+                gen.bag_into(global_table, sample, &mut ws.bag);
+                let pooled = fit(&mut ws.vector, dim);
+                table.pool_into(&ws.bag, mode, pooled);
+                let (dst, off) = self
+                    .map
+                    .dst_offset(me as u32, lt as u32, sample as u32, dim);
+                ctx.store_direct(self.output, off, pooled, dst as usize);
                 ctx.flag_fetch_add(self.arrivals, 0, 1, dst as usize);
-            });
+            };
+            let (arena, samples) = (&self.steal_arena, &self.samples);
+            execute_stealing(arena, samples, self.steal, borrow, pool_and_store);
         }
 
         // Every vector destined to me has landed when the counter reaches

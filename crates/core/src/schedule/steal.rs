@@ -350,8 +350,7 @@ impl StealSet {
     }
 }
 
-/// Pool of [`StealSet`]s, mirroring [`ScratchPool`](crate::scratch::ScratchPool):
-/// executions after the first reuse their deques, so the stealing steady
+/// Pool of [`StealSet`]s: executions after the first reuse their deques, so the stealing steady
 /// state is allocation-free (asserted by a counting-allocator test).
 #[derive(Debug, Default)]
 pub struct StealArena {
@@ -483,28 +482,39 @@ fn fnv1a(h: u64, v: u64) -> u64 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Executes `tasks` (already in priority order, highest first) over the
-/// policy's workers with work stealing, calling `body(worker, task)` once
-/// per task. `arena` supplies the pooled deques in concurrent mode.
-pub fn execute_stealing<F>(
+/// policy's workers with work stealing, calling `body(state, task)` once
+/// per task. Every worker — a scoped thread, a virtual worker of the
+/// sequential simulation, or the caller itself when one worker suffices —
+/// builds its `state` with `init(worker)` once, before its first task, and
+/// keeps it for the whole loop: what a persistent WG holds across logical
+/// WGs (its workspace) lives there instead of being re-acquired per task.
+/// `arena` supplies the pooled deques in concurrent mode.
+pub fn execute_stealing<S, I, F>(
     arena: &StealArena,
     tasks: &[u64],
     policy: StealPolicy,
+    init: I,
     body: F,
 ) -> StealStats
 where
-    F: Fn(usize, u64) + Sync,
+    I: Fn(usize) -> S + Sync,
+    F: Fn(&mut S, u64) + Sync,
 {
     if tasks.is_empty() {
         return StealStats::default();
     }
     let workers = policy.effective_workers(tasks.len());
     match policy.mode {
-        StealMode::Sequential => simulate_sequential(workers, tasks, policy.seed, &body),
+        StealMode::Sequential => {
+            let mut states: Vec<S> = (0..workers).map(&init).collect();
+            simulate_sequential(workers, tasks, policy.seed, |w, t| body(&mut states[w], t))
+        }
         StealMode::Concurrent => {
             if workers == 1 {
                 // Degenerate: priority order, no deque traffic.
+                let mut state = init(0);
                 for &t in tasks {
-                    body(0, t);
+                    body(&mut state, t);
                 }
                 return StealStats {
                     executed: tasks.len() as u64,
@@ -522,23 +532,24 @@ where
             let deques = set.deques();
             std::thread::scope(|s| {
                 for w in 0..workers {
-                    let body = &body;
+                    let (init, body) = (&init, &body);
                     let remaining = &remaining;
                     let stolen = &stolen;
                     let poisoned = &poisoned;
                     let per_worker = &per_worker;
                     s.spawn(move || {
+                        let mut state = init(w);
                         let mut rng = SplitMix::new(
                             policy.seed ^ (w as u64).wrapping_mul(0xa076_1d64_78bd_642f),
                         );
-                        let run = |task: u64, theft: bool| {
+                        let mut run = |task: u64, theft: bool| {
                             if theft {
                                 stolen.fetch_add(1, Ordering::Relaxed);
                             }
                             if task == POISON {
                                 poisoned.fetch_add(1, Ordering::Relaxed);
                             } else {
-                                body(w, task);
+                                body(&mut state, task);
                                 per_worker[w].fetch_add(1, Ordering::Relaxed);
                             }
                             remaining.fetch_sub(1, Ordering::AcqRel);
@@ -694,6 +705,7 @@ mod tests {
             &arena,
             &tasks,
             StealPolicy::concurrent(7).with_workers(4),
+            |_| (),
             |_, t| {
                 hits[t as usize].fetch_add(1, Ordering::Relaxed);
             },
@@ -702,6 +714,40 @@ mod tests {
         assert_eq!(stats.poisoned, 0);
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         assert_eq!(stats.per_worker.iter().sum::<u64>(), n);
+    }
+
+    #[test]
+    fn every_worker_builds_its_state_once_and_keeps_it() {
+        // Sequential (4 virtual workers), the single-worker shortcut, and
+        // real threads: `init` runs once per worker, and the state a
+        // worker's tasks see is the one its earlier tasks left.
+        let arena = StealArena::new();
+        let tasks: Vec<u64> = (0..200).collect();
+        for policy in [
+            StealPolicy::sequential(5),
+            StealPolicy::concurrent(5).with_workers(1),
+            StealPolicy::concurrent(5).with_workers(3),
+        ] {
+            let inits = AtomicU64::new(0);
+            let seen = AtomicU64::new(0);
+            let stats = execute_stealing(
+                &arena,
+                &tasks,
+                policy,
+                |worker| {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    (worker, 0u64)
+                },
+                |(_, count), _| {
+                    *count += 1;
+                    seen.fetch_max(*count, Ordering::Relaxed);
+                },
+            );
+            let workers = policy.effective_workers(tasks.len()) as u64;
+            assert_eq!(inits.load(Ordering::Relaxed), workers, "{policy:?}");
+            let busiest = *stats.per_worker.iter().max().expect("workers");
+            assert_eq!(seen.load(Ordering::Relaxed), busiest, "{policy:?}");
+        }
     }
 
     #[test]
@@ -722,7 +768,14 @@ mod tests {
         let tasks: Vec<u64> = (0..32).collect();
         let sigs: HashSet<u64> = (0..100)
             .map(|seed| {
-                execute_stealing(&arena, &tasks, StealPolicy::sequential(seed), |_, _| {}).signature
+                execute_stealing(
+                    &arena,
+                    &tasks,
+                    StealPolicy::sequential(seed),
+                    |_| (),
+                    |_, _| {},
+                )
+                .signature
             })
             .collect();
         assert!(sigs.len() >= 90, "only {} distinct signatures", sigs.len());
@@ -737,6 +790,7 @@ mod tests {
                 &arena,
                 &tasks,
                 StealPolicy::concurrent(3).with_workers(4),
+                |_| (),
                 |_, _| {},
             );
         }
@@ -752,6 +806,7 @@ mod tests {
             &arena,
             &tasks,
             StealPolicy::concurrent(3).with_workers(4),
+            |_| (),
             |_, _| {},
         );
         assert_eq!(arena.misses(), 0);
@@ -852,6 +907,7 @@ mod tests {
                 &arena,
                 &tasks,
                 StealPolicy::concurrent(round).with_workers(4),
+                |_| (),
                 |_, _| {},
             );
             assert_eq!(stats.poisoned, 0);

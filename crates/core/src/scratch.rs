@@ -1,153 +1,209 @@
-//! Reusable scratch buffers for steady-state allocation-free kernels.
+//! Worker-owned workspaces: the item loops' scratch memory, with no lock
+//! and no allocation per item.
 //!
-//! Every operator in [`crate::op`] needs short-lived `f32` workspaces on
-//! its hot path: one `dim`-wide vector per pooled lookup, one slice-wide
-//! payload per elected last finisher. Allocating them per task keeps the
-//! allocator on the critical path of every logical workgroup — exactly
-//! the per-slice overhead the paper's persistent kernel avoids by reusing
-//! registers and LDS across tasks.
+//! Every operator in [`crate::op`] needs short-lived buffers on its hot
+//! path: one `dim`-wide vector and one bag of row indices per logical
+//! workgroup, one slice-wide payload per elected last finisher. The
+//! paper's persistent WG keeps that state in registers and LDS *across*
+//! logical WGs (§3); the functional analogue is a [`Workspace`] per
+//! (PE, persistent WG), owned by the plan (which outlives every
+//! execution) and borrowed by its worker **once per task loop**, not once
+//! per item.
 //!
-//! [`ScratchPool`] is the reuse mechanism: a free list of `Vec<f32>`
-//! buffers owned by the *plan* (which outlives every execution), handed
-//! out as RAII [`ScratchGuard`]s that return their buffer on drop. After
-//! a warm-up execution has grown every buffer to its high-water capacity,
-//! `take` never allocates again — the steady state is allocation-free,
-//! and [`ScratchPool::misses`] proves it: the counter increments only
-//! when a request could not be served from pooled capacity. The profile
-//! harness exports the sum of these counters as the
-//! `shmem.alloc.steady_state` telemetry metric and asserts it stays flat
-//! after warm-up.
+//! The buffers used to come from one plan-wide `Mutex<Vec<Vec<f32>>>`
+//! free list. A plan is shared by all PE threads, so every logical WG of
+//! every PE made two round trips through that one lock, and its LIFO
+//! handed PE 0's still-hot buffer to PE 1: two PE threads on two cores ran
+//! the small-slice operator no faster than both pinned to one core. The
+//! old argument for a shared list — the rayon stand-in spawns fresh OS
+//! threads per parallel region, so thread-local caches never get warm —
+//! argues for *plan-owned* buffers, not for a *shared* lock: a workspace is
+//! addressed by `(pe, worker)`, whichever OS thread plays that worker this
+//! time.
 //!
-//! The free list is a single `Mutex<Vec<_>>`: pop/push are O(1) pointer
-//! moves, far cheaper than the malloc/free pair they replace, and the
-//! vendored rayon substrate spawns fresh OS threads per parallel region,
-//! so thread-local caching would never get warm anyway.
+//! Layout: a [`Workspaces`] cell is 128-byte aligned (a cache line and
+//! its prefetch buddy) and holds the workspace's `Vec` headers — `bag`'s
+//! length is rewritten per item — and its two counters, so no two workers
+//! share a line of control state; every buffer carries 128 bytes of spare
+//! capacity, so the used ranges of two buffers never touch the same line
+//! even when the allocator places them back to back.
+//!
+//! Steady state is allocation-free, and [`Workspaces::misses`] proves it:
+//! it counts the borrows during which a buffer had to grow. Plans size
+//! every buffer up front, so the count stays exactly zero.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
-/// Spare elements allocated behind every pooled buffer (128 bytes: a
-/// cache line and its prefetch buddy). The allocator places the buffers
-/// of one `reserve` back to back, and two PE threads accumulating into
-/// neighbouring vectors whose ends share a line ping-pong it on every
-/// add; with the pad, used ranges never touch the same line.
+/// Spare elements allocated behind every workspace buffer: 128 bytes of
+/// `f32`/`u32`.
 const LINE_PAD: usize = 32;
 
-/// A pool of reusable `f32` scratch buffers.
-///
-/// Buffers of mixed lengths may share a pool; capacity converges to the
-/// largest request, after which every `take` is allocation-free. For
-/// counters that stay exactly zero in steady state, give each distinct
-/// buffer role (per-vector scratch vs. slice payloads) its own pool.
-pub struct ScratchPool {
-    free: Mutex<Vec<Vec<f32>>>,
-    misses: AtomicU64,
+/// One persistent WG's scratch memory. Contents are unspecified at borrow
+/// time — whatever the worker's previous item left behind.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    /// The `dim`-wide vector an item is produced into.
+    pub vector: Vec<f32>,
+    /// Row indices of the bag being pooled
+    /// ([`BatchGenerator::bag_into`](fcc_dlrm::BatchGenerator::bag_into)).
+    pub bag: Vec<u32>,
+    /// Slice-wide payload of an elected last finisher.
+    pub payload: Vec<f32>,
 }
 
-impl ScratchPool {
-    /// An empty pool. `const`, so plans can hold pools without plumbing.
-    pub const fn new() -> Self {
-        ScratchPool {
-            free: Mutex::new(Vec::new()),
-            misses: AtomicU64::new(0),
+impl Workspace {
+    fn capacities(&self) -> [usize; 3] {
+        [
+            self.vector.capacity(),
+            self.bag.capacity(),
+            self.payload.capacity(),
+        ]
+    }
+}
+
+/// Grows `buf`'s capacity to `len` elements plus the line pad.
+fn reserve_padded<T>(buf: &mut Vec<T>, len: usize) {
+    if buf.capacity() < len {
+        buf.reserve_exact(len + LINE_PAD - buf.len());
+    }
+}
+
+/// `buf` as a slice of exactly `len` elements, reusing its capacity;
+/// elements carried over keep their old values.
+pub fn fit(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() != len {
+        reserve_padded(buf, len);
+        buf.resize(len, 0.0);
+    }
+    buf
+}
+
+/// One cell per (PE, worker), on its own pair of cache lines.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+struct Cell {
+    workspace: Mutex<Workspace>,
+    /// Times the workspace was borrowed: once per task loop.
+    borrows: AtomicU64,
+    /// Borrows that ended with more capacity than they began with.
+    grown: AtomicU64,
+}
+
+/// A plan's workspaces, `per_pe` of them for each PE.
+#[derive(Debug)]
+pub struct Workspaces {
+    cells: Box<[Cell]>,
+    per_pe: usize,
+}
+
+impl Workspaces {
+    /// `per_pe` empty workspaces for each of `n_pes` PEs.
+    pub fn new(n_pes: usize, per_pe: usize) -> Workspaces {
+        assert!(per_pe > 0, "a PE needs at least one workspace");
+        Workspaces {
+            cells: (0..n_pes * per_pe).map(|_| Cell::default()).collect(),
+            per_pe,
         }
     }
 
-    /// Takes a zeroed buffer of exactly `len` elements.
+    /// [`new`](Self::new), then [`reserve`](Self::reserve): the workspaces
+    /// of a plan whose buffer sizes are known up front.
+    pub fn sized(
+        n_pes: usize,
+        per_pe: usize,
+        vector: usize,
+        bag: usize,
+        payload: usize,
+    ) -> Workspaces {
+        let all = Workspaces::new(n_pes, per_pe);
+        all.reserve(vector, bag, payload);
+        all
+    }
+
+    /// Sizes every workspace for `vector`-, `bag`- and `payload`-element
+    /// requests, so no borrow that stays within them ever allocates.
+    /// Never shrinks.
+    pub fn reserve(&self, vector: usize, bag: usize, payload: usize) {
+        for cell in self.cells.iter() {
+            // Scratch contents carry no invariant a panic could break.
+            let mut ws = cell.workspace.lock().unwrap_or_else(|e| e.into_inner());
+            reserve_padded(&mut ws.vector, vector);
+            reserve_padded(&mut ws.bag, bag);
+            reserve_padded(&mut ws.payload, payload);
+        }
+    }
+
+    /// Borrows worker `worker`'s workspace on PE `pe` for one task loop.
     ///
-    /// Serves from the free list when possible; a request that cannot be
-    /// satisfied from pooled capacity allocates and bumps
-    /// [`misses`](Self::misses).
-    pub fn take(&self, len: usize) -> ScratchGuard<'_> {
-        let mut buf = self.free.lock().expect("scratch pool poisoned").pop();
-        let mut inner = buf.take().unwrap_or_default();
-        inner.clear();
-        if inner.capacity() < len {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            inner.reserve_exact(len + LINE_PAD);
-        }
-        inner.resize(len, 0.0);
-        ScratchGuard {
-            pool: self,
-            buf: inner,
-        }
-    }
-
-    /// Requests that allocated because no pooled buffer had the capacity.
-    ///
-    /// Zero growth across executions is the operator's allocation-free
-    /// steady-state witness.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Pre-fills the free list so `count` concurrent `take(len)` calls are
-    /// deterministically miss-free: at least `count` parked buffers, every
-    /// one with capacity for `len` elements. Warm-up misses depend on how
-    /// many workers happen to hold buffers simultaneously; reserving for
-    /// the concurrency *bound* removes that scheduling dependence, which
-    /// is what lets the profiler assert misses stay exactly zero.
-    pub fn reserve(&self, count: usize, len: usize) {
-        let mut free = self.free.lock().expect("scratch pool poisoned");
-        while free.len() < count {
-            free.push(Vec::with_capacity(len + LINE_PAD));
-        }
-        for buf in free.iter_mut() {
-            if buf.capacity() < len {
-                buf.reserve_exact(len + LINE_PAD - buf.len());
+    /// # Panics
+    /// Panics if it is already borrowed: a workspace has one borrower at a
+    /// time by construction (one task loop per PE, one worker per cell),
+    /// so contention is a bug, not something to wait out.
+    pub fn borrow(&self, pe: usize, worker: usize) -> WorkspaceGuard<'_> {
+        assert!(
+            worker < self.per_pe,
+            "worker {worker} has no workspace: the plan holds {} per PE",
+            self.per_pe
+        );
+        let cell = &self.cells[pe * self.per_pe + worker];
+        let workspace = match cell.workspace.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                panic!("workspace ({pe}, {worker}) is already borrowed")
             }
+        };
+        cell.borrows.fetch_add(1, Ordering::Relaxed);
+        WorkspaceGuard {
+            capacities: workspace.capacities(),
+            workspace,
+            cell,
         }
     }
 
-    /// Buffers currently parked in the free list (diagnostics).
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("scratch pool poisoned").len()
+    /// Borrows during which a buffer outgrew its capacity. Zero growth
+    /// across executions is the allocation-free steady-state witness.
+    pub fn misses(&self) -> u64 {
+        let grown = |c: &Cell| c.grown.load(Ordering::Relaxed);
+        self.cells.iter().map(grown).sum()
+    }
+
+    /// Borrows so far, over all workspaces: one per worker per task loop,
+    /// whatever the task count.
+    pub fn borrows(&self) -> u64 {
+        let borrows = |c: &Cell| c.borrows.load(Ordering::Relaxed);
+        self.cells.iter().map(borrows).sum()
     }
 }
 
-impl Default for ScratchPool {
-    fn default() -> Self {
-        Self::new()
+/// An exclusively borrowed [`Workspace`]; released on drop.
+#[derive(Debug)]
+pub struct WorkspaceGuard<'a> {
+    workspace: MutexGuard<'a, Workspace>,
+    cell: &'a Cell,
+    capacities: [usize; 3],
+}
+
+impl Deref for WorkspaceGuard<'_> {
+    type Target = Workspace;
+    fn deref(&self) -> &Workspace {
+        &self.workspace
     }
 }
 
-impl std::fmt::Debug for ScratchPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScratchPool")
-            .field("idle", &self.idle())
-            .field("misses", &self.misses())
-            .finish()
+impl DerefMut for WorkspaceGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Workspace {
+        &mut self.workspace
     }
 }
 
-/// An exclusively-borrowed scratch buffer; returns to its pool on drop.
-pub struct ScratchGuard<'a> {
-    pool: &'a ScratchPool,
-    buf: Vec<f32>,
-}
-
-impl Deref for ScratchGuard<'_> {
-    type Target = [f32];
-    fn deref(&self) -> &[f32] {
-        &self.buf
-    }
-}
-
-impl DerefMut for ScratchGuard<'_> {
-    fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf
-    }
-}
-
-impl Drop for ScratchGuard<'_> {
+impl Drop for WorkspaceGuard<'_> {
     fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.buf);
-        self.pool
-            .free
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(buf);
+        if self.workspace.capacities() != self.capacities {
+            self.cell.grown.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -156,61 +212,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buffers_are_zeroed_and_sized() {
-        let pool = ScratchPool::new();
-        {
-            let mut a = pool.take(8);
-            a.iter_mut().for_each(|v| *v = 7.0);
+    fn fit_resizes_without_reallocating_within_capacity() {
+        let mut buf = Vec::new();
+        reserve_padded(&mut buf, 16);
+        let ptr = buf.as_ptr();
+        fit(&mut buf, 16).fill(7.0);
+        assert_eq!(fit(&mut buf, 4), [7.0; 4], "carried-over elements stay");
+        assert_eq!(fit(&mut buf, 16).len(), 16);
+        assert_eq!(buf.as_ptr(), ptr);
+        assert!(buf.capacity() >= 16 + LINE_PAD);
+    }
+
+    #[test]
+    fn reserved_workspaces_never_miss_and_growth_is_counted() {
+        let all = Workspaces::new(2, 2);
+        all.reserve(16, 8, 64);
+        for round in 0..10 {
+            let mut ws = all.borrow(round % 2, 1);
+            let Workspace {
+                vector,
+                bag,
+                payload,
+            } = &mut *ws;
+            fit(vector, 16);
+            bag.clear();
+            bag.extend(0..8);
+            fit(payload, 64 - round);
         }
-        let b = pool.take(8);
-        assert_eq!(&*b, &[0.0; 8], "recycled buffers must come back zeroed");
-        assert_eq!(b.len(), 8);
+        assert_eq!(all.misses(), 0, "reserved capacity must serve every use");
+        assert_eq!(all.borrows(), 10);
+        fit(&mut all.borrow(0, 0).payload, 65 + LINE_PAD);
+        assert_eq!(all.misses(), 1);
+        fit(&mut all.borrow(0, 0).payload, 65 + LINE_PAD);
+        assert_eq!(all.misses(), 1, "grown once, warm afterwards");
+        all.reserve(32, 8, 64);
+        assert_eq!(all.misses(), 1, "reserving is not a miss");
     }
 
     #[test]
-    fn steady_state_is_miss_free() {
-        let pool = ScratchPool::new();
-        drop(pool.take(16)); // warm-up allocates
-        assert_eq!(pool.misses(), 1);
-        for _ in 0..100 {
-            drop(pool.take(16));
-            drop(pool.take(4)); // smaller fits pooled capacity
+    fn no_two_workspaces_share_a_cache_line() {
+        let all = Workspaces::new(4, 2);
+        all.reserve(100, 40, 300);
+        let held: Vec<_> = (0..8).map(|i| all.borrow(i / 2, i % 2)).collect();
+        // Every byte range a worker writes, as (start, bytes): its cell
+        // (Vec headers, lock word, counters) and the used part of each
+        // buffer.
+        let mut ranges = Vec::new();
+        for (cell, ws) in all.cells.iter().zip(&held) {
+            let at = cell as *const Cell as usize;
+            assert_eq!(at % 128, 0, "cells are line-aligned");
+            ranges.push((at, std::mem::size_of::<Cell>()));
+            ranges.push((ws.vector.as_ptr() as usize, 400));
+            ranges.push((ws.bag.as_ptr() as usize, 160));
+            ranges.push((ws.payload.as_ptr() as usize, 1200));
         }
-        assert_eq!(pool.misses(), 1, "warm pool must never allocate");
-    }
-
-    #[test]
-    fn growth_is_counted() {
-        let pool = ScratchPool::new();
-        drop(pool.take(4));
-        drop(pool.take(64)); // outgrows the pooled buffer
-        assert_eq!(pool.misses(), 2);
-        drop(pool.take(64));
-        assert_eq!(pool.misses(), 2);
-    }
-
-    #[test]
-    fn reserved_pools_never_miss() {
-        let pool = ScratchPool::new();
-        pool.reserve(3, 16);
-        let a = pool.take(16);
-        let b = pool.take(8);
-        let c = pool.take(16);
-        drop((a, b, c));
-        assert_eq!(pool.misses(), 0, "reserved capacity must serve all takes");
-        pool.reserve(3, 32); // re-reserving grows parked buffers in place
-        drop(pool.take(32));
-        assert_eq!(pool.misses(), 0);
-    }
-
-    #[test]
-    fn pooled_buffers_never_share_a_cache_line() {
-        let pool = ScratchPool::new();
-        pool.reserve(4, 100);
-        let held: Vec<_> = (0..4).map(|_| pool.take(100)).collect();
-        let mut lines: Vec<(usize, usize)> = held
+        let mut lines: Vec<(usize, usize)> = ranges
             .iter()
-            .map(|g| (g.as_ptr() as usize / 64, (g.as_ptr() as usize + 399) / 64))
+            .map(|&(start, bytes)| (start / 128, (start + bytes - 1) / 128))
             .collect();
         lines.sort_unstable();
         for pair in lines.windows(2) {
@@ -219,20 +277,29 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_take_release_is_safe() {
-        let pool = ScratchPool::new();
+    #[should_panic(expected = "already borrowed")]
+    fn a_second_borrower_is_a_bug() {
+        let all = Workspaces::new(1, 1);
+        let _held = all.borrow(0, 0);
+        let _ = all.borrow(0, 0);
+    }
+
+    #[test]
+    fn distinct_workers_borrow_concurrently() {
+        let all = Workspaces::new(2, 2);
+        all.reserve(32, 0, 0);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for i in 0..200 {
-                        let mut g = pool.take(32);
-                        g[0] = i as f32;
-                        assert_eq!(g[1], 0.0);
+            for i in 0..4 {
+                let all = &all;
+                s.spawn(move || {
+                    for round in 0..200 {
+                        let mut ws = all.borrow(i / 2, i % 2);
+                        fit(&mut ws.vector, 32)[0] = round as f32;
                     }
                 });
             }
         });
-        // All buffers parked again; at most one per thread was live.
-        assert!(pool.idle() <= 4);
+        assert_eq!(all.borrows(), 800);
+        assert_eq!(all.misses(), 0);
     }
 }

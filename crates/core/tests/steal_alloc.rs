@@ -9,40 +9,14 @@
 //! The whole measurement lives in one `#[test]` so no concurrent test
 //! thread pollutes the global counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use fcc_core::schedule::steal::WorkerDeque;
 use fcc_core::{StealArena, StealPolicy};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use fcc_telemetry::alloc_count::{allocs_during, CountingAlloc};
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
 static ARENA: StealArena = StealArena::new();
-
-fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
-}
 
 #[test]
 fn stealing_steady_state_does_not_allocate_per_task() {
@@ -80,9 +54,15 @@ fn stealing_steady_state_does_not_allocate_per_task() {
     ARENA.prewarm(1, WORKERS, large.len() / WORKERS + 1);
     let policy = StealPolicy::concurrent(0x57ea1).with_workers(WORKERS);
     let run = |tasks: &[u64]| {
-        let stats = fcc_core::schedule::steal::execute_stealing(&ARENA, tasks, policy, |_, t| {
-            std::hint::black_box(t);
-        });
+        let stats = fcc_core::schedule::steal::execute_stealing(
+            &ARENA,
+            tasks,
+            policy,
+            |_| (),
+            |_, t| {
+                std::hint::black_box(t);
+            },
+        );
         assert_eq!(stats.executed, tasks.len() as u64);
         assert_eq!(stats.poisoned, 0);
     };

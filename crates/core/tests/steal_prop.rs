@@ -27,7 +27,7 @@ proptest! {
         let tasks: Vec<u64> = (0..n as u64).collect();
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let policy = StealPolicy::concurrent(seed).with_workers(workers);
-        let stats = execute_stealing(&ARENA, &tasks, policy, |_, t| {
+        let stats = execute_stealing(&ARENA, &tasks, policy, |_| (), |_, t| {
             hits[t as usize].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert_eq!(stats.executed, n as u64);
@@ -57,8 +57,8 @@ proptest! {
         prop_assert_eq!(sorted, tasks.clone());
 
         let policy = StealPolicy::sequential(seed).with_workers(workers);
-        let s1 = execute_stealing(&ARENA, &tasks, policy, |_, _| {});
-        let s2 = execute_stealing(&ARENA, &tasks, policy, |_, _| {});
+        let s1 = execute_stealing(&ARENA, &tasks, policy, |_| (), |_, _| {});
+        let s2 = execute_stealing(&ARENA, &tasks, policy, |_| (), |_, _| {});
         prop_assert_eq!(s1.signature, s2.signature);
         prop_assert!(s1.signature != 0);
         prop_assert_eq!(s1.executed, n as u64);

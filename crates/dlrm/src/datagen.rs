@@ -34,8 +34,19 @@ impl BatchGenerator {
         self.pooling
     }
 
-    /// The bag of indices for `(table, sample)`.
+    /// The bag of indices for `(table, sample)`. Allocating wrapper over
+    /// [`bag_into`](Self::bag_into).
     pub fn bag(&self, table: usize, sample: usize) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.pooling);
+        self.bag_into(table, sample, &mut out);
+        out
+    }
+
+    /// Writes the bag of indices for `(table, sample)` into `out`,
+    /// replacing its contents — the same stream as [`bag`](Self::bag),
+    /// without its allocation once `out` has the capacity. Item loops hold
+    /// one `out` per worker and call this per logical WG.
+    pub fn bag_into(&self, table: usize, sample: usize, out: &mut Vec<u32>) {
         // Key the stream by (seed, table, sample) with distinct multipliers
         // so neighbouring keys do not collide.
         let key = self
@@ -44,9 +55,8 @@ impl BatchGenerator {
             .wrapping_add((table as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add((sample as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
         let mut rng = SmallRng::seed_from_u64(key);
-        (0..self.pooling)
-            .map(|_| rng.gen_range(0..self.table_rows as u32))
-            .collect()
+        out.clear();
+        out.extend((0..self.pooling).map(|_| rng.gen_range(0..self.table_rows as u32)));
     }
 
     /// All bags for one table across a batch: `batch` rows of `pooling`
@@ -73,6 +83,31 @@ mod tests {
         assert_ne!(g.bag(0, 0), g.bag(1, 0));
         let g2 = BatchGenerator::new(8, 1_000_000, 32);
         assert_ne!(g.bag(0, 0), g2.bag(0, 0));
+    }
+
+    #[test]
+    fn bag_into_matches_bag_over_a_seeded_grid() {
+        // The stream itself is pinned: this bag is what the allocating
+        // `bag` returned before `bag_into` existed.
+        let pinned = BatchGenerator::new(7, 1000, 8).bag(3, 14);
+        assert_eq!(pinned, [109, 547, 859, 468, 631, 933, 36, 722]);
+        // One reused buffer, left dirty and over-long by the previous key.
+        let mut out = vec![u32::MAX; 100];
+        for (seed, rows, pooling) in [
+            (0, 1, 1),
+            (7, 1000, 32),
+            (u64::MAX, 1 << 20, 70),
+            (3, 17, 0),
+        ] {
+            let g = BatchGenerator::new(seed, rows, pooling);
+            for table in [0, 1, 5, 63] {
+                for sample in [0, 1, 2, 1023, 65_536] {
+                    g.bag_into(table, sample, &mut out);
+                    assert_eq!(out, g.bag(table, sample), "seed {seed} ({table}, {sample})");
+                    assert_eq!(out.len(), pooling);
+                }
+            }
+        }
     }
 
     #[test]

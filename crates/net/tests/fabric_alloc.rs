@@ -14,39 +14,13 @@
 //! The whole measurement lives in one `#[test]` so no concurrent test
 //! thread pollutes the global counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use fcc_net::fabric::{simulate, Injection};
 use fcc_net::{FlowFabric, LinkSpec, Topology};
 use fcc_sim::SimTime;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use fcc_telemetry::alloc_count::{allocs_during, CountingAlloc};
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
-}
 
 /// All-pairs batch on a 4x4 torus with `bytes` per message.
 fn batch(topo: &Topology, bytes: u64) -> Vec<Injection> {

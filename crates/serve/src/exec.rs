@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use fcc_collectives::AllToAllPlan;
 use fcc_core::op::reference;
-use fcc_core::{FusedPlan, ScheduleKind};
+use fcc_core::scratch::fit;
+use fcc_core::{FusedPlan, ScheduleKind, Workspace, Workspaces};
 use fcc_dlrm::{BatchGenerator, DlrmConfig, EmbeddingTable, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{ShmemWorld, TraceCtx};
@@ -157,6 +158,8 @@ pub struct FusedExecutor {
     world: ShmemWorld,
     plan: FusedPlan,
     bulk: AllToAllPlan<f32>,
+    /// One workspace per PE for the bulk path's host-side pooling loop.
+    bulk_workspaces: Workspaces,
     tables: Vec<EmbeddingTable>,
     seed: u64,
     exec: u64,
@@ -186,12 +189,14 @@ impl FusedExecutor {
             world = world.with_p2p_groups(groups);
         }
         plan.prewarm(cfg.n_pes * 4);
+        let bulk_workspaces = Workspaces::sized(cfg.n_pes, 1, 0, cfg.pooling, per_pair);
         let tables = reference::build_tables(cfg);
         let mut ex = FusedExecutor {
             cfg: cfg.clone(),
             world,
             plan,
             bulk,
+            bulk_workspaces,
             tables,
             seed,
             exec: 0,
@@ -283,6 +288,7 @@ impl FusedExecutor {
         let tables = &self.tables;
         let plan = &self.plan;
         let bulk = &self.bulk;
+        let workspaces = &self.bulk_workspaces;
         let round = self.bulk_round;
         let (dim, tpp) = (cfg.dim, cfg.tables_per_pe);
         let local_batch = cfg.local_batch();
@@ -295,31 +301,33 @@ impl FusedExecutor {
             let local = &tables[me * tpp..(me + 1) * tpp];
             // Chunk p holds my pooled vectors for p's batch shard, laid
             // out [sample][local table][dim].
-            let mut chunk = vec![0.0f32; per_pair];
+            let mut ws = workspaces.borrow(me, 0);
+            let ws: &mut Workspace = &mut ws;
+            let chunk = fit(&mut ws.payload, per_pair);
             for p in 0..ctx.n_pes() {
                 for si in 0..local_batch {
                     let sample = p * local_batch + si;
                     for (lt, table) in local.iter().enumerate() {
-                        let bag = gen.bag(me * tpp + lt, sample);
+                        gen.bag_into(me * tpp + lt, sample, &mut ws.bag);
                         table.pool_into(
-                            &bag,
+                            &ws.bag,
                             PoolingMode::Sum,
                             &mut chunk[(si * tpp + lt) * dim..][..dim],
                         );
                     }
                 }
-                ctx.put(bulk.src, p * per_pair, &chunk, me);
+                ctx.put(bulk.src, p * per_pair, chunk, me);
             }
             bulk.execute(ctx, round);
-            // Scatter into the fused output layout so either path leaves
-            // the same tensor behind.
-            let mut recv = vec![0.0f32; ctx.n_pes() * per_pair];
-            ctx.get(&mut recv, bulk.dst, 0, me);
+            // Scatter into the fused output layout, one source at a time
+            // through the same buffer, so either path leaves the same
+            // tensor behind.
             let total_tables = ctx.n_pes() * tpp;
             for src in 0..ctx.n_pes() {
+                ctx.get(chunk, bulk.dst, src * per_pair, me);
                 for si in 0..local_batch {
                     for lt in 0..tpp {
-                        let vector = &recv[src * per_pair + (si * tpp + lt) * dim..][..dim];
+                        let vector = &chunk[(si * tpp + lt) * dim..][..dim];
                         let off = si * total_tables * dim + (src * tpp + lt) * dim;
                         ctx.put(plan.output, off, vector, me);
                     }

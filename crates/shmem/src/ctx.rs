@@ -74,7 +74,7 @@ impl<'w> PeCtx<'w> {
     /// This PE's outstanding-put gauge — what `quiet` drains.
     #[inline]
     fn gauge(&self) -> &'w AtomicU64 {
-        &self.world.pending[self.me]
+        &self.world.pending[self.me].0
     }
 
     /// This PE's rank.
@@ -312,7 +312,8 @@ impl<'w> PeCtx<'w> {
         if !deferred {
             // Delivering now: drain the ring first so older puts to this
             // destination keep their per-queue-pair FIFO order.
-            self.world.rings.bypasses.fetch_add(1, Ordering::Relaxed);
+            let counters = self.world.rings.counters(self.me);
+            counters.bypasses.fetch_add(1, Ordering::Relaxed);
             ring.drain(sinks);
             copy_now();
             return false;
@@ -335,7 +336,7 @@ impl<'w> PeCtx<'w> {
                 bytes,
                 sum,
                 ctx,
-                &self.world.rings.full_spins,
+                &self.world.rings.counters(self.me).full_spins,
                 sinks,
             );
         }

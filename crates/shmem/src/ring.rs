@@ -76,6 +76,23 @@ const CAPACITY: usize = 64;
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
+/// Pads a PE's own runtime words — the ones only its threads write, on
+/// its put path — to 128 bytes, a cache line and its prefetch buddy, so
+/// PEs on different cores never write the same line.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+pub(crate) struct PeLine<T>(pub(crate) T);
+
+/// Data-plane event counts of one source PE.
+#[derive(Debug, Default)]
+pub(crate) struct PutCounters {
+    /// Producer stalls on a full ring (`shmem.ring.full_spins`).
+    pub(crate) full_spins: AtomicU64,
+    /// Network puts delivered eagerly past the ring: oversized, or
+    /// released by the installed delivery order.
+    pub(crate) bypasses: AtomicU64,
+}
+
 struct Slot {
     /// Vyukov sequence: `pos` = free for the producer claiming `pos`,
     /// `pos + 1` = published, `pos + CAPACITY` = consumed/recycled.
@@ -308,15 +325,12 @@ impl Ring {
 }
 
 /// All rings of one world: `rings[src * n_pes + dst]`, allocated only
-/// for non-P2P pairs, plus the data-plane counters telemetry exports.
+/// for non-P2P pairs, plus the data-plane counters telemetry exports —
+/// counted per source PE, each on that PE's own line, and summed on read.
 pub struct RingPlane {
     n_pes: usize,
     rings: Vec<Option<Box<Ring>>>,
-    /// Producer stalls on a full ring (`shmem.ring.full_spins`).
-    pub full_spins: AtomicU64,
-    /// Network puts delivered eagerly past the ring: oversized, or
-    /// released by the installed delivery order.
-    pub bypasses: AtomicU64,
+    counters: Box<[PeLine<PutCounters>]>,
 }
 
 impl RingPlane {
@@ -335,9 +349,29 @@ impl RingPlane {
         RingPlane {
             n_pes,
             rings,
-            full_spins: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
+            counters: (0..n_pes).map(|_| PeLine::default()).collect(),
         }
+    }
+
+    /// The counters source PE `src` bumps on its put path.
+    #[inline]
+    pub(crate) fn counters(&self, src: usize) -> &PutCounters {
+        &self.counters[src].0
+    }
+
+    fn summed(&self, word: impl Fn(&PutCounters) -> &AtomicU64) -> u64 {
+        let load = |c: &PeLine<PutCounters>| word(&c.0).load(Ordering::Relaxed);
+        self.counters.iter().map(load).sum()
+    }
+
+    /// Producer stalls on a full ring, over all sources.
+    pub fn full_spins(&self) -> u64 {
+        self.summed(|c| &c.full_spins)
+    }
+
+    /// Network puts delivered eagerly past the rings, over all sources.
+    pub fn bypasses(&self) -> u64 {
+        self.summed(|c| &c.bypasses)
     }
 
     /// The (src, dst) ring, if that pair is a network pair.
@@ -500,5 +534,15 @@ mod tests {
         assert!(plane.ring(2, 0).is_some(), "rings are per ordered pair");
         assert!(plane.ring(3, 3).is_none());
         assert_eq!(plane.total_puts(), 0);
+    }
+
+    #[test]
+    fn counters_are_kept_per_source_and_summed_on_read() {
+        // (`world.rs` holds the layout test: one PE per line.)
+        let plane = RingPlane::new(4, &[0, 1, 2, 3], &[0; 4]);
+        plane.counters(1).bypasses.fetch_add(2, Ordering::Relaxed);
+        plane.counters(3).bypasses.fetch_add(3, Ordering::Relaxed);
+        plane.counters(0).full_spins.fetch_add(1, Ordering::Relaxed);
+        assert_eq!((plane.bypasses(), plane.full_spins()), (5, 1));
     }
 }

@@ -11,7 +11,7 @@ use crate::delivery::{DeliveryModel, DeliveryOrder, PutKey, ScheduleLog};
 use crate::heap::{HeapLayout, SymSlice};
 use crate::integrity::{IntegrityLayer, IntegrityStats};
 use crate::pod::Pod;
-use crate::ring::{DrainSinks, RingPlane};
+use crate::ring::{DrainSinks, PeLine, RingPlane};
 use crate::trace::{ProtocolTrace, TraceEvent};
 
 /// Data-plane counters of one world's ring plane — what telemetry
@@ -161,7 +161,9 @@ pub struct ShmemWorld {
     /// it for the copy's duration, so it only stays non-zero across a
     /// [`crate::ctx::PendingPut`] guard (a deliberately deferred
     /// delivery, e.g. a fault injector holding a message in flight).
-    pub(crate) pending: Vec<AtomicU64>,
+    /// Bumped twice per loopback or eager put, so each PE's gauge sits on
+    /// its own line.
+    pub(crate) pending: Box<[PeLine<AtomicU64>]>,
     /// Installed delivery-ordering policy, if any — see
     /// [`with_delivery_order`](Self::with_delivery_order).
     pub(crate) delivery: Option<DeliveryModel>,
@@ -194,7 +196,7 @@ impl ShmemWorld {
             rings: RingPlane::new(n_pes, &p2p_group, &arena_bases(&arenas)),
             arenas,
             barrier: SenseBarrier::new(n_pes),
-            pending: (0..n_pes).map(|_| AtomicU64::new(0)).collect(),
+            pending: (0..n_pes).map(|_| PeLine::default()).collect(),
             delivery: None,
             p2p_group,
             trace: None,
@@ -314,8 +316,8 @@ impl ShmemWorld {
     pub fn ring_stats(&self) -> RingStats {
         RingStats {
             ring_puts: self.rings.total_puts(),
-            full_spins: self.rings.full_spins.load(Ordering::Relaxed),
-            bypasses: self.rings.bypasses.load(Ordering::Relaxed),
+            full_spins: self.rings.full_spins(),
+            bypasses: self.rings.bypasses(),
         }
     }
 
@@ -448,6 +450,28 @@ mod tests {
         let mut world = ShmemWorld::new(3, layout);
         for pe in 0..3 {
             assert!(world.read(pe, a).iter().all(|&v| v == 0));
+        }
+    }
+
+    #[test]
+    fn no_two_pes_put_path_words_share_a_cache_line() {
+        // Everything a PE writes on its own put path — its outstanding-put
+        // gauge and its ring counters — on lines no other PE writes.
+        let world = ShmemWorld::new(4, HeapLayout::new()).with_p2p_groups(vec![0, 1, 2, 3]);
+        let line = |w: &AtomicU64| w as *const AtomicU64 as usize / 128;
+        let mut owners: Vec<(usize, usize)> = (0..4)
+            .flat_map(|pe| {
+                let c = world.rings.counters(pe);
+                [&world.pending[pe].0, &c.full_spins, &c.bypasses].map(|w| (line(w), pe))
+            })
+            .collect();
+        owners.sort_unstable();
+        for pair in owners.windows(2) {
+            let same_line = pair[0].0 == pair[1].0;
+            assert!(
+                !same_line || pair[0].1 == pair[1].1,
+                "two PEs on a line: {pair:?}"
+            );
         }
     }
 

@@ -26,11 +26,14 @@
 //!   recent protocol events, dumped on panic / gate failure.
 //! * [`timeseries`] — [`SeriesSet`], SimTime-bucketed gauges exported as
 //!   Perfetto counter tracks.
+//! * [`alloc_count`] — the one counting global allocator the workspace's
+//!   allocation-discipline tests and bench gates install.
 //!
 //! The [`Telemetry`] handle bundles a registry, a trace sink, and a flight
 //! recorder so call sites thread one cheap clonable value through the
 //! stack.
 
+pub mod alloc_count;
 pub mod chrome;
 pub mod ctx;
 pub mod flight;

@@ -13,43 +13,24 @@
 //! Both measurements share one `#[test]` because the counter is global:
 //! a sibling test allocating on another thread would pollute the window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use fcc_telemetry::alloc_count::{allocs_during, CountingAlloc};
 use fcc_telemetry::{FlightKind, FlightRecorder, TraceCtx};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn record_burst(r: &FlightRecorder, n: u64) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 0..n {
-        r.record(
-            FlightKind::NetPut,
-            TraceCtx::step(1).with_slice(i & 0xFFFF),
-            i % 4,
-            64,
-        );
-    }
-    ALLOCS.load(Ordering::Relaxed) - before
+    let burst = || {
+        for i in 0..n {
+            r.record(
+                FlightKind::NetPut,
+                TraceCtx::step(1).with_slice(i & 0xFFFF),
+                i % 4,
+                64,
+            );
+        }
+    };
+    allocs_during(burst).0
 }
 
 #[test]

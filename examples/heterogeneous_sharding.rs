@@ -59,10 +59,15 @@ impl FusedProducer for ShardedEmbedding {
         let ls = sample % LOCAL_BATCH;
         (owner, (ls * N_TABLES + table) * DIM)
     }
-    fn produce(&self, _me: usize, item: usize, out: &mut [f32]) {
+    fn produce(&self, me: usize, item: usize, out: &mut [f32]) {
+        self.produce_with(me, item, &mut Vec::new(), out);
+    }
+    // The worker's reusable index buffer: no bag allocation per item.
+    fn produce_with(&self, _me: usize, item: usize, bag: &mut Vec<u32>, out: &mut [f32]) {
         let table = self.my_tables[item / GLOBAL_BATCH];
         let sample = item % GLOBAL_BATCH;
-        self.tables[table].pool_into(&self.gens[table].bag(table, sample), PoolingMode::Sum, out);
+        self.gens[table].bag_into(table, sample, bag);
+        self.tables[table].pool_into(bag, PoolingMode::Sum, out);
     }
 }
 
