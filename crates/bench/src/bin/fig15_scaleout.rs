@@ -8,25 +8,26 @@
 //! fig15_scaleout --fast --point N    # one node count (all fabrics)
 //! fig15_scaleout --fast --fabric F   # one fabric (torus | fat-tree |
 //!                                    # dragonfly | multi-rail)
-//! fig15_scaleout --fast --check [--tolerance T]
-//!                                    # gate the run against the committed
-//!                                    # artifact (default T = 0.02)
+//! fig15_scaleout --fast --check    # hold every sim-clock leaf of the
+//!                                    # points run to the committed
+//!                                    # artifact, exactly; writes nothing
 //! fig15_scaleout --fast --alloc-check
 //!                                    # assert the flow engine's steady-state
 //!                                    # allocation discipline first
 //! ```
 //!
-//! The committed artifact is only rewritten by a *full* sweep, so a
-//! restricted CI invocation (`--point 1024 --check`) can never clobber
-//! the regression baseline it is checking against.
+//! The committed artifact is only rewritten by a *full* sweep without
+//! `--check` (the policy lives in `fcc_bench::gate`), so a restricted CI
+//! invocation (`--point 1024 --check`) can never clobber the regression
+//! baseline it is checking against.
 
 use fcc_bench::args::{die, parse_value, usage_exit};
-use fcc_bench::report::{print_table, results_dir};
+use fcc_bench::gate::{gate, Mode};
+use fcc_bench::report::print_table;
 use fcc_bench::scaleout::{self, ScaleOutRun};
 use fcc_telemetry::alloc_count::{allocs_during, CountingAlloc};
 
-const USAGE: &str = "fig15_scaleout [--fast] [--point N] [--fabric NAME] [--check] \
-                     [--tolerance T] [--alloc-check]";
+const USAGE: &str = "fig15_scaleout [--fast] [--point N] [--fabric NAME] [--check] [--alloc-check]";
 
 /// Counting allocator so `--alloc-check` can assert the fabric bench's
 /// steady-state allocation discipline (see crates/net/tests/fabric_alloc.rs
@@ -63,7 +64,6 @@ fn main() {
     let mut point: Option<u32> = None;
     let mut fabric: Option<String> = None;
     let mut check = false;
-    let mut tolerance = 0.02f64;
     let mut do_alloc_check = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -72,7 +72,6 @@ fn main() {
             "--point" => point = Some(parse_value(&mut args, "--point")),
             "--fabric" => fabric = Some(parse_value(&mut args, "--fabric")),
             "--check" => check = true,
-            "--tolerance" => tolerance = parse_value(&mut args, "--tolerance"),
             "--alloc-check" => do_alloc_check = true,
             other => usage_exit(other, USAGE),
         }
@@ -113,27 +112,6 @@ fn main() {
         }
         None => scaleout::FABRICS.to_vec(),
     };
-    let full_grid = point.is_none() && fabric.is_none();
-
-    // Read the committed baseline before a full run overwrites it.
-    let dir = results_dir();
-    let artifact = dir.join("BENCH_scaleout.json");
-    let mut committed_text: Option<String> = None;
-    let committed = if check {
-        let text = std::fs::read_to_string(&artifact).unwrap_or_else(|e| {
-            eprintln!("--check needs {}: {e}", artifact.display());
-            std::process::exit(1);
-        });
-        let parsed = scaleout::parse_committed(&text).unwrap_or_else(|e| {
-            eprintln!("{}: {e}", artifact.display());
-            std::process::exit(1);
-        });
-        committed_text = Some(text);
-        parsed
-    } else {
-        Vec::new()
-    };
-
     let mut run = ScaleOutRun { points: Vec::new() };
     for &f in &fabrics {
         for &n in &nodes {
@@ -187,67 +165,14 @@ fn main() {
         &rows,
     );
 
-    if full_grid {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-        } else {
-            match std::fs::write(&artifact, run.to_json()) {
-                Ok(()) => println!("[written {}]", artifact.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", artifact.display()),
-            }
-        }
-    } else {
-        println!("[restricted run: {} left untouched]", artifact.display());
-    }
-
-    if check {
-        let mut failed = false;
-        for p in &run.points {
-            let Some((_, c)) = committed
-                .iter()
-                .find(|(f, c)| *f == p.fabric && c.nodes == p.nodes)
-            else {
-                eprintln!(
-                    "check: no committed point for {} {} in {}",
-                    p.fabric,
-                    p.nodes,
-                    artifact.display()
-                );
-                failed = true;
-                continue;
-            };
-            let norm_drift = (p.normalized - c.normalized).abs();
-            let wire_drift = (p.wire_ns - c.wire_ns).abs() / c.wire_ns;
-            if norm_drift > tolerance {
-                eprintln!(
-                    "check: {} {}: normalized {:.4} drifted from committed {:.4} \
-                     (> {tolerance})",
-                    p.fabric, p.nodes, p.normalized, c.normalized
-                );
-                failed = true;
-            }
-            if wire_drift > tolerance {
-                eprintln!(
-                    "check: {} {}: wire {:.0} ns drifted {:.3} from committed {:.0} ns \
-                     (> {tolerance})",
-                    p.fabric, p.nodes, p.wire_ns, wire_drift, c.wire_ns
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            if let Some(before) = &committed_text {
-                eprintln!("attribution (committed -> fresh):");
-                eprint!(
-                    "{}",
-                    fcc_bench::postmortem::attribute_json(before, &run.to_json(), 10)
-                );
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "check: {} point(s) within {tolerance} of the committed artifact",
-            run.points.len()
-        );
-    }
+    gate(
+        "BENCH_scaleout.json",
+        &run.artifact(),
+        scaleout::RULES,
+        Mode {
+            check,
+            full: point.is_none() && fabric.is_none(),
+        },
+        Vec::new(),
+    );
 }

@@ -26,7 +26,8 @@
 //! protocol event lacks a causal root.
 
 use fcc_bench::args::{parse_value, usage_exit};
-use fcc_bench::report::{print_table, results_dir};
+use fcc_bench::gate::{gate, Mode};
+use fcc_bench::report::{print_table, write_result};
 use fcc_telemetry::render_summary;
 
 fn main() {
@@ -125,30 +126,26 @@ fn main() {
         }
     }
 
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-    } else {
-        let trace_path = dir.join("profile_trace.json");
-        match std::fs::write(&trace_path, &run.trace_json) {
-            Ok(()) => println!("[written {}]", trace_path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
-        }
-        let bench_path = dir.join(run.snapshot.file_name());
-        match std::fs::write(&bench_path, run.snapshot.to_json()) {
-            Ok(()) => println!("[written {}]", bench_path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", bench_path.display()),
-        }
-    }
+    write_result("profile_trace.json", &run.trace_json);
 
+    let mut failures = Vec::new();
     if let Some(floor) = floor {
         let eff = run.fused_efficiency().unwrap_or(0.0);
         if eff < floor {
-            eprintln!("fused overlap efficiency {eff:.3} is below the floor {floor:.3}");
-            std::process::exit(1);
+            failures.push(format!(
+                "fused overlap efficiency {eff:.3} is below the floor {floor:.3}"
+            ));
+        } else {
+            println!("fused overlap efficiency {eff:.3} >= floor {floor:.3}");
         }
-        println!("fused overlap efficiency {eff:.3} >= floor {floor:.3}");
     }
+    gate(
+        &run.snapshot.file_name(),
+        &run.snapshot.artifact(),
+        &[],
+        Mode::PLAIN,
+        failures,
+    );
 }
 
 fn run_serving_mode(pes: usize) {
@@ -175,16 +172,7 @@ fn run_serving_mode(pes: usize) {
         run.check.counters,
         run.check.tracks.len()
     );
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-    } else {
-        let trace_path = dir.join("profile_serving_trace.json");
-        match std::fs::write(&trace_path, &run.trace_json) {
-            Ok(()) => println!("[written {}]", trace_path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", trace_path.display()),
-        }
-    }
+    write_result("profile_serving_trace.json", &run.trace_json);
     if run.orphan_events > 0 {
         eprintln!(
             "{} protocol event(s) carry no causal root — every PUT must \

@@ -6,66 +6,41 @@
 //! writes `BENCH_skew.json` to the results directory.
 //!
 //! ```text
-//! skew [--pes N] [--steal-seed N] [--iters N] [--gate] [--check] [--tolerance T]
+//! skew [--pes N] [--steal-seed N] [--iters N] [--gate] [--check]
 //! ```
 //!
 //! `--gate` exits non-zero unless stealing's makespan is within 5% of
 //! the oracle's and the tuner's best is within 5% of the swept optimum
-//! (the ISSUE's acceptance bars). `--check` re-reads the committed
-//! `BENCH_skew.json` and exits non-zero if either fresh headline ratio
-//! regressed beyond `tolerance` (default 0.01 — the harness is a
-//! deterministic simulation, so drift means a code change, and the
-//! postmortem attribution prints what moved).
+//! (the ISSUE's acceptance bars). `--check` hands the run to the one
+//! gate (`fcc_bench::gate`) instead of writing it: every leaf must equal
+//! the committed `BENCH_skew.json` exactly — the harness is a
+//! deterministic simulation, so any drift means a code change, and the
+//! ranked attribution prints what moved.
 
 use fcc_bench::args::{parse_value, usage_exit};
-use fcc_bench::report::{print_table, results_dir};
+use fcc_bench::gate::{gate, Mode};
+use fcc_bench::report::print_table;
 use fcc_bench::skew::run_skew;
 
-const USAGE: &str = "skew [--pes N] [--steal-seed N] [--iters N] [--gate] [--check] \
-                     [--tolerance T]";
+const USAGE: &str = "skew [--pes N] [--steal-seed N] [--iters N] [--gate] [--check]";
 
 fn main() {
     let mut pes = 2usize;
     let mut steal_seed = 1u64;
     let mut iters = 10usize;
-    let mut gate = false;
+    let mut hold_bars = false;
     let mut check = false;
-    let mut tolerance = 0.01f64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--pes" => pes = parse_value(&mut args, "--pes"),
             "--steal-seed" => steal_seed = parse_value(&mut args, "--steal-seed"),
             "--iters" => iters = parse_value(&mut args, "--iters"),
-            "--gate" => gate = true,
+            "--gate" => hold_bars = true,
             "--check" => check = true,
-            "--tolerance" => tolerance = parse_value(&mut args, "--tolerance"),
             other => usage_exit(other, USAGE),
         }
     }
-
-    // Read the committed baseline before the run overwrites it.
-    let dir = results_dir();
-    let artifact = dir.join("BENCH_skew.json");
-    let mut committed_text: Option<String> = None;
-    let committed: Option<(f64, f64)> = if check {
-        let text = std::fs::read_to_string(&artifact).unwrap_or_else(|e| {
-            eprintln!("--check needs {}: {e}", artifact.display());
-            std::process::exit(1);
-        });
-        let v: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("{} is not valid JSON: {e}", artifact.display());
-            std::process::exit(1);
-        });
-        let pair = Some((
-            v["stealing_vs_oracle"].as_f64().unwrap_or(f64::NAN),
-            v["tuner"]["tuned_vs_swept"].as_f64().unwrap_or(f64::NAN),
-        ));
-        committed_text = Some(text);
-        pair
-    } else {
-        None
-    };
 
     let run = run_skew(pes, steal_seed, iters);
 
@@ -126,70 +101,31 @@ fn main() {
         t.tuned_vs_swept()
     );
 
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-    } else {
-        match std::fs::write(&artifact, run.to_json()) {
-            Ok(()) => println!("[written {}]", artifact.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", artifact.display()),
-        }
-    }
-
-    let mut failed = false;
-    if gate {
+    let mut failures = Vec::new();
+    if hold_bars {
         let so = run.stealing_vs_oracle();
         if so > 1.05 {
-            eprintln!("gate: stealing/oracle {so:.4} exceeds 1.05");
-            failed = true;
+            failures.push(format!("gate: stealing/oracle {so:.4} exceeds 1.05"));
         }
         let ts = t.tuned_vs_swept();
         if ts > 1.05 {
-            eprintln!("gate: tuned/swept {ts:.4} exceeds 1.05");
-            failed = true;
+            failures.push(format!("gate: tuned/swept {ts:.4} exceeds 1.05"));
         }
         if run.stealing_speedup() <= 1.0 {
-            eprintln!(
+            failures.push(format!(
                 "gate: stealing is not faster than static ({:.4}x)",
                 run.stealing_speedup()
-            );
-            failed = true;
+            ));
         }
-        if !failed {
+        if failures.is_empty() {
             println!("gate: stealing within 5% of oracle, tuner within 5% of sweep");
         }
     }
-    if check {
-        let (c_so, c_ts) = committed.expect("--check parsed the artifact");
-        let (f_so, f_ts) = (run.stealing_vs_oracle(), t.tuned_vs_swept());
-        if f_so > c_so + tolerance {
-            eprintln!(
-                "check: stealing/oracle regressed {f_so:.4} vs committed {c_so:.4} \
-                 (+{tolerance} allowed)"
-            );
-            failed = true;
-        }
-        if f_ts > c_ts + tolerance {
-            eprintln!(
-                "check: tuned/swept regressed {f_ts:.4} vs committed {c_ts:.4} \
-                 (+{tolerance} allowed)"
-            );
-            failed = true;
-        }
-        if !failed {
-            println!(
-                "check: ratios within +{tolerance} of committed \
-                 (stealing/oracle {f_so:.4} <= {c_so:.4}, tuned/swept {f_ts:.4} <= {c_ts:.4})"
-            );
-        }
-    }
-    if failed {
-        if let Some(before) = &committed_text {
-            eprintln!("attribution (committed -> fresh):");
-            eprint!(
-                "{}",
-                fcc_bench::postmortem::attribute_json(before, &run.to_json(), 10)
-            );
-        }
-        std::process::exit(1);
-    }
+    gate(
+        "BENCH_skew.json",
+        &run.artifact(),
+        &[],
+        Mode { check, full: true },
+        failures,
+    );
 }

@@ -7,20 +7,21 @@
 //! `BENCH_throughput.json` to the results directory.
 //!
 //! ```text
-//! throughput [--pes N] [--slice W] [--execs N] [--check] [--tolerance T] [--integrity]
+//! throughput [--pes N] [--slice W] [--execs N] [--check] [--integrity]
 //! throughput --serving [--pes N] [--duration-ms N] [--slo-ms N] [--seed N]
 //!            [--slo-gate] [--shed-ceiling F]
 //! ```
 //!
-//! `--check` reads the committed `BENCH_throughput.json`, exits
-//! non-zero if the fresh ring-plane PUTs/sec fell below `tolerance ×
-//! committed` (the CI `profile-smoke` guard; default tolerance 0.2
-//! absorbs runner noise), and never writes the artifact it compares
-//! against — only a plain run does. The gated `fused-ring` variant
-//! always runs with integrity *disabled* — that is the zero-cost
-//! contract the check holds — while `--integrity` adds a third
-//! `fused-ring-integrity` variant measuring the armed checksum layer's
-//! price.
+//! `--check` hands the run to the one gate (`fcc_bench::gate`) against
+//! the committed `BENCH_throughput.json`: the shape and every PUT count
+//! must match exactly, the ring plane's PUTs/sec must hold the 0.2x
+//! smoke floor (the CI `profile-smoke` guard; wide enough for a shared
+//! runner), and nothing is written — only a plain run writes. The gated
+//! `fused-ring` variant always runs with integrity *disabled* — that is
+//! the zero-cost contract the check holds — while `--integrity` adds a
+//! third `fused-ring-integrity` variant measuring the armed checksum
+//! layer's price (a plain-run study: the committed artifact holds two
+//! variants, so `--check` rejects the third).
 //!
 //! `--serving` instead drives the request frontend (`fcc-serve`) with
 //! real fused executions through the Poisson load curve, a diurnal
@@ -32,14 +33,14 @@
 //! shed, nominal load must not.
 
 use fcc_bench::args::{parse_value, usage_exit};
-use fcc_bench::report::{print_table, results_dir};
-use fcc_bench::serving::run_serving;
-use fcc_bench::throughput::{run_throughput_with, ThroughputRun};
+use fcc_bench::gate::{gate, Mode};
+use fcc_bench::report::print_table;
+use fcc_bench::{serving, throughput};
 use fcc_telemetry::alloc_count::{allocs_during, CountingAlloc};
 use fcc_telemetry::{FlightKind, FlightRecorder, TraceCtx};
 
 const USAGE: &str = "throughput [--pes N] [--slice W] [--execs N] [--check] \
-                     [--tolerance T] [--integrity] [--flight-alloc-check] | throughput --serving \
+                     [--integrity] [--flight-alloc-check] | throughput --serving \
                      [--pes N] [--duration-ms N] [--slo-ms N] [--seed N] [--slo-gate] \
                      [--shed-ceiling F]";
 
@@ -84,7 +85,6 @@ fn main() {
     let mut slice = 4usize;
     let mut execs = 12u64;
     let mut check = false;
-    let mut tolerance = 0.2f64;
     let mut integrity = false;
     let mut serving = false;
     let mut duration_ms = 200u64;
@@ -102,7 +102,6 @@ fn main() {
             "--execs" => execs = parse_value(&mut args, "--execs"),
             "--check" => check = true,
             "--integrity" => integrity = true,
-            "--tolerance" => tolerance = parse_value(&mut args, "--tolerance"),
             "--serving" => serving = true,
             "--duration-ms" => duration_ms = parse_value(&mut args, "--duration-ms"),
             "--slo-ms" => slo_ms = parse_value(&mut args, "--slo-ms"),
@@ -122,7 +121,7 @@ fn main() {
         return;
     }
 
-    let run = run_throughput_with(pes, slice, execs, integrity);
+    let run = throughput::run_throughput_with(pes, slice, execs, integrity);
 
     let rows: Vec<Vec<String>> = run
         .variants
@@ -153,56 +152,13 @@ fn main() {
         &rows,
     );
 
-    let dir = results_dir();
-    let artifact = dir.join("BENCH_throughput.json");
-    if check {
-        // A check compares against the committed artifact and never
-        // writes it; only a plain run does.
-        check_against_committed(&artifact, &run, tolerance);
-    } else if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-    } else {
-        match std::fs::write(&artifact, run.to_json()) {
-            Ok(()) => println!("[written {}]", artifact.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", artifact.display()),
-        }
-    }
-}
-
-/// Exits non-zero unless the fresh `fused-ring` PUTs/sec is at least
-/// `tolerance ×` the one in the committed artifact.
-fn check_against_committed(artifact: &std::path::Path, run: &ThroughputRun, tolerance: f64) {
-    let committed_text = std::fs::read_to_string(artifact).unwrap_or_else(|e| {
-        eprintln!("--check needs {}: {e}", artifact.display());
-        std::process::exit(1);
-    });
-    let v: serde_json::Value = serde_json::from_str(&committed_text).unwrap_or_else(|e| {
-        eprintln!("{} is not valid JSON: {e}", artifact.display());
-        std::process::exit(1);
-    });
-    let Some(committed) = v["variants"]
-        .as_array()
-        .and_then(|vs| vs.iter().find(|x| x["name"] == "fused-ring"))
-        .and_then(|x| x["puts_per_sec"].as_f64())
-    else {
-        eprintln!("no committed fused-ring puts_per_sec to check against");
-        std::process::exit(1);
-    };
-    let fresh = run.variant("fused-ring").map_or(0.0, |v| v.puts_per_sec);
-    let need = committed * tolerance;
-    if fresh < need {
-        eprintln!(
-            "fused-ring throughput {fresh:.0} puts/s fell below \
-             {tolerance} x committed {committed:.0} (= {need:.0})"
-        );
-        eprintln!("attribution (committed -> fresh):");
-        eprint!(
-            "{}",
-            fcc_bench::postmortem::attribute_json(&committed_text, &run.to_json(), 10)
-        );
-        std::process::exit(1);
-    }
-    println!("fused-ring throughput {fresh:.0} puts/s >= {tolerance} x committed {committed:.0}");
+    gate(
+        "BENCH_throughput.json",
+        &run.artifact(),
+        throughput::RULES,
+        Mode { check, full: true },
+        Vec::new(),
+    );
 }
 
 fn run_serving_mode(
@@ -214,10 +170,7 @@ fn run_serving_mode(
     shed_ceiling: Option<f64>,
 ) {
     let slo_us = slo_ms * 1000;
-    // Snapshot the committed artifact up front: a gate failure below
-    // attributes against it, and the fresh run overwrites it.
-    let committed_text = std::fs::read_to_string(results_dir().join("BENCH_serving.json")).ok();
-    let run = run_serving(pes, duration_ms * 1000, slo_us, seed);
+    let run = serving::run_serving(pes, duration_ms * 1000, slo_us, seed);
 
     let rows: Vec<Vec<String>> = run
         .points
@@ -260,32 +213,19 @@ fn run_serving_mode(
         &rows,
     );
 
-    let dir = results_dir();
-    let artifact = dir.join("BENCH_serving.json");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-    } else {
-        match std::fs::write(&artifact, run.to_json()) {
-            Ok(()) => println!("[written {}]", artifact.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", artifact.display()),
-        }
-    }
-
-    let mut failed = false;
+    let mut failures = Vec::new();
     if slo_gate {
         for p in &run.points {
             if p.completed == 0 {
-                eprintln!("SLO gate: scenario {} completed nothing", p.name);
-                failed = true;
+                failures.push(format!("SLO gate: scenario {} completed nothing", p.name));
             } else if p.p99_us > slo_us {
-                eprintln!(
+                failures.push(format!(
                     "SLO gate: scenario {} p99 {}us exceeds the SLO {}us",
                     p.name, p.p99_us, slo_us
-                );
-                failed = true;
+                ));
             }
         }
-        if !failed {
+        if failures.is_empty() {
             println!("SLO gate: every scenario's completed p99 within {slo_us}us");
         }
     }
@@ -296,41 +236,36 @@ fn run_serving_mode(
         for p in &run.points {
             let gated = p.name.starts_with("poisson") && p.load_frac < 1.0;
             if gated && p.shed_rate > ceiling {
-                eprintln!(
+                failures.push(format!(
                     "shed ceiling: {} shed {:.2}% > {:.2}% at {:.2}x load",
                     p.name,
                     p.shed_rate * 100.0,
                     ceiling * 100.0,
                     p.load_frac
-                );
-                failed = true;
+                ));
             }
         }
         if let Some(p) = run.point("flash-crowd-2x") {
             if p.nominal_shed_rate > ceiling {
-                eprintln!(
+                failures.push(format!(
                     "shed ceiling: flash-crowd nominal phase shed {:.2}% > {:.2}%",
                     p.nominal_shed_rate * 100.0,
                     ceiling * 100.0
-                );
-                failed = true;
+                ));
             }
         }
-        if !failed {
+        if failures.is_empty() {
             println!(
                 "shed ceiling: nominal-phase shed rates within {:.2}%",
                 ceiling * 100.0
             );
         }
     }
-    if failed {
-        if let Some(before) = &committed_text {
-            eprintln!("attribution (committed -> fresh):");
-            eprint!(
-                "{}",
-                fcc_bench::postmortem::attribute_json(before, &run.to_json(), 10)
-            );
-        }
-        std::process::exit(1);
-    }
+    gate(
+        "BENCH_serving.json",
+        &run.artifact(),
+        serving::RULES,
+        Mode::PLAIN,
+        failures,
+    );
 }

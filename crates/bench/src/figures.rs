@@ -74,16 +74,7 @@ pub fn fig09() -> FigureRecord {
     println!("inter-PUT intervals (us, 2us buckets): {}", hist.render());
 
     // A Perfetto/chrome://tracing-loadable version of the full timeline.
-    let dir = crate::report::results_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join("fig09_trace.json");
-        if std::fs::write(&path, tl.to_chrome_trace()).is_ok() {
-            println!(
-                "[written {} — load in Perfetto / chrome://tracing]",
-                path.display()
-            );
-        }
-    }
+    crate::report::write_result("fig09_trace.json", &tl.to_chrome_trace());
 
     let mut s = Series::new("put_issue_times_us");
     for p in &puts {

@@ -7,11 +7,13 @@
 //! record that `EXPERIMENTS.md` references.
 //!
 //! The library half holds what the binaries share: the experiment sweeps
-//! (batch-size × tables-per-GPU grids), simulation wrappers, and
-//! formatting/serialization helpers.
+//! (batch-size × tables-per-GPU grids), simulation wrappers, each run's
+//! field table over the one `results/` record, and the one [`gate`]
+//! between a fresh run and its committed artifact.
 
 pub mod args;
 pub mod figures;
+pub mod gate;
 pub mod postmortem;
 pub mod profile;
 pub mod report;

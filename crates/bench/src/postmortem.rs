@@ -49,20 +49,12 @@ impl Attribution {
     }
 }
 
-/// Label for one element of a JSON array: a `"name"` field if present
-/// (serving scenario points), else `"fabric"`+`"nodes"` (scale-out grid
-/// points), else the index.
+/// Label for one element of a JSON array: its `"name"` field (every
+/// point of every `results/` artifact has one), else the index.
 fn element_label(v: &serde_json::Value, idx: usize) -> String {
-    if let Some(name) = v.get("name").and_then(|n| n.as_str()) {
-        return name.to_string();
-    }
-    if let (Some(fabric), Some(nodes)) = (
-        v.get("fabric").and_then(|f| f.as_str()),
-        v.get("nodes").and_then(|n| n.as_u64()),
-    ) {
-        return format!("{fabric}-{nodes}");
-    }
-    idx.to_string()
+    v.get("name")
+        .and_then(|n| n.as_str())
+        .map_or_else(|| idx.to_string(), str::to_string)
 }
 
 fn flatten_into(prefix: &str, v: &serde_json::Value, out: &mut Vec<(String, f64)>) {
@@ -94,9 +86,8 @@ fn flatten_into(prefix: &str, v: &serde_json::Value, out: &mut Vec<(String, f64)
 }
 
 /// Flattens every numeric leaf of `v` into `(dotted.path, value)`
-/// pairs. Array elements are labeled by their `name` (or
-/// `fabric`+`nodes`) field when present, so the paths stay stable when
-/// points are reordered or appended.
+/// pairs. Array elements are labeled by their `name` field when present,
+/// so the paths stay stable when points are reordered or appended.
 pub fn flatten(v: &serde_json::Value) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     flatten_into("", v, &mut out);
@@ -259,17 +250,6 @@ pub fn render(attrs: &[Attribution], n: Option<usize>) -> String {
     s
 }
 
-/// Convenience for gate failure paths: parse two snapshot JSON strings
-/// and render the top-`n` attribution, or an explanatory line if either
-/// side fails to parse (a gate message must never panic).
-pub fn attribute_json(before: &str, after: &str, n: usize) -> String {
-    match (serde_json::from_str(before), serde_json::from_str(after)) {
-        (Ok(b), Ok(a)) => render(&attribute(&b, &a), Some(n)),
-        (Err(e), _) => format!("attribution unavailable: BEFORE unparsable ({e})\n"),
-        (_, Err(e)) => format!("attribution unavailable: AFTER unparsable ({e})\n"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,18 +259,18 @@ mod tests {
     }
 
     #[test]
-    fn flatten_labels_points_by_name_and_fabric() {
+    fn flatten_labels_points_by_name_else_index() {
         let flat = flatten(&v(r#"{
             "pes": 2,
             "points": [
                 {"name": "poisson-1x", "p99_us": 450},
-                {"fabric": "torus", "nodes": 1024, "wire_ns": 5.0}
+                {"fabric": "torus", "wire_ns": 5.0}
             ]
         }"#));
         let keys: Vec<&str> = flat.iter().map(|(k, _)| k.as_str()).collect();
         assert!(keys.contains(&"pes"));
         assert!(keys.contains(&"points.poisson-1x.p99_us"));
-        assert!(keys.contains(&"points.torus-1024.wire_ns"));
+        assert!(keys.contains(&"points.1.wire_ns"));
     }
 
     #[test]

@@ -42,7 +42,7 @@ use fcc_telemetry::{
 #[derive(Debug)]
 pub struct ProfileRun {
     /// Machine-readable snapshot (serialize with
-    /// [`BenchSnapshot::to_json`], name with
+    /// [`BenchSnapshot::artifact`], name with
     /// [`BenchSnapshot::file_name`]).
     pub snapshot: BenchSnapshot,
     /// The timed fused variant's registry snapshot (for the text summary).
@@ -743,12 +743,12 @@ mod tests {
     fn snapshot_serializes_with_metrics() {
         let run = run_profile(2).expect("valid");
         assert_eq!(run.snapshot.file_name(), "BENCH_baseline.json");
-        let json = run.snapshot.to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(
-            v.get("variants").unwrap().as_array().unwrap().len(),
-            4,
-            "{json}"
-        );
+        let artifact = run.snapshot.artifact();
+        assert_eq!(artifact.points.len(), 4);
+        let leaves = crate::gate::assert_round_trips(&artifact);
+        // The resilient variant has no overlap decomposition: null, not a leaf.
+        assert!(leaves.contains_key("points.fused.overlap_efficiency"));
+        assert!(!leaves.contains_key("points.resilient.overlap_efficiency"));
+        assert!(leaves.keys().any(|k| k.starts_with("metrics.fused.")));
     }
 }

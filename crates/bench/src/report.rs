@@ -1,12 +1,14 @@
 //! Output formatting and result persistence.
 //!
-//! Records serialize to JSON by hand (`to_json`): the schema is three
-//! strings and a list of series, so a serializer dependency buys nothing.
+//! A [`FigureRecord`] is a field table over the one `results/` record
+//! (`fcc_telemetry::artifact`), and [`write_result`] is the one place
+//! that puts a file into the results directory.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 
 use fcc_core::RecoverySnapshot;
+use fcc_telemetry::artifact::{field, Artifact, Point, Value};
 
 /// One named series of `(x-label, value)` points — a bar group or line in
 /// a figure.
@@ -43,82 +45,28 @@ pub struct FigureRecord {
     pub series: Vec<Series>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` so it parses back as a JSON number (no NaN/inf
-/// tokens, which JSON forbids).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        // Always include a decimal point or exponent so readers treating
-        // integers and floats differently see a consistent type.
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 impl FigureRecord {
-    /// Pretty-printed JSON for this record.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"id\": \"{}\",\n", json_escape(&self.id)));
-        out.push_str(&format!(
-            "  \"paper_claim\": \"{}\",\n",
-            json_escape(&self.paper_claim)
-        ));
-        out.push_str(&format!(
-            "  \"measured\": \"{}\",\n",
-            json_escape(&self.measured)
-        ));
-        out.push_str("  \"series\": [");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\n      \"name\": \"{}\",\n      \"points\": [",
-                json_escape(&s.name)
-            ));
-            for (j, (x, y)) in s.points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n        [\"{}\", {}]",
-                    json_escape(x),
-                    json_number(*y)
-                ));
-            }
-            if !s.points.is_empty() {
-                out.push_str("\n      ");
-            }
-            out.push_str("]\n    }");
+    /// The record in the one `results/` schema: each `(x, y)` of each
+    /// series is a point named by its x label whose one field is the
+    /// series name.
+    pub fn artifact(&self) -> Artifact {
+        let points = self
+            .series
+            .iter()
+            .flat_map(|s| {
+                s.points.iter().map(|(x, y)| {
+                    Point::new(x.as_str(), vec![field(s.name.as_str(), Value::Real(*y))])
+                })
+            })
+            .collect();
+        Artifact {
+            name: self.id.clone(),
+            fields: vec![
+                field("paper_claim", self.paper_claim.as_str()),
+                field("measured", self.measured.as_str()),
+            ],
+            points,
         }
-        if !self.series.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
     }
 }
 
@@ -198,20 +146,24 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Writes `record` as pretty JSON to `<results_dir>/<id>.json`. Failures
-/// are reported but non-fatal (the printed table is the primary output).
-pub fn write_json(record: &FigureRecord) {
+/// Writes `contents` to `<results_dir>/<file_name>`. Failures are
+/// reported but non-fatal (the printed table is the primary output).
+pub fn write_result(file_name: &str, contents: &str) {
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
-    let path = dir.join(format!("{}.json", record.id));
-    if let Err(e) = std::fs::write(&path, record.to_json()) {
-        eprintln!("warning: cannot write {}: {e}", path.display());
-    } else {
-        println!("[written {}]", path.display());
+    let path = dir.join(file_name);
+    match std::fs::write(&path, contents) {
+        Ok(()) => println!("[written {}]", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
+}
+
+/// Writes `record` to `<results_dir>/<id>.json`.
+pub fn write_json(record: &FigureRecord) {
+    write_result(&format!("{}.json", record.id), &record.artifact().to_json());
 }
 
 #[cfg(test)]
@@ -228,37 +180,31 @@ mod tests {
     }
 
     #[test]
-    fn record_serializes() {
+    fn artifact_round_trips() {
         let mut series = Series::new("a\"b");
         series.push("x|1", 0.5);
         series.push("x|2", 3.0);
+        series.push("inf", f64::INFINITY);
         let rec = FigureRecord {
             id: "fig00".into(),
             paper_claim: "x".into(),
-            measured: "y".into(),
+            measured: "y\nz".into(),
             series: vec![series, Series::new("empty")],
         };
-        let json = rec.to_json();
-        assert!(json.contains("fig00"));
+        let json = rec.artifact().to_json();
         assert!(json.contains("a\\\"b"), "quotes escaped: {json}");
-        assert!(json.contains("[\"x|1\", 0.5]"));
+        assert!(json.contains("\"measured\": \"y\\nz\""), "{json}");
         assert!(
-            json.contains("[\"x|2\", 3.0]"),
+            json.contains("{\"name\": \"x|2\", \"a\\\"b\": 3.0}"),
             "ints keep a decimal: {json}"
         );
-    }
-
-    #[test]
-    fn non_finite_values_stay_valid_json() {
-        let mut s = Series::new("bad");
-        s.push("inf", f64::INFINITY);
-        let rec = FigureRecord {
-            id: "f".into(),
-            paper_claim: String::new(),
-            measured: String::new(),
-            series: vec![s],
-        };
-        assert!(rec.to_json().contains("[\"inf\", null]"));
+        assert!(
+            json.contains("{\"name\": \"inf\", \"a\\\"b\": null}"),
+            "non-finite values stay valid JSON: {json}"
+        );
+        let leaves = crate::gate::assert_round_trips(&rec.artifact());
+        assert_eq!(leaves.len(), 2);
+        assert_eq!(leaves["points.x|1.a\"b"], 0.5);
     }
 
     #[test]

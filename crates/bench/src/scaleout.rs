@@ -7,9 +7,9 @@
 //! Every wire measurement runs with the fast path's always-on invariant
 //! checking (fair-share and conservation); a violation aborts the
 //! bench. The committed `results/BENCH_scaleout.json` artifact is the
-//! CI regression floor: `--check` re-runs points and compares the
-//! normalized fused/baseline ratio and wire time against the committed
-//! values (the simulation is deterministic, so the tolerance is tight).
+//! CI regression floor: `--check` re-runs points and holds every
+//! sim-clock leaf of each to the committed value exactly (the
+//! simulation is deterministic); only `wall_s` is ungated.
 
 use fcc_core::sim::FusedTuning;
 use fcc_dlrm::DlrmConfig;
@@ -17,6 +17,9 @@ use fcc_gpu::config::GpuConfig;
 use fcc_net::fabric::Injection;
 use fcc_net::{presets, FlowFabric, FlowStats, Topology};
 use fcc_sim::SimTime;
+use fcc_telemetry::artifact::{field, Artifact, Point, Value};
+
+use crate::gate::{Rule, Rules};
 
 /// Node counts in the fast scale-out sweep. The small end overlaps the
 /// packet-sim Fig. 15 grid so the committed artifact holds one priced
@@ -148,87 +151,53 @@ pub struct ScaleOutRun {
 }
 
 impl ScaleOutRun {
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"id\": \"scaleout\",\n");
-        out.push_str(
-            "  \"description\": \"DLRM pass, baseline vs fused, wire measured on the \
-             flow-level fair-sharing fabric (invariants checked every run)\",\n",
-        );
-        out.push_str("  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"fabric\": \"{}\", \"nodes\": {}, \"wire_ns\": {:.1}, \
-                 \"baseline_ns\": {:.1}, \"fused_ns\": {:.1}, \"normalized\": {:.6}, \
-                 \"flow_events\": {}, \"flow_refreshes\": {}, \"max_active\": {}, \
-                 \"wall_s\": {:.1}}}",
-                p.fabric,
-                p.nodes,
-                p.wire_ns,
-                p.baseline_ns,
-                p.fused_ns,
-                p.normalized,
-                p.stats.events,
-                p.stats.refreshes,
-                p.stats.max_active,
-                p.wall_s,
-            ));
+    /// The `BENCH_scaleout.json` record: one point per fabric × size,
+    /// named `<fabric>-<nodes>`.
+    pub fn artifact(&self) -> Artifact {
+        let points = self
+            .points
+            .iter()
+            .map(|p| {
+                Point::new(
+                    format!("{}-{}", p.fabric, p.nodes),
+                    vec![
+                        field("fabric", p.fabric.as_str()),
+                        field("nodes", p.nodes),
+                        field("wire_ns", Value::Fixed(p.wire_ns, 1)),
+                        field("baseline_ns", Value::Fixed(p.baseline_ns, 1)),
+                        field("fused_ns", Value::Fixed(p.fused_ns, 1)),
+                        field("normalized", Value::Fixed(p.normalized, 6)),
+                        field("flow_events", p.stats.events),
+                        field("flow_refreshes", p.stats.refreshes),
+                        field("max_active", p.stats.max_active),
+                        field("wall_s", Value::Fixed(p.wall_s, 3)),
+                    ],
+                )
+            })
+            .collect();
+        Artifact {
+            name: "scaleout".to_string(),
+            fields: vec![field(
+                "description",
+                "DLRM pass, baseline vs fused, wire measured on the flow-level \
+                 fair-sharing fabric (invariants checked every run)",
+            )],
+            points,
         }
-        out.push_str("\n  ]\n}\n");
-        out
     }
 }
 
-/// A committed point parsed back out of `BENCH_scaleout.json`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommittedPoint {
-    pub nodes: u32,
-    pub wire_ns: f64,
-    pub normalized: f64,
-}
-
-/// Parses the committed artifact into `(fabric, point)` pairs.
-pub fn parse_committed(text: &str) -> Result<Vec<(String, CommittedPoint)>, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let points = v["points"]
-        .as_array()
-        .ok_or_else(|| "missing points array".to_string())?;
-    let mut out = Vec::with_capacity(points.len());
-    for p in points {
-        let fabric = p["fabric"]
-            .as_str()
-            .ok_or_else(|| "point missing fabric".to_string())?;
-        let nodes = p["nodes"]
-            .as_u64()
-            .ok_or_else(|| "point missing nodes".to_string())? as u32;
-        let wire_ns = p["wire_ns"]
-            .as_f64()
-            .ok_or_else(|| "point missing wire_ns".to_string())?;
-        let normalized = p["normalized"]
-            .as_f64()
-            .ok_or_else(|| "point missing normalized".to_string())?;
-        out.push((
-            fabric.to_string(),
-            CommittedPoint {
-                nodes,
-                wire_ns,
-                normalized,
-            },
-        ));
-    }
-    Ok(out)
-}
+/// Gate rules for `BENCH_scaleout.json`: the simulator's own wall time
+/// is the only wall-clock leaf; every priced time and flow count is
+/// deterministic and held exactly.
+pub const RULES: &Rules = &[("wall_s", Rule::Ungated)];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn artifact_roundtrips_through_the_parser() {
+    fn artifact_round_trips() {
         let run = ScaleOutRun {
             points: vec![ScaleOutPoint {
                 fabric: "torus".into(),
@@ -238,14 +207,17 @@ mod tests {
                 fused_ns: 3.5e6,
                 normalized: 0.875,
                 stats: FlowStats::default(),
-                wall_s: 2.0,
+                wall_s: 0.0421,
             }],
         };
-        let parsed = parse_committed(&run.to_json()).expect("parse");
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].0, "torus");
-        assert_eq!(parsed[0].1.nodes, 1024);
-        assert!((parsed[0].1.normalized - 0.875).abs() < 1e-9);
+        let leaves = crate::gate::assert_round_trips(&run.artifact());
+        assert_eq!(leaves.len(), 9);
+        assert_eq!(leaves["points.torus-1024.nodes"], 1024.0);
+        assert_eq!(leaves["points.torus-1024.normalized"], 0.875);
+        assert!(
+            run.artifact().to_json().contains("\"wall_s\": 0.042"),
+            "wall time prints at millisecond precision"
+        );
     }
 
     #[test]

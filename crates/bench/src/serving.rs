@@ -23,7 +23,10 @@ use fcc_serve::{
     check_serve_trace, serve, BatchExecutor, BatchPolicy, DegradeLevel, FusedExecutor, LoadPattern,
     LoadSpec, Priority, Request, ServeReport, ServerConfig,
 };
+use fcc_telemetry::artifact::{field, Artifact, Point, Value};
 use fcc_telemetry::Telemetry;
+
+use crate::gate::{Rule, Rules};
 
 /// One scenario's outcome counts and latency tail.
 #[derive(Debug, Clone)]
@@ -90,52 +93,75 @@ impl ServingRun {
         self.points.iter().find(|p| p.name == name)
     }
 
-    /// Hand-rolled JSON artifact (schema style matches the other BENCH
-    /// files).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"name\": \"serving\",\n");
-        s.push_str(&format!("  \"pes\": {},\n", self.pes));
-        s.push_str(&format!("  \"slo_us\": {},\n", self.slo_us));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"floor_us\": {},\n", self.floor_us));
-        s.push_str(&format!("  \"capacity_rps\": {:.3},\n", self.capacity_rps));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", p.name));
-            s.push_str(&format!("\"load_frac\": {:.3}, ", p.load_frac));
-            s.push_str(&format!("\"rps\": {:.3}, ", p.rps));
-            s.push_str(&format!("\"requests\": {}, ", p.requests));
-            s.push_str(&format!("\"admitted\": {}, ", p.admitted));
-            s.push_str(&format!("\"completed\": {}, ", p.completed));
-            s.push_str(&format!("\"rejected\": {}, ", p.rejected));
-            s.push_str(&format!("\"shed_hopeless\": {}, ", p.shed_hopeless));
-            s.push_str(&format!("\"shed_overload\": {}, ", p.shed_overload));
-            s.push_str(&format!("\"shed_late\": {}, ", p.shed_late));
-            s.push_str(&format!("\"shed_rate\": {:.5}, ", p.shed_rate));
-            s.push_str(&format!(
-                "\"nominal_shed_rate\": {:.5}, ",
-                p.nominal_shed_rate
-            ));
-            s.push_str(&format!("\"p50_us\": {}, ", p.p50_us));
-            s.push_str(&format!("\"p99_us\": {}, ", p.p99_us));
-            s.push_str(&format!("\"p999_us\": {}, ", p.p999_us));
-            s.push_str(&format!("\"goodput_rps\": {:.3}, ", p.goodput_rps));
-            s.push_str(&format!("\"batches\": {}, ", p.batches));
-            s.push_str(&format!("\"degrades\": {}", p.degrades));
-            s.push_str(if i + 1 < self.points.len() {
-                "},\n"
-            } else {
-                "}\n"
-            });
+    /// The `BENCH_serving.json` record: one point per scenario.
+    pub fn artifact(&self) -> Artifact {
+        let points = self
+            .points
+            .iter()
+            .map(|p| {
+                Point::new(
+                    p.name.as_str(),
+                    vec![
+                        field("load_frac", Value::Fixed(p.load_frac, 3)),
+                        field("rps", Value::Fixed(p.rps, 3)),
+                        field("requests", p.requests),
+                        field("admitted", p.admitted),
+                        field("completed", p.completed),
+                        field("rejected", p.rejected),
+                        field("shed_hopeless", p.shed_hopeless),
+                        field("shed_overload", p.shed_overload),
+                        field("shed_late", p.shed_late),
+                        field("shed_rate", Value::Fixed(p.shed_rate, 5)),
+                        field("nominal_shed_rate", Value::Fixed(p.nominal_shed_rate, 5)),
+                        field("p50_us", p.p50_us),
+                        field("p99_us", p.p99_us),
+                        field("p999_us", p.p999_us),
+                        field("goodput_rps", Value::Fixed(p.goodput_rps, 3)),
+                        field("batches", p.batches),
+                        field("degrades", p.degrades),
+                    ],
+                )
+            })
+            .collect();
+        Artifact {
+            name: "serving".to_string(),
+            fields: vec![
+                field("pes", self.pes),
+                field("slo_us", self.slo_us),
+                field("seed", self.seed),
+                field("floor_us", self.floor_us),
+                field("capacity_rps", Value::Fixed(self.capacity_rps, 3)),
+            ],
+            points,
         }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
     }
 }
+
+/// Gate rules for `BENCH_serving.json`: service times are real
+/// executions, so the calibrated floor and everything sized from it or
+/// measured against it — offered rates, outcome counts, shed rates, the
+/// latency tail — is wall-clock. Only the shape (`pes`, `slo_us`,
+/// `seed`, `load_frac`) is deterministic.
+pub const RULES: &Rules = &[
+    ("floor_us", Rule::Ungated),
+    ("capacity_rps", Rule::Ungated),
+    ("rps", Rule::Ungated),
+    ("requests", Rule::Ungated),
+    ("admitted", Rule::Ungated),
+    ("completed", Rule::Ungated),
+    ("rejected", Rule::Ungated),
+    ("shed_hopeless", Rule::Ungated),
+    ("shed_overload", Rule::Ungated),
+    ("shed_late", Rule::Ungated),
+    ("shed_rate", Rule::Ungated),
+    ("nominal_shed_rate", Rule::Ungated),
+    ("p50_us", Rule::Ungated),
+    ("p99_us", Rule::Ungated),
+    ("p999_us", Rule::Ungated),
+    ("goodput_rps", Rule::Ungated),
+    ("batches", Rule::Ungated),
+    ("degrades", Rule::Ungated),
+];
 
 /// The serving design point: a deliberately small operator shape so one
 /// fused execution is short enough for thousands of batch closes to fit a
@@ -338,12 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn json_artifact_is_well_formed() {
+    fn artifact_round_trips() {
         let run = quick_run();
-        let v: serde_json::Value = serde_json::from_str(&run.to_json()).expect("valid JSON");
-        assert_eq!(v["name"], "serving");
-        assert_eq!(v["points"].as_array().unwrap().len(), 6);
-        assert!(v["capacity_rps"].as_f64().unwrap() > 0.0);
-        assert!(v["points"][0]["p99_us"].as_u64().is_some());
+        let leaves = crate::gate::assert_round_trips(&run.artifact());
+        assert_eq!(leaves.len(), 5 + 6 * 17);
+        assert!(leaves["capacity_rps"] > 0.0);
+        assert!(leaves.contains_key("points.poisson-0.25x.p99_us"));
     }
 }

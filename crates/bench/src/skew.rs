@@ -25,8 +25,7 @@
 //!
 //! Everything here runs on the deterministic timed simulator, so the
 //! committed artifact (`results/BENCH_skew.json`) is reproducible
-//! bit-for-bit on any host — `--check` exploits that with a tight default
-//! tolerance.
+//! bit-for-bit on any host — `--check` holds every leaf of it exactly.
 
 use fcc_core::{simulate_fused, tune_fused, FusedParams, Knobs, SkewSpec, TuneOutcome, WgSchedule};
 use fcc_dlrm::DlrmConfig;
@@ -34,6 +33,7 @@ use fcc_gpu::config::GpuConfig;
 use fcc_gpu::kernel::KernelResources;
 use fcc_gpu::occupancy::occupancy;
 use fcc_net::presets;
+use fcc_telemetry::artifact::{field, Artifact, Point, Value};
 
 /// One scheduler's outcome at the skewed design point.
 #[derive(Debug, Clone)]
@@ -114,86 +114,62 @@ impl SkewRun {
         self.makespan("static") / self.makespan("stealing")
     }
 
-    /// Hand-rolled JSON artifact (schema mirrors the other BENCH files).
-    pub fn to_json(&self) -> String {
-        let occ = |o: Option<u32>| o.map_or("null".to_string(), |c| c.to_string());
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"name\": \"skew\",\n");
-        s.push_str(&format!("  \"pes\": {},\n", self.pes));
-        s.push_str(&format!(
-            "  \"slice_embeddings\": {},\n",
-            self.slice_embeddings
-        ));
-        s.push_str(&format!(
-            "  \"straggler_rate\": {:.4},\n",
-            self.straggler_rate
-        ));
-        s.push_str(&format!(
-            "  \"straggler_factor\": {:.4},\n",
-            self.straggler_factor
-        ));
-        s.push_str(&format!("  \"skew_seed\": {},\n", self.skew_seed));
-        s.push_str(&format!("  \"steal_seed\": {},\n", self.steal_seed));
-        s.push_str(&format!(
-            "  \"stealing_vs_oracle\": {:.4},\n",
-            self.stealing_vs_oracle()
-        ));
-        s.push_str(&format!(
-            "  \"stealing_speedup_vs_static\": {:.4},\n",
-            self.stealing_speedup()
-        ));
-        s.push_str("  \"schedules\": [\n");
-        for (i, v) in self.schedules.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", v.name));
-            s.push_str(&format!("\"makespan_ns\": {}, ", v.makespan_ns));
-            s.push_str(&format!("\"pe_skew\": {:.4}, ", v.pe_skew));
-            s.push_str(&format!("\"steals\": {}", v.steals));
-            s.push_str(if i + 1 < self.schedules.len() {
-                "},\n"
-            } else {
-                "}\n"
-            });
-        }
-        s.push_str("  ],\n");
+    /// The `BENCH_skew.json` record: the headline ratios and the tuner
+    /// comparison (`tuner.*`) at top level, one point per scheduler.
+    /// Every leaf is sim-clock, so the gate holds all of them exactly.
+    pub fn artifact(&self) -> Artifact {
         let t = &self.tuner;
-        s.push_str("  \"tuner\": {\n");
-        s.push_str(&format!("    \"evals\": {},\n", t.evals));
-        s.push_str(&format!(
-            "    \"tuned_slice\": {},\n",
-            t.tuned.slice_embeddings
-        ));
-        s.push_str(&format!("    \"tuned_qps\": {},\n", t.tuned.num_qps));
-        s.push_str(&format!(
-            "    \"tuned_occupancy_cap\": {},\n",
-            occ(t.tuned.occupancy_cap)
-        ));
-        s.push_str(&format!(
-            "    \"tuned_makespan_ns\": {:.1},\n",
-            t.tuned_makespan_ns
-        ));
-        s.push_str(&format!(
-            "    \"swept_slice\": {},\n",
-            t.swept.slice_embeddings
-        ));
-        s.push_str(&format!("    \"swept_qps\": {},\n", t.swept.num_qps));
-        s.push_str(&format!(
-            "    \"swept_occupancy_cap\": {},\n",
-            occ(t.swept.occupancy_cap)
-        ));
-        s.push_str(&format!(
-            "    \"swept_makespan_ns\": {:.1},\n",
-            t.swept_makespan_ns
-        ));
-        s.push_str(&format!("    \"sweep_points\": {},\n", t.sweep_points));
-        s.push_str(&format!(
-            "    \"tuned_vs_swept\": {:.4}\n",
-            t.tuned_vs_swept()
-        ));
-        s.push_str("  }\n");
-        s.push_str("}\n");
-        s
+        let points = self
+            .schedules
+            .iter()
+            .map(|s| {
+                Point::new(
+                    s.name.as_str(),
+                    vec![
+                        field("makespan_ns", s.makespan_ns),
+                        field("pe_skew", Value::Fixed(s.pe_skew, 4)),
+                        field("steals", s.steals),
+                    ],
+                )
+            })
+            .collect();
+        Artifact {
+            name: "skew".to_string(),
+            fields: vec![
+                field("pes", self.pes),
+                field("slice_embeddings", self.slice_embeddings),
+                field("straggler_rate", Value::Fixed(self.straggler_rate, 4)),
+                field("straggler_factor", Value::Fixed(self.straggler_factor, 4)),
+                field("skew_seed", self.skew_seed),
+                field("steal_seed", self.steal_seed),
+                field(
+                    "stealing_vs_oracle",
+                    Value::Fixed(self.stealing_vs_oracle(), 4),
+                ),
+                field(
+                    "stealing_speedup_vs_static",
+                    Value::Fixed(self.stealing_speedup(), 4),
+                ),
+                field("tuner.evals", t.evals),
+                field("tuner.tuned_slice", t.tuned.slice_embeddings),
+                field("tuner.tuned_qps", t.tuned.num_qps),
+                field("tuner.tuned_occupancy_cap", t.tuned.occupancy_cap),
+                field(
+                    "tuner.tuned_makespan_ns",
+                    Value::Fixed(t.tuned_makespan_ns, 1),
+                ),
+                field("tuner.swept_slice", t.swept.slice_embeddings),
+                field("tuner.swept_qps", t.swept.num_qps),
+                field("tuner.swept_occupancy_cap", t.swept.occupancy_cap),
+                field(
+                    "tuner.swept_makespan_ns",
+                    Value::Fixed(t.swept_makespan_ns, 1),
+                ),
+                field("tuner.sweep_points", t.sweep_points),
+                field("tuner.tuned_vs_swept", Value::Fixed(t.tuned_vs_swept(), 4)),
+            ],
+            points,
+        }
     }
 }
 
@@ -381,23 +357,22 @@ mod tests {
     }
 
     #[test]
-    fn json_artifact_is_well_formed() {
+    fn artifact_round_trips() {
         let run = run_skew(2, 1, 4);
-        let json = run.to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(v["name"], "skew");
-        assert_eq!(v["schedules"].as_array().unwrap().len(), 3);
-        assert!(v["stealing_vs_oracle"].as_f64().unwrap() > 0.0);
-        assert!(v["tuner"]["tuned_vs_swept"].as_f64().unwrap() > 0.0);
-        assert!(v["tuner"]["sweep_points"].as_u64().unwrap() > 0);
+        let leaves = crate::gate::assert_round_trips(&run.artifact());
+        // 19 top-level leaves, less an occupancy cap of `None` (null).
+        assert!((17 + 3 * 3..=19 + 3 * 3).contains(&leaves.len()));
+        assert!(leaves["stealing_vs_oracle"] > 0.0);
+        assert!(leaves["tuner.tuned_vs_swept"] > 0.0);
+        assert!(leaves["tuner.sweep_points"] > 0.0);
     }
 
     #[test]
     fn run_is_deterministic() {
         // Everything runs on the timed simulator, so the artifact must be
         // reproducible bit-for-bit — the property `--check` relies on.
-        let a = run_skew(2, 1, 6).to_json();
-        let b = run_skew(2, 1, 6).to_json();
+        let a = run_skew(2, 1, 6).artifact();
+        let b = run_skew(2, 1, 6).artifact();
         assert_eq!(a, b);
     }
 }

@@ -22,6 +22,9 @@ use fcc_core::{FusedPlan, ScheduleKind, ZeroCopyPlan};
 use fcc_dlrm::{DlrmConfig, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{RingStats, ShmemWorld};
+use fcc_telemetry::artifact::{field, Artifact, Point, Value};
+
+use crate::gate::{Rule, Rules};
 
 /// One variant's measured throughput.
 #[derive(Debug, Clone)]
@@ -62,50 +65,53 @@ impl ThroughputRun {
         self.variants.iter().find(|v| v.name == name)
     }
 
-    /// Hand-rolled JSON artifact (schema mirrors the other BENCH files;
-    /// no serializer needed for numbers and fixed names).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"name\": \"throughput\",\n");
-        s.push_str(&format!("  \"pes\": {},\n", self.pes));
-        s.push_str(&format!(
-            "  \"slice_embeddings\": {},\n",
-            self.slice_embeddings
-        ));
-        s.push_str(&format!("  \"dim\": {},\n", self.cfg.dim));
-        s.push_str(&format!("  \"global_batch\": {},\n", self.cfg.global_batch));
-        s.push_str(&format!(
-            "  \"tables_per_pe\": {},\n",
-            self.cfg.tables_per_pe
-        ));
-        s.push_str("  \"variants\": [\n");
-        for (i, v) in self.variants.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", v.name));
-            s.push_str(&format!("\"execs\": {}, ", v.execs));
-            s.push_str(&format!("\"wall_ns\": {}, ", v.wall_ns));
-            s.push_str(&format!("\"ops_per_sec\": {:.3}, ", v.ops_per_sec));
-            s.push_str(&format!(
-                "\"network_puts_per_exec\": {}, ",
-                v.network_puts_per_exec
-            ));
-            s.push_str(&format!("\"puts_per_sec\": {:.3}, ", v.puts_per_sec));
-            s.push_str(&format!("\"ring_puts\": {}, ", v.ring.ring_puts));
-            s.push_str(&format!("\"ring_full_spins\": {}, ", v.ring.full_spins));
-            s.push_str(&format!("\"ring_bypasses\": {}, ", v.ring.bypasses));
-            s.push_str(&format!("\"scratch_misses\": {}", v.scratch_misses));
-            s.push_str(if i + 1 < self.variants.len() {
-                "},\n"
-            } else {
-                "}\n"
-            });
+    /// The `BENCH_throughput.json` record.
+    pub fn artifact(&self) -> Artifact {
+        let points = self
+            .variants
+            .iter()
+            .map(|v| {
+                Point::new(
+                    v.name.as_str(),
+                    vec![
+                        field("execs", v.execs),
+                        field("wall_ns", v.wall_ns),
+                        field("ops_per_sec", Value::Fixed(v.ops_per_sec, 3)),
+                        field("network_puts_per_exec", v.network_puts_per_exec),
+                        field("puts_per_sec", Value::Fixed(v.puts_per_sec, 3)),
+                        field("ring_puts", v.ring.ring_puts),
+                        field("ring_full_spins", v.ring.full_spins),
+                        field("ring_bypasses", v.ring.bypasses),
+                        field("scratch_misses", v.scratch_misses),
+                    ],
+                )
+            })
+            .collect();
+        Artifact {
+            name: "throughput".to_string(),
+            fields: vec![
+                field("pes", self.pes),
+                field("slice_embeddings", self.slice_embeddings),
+                field("dim", self.cfg.dim),
+                field("global_batch", self.cfg.global_batch),
+                field("tables_per_pe", self.cfg.tables_per_pe),
+            ],
+            points,
         }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
     }
 }
+
+/// Gate rules for `BENCH_throughput.json`: what the real threads time or
+/// contend on is wall-clock — ungated, except the ring plane's PUT rate,
+/// which holds a smoke floor wide enough for a shared runner. Everything
+/// else (shape, PUT counts, ring tails) is exact.
+pub const RULES: &Rules = &[
+    ("wall_ns", Rule::Ungated),
+    ("ops_per_sec", Rule::Ungated),
+    ("puts_per_sec", Rule::Floor(0.2)),
+    ("ring_full_spins", Rule::Ungated),
+    ("scratch_misses", Rule::Ungated),
+];
 
 /// The harness design point: the paper's small-slice regime (slice width
 /// 4) on a communication-bound shape — short bags and many tables keep
@@ -327,13 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn json_artifact_is_well_formed() {
+    fn artifact_round_trips() {
         let run = run_throughput(2, 4, 1);
-        let json = run.to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(v["name"], "throughput");
-        assert_eq!(v["variants"].as_array().unwrap().len(), 2);
-        assert!(v["variants"][0]["puts_per_sec"].as_f64().unwrap() > 0.0);
+        let leaves = crate::gate::assert_round_trips(&run.artifact());
+        assert_eq!(leaves.len(), 5 + 2 * 9);
+        assert!(leaves["points.fused-ring.puts_per_sec"] > 0.0);
     }
 
     #[test]

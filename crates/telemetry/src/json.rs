@@ -22,18 +22,25 @@ pub(crate) fn escape(s: &str) -> String {
 /// Renders an `f64` as a JSON number (finite values only; non-finite
 /// values degrade to `null`).
 pub(crate) fn number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {
-        let s = format!("{v}");
-        if s.contains(['e', '.']) {
-            s
-        } else {
-            format!("{s}.0")
-        }
+        real(v)
+    }
+}
+
+/// Renders an `f64` at full round-trip precision, always with a decimal
+/// point or exponent so integral values keep their float type
+/// (non-finite values degrade to `null`).
+pub(crate) fn real(v: f64) -> String {
+    if !v.is_finite() {
+        return "null".to_string();
+    }
+    let s = format!("{v}");
+    if s.contains(['e', '.']) {
+        s
+    } else {
+        format!("{s}.0")
     }
 }
 
@@ -52,5 +59,12 @@ mod tests {
         assert_eq!(number(3.0), "3");
         assert_eq!(number(3.5), "3.5");
         assert_eq!(number(f64::NAN), "null");
+    }
+
+    #[test]
+    fn real_keeps_the_decimal_on_integral_values() {
+        assert_eq!(real(3.0), "3.0");
+        assert_eq!(real(0.25), "0.25");
+        assert_eq!(real(f64::NEG_INFINITY), "null");
     }
 }

@@ -19,7 +19,9 @@
 //!   paper's key metric: the fraction of communication time hidden under
 //!   compute.
 //! * [`summary`] — plain-text rendering of a metrics snapshot.
-//! * [`snapshot`] — machine-readable `BENCH_*.json` result files.
+//! * [`artifact`] — the one record (and writer) behind every
+//!   `results/*.json` file; [`snapshot`] is the profiler's field table
+//!   over it (`BENCH_baseline.json`).
 //! * [`ctx`] — the compact causal [`TraceCtx`] propagated through every
 //!   subsystem; its bits double as the Perfetto flow id.
 //! * [`flight`] — the always-on lock-free [`FlightRecorder`] ring of
@@ -34,6 +36,7 @@
 //! stack.
 
 pub mod alloc_count;
+pub mod artifact;
 pub mod chrome;
 pub mod ctx;
 pub mod flight;

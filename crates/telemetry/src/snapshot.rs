@@ -1,12 +1,14 @@
-//! Machine-readable `BENCH_*.json` result snapshots.
+//! The profiler's result snapshot (`BENCH_baseline.json`).
 //!
 //! One snapshot records a profiling run: per-variant wall time, overlap
 //! efficiency, bytes moved, and retry counts, plus a flattened copy of the
-//! metrics registry. The file name is derived from the snapshot name
-//! (`BENCH_baseline.json` for `baseline`) and checked into `results/` so
-//! the perf trajectory is diffable across PRs.
+//! metrics registry. It serialises through [`crate::artifact`] — this
+//! module only holds the field table ([`BenchSnapshot::artifact`]). The
+//! file name is derived from the snapshot name (`BENCH_baseline.json` for
+//! `baseline`) and checked into `results/` so the perf trajectory is
+//! diffable across PRs.
 
-use crate::json::{escape, number};
+use crate::artifact::{field, Artifact, Point, Value};
 use crate::registry::{MetricValue, MetricsSnapshot};
 
 /// One profiled variant inside a [`BenchSnapshot`].
@@ -68,44 +70,37 @@ impl BenchSnapshot {
         format!("BENCH_{}.json", self.name)
     }
 
-    /// Serializes the snapshot as pretty-stable JSON (fixed key order, one
-    /// variant per line) so diffs across PRs stay reviewable.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.name)));
-        out.push_str(&format!("  \"pes\": {},\n", self.pes));
-        out.push_str("  \"variants\": [\n");
-        let variants: Vec<String> = self
+    /// The snapshot as the one `results/` record: `pes` and every
+    /// flattened metric (key `metrics.<rendered key>`) at top level, one
+    /// point per variant.
+    pub fn artifact(&self) -> Artifact {
+        let mut fields = vec![field("pes", self.pes)];
+        fields.extend(
+            self.metrics
+                .iter()
+                .map(|(k, v)| field(format!("metrics.{k}"), Value::Real(*v))),
+        );
+        let points = self
             .variants
             .iter()
             .map(|v| {
-                let eff = match v.overlap_efficiency {
-                    Some(e) => number(e),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "    {{\"name\": \"{}\", \"wall_time_ns\": {}, \"overlap_efficiency\": {}, \"bytes_on_wire\": {}, \"messages\": {}, \"retries\": {}}}",
-                    escape(&v.name),
-                    v.wall_time_ns,
-                    eff,
-                    v.bytes_on_wire,
-                    v.messages,
-                    v.retries
+                Point::new(
+                    v.name.as_str(),
+                    vec![
+                        field("wall_time_ns", v.wall_time_ns),
+                        field("overlap_efficiency", v.overlap_efficiency.map(Value::Real)),
+                        field("bytes_on_wire", v.bytes_on_wire),
+                        field("messages", v.messages),
+                        field("retries", v.retries),
+                    ],
                 )
             })
             .collect();
-        out.push_str(&variants.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str("  \"metrics\": {\n");
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|(k, v)| format!("    \"{}\": {}", escape(k), number(*v)))
-            .collect();
-        out.push_str(&metrics.join(",\n"));
-        out.push_str("\n  }\n}\n");
-        out
+        Artifact {
+            name: self.name.clone(),
+            fields,
+            points,
+        }
     }
 }
 
@@ -146,25 +141,18 @@ mod tests {
     }
 
     #[test]
-    fn json_parses_and_preserves_fields() {
-        let json = sample().to_json();
+    fn artifact_carries_every_field_in_the_one_schema() {
+        let json = sample().artifact().to_json();
         let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(v.get("bench").unwrap().as_str(), Some("baseline"));
-        assert_eq!(v.get("pes").unwrap().as_u64(), Some(4));
-        let variants = v.get("variants").unwrap().as_array().unwrap();
-        assert_eq!(variants.len(), 2);
-        assert_eq!(
-            variants[1].get("overlap_efficiency").unwrap().as_f64(),
-            Some(0.75)
-        );
-        assert_eq!(
-            v.get("metrics")
-                .unwrap()
-                .get("recovery.retries")
-                .unwrap()
-                .as_f64(),
-            Some(2.0)
-        );
+        assert_eq!(v["name"], "baseline");
+        assert_eq!(v["pes"].as_u64(), Some(4));
+        assert_eq!(v["metrics.recovery.retries"].as_f64(), Some(2.0));
+        let points = v["points"].as_array().unwrap();
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[1]["name"], "fused");
+        assert_eq!(points[1]["overlap_efficiency"].as_f64(), Some(0.75));
+        assert_eq!(points[1]["retries"].as_u64(), Some(2));
+        assert!(json.contains("\"overlap_efficiency\": 0.0"), "{json}");
     }
 
     #[test]
