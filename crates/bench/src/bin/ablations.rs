@@ -210,31 +210,24 @@ fn multi_qp_study() -> Series {
 
 fn gpus_per_nic_study() -> Series {
     // The Fig. 1a -> 1b system trend, quantified: same 8 GPUs, varying how
-    // many share each NIC.
-    use fcc_core::sim::hierarchical::{simulate_hierarchical, HierSystem};
-    use fcc_net::LinkSpec;
+    // many share each NIC (PEs beyond the topology's endpoints share one).
+    use fcc_core::sim::hierarchical::hierarchical_baseline;
     let gpu = GpuConfig::mi210();
     let cfg = DlrmConfig::hw_eval(8, 512, 32);
     let mut rows = Vec::new();
     let mut series = Series::new("fused_over_baseline");
-    for (nodes, g) in [(8usize, 1usize), (4, 2), (2, 4)] {
-        let r = simulate_hierarchical(
-            &cfg,
-            &gpu,
-            HierSystem {
-                nodes,
-                gpus_per_node: g,
-            },
-            LinkSpec::infiniband_20gbs(),
-            &FusedTuning::default(),
-        );
+    for (nodes, g) in [(8, 1), (4, 2), (2, 4)] {
+        let topo = fcc_bench::runs::ib_nodes(nodes);
+        let baseline = hierarchical_baseline(&cfg, &gpu, &topo);
+        let fused = simulate_fused(&FusedParams::new(cfg.clone(), gpu.clone(), topo)).makespan();
+        let normalized = fused.as_nanos_f64() / baseline.as_nanos_f64();
         rows.push(vec![
             format!("{nodes} nodes x {g} GPUs"),
-            format!("{}", r.baseline),
-            format!("{}", r.fused),
-            format!("{:.3}", r.normalized),
+            format!("{baseline}"),
+            format!("{fused}"),
+            format!("{normalized:.3}"),
         ]);
-        series.push(format!("{g}/NIC"), r.normalized);
+        series.push(format!("{g}/NIC"), normalized);
     }
     print_table(
         "Ablation 9: GPUs per NIC (8 GPUs total, 512|32)",

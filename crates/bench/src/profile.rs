@@ -38,6 +38,8 @@ use fcc_telemetry::{
     SeriesSet, Telemetry, TraceCheckReport, TraceCtx, TraceSink, VariantProfile,
 };
 
+use crate::runs::ib_nodes;
+
 /// Everything one profiling run produces.
 #[derive(Debug)]
 pub struct ProfileRun {
@@ -73,11 +75,7 @@ pub fn profile_point(pes: usize) -> DlrmConfig {
 }
 
 fn timed_params(pes: usize) -> FusedParams {
-    FusedParams::new(
-        profile_point(pes),
-        GpuConfig::mi210(),
-        presets::dual_node_ib(),
-    )
+    FusedParams::new(profile_point(pes), GpuConfig::mi210(), ib_nodes(pes))
 }
 
 /// Aggregate overlap efficiency across PEs: total hidden communication

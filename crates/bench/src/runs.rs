@@ -8,7 +8,7 @@ use fcc_core::sim::FusedTuning;
 use fcc_core::ScheduleKind;
 use fcc_dlrm::DlrmConfig;
 use fcc_gpu::config::GpuConfig;
-use fcc_net::presets;
+use fcc_net::{presets, LinkSpec, Topology};
 use fcc_sim::SimTime;
 
 /// The paper's `<global batch> | <tables per GPU>` configuration label.
@@ -26,6 +26,14 @@ pub const INTRA_NODE_BATCHES: [usize; 4] = [512, 1024, 2048, 4096];
 /// The 1024 | 256 design point used by Figs. 9, 11, 12, 13.
 pub fn design_point() -> DlrmConfig {
     DlrmConfig::hw_eval(2, 1024, 256)
+}
+
+/// Table 1's inter-node system at `nodes` nodes: one NIC each, InfiniBand
+/// at 20 GB/s. A run with more PEs than nodes shares each NIC among them.
+pub fn ib_nodes(nodes: usize) -> Topology {
+    let link = LinkSpec::infiniband_20gbs();
+    let endpoints = nodes as u32;
+    Topology::Switched { endpoints, link }
 }
 
 /// One normalized inter-node measurement: fused vs. baseline on the

@@ -32,8 +32,9 @@ use fcc_dlrm::DlrmConfig;
 use fcc_gpu::config::GpuConfig;
 use fcc_gpu::kernel::KernelResources;
 use fcc_gpu::occupancy::occupancy;
-use fcc_net::presets;
 use fcc_telemetry::artifact::{field, Artifact, Point, Value};
+
+use crate::runs::ib_nodes;
 
 /// One scheduler's outcome at the skewed design point.
 #[derive(Debug, Clone)]
@@ -181,7 +182,7 @@ impl SkewRun {
 pub fn skew_point(pes: usize) -> FusedParams {
     let mut cfg = DlrmConfig::hw_eval(pes, 128 * pes, 8);
     cfg.pooling = 8;
-    let mut p = FusedParams::new(cfg, GpuConfig::mi210(), presets::dual_node_ib());
+    let mut p = FusedParams::new(cfg, GpuConfig::mi210(), ib_nodes(pes));
     p.slice_embeddings = 8;
     p.occupancy_cap = Some(8);
     p.skew = Some(SkewSpec::stragglers(0.2, 8.0, 11));

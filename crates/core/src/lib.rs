@@ -12,12 +12,13 @@
 //!   paper's `{local batch, tables × dim}` destination layout.
 //! * [`schedule`] — communication-aware vs. communication-oblivious
 //!   logical-WG ordering, and the strided deal onto persistent WGs.
-//! * [`progress`] — the `WG_Done` last-finisher election (bitmask ≤ 64
-//!   WGs, counter beyond), sequential flavour for the simulator, plus the
-//!   recovery policy/counters of the fault-tolerant path.
+//! * [`progress`] — the recovery policy/counters of the fault-tolerant
+//!   path.
 //! * [`op`] — **functional** operators over the `fcc-shmem` runtime. One
-//!   protocol core (staging + slice PUT + `sliceRdy` flags, with the
-//!   zero-copy store path for P2P peers) carries [`op::FusedPlan`], the
+//!   protocol core (the `WG_Done` last-finisher election, staging + slice
+//!   PUT + `sliceRdy` flags, with the zero-copy store path for P2P peers,
+//!   whose per-item step the timed simulator runs too) carries
+//!   [`op::FusedPlan`], the
 //!   producer-generic [`op::GenericFusedPlan`] and
 //!   [`op::ResilientFusedPlan`], which adds timeout + bounded-retry
 //!   recovery and a degraded-mode fallback to the bulk All-to-All under
@@ -25,7 +26,8 @@
 //!   per-thread direct stores. All are tested bit-for-bit against the
 //!   unfused `embedding → All-to-All` reference.
 //! * [`sim`] — **timed** simulations of the same designs on the GPU and
-//!   NIC models, which regenerate the paper's Figures 9–14.
+//!   NIC models, which regenerate the paper's Figures 9–14; the fused
+//!   kernel is priced by stepping the functional operators' protocol.
 //! * [`ext`] — §3.5 generality: fused `AllGather + GEMM` (fully sharded
 //!   data parallelism) and fused `All-to-All + expert` (MoE) operators.
 //! * [`tune`] — the online telemetry-driven auto-tuner closing the loop

@@ -42,8 +42,8 @@ pub struct FusedPlan {
     core: FusedCore,
     map: SliceMap,
     cfg: DlrmConfig,
-    /// `tasks[me][kind]`: PE `me`'s logical-WG order under
-    /// [`kind_index`]`(kind)`, fixed at plan time.
+    /// `tasks[me][kind]`: PE `me`'s protocol tasks in its logical-WG
+    /// order under [`kind_index`]`(kind)`, fixed at plan time.
     tasks: Vec<[Vec<u64>; 2]>,
 }
 
@@ -105,20 +105,12 @@ impl FusedPlan {
             cfg.global_batch,
             slice_embeddings,
         );
-        // Every source has the same table; `SliceMap` lists slices in WG-id
-        // order, so their lengths alone place them.
-        let table: Vec<(usize, usize)> = map
-            .slices()
-            .iter()
-            .map(|s| (s.len as usize, s.dst_pe as usize))
-            .collect();
-        let runs = vec![table; cfg.n_pes];
-        let core = FusedCore::new(layout, cfg.dim, cfg.pooling, output_len(cfg), &runs);
+        let core = FusedCore::new(layout, cfg.dim, cfg.pooling, output_len(cfg), map.table());
         let tasks = (0..cfg.n_pes as u32)
             .map(|me| {
                 [ScheduleKind::Oblivious, ScheduleKind::CommAware].map(|kind| {
                     let order = schedule::order(&map, me, kind);
-                    order.iter().map(|&wg| wg as u64).collect()
+                    order.iter().map(|&wg| map.task(wg)).collect()
                 })
             })
             .collect();
@@ -208,7 +200,7 @@ impl FusedPlan {
         }
     }
 
-    /// The task list of PE `me`: one logical WG id per task, in the
+    /// The task list of PE `me`: one protocol task per logical WG, in the
     /// comm-aware (or oblivious) priority order.
     pub(crate) fn tasks(&self, me: usize, kind: ScheduleKind) -> &[u64] {
         &self.tasks[me][kind_index(kind)]
@@ -231,7 +223,7 @@ impl FusedPlan {
     ) {
         let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
         self.compute_and_put(ctx, local_tables, gen, mode, kind, exec);
-        self.core.drain(ctx.me(), |s| {
+        self.core.table().drain(ctx.me(), |s| {
             self.core.wait_ready(ctx, s, exec);
             ControlFlow::Continue(())
         });
@@ -267,7 +259,7 @@ impl FusedPlan {
         // finish the drain with unbounded waits — the writers are still
         // live, correctness is never at stake, only the latency report.
         let mut missed: Option<ShmemError> = None;
-        self.core.drain(ctx.me(), |s| {
+        self.core.table().drain(ctx.me(), |s| {
             if missed.is_none() {
                 let remaining = deadline.saturating_sub(start.elapsed());
                 missed = self.core.wait_ready_timeout(ctx, s, exec, remaining).err();

@@ -17,7 +17,7 @@ use std::ops::ControlFlow;
 use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{PeCtx, SymSlice};
 
-use crate::op::protocol::{FusedCore, Slice};
+use crate::op::protocol::{FusedCore, Slice, SliceTable};
 use crate::schedule::steal::StealPolicy;
 
 /// A workload that can be fused with its output exchange.
@@ -72,6 +72,23 @@ impl GenericFusedPlan {
         producer: &impl FusedProducer,
         items_per_slice: usize,
     ) -> GenericFusedPlan {
+        let (table, tasks) = Self::slicing(n_pes, producer, items_per_slice);
+        let core = FusedCore::new(layout, producer.dim(), 0, producer.output_len(), table);
+        GenericFusedPlan {
+            output: core.output(),
+            core,
+            tasks,
+        }
+    }
+
+    /// The plan's slice table and per-PE task order — what
+    /// [`plan`](Self::plan) executes and the timed
+    /// [`price_producer`](crate::sim::generic::price_producer) prices.
+    pub(crate) fn slicing<P: FusedProducer + ?Sized>(
+        n_pes: usize,
+        producer: &P,
+        items_per_slice: usize,
+    ) -> (SliceTable, Vec<Vec<u64>>) {
         assert!(items_per_slice >= 1);
         let runs: Vec<Vec<(usize, usize)>> = (0..n_pes)
             .map(|me| {
@@ -86,23 +103,18 @@ impl GenericFusedPlan {
                 table
             })
             .collect();
-        let core = FusedCore::new(layout, producer.dim(), 0, producer.output_len(), &runs);
+        let table = SliceTable::new(&runs);
         // Remote-first (communication-aware) execution order over slices,
         // flattened to item-level tasks so the work-stealing deques
         // rebalance within a slice too.
         let tasks = (0..n_pes)
             .map(|me| {
-                let mut order: Vec<&Slice> = core.slices(me).iter().collect();
+                let mut order: Vec<&Slice> = table.slices(me).iter().collect();
                 order.sort_by_key(|s| s.dst == me);
-                let items = |s: &&Slice| (s.first_item..s.first_item + s.len).map(|i| i as u64);
-                order.iter().flat_map(items).collect()
+                order.into_iter().flat_map(SliceTable::tasks).collect()
             })
             .collect();
-        GenericFusedPlan {
-            output: core.output(),
-            core,
-            tasks,
-        }
+        (table, tasks)
     }
 
     /// Replaces the work-stealing policy (builder form).
@@ -118,7 +130,7 @@ impl GenericFusedPlan {
 
     /// Slices PE `me` will communicate (diagnostics).
     pub fn num_slices(&self, me: usize) -> usize {
-        self.core.slices(me).len()
+        self.core.table().slices(me).len()
     }
 
     /// Scratch-buffer allocations that missed the pools — zero growth
@@ -136,7 +148,7 @@ impl GenericFusedPlan {
         core.run_tasks(ctx, producer, &self.tasks[me], exec, |s, ws| {
             core.ship(ctx, producer, s, exec, ws)
         });
-        core.drain(me, |s| {
+        core.table().drain(me, |s| {
             core.wait_ready(ctx, s, exec);
             ControlFlow::Continue(())
         });

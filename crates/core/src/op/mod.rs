@@ -1,7 +1,8 @@
 //! Functional (real-data) executions of the fused operators.
 //!
 //! The paper's recipe — task loop, `WG_Done` election, slice PUT + fence +
-//! `sliceRdy`, drain — lives once, in the crate-private `protocol` core.
+//! `sliceRdy`, drain — lives once, in the crate-private `protocol` core,
+//! whose per-item step the timed simulator (`crate::sim`) runs too.
 //! [`FusedPlan`] (embedding pooling), [`GenericFusedPlan`] (any
 //! [`FusedProducer`]) and [`ResilientFusedPlan`] (the fault ladder) are a
 //! producer, a slice table, an item order and a ship/wait policy on it.
@@ -14,7 +15,7 @@ use fcc_shmem::TraceCtx;
 pub mod elastic;
 pub mod fused;
 pub mod generic;
-mod protocol;
+pub(crate) mod protocol;
 pub mod recovery;
 pub mod reference;
 pub mod resilient;

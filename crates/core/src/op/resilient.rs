@@ -560,7 +560,8 @@ impl ResilientFusedPlan {
             // The task loop is over: the draining PE thread verifies landed
             // slices in its first worker's workspace.
             let mut ws = core.workspace(me, 0);
-            core.drain(me, |s| self.await_slice(&at, s, &mut ws));
+            core.table()
+                .drain(me, |s| self.await_slice(&at, s, &mut ws));
         }
 
         // Unconditional rendezvous: publishes every PE's `degraded`

@@ -1,19 +1,12 @@
-//! Last-finisher election (the `WG_Done` bitmask), sequential flavour,
-//! plus the recovery bookkeeping of the resilient operator.
-//!
-//! The fused kernel never uses an inter-WG barrier: each WG marks its bit
-//! in the slice's `WG_Done` bitmask and checks whether it completed the
-//! mask — only the unique last finisher issues the slice's PUT. The
-//! functional operator does this with real atomics over `fcc-shmem`
-//! (`flag_fetch_or`); this module is the deterministic single-threaded
-//! counterpart the timing simulator uses, with the same
-//! bitmask-up-to-64-then-counter behaviour.
+//! The recovery bookkeeping of the resilient operator.
 //!
 //! [`RecoveryPolicy`] and [`RecoveryCounters`] belong to the
 //! fault-recovery path ([`crate::op::ResilientFusedPlan`]): the policy
 //! bounds how long a PE waits on a `sliceRdy` flag and how often a lost
 //! slice PUT is re-issued; the counters make every timeout, retry, and
-//! degraded-mode fallback observable to callers and tests.
+//! degraded-mode fallback observable to callers and tests. (The `WG_Done`
+//! last-finisher election itself is the protocol step's, in
+//! `op/protocol.rs`, shared by both clocks.)
 
 use std::time::Duration;
 
@@ -283,155 +276,9 @@ impl RecoveryCounters {
     }
 }
 
-/// Tracks per-slice completion and elects last finishers.
-#[derive(Debug, Clone)]
-pub struct SliceProgress {
-    state: Vec<State>,
-}
-
-#[derive(Debug, Clone)]
-enum State {
-    /// ≤ 64 WGs: a real bitmask, as in the paper.
-    Bitmask { mask: u64, full: u64 },
-    /// > 64 WGs: a countdown (the paper's design generalized).
-    Counter { remaining: u32 },
-}
-
-impl SliceProgress {
-    /// Builds trackers from each slice's WG count.
-    pub fn new(wgs_per_slice: impl IntoIterator<Item = u32>) -> SliceProgress {
-        SliceProgress {
-            state: wgs_per_slice
-                .into_iter()
-                .map(|n| {
-                    assert!(n > 0, "a slice needs at least one WG");
-                    if n <= 64 {
-                        State::Bitmask {
-                            mask: 0,
-                            full: if n == 64 { u64::MAX } else { (1 << n) - 1 },
-                        }
-                    } else {
-                        State::Counter { remaining: n }
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of slices tracked.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Whether no slices are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
-    /// Marks WG `wg_index` of `slice` complete. Returns `true` iff this
-    /// completion was the slice's last.
-    ///
-    /// # Panics
-    /// Panics on double completion or out-of-range indices.
-    pub fn complete(&mut self, slice: usize, wg_index: u32) -> bool {
-        match &mut self.state[slice] {
-            State::Bitmask { mask, full } => {
-                let bit = 1u64
-                    .checked_shl(wg_index)
-                    .filter(|_| wg_index < 64)
-                    .unwrap_or_else(|| panic!("WG index {wg_index} exceeds bitmask"));
-                assert!(
-                    *mask & bit == 0,
-                    "WG {wg_index} of slice {slice} completed twice"
-                );
-                *mask |= bit;
-                *mask == *full
-            }
-            State::Counter { remaining } => {
-                assert!(*remaining > 0, "slice {slice} over-completed");
-                *remaining -= 1;
-                *remaining == 0
-            }
-        }
-    }
-
-    /// Whether a slice has fully completed.
-    pub fn is_done(&self, slice: usize) -> bool {
-        match &self.state[slice] {
-            State::Bitmask { mask, full } => mask == full,
-            State::Counter { remaining } => *remaining == 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_wg_slice_elects_immediately() {
-        let mut p = SliceProgress::new([1]);
-        assert!(!p.is_done(0));
-        assert!(p.complete(0, 0));
-        assert!(p.is_done(0));
-    }
-
-    #[test]
-    fn exactly_one_last_finisher_any_order() {
-        // All 4! completion orders of a 4-WG slice elect exactly one last
-        // finisher, always on the 4th completion.
-        let perms: Vec<Vec<u32>> = permutations(&[0, 1, 2, 3]);
-        for perm in perms {
-            let mut p = SliceProgress::new([4]);
-            let mut elected = 0;
-            for (i, &wg) in perm.iter().enumerate() {
-                let last = p.complete(0, wg);
-                if last {
-                    elected += 1;
-                    assert_eq!(i, 3, "elected before all WGs finished");
-                }
-            }
-            assert_eq!(elected, 1);
-        }
-    }
-
-    #[test]
-    fn wide_slices_use_counter() {
-        let n = 100u32;
-        let mut p = SliceProgress::new([n]);
-        for i in 0..n - 1 {
-            assert!(!p.complete(0, i));
-        }
-        assert!(p.complete(0, n - 1));
-    }
-
-    #[test]
-    fn sixty_four_wg_boundary() {
-        let mut p = SliceProgress::new([64]);
-        for i in 0..63 {
-            assert!(!p.complete(0, i));
-        }
-        assert!(p.complete(0, 63));
-    }
-
-    #[test]
-    #[should_panic(expected = "completed twice")]
-    fn double_completion_detected() {
-        let mut p = SliceProgress::new([2]);
-        p.complete(0, 1);
-        p.complete(0, 1);
-    }
-
-    #[test]
-    fn independent_slices() {
-        let mut p = SliceProgress::new([2, 3]);
-        assert!(!p.complete(0, 0));
-        assert!(!p.complete(1, 0));
-        assert!(p.complete(0, 1));
-        assert!(!p.is_done(1));
-        assert!(!p.complete(1, 2));
-        assert!(p.complete(1, 1));
-    }
 
     #[test]
     fn backoff_grows_geometrically() {
@@ -487,25 +334,5 @@ mod tests {
         let c = RecoveryCounters::in_registry(&Registry::disabled());
         c.record_retry();
         assert_eq!(c.snapshot(), RecoverySnapshot::default());
-    }
-
-    fn permutations(items: &[u32]) -> Vec<Vec<u32>> {
-        if items.len() <= 1 {
-            return vec![items.to_vec()];
-        }
-        let mut out = Vec::new();
-        for (i, &head) in items.iter().enumerate() {
-            let rest: Vec<u32> = items
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &v)| v)
-                .collect();
-            for mut tail in permutations(&rest) {
-                tail.insert(0, head);
-                out.push(tail);
-            }
-        }
-        out
     }
 }

@@ -7,31 +7,39 @@
 //!
 //! 1. **Compute** — each PE's persistent workgroups execute their
 //!    (scheduled) logical-WG task loops on the GPU model's shared-bandwidth
-//!    executor; the completion hook charges `WG_Done` bookkeeping to every
-//!    task and SHMEM API latency to elected last finishers, recording when
-//!    each remote slice's PUT is issued.
-//! 2. **Network** — the recorded PUTs (payload, fence, `sliceRdy` flag)
-//!    replay in issue order through each PE's NIC queue pair, yielding
-//!    per-slice arrival times at every destination.
+//!    executor, and every completion runs the functional operator's own
+//!    protocol step on the timed backend (`sim/timed.rs`): `WG_Done`
+//!    bookkeeping for every task, SHMEM API latency for the elected last
+//!    finisher of a network slice, whose publication joins the replay
+//!    list.
+//! 2. **Network** — each NIC replays its PEs' publications (the slice's
+//!    row PUTs + fence as one payload message, then the `sliceRdy` flag)
+//!    in issue order, yielding per-slice arrival times at every
+//!    destination.
 //! 3. **Drain** — a PE's fused kernel ends when its own task loop has
-//!    drained *and* every slice destined to it has arrived.
+//!    drained, its direct stores to same-NIC peers have left, *and* every
+//!    slice destined to it has arrived.
+//!
+//! A topology with fewer endpoints than PEs shares each NIC among
+//! `n_pes / endpoints` PEs, which reach each other P2P.
+
+use std::ops::ControlFlow;
 
 use fcc_dlrm::DlrmConfig;
 use fcc_gpu::config::GpuConfig;
-use fcc_gpu::exec::{PersistentExec, TaskUnit, WgPlan};
+use fcc_gpu::exec::{TaskUnit, WgPlan};
 use fcc_gpu::kernel::KernelResources;
-use fcc_gpu::occupancy::occupancy;
-use fcc_net::{FaultPlan, FaultStats, FaultyNic, Topology};
-use fcc_shmem::timed::TimedEndpoint;
-use fcc_sim::trace::{PointKind, SpanKind};
+use fcc_net::{FaultPlan, FaultStats, Topology};
+use fcc_sim::trace::SpanKind;
 use fcc_sim::{SimTime, Timeline};
 use fcc_telemetry::trace::{TrackId, TID_WIRE};
 use fcc_telemetry::{union_intervals, OverlapStats, Telemetry};
 
-use crate::progress::SliceProgress;
+use crate::op::protocol::Slice;
 use crate::schedule::{self, ScheduleKind};
-use crate::slice::{SliceInfo, SliceMap};
+use crate::slice::SliceMap;
 
+use super::timed::{persistent_wgs, Timed, Wire};
 use super::FusedTuning;
 
 /// How logical WGs map onto persistent WG slots at runtime.
@@ -131,8 +139,9 @@ pub struct FusedParams {
     /// sweeps.
     pub trace: bool,
     /// Inject faults into the network stage: PUTs replay through a
-    /// [`FaultyNic`] (go-back-N retransmission, FIFO preserved) instead
-    /// of a clean endpoint, and per-PE [`FaultStats`] land in the result.
+    /// [`fcc_net::FaultyNic`] (go-back-N retransmission, FIFO preserved)
+    /// instead of a clean queue pair, and per-NIC [`FaultStats`] land in
+    /// the result.
     /// Only the single-QP path models faults; combining a plan with
     /// `num_qps > 1` panics.
     pub faults: Option<FaultPlan>,
@@ -164,6 +173,17 @@ impl FusedParams {
             telemetry: Telemetry::disabled(),
         }
     }
+
+    /// The point's slice partition, and how many persistent WGs its fused
+    /// kernel keeps resident.
+    pub(crate) fn shape(&self) -> (SliceMap, u32) {
+        let cfg = &self.cfg;
+        let (pes, tables, batch) = (cfg.n_pes, cfg.tables_per_pe, cfg.global_batch);
+        let map = SliceMap::new(pes, tables, batch, self.slice_embeddings);
+        let (kernel, items) = (KernelResources::embedding_fused(), map.num_wgs() as usize);
+        let wgs = persistent_wgs(&self.gpu, &kernel, self.occupancy_cap, items);
+        (map, wgs)
+    }
 }
 
 /// Per-PE outcome of the simulation.
@@ -193,7 +213,8 @@ pub struct FusedResult {
     pub per_pe: Vec<PeOutcome>,
     /// One timeline per PE when tracing was requested.
     pub timelines: Vec<Timeline>,
-    /// One entry per PE when fault injection was requested, else empty.
+    /// One entry per NIC (per PE unless PEs share NICs) when fault
+    /// injection was requested, else empty.
     pub fault_stats: Vec<FaultStats>,
 }
 
@@ -244,295 +265,98 @@ impl FusedResult {
 /// assert_eq!(result.per_pe.len(), 2);
 /// ```
 pub fn simulate_fused(params: &FusedParams) -> FusedResult {
-    let cfg = &params.cfg;
-    let map = SliceMap::new(
-        cfg.n_pes,
-        cfg.tables_per_pe,
-        cfg.global_batch,
-        params.slice_embeddings,
-    );
-    let n_pes = cfg.n_pes;
-    let bytes_per_task = cfg.bytes_per_pooled_lookup();
+    let (map, n_persistent) = params.shape();
+    let table = map.table();
+    let timed = Timed::new(&table, params.cfg.dim, params.tuning, &params.topo);
+    let tel = &params.telemetry;
+    // Telemetry derives slice latency and overlap from the timeline, so it
+    // forces recording on even without `trace`.
+    let record = params.trace || tel.is_enabled();
 
-    // Stage 1+2 per PE; arrivals are gathered per destination for stage 3.
-    let mut arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); n_pes];
-    let mut compute_end = vec![SimTime::ZERO; n_pes];
-    let mut steals = vec![0u64; n_pes];
-    let mut messages = vec![0u64; n_pes];
-    let mut bytes = vec![0u64; n_pes];
-    let mut persistent_wgs = vec![0u32; n_pes];
-    let mut timelines: Vec<Timeline> = Vec::new();
+    // `sliceRdy` arrivals by flag index, read by the drain (stage 3).
+    let mut arrivals = vec![SimTime::ZERO; table.num_flags()];
+    let mut runs: Vec<PeRun> = Vec::with_capacity(params.cfg.n_pes);
     let mut fault_stats: Vec<FaultStats> = Vec::new();
-
-    for pe in 0..n_pes {
-        let occ = occupancy(&params.gpu, &KernelResources::embedding_fused());
-        let mut n_persistent = occ.wgs_per_device;
-        if let Some(cap) = params.occupancy_cap {
-            assert!(cap > 0, "occupancy cap must be positive");
-            n_persistent = n_persistent.min(cap);
-        }
-        let n_persistent = (n_persistent as u64).min(map.num_wgs() as u64).max(1) as u32;
-        persistent_wgs[pe] = n_persistent;
-
-        let order = schedule::order(&map, pe as u32, params.schedule);
-        let task_work = |wg: u32| -> f64 {
-            match &params.skew {
-                Some(skew) => bytes_per_task * skew.multiplier(pe as u32, wg),
-                None => bytes_per_task,
-            }
-        };
-        let plans: Vec<WgPlan> = match params.wg_schedule {
-            // Static and Stealing deal the priority order round-robin;
-            // stealing then rebalances at runtime from the queue tails.
-            WgSchedule::Static | WgSchedule::Stealing { .. } => {
-                schedule::assign_to_persistent(&order, n_persistent as usize)
-                    .into_iter()
-                    .map(|wgs| WgPlan {
-                        tasks: wgs
-                            .into_iter()
-                            .map(|wg| TaskUnit {
-                                id: wg as u64,
-                                work: task_work(wg),
-                            })
-                            .collect(),
-                    })
-                    .collect()
-            }
-            // Oracle: longest-processing-time over the true task costs —
-            // each task (heaviest first) goes to the least-loaded slot.
-            WgSchedule::Oracle => {
-                let mut tasks: Vec<TaskUnit> = order
-                    .iter()
-                    .map(|&wg| TaskUnit {
-                        id: wg as u64,
-                        work: task_work(wg),
-                    })
-                    .collect();
-                tasks.sort_by(|a, b| b.work.total_cmp(&a.work).then(a.id.cmp(&b.id)));
-                let mut plans = vec![WgPlan::default(); n_persistent as usize];
-                let mut loads = vec![0.0f64; n_persistent as usize];
-                for t in tasks {
-                    let slot = loads
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-                        .map(|(i, _)| i)
-                        .expect("at least one slot");
-                    loads[slot] += t.work;
-                    plans[slot].tasks.push(t);
-                }
-                plans
-            }
-        };
-
-        let mut progress = SliceProgress::new(map.slices().iter().map(|s| s.len));
-        let mut puts: Vec<(SimTime, u32, SliceInfo)> = Vec::new();
-        let tel = &params.telemetry;
-        let tel_on = tel.is_enabled();
-        // Telemetry derives slice latency and overlap from the timeline,
-        // so it forces recording on even when the caller skipped `trace`.
-        let mut timeline = if params.trace || tel_on {
-            Timeline::enabled()
-        } else {
-            Timeline::disabled()
-        };
-
-        let hbm = params.gpu.hbm.clone();
-        let mut exec = PersistentExec::new(move |n| hbm.aggregate(n), plans);
-        if let WgSchedule::Stealing { seed } = params.wg_schedule {
-            // Each PE thieves from its own deterministic stream.
-            exec = exec.with_stealing(seed ^ (pe as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f));
-        }
-        let tuning = params.tuning;
-        let me = pe as u32;
-        let result = exec.run(|c| {
-            let wg = c.id as u32;
-            let info = *map.slice_of_wg(wg);
-            let last = progress.complete(info.id as usize, map.wg_index_in_slice(wg));
-            timeline.span(c.wg, SpanKind::Compute, c.start, c.end, info.id as u64);
-            let remote = info.dst_pe != me;
-            if last {
-                if remote {
-                    let issue = c.end + tuning.bookkeeping + tuning.api_latency;
-                    timeline.point(c.wg, PointKind::RemotePut, issue, info.id as u64);
-                    puts.push((issue, c.wg, info));
-                } else {
-                    timeline.point(
-                        c.wg,
-                        PointKind::LocalSliceComplete,
-                        c.end + tuning.bookkeeping,
-                        info.id as u64,
-                    );
-                }
-            }
-            if last && remote {
-                tuning.bookkeeping + tuning.api_latency
+    for pes in timed.nics() {
+        // Stage 1: each PE's persistent WGs step the protocol per task.
+        let mut puts: Vec<(SimTime, Slice)> = Vec::new();
+        for pe in pes {
+            let timeline = if record {
+                Timeline::enabled()
             } else {
-                tuning.bookkeeping
-            }
-        });
-        compute_end[pe] = result.makespan;
-        steals[pe] = result.steals;
-
-        // Stage 2: replay PUTs through this PE's NIC. Issue order is
-        // completion order, which the executor yields chronologically.
-        // With several queue pairs, each slice's payload + flag pin to one
-        // QP (preserving the fence) chosen by slice id, the per-WG-context
-        // pattern.
-        assert!(params.num_qps >= 1, "need at least one queue pair");
-        // Per-put [issue, arrival) intervals and wire bytes for telemetry.
-        let mut put_spans: Vec<(SimTime, SimTime)> = Vec::new();
-        let wire_bytes: u64;
-        if let Some(fault_plan) = &params.faults {
-            assert_eq!(
-                params.num_qps, 1,
-                "fault injection models the single-QP path"
-            );
-            use fcc_net::{Message, MessageKind};
-            let mut nic = FaultyNic::new(*params.topo.link(), fault_plan.clone());
-            for &(issue, _wg, info) in &puts {
-                let payload_bytes = SliceMap::slice_bytes(info.len, cfg.dim);
-                nic.post(
-                    issue,
-                    Message {
-                        src: me,
-                        dst: info.dst_pe,
-                        bytes: payload_bytes,
-                        tag: info.id as u64,
-                        kind: MessageKind::Payload,
-                    },
-                );
-                // The NIC's reliable connection preserves FIFO under
-                // loss, so the flag still cannot overtake its payload.
-                let flag = nic.post(
-                    issue,
-                    Message {
-                        src: me,
-                        dst: info.dst_pe,
-                        bytes: 8,
-                        tag: info.id as u64,
-                        kind: MessageKind::Flag,
-                    },
-                );
-                arrivals[info.dst_pe as usize].push(flag.arrival);
-                bytes[pe] += payload_bytes;
-                if tel_on {
-                    put_spans.push((issue, flag.arrival));
-                }
-            }
-            messages[pe] = nic.nic().posted();
-            wire_bytes = nic.nic().bytes_sent();
-            fault_stats.push(nic.stats());
-        } else if params.num_qps == 1 {
-            let mut ep = TimedEndpoint::new(me, *params.topo.link());
-            for &(issue, _wg, info) in &puts {
-                let payload_bytes = SliceMap::slice_bytes(info.len, cfg.dim);
-                ep.put_nbi(issue, info.dst_pe, payload_bytes, info.id as u64);
-                ep.fence();
-                let flag = ep.flag_put(issue, info.dst_pe, info.id as u64);
-                arrivals[info.dst_pe as usize].push(flag.arrival);
-                bytes[pe] += payload_bytes;
-                if tel_on {
-                    put_spans.push((issue, flag.arrival));
-                }
-            }
-            messages[pe] = ep.nic().posted();
-            wire_bytes = ep.nic().bytes_sent();
-        } else {
-            use fcc_net::{Message, MessageKind, MultiQpNic};
-            let mut nic = MultiQpNic::new(*params.topo.link(), params.num_qps);
-            for &(issue, _wg, info) in &puts {
-                let payload_bytes = SliceMap::slice_bytes(info.len, cfg.dim);
-                let qp = info.id as usize % params.num_qps;
-                nic.post_on(
-                    qp,
-                    issue,
-                    Message {
-                        src: me,
-                        dst: info.dst_pe,
-                        bytes: payload_bytes,
-                        tag: info.id as u64,
-                        kind: MessageKind::Payload,
-                    },
-                );
-                let flag = nic.post_on(
-                    qp,
-                    issue,
-                    Message {
-                        src: me,
-                        dst: info.dst_pe,
-                        bytes: 8,
-                        tag: info.id as u64,
-                        kind: MessageKind::Flag,
-                    },
-                );
-                arrivals[info.dst_pe as usize].push(flag.arrival);
-                bytes[pe] += payload_bytes;
-                if tel_on {
-                    put_spans.push((issue, flag.arrival));
-                }
-            }
-            messages[pe] = nic.posted();
-            wire_bytes = nic.bytes_sent();
+                Timeline::disabled()
+            };
+            let mut st = timed.pe(pe, timeline);
+            // Each PE thieves from its own deterministic stream.
+            let stream = (pe as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f);
+            let steal = match params.wg_schedule {
+                WgSchedule::Stealing { seed } => Some(seed ^ stream),
+                _ => None,
+            };
+            let plans = wg_plans(params, &map, pe, n_persistent);
+            let exec = timed.run(&params.gpu, plans, steal, &mut st);
+            puts.append(&mut st.puts);
+            runs.push(PeRun {
+                compute_end: exec.makespan,
+                tail: timed.p2p_tail(&st, exec.makespan),
+                steals: exec.steals,
+                wg_busy: exec.wg_busy,
+                timeline: st.timeline,
+                ..PeRun::default()
+            });
         }
 
-        if tel_on {
-            record_pe_telemetry(
-                tel,
-                me,
-                &timeline,
-                &put_spans,
-                &result,
-                PeNetTotals {
-                    wire_bytes,
-                    messages: messages[pe],
-                    payload_bytes: bytes[pe],
-                    wgs: n_persistent,
-                },
-            );
+        // Stage 2: the NIC replays its PEs' publications merged by issue
+        // time (within a PE, completion order: already chronological).
+        puts.sort_by_key(|&(issue, _)| issue);
+        let mut wire = Wire::new(*params.topo.link(), params.faults.as_ref(), params.num_qps);
+        for (issue, s) in puts {
+            let before = wire.sent();
+            let bytes = timed.payload_bytes(&s);
+            let (_, flag) = wire.publish(issue, &s, bytes);
+            arrivals[s.flag] = flag.arrival;
+            let (run, after) = (&mut runs[s.src], wire.sent());
+            run.messages += after.0 - before.0;
+            run.wire_bytes += after.1 - before.1;
+            run.payload_bytes += bytes;
+            if tel.is_enabled() {
+                run.put_spans.push((issue, flag.arrival));
+            }
         }
-
-        if params.trace {
-            timelines.push(timeline);
-        }
+        fault_stats.extend(wire.fault_stats());
     }
 
-    // Stage 3: drain.
-    let per_pe = (0..n_pes)
-        .map(|pe| {
-            let last_arrival = arrivals[pe].iter().copied().max().unwrap_or(SimTime::ZERO);
-            let body = compute_end[pe].max(last_arrival);
-            PeOutcome {
-                compute_end: compute_end[pe],
+    // Stage 3: a PE's kernel ends once its own task loop has drained, its
+    // direct stores have left, and every slice destined to it has arrived.
+    let mut timelines: Vec<Timeline> = Vec::new();
+    let per_pe = runs
+        .into_iter()
+        .enumerate()
+        .map(|(pe, run)| {
+            let mut last_arrival = SimTime::ZERO;
+            table.drain(pe, |s| {
+                last_arrival = last_arrival.max(arrivals[s.flag]);
+                ControlFlow::Continue(())
+            });
+            let body = run.compute_end.max(last_arrival) + run.tail;
+            let out = PeOutcome {
+                compute_end: run.compute_end,
                 last_arrival,
                 total: params.gpu.kernel_launch_overhead + body + params.tuning.drain_poll,
-                messages: messages[pe],
-                bytes: bytes[pe],
-                persistent_wgs: persistent_wgs[pe],
-                steals: steals[pe],
+                messages: run.messages,
+                bytes: run.payload_bytes,
+                persistent_wgs: n_persistent,
+                steals: run.steals,
+            };
+            if tel.is_enabled() {
+                record_pe_telemetry(tel, pe as u32, &run, &out);
             }
+            if params.trace {
+                timelines.push(run.timeline);
+            }
+            out
         })
-        .collect::<Vec<PeOutcome>>();
-
-    if params.telemetry.is_enabled() {
-        for (pe, out) in per_pe.iter().enumerate() {
-            let pe_label = pe.to_string();
-            let labels = [("pe", pe_label.as_str())];
-            // `sliceRdy` wait exposed at the drain: arrivals past the end
-            // of this PE's own compute are time the kernel sits polling.
-            let wait = out.last_arrival.saturating_sub(out.compute_end);
-            params
-                .telemetry
-                .registry
-                .gauge("fused.wait.drain_ns", &labels)
-                .set(wait.as_nanos_f64());
-            params
-                .telemetry
-                .registry
-                .gauge("fused.wg.steals", &labels)
-                .set(out.steals as f64);
-        }
-    }
+        .collect();
 
     FusedResult {
         per_pe,
@@ -541,12 +365,62 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
     }
 }
 
-/// Per-PE network/occupancy totals handed to the telemetry recorder.
-struct PeNetTotals {
+/// PE `pe`'s persistent-WG plans: its logical WGs in `params.schedule`
+/// order, dealt under `params.wg_schedule`, each priced by the skew.
+pub(super) fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -> Vec<WgPlan> {
+    let order = schedule::order(map, pe as u32, params.schedule);
+    let bytes_per_task = params.cfg.bytes_per_pooled_lookup();
+    let task = |wg: u32| TaskUnit {
+        id: map.task(wg),
+        work: match &params.skew {
+            Some(skew) => bytes_per_task * skew.multiplier(pe as u32, wg),
+            None => bytes_per_task,
+        },
+    };
+    match params.wg_schedule {
+        // Static and Stealing deal the priority order round-robin;
+        // stealing then rebalances at runtime from the queue tails.
+        WgSchedule::Static | WgSchedule::Stealing { .. } => {
+            let deal = schedule::assign_to_persistent(&order, n as usize);
+            let plan = |wgs: Vec<u32>| WgPlan {
+                tasks: wgs.into_iter().map(task).collect(),
+            };
+            deal.into_iter().map(plan).collect()
+        }
+        // Oracle: longest-processing-time over the true task costs — each
+        // task (heaviest first) goes to the least-loaded slot. Task ids
+        // order like WG ids, so ties break as by WG.
+        WgSchedule::Oracle => {
+            let mut tasks: Vec<TaskUnit> = order.iter().map(|&wg| task(wg)).collect();
+            tasks.sort_by(|a, b| b.work.total_cmp(&a.work).then(a.id.cmp(&b.id)));
+            let mut plans = vec![WgPlan::default(); n as usize];
+            let mut loads = vec![0.0f64; n as usize];
+            for t in tasks {
+                let slot = (0..loads.len())
+                    .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)))
+                    .expect("at least one slot");
+                loads[slot] += t.work;
+                plans[slot].tasks.push(t);
+            }
+            plans
+        }
+    }
+}
+
+/// One PE's stage-1 outcome and stage-2 NIC totals.
+#[derive(Debug, Default)]
+struct PeRun {
+    compute_end: SimTime,
+    /// Direct-store egress past `compute_end`.
+    tail: SimTime,
+    steals: u64,
+    wg_busy: Vec<SimTime>,
+    timeline: Timeline,
     wire_bytes: u64,
     messages: u64,
     payload_bytes: u64,
-    wgs: u32,
+    /// Per-put [issue, arrival) intervals, when telemetry is on.
+    put_spans: Vec<(SimTime, SimTime)>,
 }
 
 /// Publishes one PE's metrics and trace tracks.
@@ -555,17 +429,12 @@ struct PeNetTotals {
 /// trace layout is one `pid` per PE with one `tid` per WG (from the
 /// timeline) plus the reserved wire lane carrying the union of in-flight
 /// PUT intervals (disjoint by construction, so `B`/`E` nesting holds).
-fn record_pe_telemetry(
-    tel: &Telemetry,
-    pe: u32,
-    timeline: &Timeline,
-    put_spans: &[(SimTime, SimTime)],
-    exec: &fcc_gpu::exec::ExecResult,
-    totals: PeNetTotals,
-) {
+fn record_pe_telemetry(tel: &Telemetry, pe: u32, run: &PeRun, out: &PeOutcome) {
     let pe_label = pe.to_string();
     let labels = [("pe", pe_label.as_str())];
     let reg = &tel.registry;
+    let gauge = |name, value| reg.gauge(name, &labels).set(value);
+    let timeline = &run.timeline;
 
     // Per-slice compute latency: first task start to last task end of
     // each slice, from the timeline's tagged compute spans.
@@ -592,35 +461,39 @@ fn record_pe_telemetry(
 
     // PUT issue -> arrival latency.
     let put_hist = reg.histogram("fused.put.latency_ns", &labels, 0.0, 4.0e6, 64);
+    let put_spans = &run.put_spans;
     for &(issue, arrival) in put_spans {
         put_hist.observe(arrival.saturating_sub(issue).as_nanos_f64());
     }
 
     // Bytes on wire (payload + flags + retransmissions) and messages.
     reg.counter("net.bytes_on_wire", &labels)
-        .add(totals.wire_bytes);
+        .add(run.wire_bytes);
     reg.counter("net.payload_bytes", &labels)
-        .add(totals.payload_bytes);
-    reg.counter("net.messages", &labels).add(totals.messages);
+        .add(run.payload_bytes);
+    reg.counter("net.messages", &labels).add(run.messages);
 
     // WG occupancy and mean busy fraction.
-    reg.gauge("fused.wg.occupancy", &labels)
-        .set(f64::from(totals.wgs));
-    if exec.makespan > SimTime::ZERO && !exec.wg_busy.is_empty() {
-        let mean_busy =
-            exec.wg_busy.iter().map(|t| t.as_nanos_f64()).sum::<f64>() / exec.wg_busy.len() as f64;
-        reg.gauge("fused.wg.utilization", &labels)
-            .set(mean_busy / exec.makespan.as_nanos_f64());
+    gauge("fused.wg.occupancy", f64::from(out.persistent_wgs));
+    let busy = &run.wg_busy;
+    if run.compute_end > SimTime::ZERO && !busy.is_empty() {
+        let mean_busy = busy.iter().map(|t| t.as_nanos_f64()).sum::<f64>() / busy.len() as f64;
+        gauge(
+            "fused.wg.utilization",
+            mean_busy / run.compute_end.as_nanos_f64(),
+        );
     }
+    // `sliceRdy` wait exposed at the drain: arrivals past the end of this
+    // PE's own compute are time the kernel sits polling.
+    let wait = out.last_arrival.saturating_sub(out.compute_end);
+    gauge("fused.wait.drain_ns", wait.as_nanos_f64());
+    gauge("fused.wg.steals", out.steals as f64);
 
     // Overlap efficiency: communication hidden under this PE's compute.
     let overlap = OverlapStats::derive(put_spans, &compute_spans);
-    reg.gauge("overlap.comm_ns", &labels)
-        .set(overlap.comm_total_ns as f64);
-    reg.gauge("overlap.hidden_ns", &labels)
-        .set(overlap.comm_hidden_ns as f64);
-    reg.gauge("overlap.efficiency", &labels)
-        .set(overlap.efficiency());
+    gauge("overlap.comm_ns", overlap.comm_total_ns as f64);
+    gauge("overlap.hidden_ns", overlap.comm_hidden_ns as f64);
+    gauge("overlap.efficiency", overlap.efficiency());
 
     // Trace: WG tracks from the timeline, wire lane from the PUT union.
     let sink = &tel.trace;
@@ -641,6 +514,7 @@ fn record_pe_telemetry(
 mod tests {
     use super::*;
     use fcc_net::presets;
+    use fcc_sim::trace::PointKind;
 
     fn small_params() -> FusedParams {
         let mut cfg = DlrmConfig::hw_eval(2, 64, 4);

@@ -9,7 +9,9 @@
 //!
 //! * each PE's HBM is one processor-sharing resource whose jobs are both
 //!   local WG tasks *and* incoming slice writes;
-//! * a slice PUT posts on the source NIC at its issue time; its arrival
+//! * every task completion runs the same protocol step as the decoupled
+//!   model (`sim/timed.rs`), and a slice it ships posts on the source NIC
+//!   at its issue time; its arrival
 //!   schedules an HBM write job at the destination; `sliceRdy` fires when
 //!   the write has landed and the (fenced) flag has arrived;
 //! * a PE's kernel ends when its task loop has drained and every expected
@@ -21,17 +23,13 @@
 //! that error instead of assuming it. See the cross-validation tests.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
-use fcc_gpu::kernel::KernelResources;
-use fcc_gpu::occupancy::occupancy;
-use fcc_net::{Message, MessageKind, Nic};
-use fcc_sim::{Engine, JobId, Model, PsResource, Scheduler, SimTime};
+use fcc_gpu::exec::{TaskCompletion, WgPlan};
+use fcc_sim::{Engine, JobId, Model, PsResource, Scheduler, SimTime, Timeline};
 
-use crate::progress::SliceProgress;
-use crate::schedule;
-use crate::slice::SliceMap;
-
-use super::fused::{FusedParams, PeOutcome};
+use super::fused::{wg_plans, FusedParams, PeOutcome, WgSchedule};
+use super::timed::{Timed, TimedPe, Wire};
 
 #[derive(Debug)]
 enum Ev {
@@ -50,7 +48,7 @@ enum Ev {
 /// What an HBM job is working on.
 #[derive(Debug, Clone, Copy)]
 enum JobKind {
-    /// Logical-WG task `seq` of persistent WG `wg`.
+    /// Protocol task `seq` of persistent WG `wg`.
     Task { wg: u32, seq: u32 },
     /// An incoming slice write; `sliceRdy` fires at
     /// `max(completion, flag_at)`.
@@ -60,23 +58,18 @@ enum JobKind {
 struct PeState {
     hbm: PsResource,
     jobs: HashMap<JobId, JobKind>,
-    plans: Vec<Vec<u32>>,
+    plans: Vec<WgPlan>,
     next_seq: Vec<u32>,
-    progress: SliceProgress,
-    nic: Nic,
-    tasks_left: u64,
-    expected_arrivals: u32,
+    protocol: TimedPe,
+    wire: Wire,
     ready_arrivals: u32,
     compute_end: SimTime,
     last_ready: SimTime,
-    messages: u64,
     bytes: u64,
-    n_persistent: u32,
 }
 
-struct CoSim<'p> {
-    params: &'p FusedParams,
-    map: SliceMap,
+struct CoSim<'t> {
+    timed: Timed<'t>,
     pes: Vec<PeState>,
 }
 
@@ -84,11 +77,9 @@ impl CoSim<'_> {
     fn start_next_task(&mut self, pe: usize, wg: u32, sched: &mut Scheduler<Ev>) {
         let st = &mut self.pes[pe];
         let seq = st.next_seq[wg as usize];
-        if st.plans[wg as usize].get(seq as usize).is_some() {
+        if let Some(task) = st.plans[wg as usize].tasks.get(seq as usize) {
             st.next_seq[wg as usize] += 1;
-            let job = st
-                .hbm
-                .insert(sched.now(), self.params.cfg.bytes_per_pooled_lookup());
+            let job = st.hbm.insert(sched.now(), task.work);
             st.jobs.insert(job, JobKind::Task { wg, seq });
             self.schedule_check(pe, sched);
         }
@@ -96,79 +87,47 @@ impl CoSim<'_> {
 
     fn schedule_check(&mut self, pe: usize, sched: &mut Scheduler<Ev>) {
         let st = &self.pes[pe];
-        if let Some(at) = st.hbm.next_completion() {
-            if at < SimTime::MAX {
-                sched.schedule_at(
-                    at,
-                    Ev::PsCheck {
-                        pe,
-                        generation: st.hbm.generation(),
-                    },
-                );
-            }
+        if let Some(at) = st.hbm.next_completion().filter(|&at| at < SimTime::MAX) {
+            let generation = st.hbm.generation();
+            sched.schedule_at(at, Ev::PsCheck { pe, generation });
         }
     }
 
-    fn on_task_done(&mut self, pe: usize, wg: u32, task_id: u32, sched: &mut Scheduler<Ev>) {
+    /// Steps the protocol for the task, then posts any slice it shipped on
+    /// this PE's NIC at its issue instant and schedules the destination's
+    /// HBM write for the payload's arrival.
+    fn on_task_done(&mut self, pe: usize, wg: u32, seq: u32, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
-        let tuning = self.params.tuning;
-        let info = *self.map.slice_of_wg(task_id);
-        let idx = self.map.wg_index_in_slice(task_id);
         let st = &mut self.pes[pe];
-        st.tasks_left -= 1;
-        let last = st.progress.complete(info.id as usize, idx);
-        let remote = info.dst_pe as usize != pe;
-
-        let overhead = if last && remote {
-            // Post payload + flag on this PE's NIC at the issue instant.
-            let issue = now + tuning.bookkeeping + tuning.api_latency;
-            let payload_bytes = SliceMap::slice_bytes(info.len, self.params.cfg.dim);
-            let payload = st.nic.post(
-                issue,
-                Message {
-                    src: pe as u32,
-                    dst: info.dst_pe,
-                    bytes: payload_bytes,
-                    tag: info.id as u64,
-                    kind: MessageKind::Payload,
-                },
-            );
-            let flag = st.nic.post(
-                issue,
-                Message {
-                    src: pe as u32,
-                    dst: info.dst_pe,
-                    bytes: 8,
-                    tag: info.id as u64,
-                    kind: MessageKind::Flag,
-                },
-            );
-            st.messages += 2;
-            st.bytes += payload_bytes;
+        let completion = TaskCompletion {
+            wg,
+            seq,
+            id: st.plans[wg as usize].tasks[seq as usize].id,
+            // No timeline is recorded here, so the start is not tracked.
+            start: now,
+            end: now,
+            stolen: false,
+        };
+        let overhead = self.timed.complete(&mut st.protocol, &completion);
+        for (issue, s) in st.protocol.puts.drain(..) {
+            let bytes = self.timed.payload_bytes(&s);
+            let (payload, flag) = st.wire.publish(issue, &s, bytes);
+            st.bytes += bytes;
             sched.schedule_at(
                 payload.arrival,
                 Ev::SliceWrite {
-                    pe: info.dst_pe as usize,
-                    bytes: payload_bytes as f64,
+                    pe: s.dst,
+                    bytes: bytes as f64,
                     flag_at: flag.arrival,
                 },
             );
-            tuning.bookkeeping + tuning.api_latency
-        } else {
-            tuning.bookkeeping
-        };
-
-        if st.tasks_left == 0 {
-            st.compute_end = now + overhead;
         }
+        st.compute_end = st.compute_end.max(now + overhead);
         if overhead == SimTime::ZERO {
             self.start_next_task(pe, wg, sched);
         } else {
             sched.schedule_at(now + overhead, Ev::WgResume { pe, wg });
         }
-        // compute_end must reflect the *latest* drain among WGs.
-        let st = &mut self.pes[pe];
-        st.compute_end = st.compute_end.max(now + overhead);
     }
 }
 
@@ -185,10 +144,7 @@ impl Model for CoSim<'_> {
                 let job = self.pes[pe].hbm.complete_next(now);
                 let kind = self.pes[pe].jobs.remove(&job).expect("tracked job");
                 match kind {
-                    JobKind::Task { wg, seq } => {
-                        let task_id = self.pes[pe].plans[wg as usize][seq as usize];
-                        self.on_task_done(pe, wg, task_id, sched);
-                    }
+                    JobKind::Task { wg, seq } => self.on_task_done(pe, wg, seq, sched),
                     JobKind::IncomingWrite { flag_at } => {
                         let st = &mut self.pes[pe];
                         st.ready_arrivals += 1;
@@ -197,9 +153,7 @@ impl Model for CoSim<'_> {
                 }
                 self.schedule_check(pe, sched);
             }
-            Ev::WgResume { pe, wg } => {
-                self.start_next_task(pe, wg, sched);
-            }
+            Ev::WgResume { pe, wg } => self.start_next_task(pe, wg, sched),
             Ev::SliceWrite { pe, bytes, flag_at } => {
                 let st = &mut self.pes[pe];
                 let job = st.hbm.insert(sched.now(), bytes);
@@ -214,66 +168,40 @@ impl Model for CoSim<'_> {
 /// [`super::fused::simulate_fused`] (timelines are not recorded here).
 pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
     assert_eq!(params.num_qps, 1, "co-simulation models one QP per NIC");
+    let stealing = matches!(params.wg_schedule, WgSchedule::Stealing { .. });
+    assert!(!stealing, "co-simulation models dealt WG schedules");
+    let (map, n_persistent) = params.shape();
+    let table = map.table();
+    let timed = Timed::new(&table, params.cfg.dim, params.tuning, &params.topo);
+    let n_pes = params.cfg.n_pes;
     assert_eq!(
-        params.wg_schedule,
-        super::fused::WgSchedule::Static,
-        "co-simulation models the static WG schedule"
-    );
-    assert!(
-        params.skew.is_none(),
-        "co-simulation prices tasks uniformly"
-    );
-    let cfg = &params.cfg;
-    let map = SliceMap::new(
-        cfg.n_pes,
-        cfg.tables_per_pe,
-        cfg.global_batch,
-        params.slice_embeddings,
+        timed.nics().count(),
+        n_pes,
+        "co-simulation models a NIC per PE"
     );
 
-    let occ = occupancy(&params.gpu, &KernelResources::embedding_fused());
-    let mut n_persistent = occ.wgs_per_device;
-    if let Some(cap) = params.occupancy_cap {
-        n_persistent = n_persistent.min(cap);
-    }
-    let n_persistent = (n_persistent as u64).min(map.num_wgs() as u64).max(1) as u32;
-
-    // Slices aimed at each destination within ONE source's partition (the
-    // structure is identical across sources); each destination receives
-    // that many from every *other* source.
-    let slices_per_src_to_dst: Vec<u32> = (0..cfg.n_pes as u32)
-        .map(|dst| map.slices().iter().filter(|s| s.dst_pe == dst).count() as u32)
-        .collect();
-
-    let pes: Vec<PeState> = (0..cfg.n_pes)
+    let pes: Vec<PeState> = (0..n_pes)
         .map(|pe| {
-            let order = schedule::order(&map, pe as u32, params.schedule);
-            let plans = schedule::assign_to_persistent(&order, n_persistent as usize);
+            let plans = wg_plans(params, &map, pe, n_persistent);
             let hbm_curve = params.gpu.hbm.clone();
             PeState {
                 hbm: PsResource::new(move |n| hbm_curve.aggregate(n)),
                 jobs: HashMap::new(),
                 next_seq: vec![0; plans.len()],
                 plans,
-                progress: SliceProgress::new(map.slices().iter().map(|s| s.len)),
-                nic: Nic::new(*params.topo.link()),
-                tasks_left: map.num_wgs() as u64,
-                // Each destination expects its per-source slice count from
-                // every *other* source.
-                expected_arrivals: slices_per_src_to_dst[pe] * (cfg.n_pes as u32 - 1),
+                protocol: timed.pe(pe, Timeline::disabled()),
+                wire: Wire::new(*params.topo.link(), None, 1),
                 ready_arrivals: 0,
                 compute_end: SimTime::ZERO,
                 last_ready: SimTime::ZERO,
-                messages: 0,
                 bytes: 0,
-                n_persistent,
             }
         })
         .collect();
 
-    let mut sim = CoSim { params, map, pes };
+    let mut sim = CoSim { timed, pes };
     let mut engine = Engine::new();
-    for pe in 0..cfg.n_pes {
+    for pe in 0..n_pes {
         for wg in 0..n_persistent {
             sim.start_next_task(pe, wg, engine.scheduler());
         }
@@ -282,20 +210,28 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
 
     sim.pes
         .iter()
-        .map(|st| {
-            assert_eq!(st.tasks_left, 0, "task loop must drain");
-            assert_eq!(
-                st.ready_arrivals, st.expected_arrivals,
-                "all slices must arrive"
+        .enumerate()
+        .map(|(pe, st)| {
+            let mut drained = st.plans.iter().zip(&st.next_seq);
+            assert!(
+                drained.all(|(p, &n)| p.tasks.len() == n as usize),
+                "task loop must drain"
             );
+            // Every slice destined to this PE from another source arrived.
+            let mut expected = 0;
+            table.drain(pe, |s| {
+                expected += u32::from(s.src != pe);
+                ControlFlow::Continue(())
+            });
+            assert_eq!(st.ready_arrivals, expected, "all slices must arrive");
             let body = st.compute_end.max(st.last_ready);
             PeOutcome {
                 compute_end: st.compute_end,
                 last_arrival: st.last_ready,
                 total: params.gpu.kernel_launch_overhead + body + params.tuning.drain_poll,
-                messages: st.messages,
+                messages: st.wire.sent().0,
                 bytes: st.bytes,
-                persistent_wgs: st.n_persistent,
+                persistent_wgs: n_persistent,
                 steals: 0,
             }
         })

@@ -4,17 +4,19 @@
 //! `FusedProducer` once and get the functional operator for free; this
 //! module gives them the *pricing* side with the same contract plus one
 //! extra method — how many bytes each item moves through memory — so a
-//! design can be tuned on the simulator before it is built.
+//! design can be tuned on the simulator before it is built. The price is
+//! the plan's own protocol: the same slice table, task order and per-item
+//! step, on the timed backend.
 
 use fcc_gpu::config::GpuConfig;
 use fcc_gpu::exec::{PersistentExec, TaskUnit, WgPlan};
 use fcc_gpu::kernel::KernelResources;
-use fcc_gpu::occupancy::occupancy;
 use fcc_net::Topology;
 use fcc_shmem::timed::TimedEndpoint;
-use fcc_sim::SimTime;
+use fcc_sim::{SimTime, Timeline};
 
-use crate::op::generic::FusedProducer;
+use crate::op::generic::{FusedProducer, GenericFusedPlan};
+use crate::sim::timed::{persistent_wgs, Timed, Wire};
 use crate::sim::FusedTuning;
 
 /// Cost annotations for a producer: how much work each item is.
@@ -39,109 +41,61 @@ pub struct GenericTiming {
     pub unfused: SimTime,
 }
 
-/// Prices a producer's fused vs unfused execution for source PE `me`
-/// (symmetric workloads need only one PE's number).
+/// Prices a producer's fused vs unfused execution for source PE `me` of
+/// an `n_pes` world (symmetric workloads need only one PE's number).
 ///
-/// Slices follow the same consecutive-same-destination grouping as the
-/// functional [`crate::op::generic::GenericFusedPlan`], capped at
-/// `items_per_slice`.
+/// The fused side steps the protocol over the very slice table and task
+/// order a [`GenericFusedPlan`] with `items_per_slice` executes, and ends
+/// when PE `me`'s compute has drained and its own slices have arrived.
 pub fn price_producer(
     producer: &(impl ProducerCost + ?Sized),
     me: usize,
-    _n_pes: usize,
+    n_pes: usize,
     gpu: &GpuConfig,
     topo: &Topology,
     items_per_slice: usize,
     tuning: &FusedTuning,
 ) -> GenericTiming {
-    assert!(items_per_slice >= 1);
+    let (table, tasks) = GenericFusedPlan::slicing(n_pes, producer, items_per_slice);
     let n_items = producer.num_items(me);
-    let dim_bytes = (producer.dim() * 4) as u64;
-
-    // Build slices: consecutive items sharing a destination.
-    let mut slices: Vec<(usize, usize, usize)> = Vec::new(); // (first, len, dst)
-    for item in 0..n_items {
-        let (dst, _) = producer.destination(me, item);
-        match slices.last_mut() {
-            Some((_, len, d)) if *d == dst && *len < items_per_slice => *len += 1,
-            _ => slices.push((item, 1, dst)),
+    let n_persistent = persistent_wgs(gpu, &producer.resources(), None, n_items) as usize;
+    // Strided deal of `(task id, item)`s onto the persistent WGs.
+    let deal = |tasks: &mut dyn Iterator<Item = (u64, usize)>| {
+        let mut plans = vec![WgPlan::default(); n_persistent];
+        for (i, (id, item)) in tasks.enumerate() {
+            let work = producer.work_bytes(me, item);
+            plans[i % n_persistent].tasks.push(TaskUnit { id, work });
         }
-    }
+        plans
+    };
 
-    // Persistent-kernel compute: remote-first item order, strided deal.
-    let occ = occupancy(gpu, &producer.resources());
-    let n_persistent = (occ.wgs_per_device as usize).min(n_items.max(1));
-    let mut order: Vec<usize> = (0..slices.len()).collect();
-    order.sort_by_key(|&s| slices[s].2 == me);
-    let items_in_order: Vec<usize> = order
-        .iter()
-        .flat_map(|&s| slices[s].0..slices[s].0 + slices[s].1)
-        .collect();
-    let mut plans = vec![WgPlan::default(); n_persistent];
-    for (i, &item) in items_in_order.iter().enumerate() {
-        plans[i % n_persistent].tasks.push(TaskUnit {
-            id: item as u64,
-            work: producer.work_bytes(me, item),
-        });
-    }
-
-    // Map each item to its slice for last-finisher accounting.
-    let mut slice_of_item = vec![0usize; n_items];
-    for (si, &(first, len, _)) in slices.iter().enumerate() {
-        slice_of_item[first..first + len].fill(si);
-    }
-    let mut remaining: Vec<usize> = slices.iter().map(|&(_, len, _)| len).collect();
-
-    let hbm = gpu.hbm.clone();
-    let tuning_copy = *tuning;
-    let mut puts: Vec<(SimTime, usize)> = Vec::new();
-    let exec = PersistentExec::new(move |n| hbm.aggregate(n), plans);
-    let result = exec.run(|c| {
-        let si = slice_of_item[c.id as usize];
-        remaining[si] -= 1;
-        let last = remaining[si] == 0;
-        let remote = slices[si].2 != me;
-        if last && remote {
-            puts.push((
-                c.end + tuning_copy.bookkeeping + tuning_copy.api_latency,
-                si,
-            ));
-            tuning_copy.bookkeeping + tuning_copy.api_latency
-        } else {
-            tuning_copy.bookkeeping
-        }
+    // Fused: the plan's remote-first tasks, PUTs overlapped through the NIC.
+    let timed = Timed::new(&table, producer.dim(), *tuning, topo);
+    let mut pe = timed.pe(me, Timeline::disabled());
+    let plans = deal(&mut tasks[me].iter().map(|&t| (t, table.step_of(me, t).1)));
+    let compute = timed.run(gpu, plans, None, &mut pe).makespan;
+    let mut wire = Wire::new(*topo.link(), None, 1);
+    let last_arrival = pe.puts.iter().fold(SimTime::ZERO, |last, (issue, s)| {
+        let (_, flag) = wire.publish(*issue, s, timed.payload_bytes(s));
+        last.max(flag.arrival)
     });
-
-    // Fused: overlap the PUTs with compute through the NIC.
-    let mut ep = TimedEndpoint::new(me as u32, *topo.link());
-    let mut last_arrival = SimTime::ZERO;
-    for &(issue, si) in &puts {
-        let bytes = slices[si].1 as u64 * dim_bytes;
-        ep.put_nbi(issue, slices[si].2 as u32, bytes, si as u64);
-        let flag = ep.flag_put(issue, slices[si].2 as u32, si as u64);
-        last_arrival = last_arrival.max(flag.arrival);
-    }
-    let fused = gpu.kernel_launch_overhead + result.makespan.max(last_arrival) + tuning.drain_poll;
+    let fused = gpu.kernel_launch_overhead
+        + compute.max(last_arrival)
+        + timed.p2p_tail(&pe, compute)
+        + tuning.drain_poll;
 
     // Unfused: same compute (no per-slice overheads), then bulk shipping.
-    let hbm2 = gpu.hbm.clone();
-    let mut plans2 = vec![WgPlan::default(); n_persistent];
-    for (i, item) in (0..n_items).enumerate() {
-        plans2[i % n_persistent].tasks.push(TaskUnit {
-            id: item as u64,
-            work: producer.work_bytes(me, item),
-        });
-    }
-    let compute_only = PersistentExec::new(move |n| hbm2.aggregate(n), plans2)
+    let hbm = gpu.hbm.clone();
+    let plans = deal(&mut (0..n_items).map(|item| (item as u64, item)));
+    let compute_only = PersistentExec::new(move |n| hbm.aggregate(n), plans)
         .run(|_| SimTime::ZERO)
         .makespan;
-    let mut ep2 = TimedEndpoint::new(me as u32, *topo.link());
+    let mut ep = TimedEndpoint::new(me as u32, *topo.link());
     let mut bulk_done = compute_only;
-    for (si, &(_, len, dst)) in slices.iter().enumerate() {
-        if dst != me {
-            let d = ep2.put_nbi(compute_only, dst as u32, len as u64 * dim_bytes, si as u64);
-            bulk_done = bulk_done.max(d.arrival);
-        }
+    for s in table.slices(me).iter().filter(|s| s.dst != me) {
+        let bytes = timed.payload_bytes(s);
+        let d = ep.put_nbi(compute_only, s.dst as u32, bytes, s.index as u64);
+        bulk_done = bulk_done.max(d.arrival);
     }
     let unfused = gpu.kernel_launch_overhead
         + bulk_done

@@ -1,189 +1,39 @@
-//! Hierarchical system simulation: several GPUs per node sharing one NIC.
+//! The hierarchical baseline: several GPUs per node sharing one NIC.
 //!
 //! The paper's hardware evaluations are the two extremes — 4 P2P GPUs
 //! with no NIC traffic (Fig. 14) and 1 GPU per NIC (Fig. 10). Production
 //! nodes sit in between: `g` GPUs per node reach each other over xGMI but
 //! *share* the node's NIC for everything cross-node (the Fig. 1a legacy
-//! design the paper contrasts with Fig. 1b's NIC-per-GPU trend). This
-//! simulation covers that middle ground for both systems:
+//! design the paper contrasts with Fig. 1b's NIC-per-GPU trend).
 //!
-//! * **fused** — per-GPU persistent kernels; same-node slices take the
-//!   zero-copy store path (xGMI egress overlapped with pooling), cross-
-//!   node slices PUT through the node's shared NIC, where all `g` GPUs'
-//!   messages serialize;
-//! * **baseline** — per-table kernels, then a hierarchical bulk
-//!   All-to-All: intra-node copy kernel + the shared NIC carrying each
-//!   node's whole cross-node volume.
+//! The fused side of that system is [`simulate_fused`] itself, on a
+//! topology with fewer endpoints than PEs: same-NIC slices take the
+//! zero-copy store path, cross-NIC slices serialize on the shared NIC
+//! (`sim/timed.rs`). This module is the baseline it is compared against:
+//! per-table kernels, then a hierarchical bulk All-to-All — intra-node
+//! copy kernel + the shared NIC carrying each node's whole cross-node
+//! volume.
 //!
 //! The interesting output is how the fused win erodes as `g` grows (less
 //! NIC bandwidth per GPU means less communication to hide *per unit
 //! compute* — and more of it exposed past compute's end).
+//!
+//! [`simulate_fused`]: super::fused::simulate_fused
 
 use fcc_dlrm::DlrmConfig;
 use fcc_gpu::config::GpuConfig;
-use fcc_gpu::exec::{run_kernel, PersistentExec, TaskUnit, WgPlan};
+use fcc_gpu::exec::run_kernel;
 use fcc_gpu::kernel::{KernelDesc, KernelResources, WorkShape};
-use fcc_net::{LinkSpec, Message, MessageKind, Nic};
+use fcc_net::Topology;
 use fcc_sim::SimTime;
 
-use crate::progress::SliceProgress;
-use crate::schedule::{self, ScheduleKind};
-use crate::sim::FusedTuning;
-use crate::slice::SliceMap;
-
-/// System shape: `nodes × gpus_per_node` PEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierSystem {
-    pub nodes: usize,
-    pub gpus_per_node: usize,
-}
-
-impl HierSystem {
-    /// Total PEs.
-    pub fn n_pes(&self) -> usize {
-        self.nodes * self.gpus_per_node
-    }
-
-    /// The node of PE `pe`.
-    pub fn node_of(&self, pe: usize) -> usize {
-        pe / self.gpus_per_node
-    }
-}
-
-/// Result of one hierarchical comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HierResult {
-    pub fused: SimTime,
-    pub baseline: SimTime,
-    /// `fused / baseline`.
-    pub normalized: f64,
-}
-
-/// Simulates fused vs baseline on `sys` with per-node NIC `nic_link` and
-/// intra-node xGMI links.
-pub fn simulate_hierarchical(
-    cfg: &DlrmConfig,
-    gpu: &GpuConfig,
-    sys: HierSystem,
-    nic_link: LinkSpec,
-    tuning: &FusedTuning,
-) -> HierResult {
-    assert_eq!(cfg.n_pes, sys.n_pes(), "config/system size mismatch");
-    let xgmi = LinkSpec::xgmi();
-    let map = SliceMap::new(cfg.n_pes, cfg.tables_per_pe, cfg.global_batch, 32);
-
-    // --- Fused ----------------------------------------------------------
-    // Stage 1: per-GPU persistent kernels; collect cross-node PUT issues.
-    let occ = fcc_gpu::occupancy::occupancy(gpu, &KernelResources::embedding_fused());
-    let n_persistent = (occ.wgs_per_device as u64).min(map.num_wgs() as u64).max(1) as u32;
-    let mut compute_end = vec![SimTime::ZERO; cfg.n_pes];
-    let mut xgmi_tail = vec![SimTime::ZERO; cfg.n_pes];
-    // Per node: (issue, dst_pe, bytes), to be serialized on the shared NIC.
-    let mut node_puts: Vec<Vec<(SimTime, u32, u64)>> = vec![Vec::new(); sys.nodes];
-
-    for pe in 0..cfg.n_pes {
-        let order = schedule::order(&map, pe as u32, ScheduleKind::CommAware);
-        let plans: Vec<WgPlan> = schedule::assign_to_persistent(&order, n_persistent as usize)
-            .into_iter()
-            .map(|wgs| WgPlan {
-                tasks: wgs
-                    .into_iter()
-                    .map(|wg| TaskUnit {
-                        id: wg as u64,
-                        work: cfg.bytes_per_pooled_lookup(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        let mut progress = SliceProgress::new(map.slices().iter().map(|s| s.len));
-        let my_node = sys.node_of(pe);
-        let tuning_copy = *tuning;
-        let hbm = gpu.hbm.clone();
-        let mut puts: Vec<(SimTime, u32, u64)> = Vec::new();
-        let mut same_node_bytes = 0u64;
-        let result = PersistentExec::new(move |n| hbm.aggregate(n), plans).run(|c| {
-            let info = *map.slice_of_wg(c.id as u32);
-            let last = progress.complete(info.id as usize, map.wg_index_in_slice(c.id as u32));
-            let dst = info.dst_pe as usize;
-            if dst == pe {
-                return tuning_copy.bookkeeping;
-            }
-            if sys.node_of(dst) == my_node {
-                // Zero-copy store over xGMI: per-thread, no slice PUT.
-                same_node_bytes += cfg.dim as u64 * 4;
-                tuning_copy.bookkeeping
-            } else if last {
-                let issue = c.end + tuning_copy.bookkeeping + tuning_copy.api_latency;
-                puts.push((issue, info.dst_pe, SliceMap::slice_bytes(info.len, cfg.dim)));
-                tuning_copy.bookkeeping + tuning_copy.api_latency
-            } else {
-                tuning_copy.bookkeeping
-            }
-        });
-        compute_end[pe] = result.makespan;
-        // Same-node egress streams over this GPU's (g-1) xGMI links during
-        // the kernel; exposed only if it outlasts compute. Bytes counted
-        // per vector in the hook are per-WG; total = vectors × dim × 4.
-        let same_node_vectors = map
-            .slices()
-            .iter()
-            .filter(|s| {
-                let d = s.dst_pe as usize;
-                d != pe && sys.node_of(d) == my_node
-            })
-            .map(|s| s.len as u64)
-            .sum::<u64>();
-        let links = (sys.gpus_per_node - 1).max(1) as f64;
-        let egress_time = SimTime::from_nanos_f64(
-            (same_node_vectors * cfg.dim as u64 * 4) as f64 / (xgmi.bandwidth * links),
-        );
-        xgmi_tail[pe] = egress_time.saturating_sub(result.makespan);
-        node_puts[my_node].extend(puts);
-    }
-
-    // Stage 2: each node's shared NIC serializes its GPUs' PUTs in issue
-    // order; flag arrivals gate the destinations.
-    let mut last_arrival = vec![SimTime::ZERO; cfg.n_pes];
-    for (node, puts) in node_puts.iter_mut().enumerate() {
-        puts.sort_by_key(|&(at, _, _)| at);
-        let mut nic = Nic::new(nic_link);
-        for &(issue, dst, bytes) in puts.iter() {
-            nic.post(
-                issue,
-                Message {
-                    src: node as u32,
-                    dst,
-                    bytes,
-                    tag: 0,
-                    kind: MessageKind::Payload,
-                },
-            );
-            let flag = nic.post(
-                issue,
-                Message {
-                    src: node as u32,
-                    dst,
-                    bytes: 8,
-                    tag: 0,
-                    kind: MessageKind::Flag,
-                },
-            );
-            let d = dst as usize;
-            last_arrival[d] = last_arrival[d].max(flag.arrival);
-        }
-    }
-
-    let fused = (0..cfg.n_pes)
-        .map(|pe| {
-            gpu.kernel_launch_overhead
-                + compute_end[pe].max(last_arrival[pe])
-                + xgmi_tail[pe]
-                + tuning.drain_poll
-        })
-        .max()
-        .unwrap_or(SimTime::ZERO);
-
-    // --- Baseline ---------------------------------------------------------
+/// The baseline on `topo`'s nodes, `cfg.n_pes / topo.endpoints()` GPUs
+/// behind each NIC.
+pub fn hierarchical_baseline(cfg: &DlrmConfig, gpu: &GpuConfig, topo: &Topology) -> SimTime {
+    let nodes = topo.endpoints() as usize;
+    let gpus_per_node = cfg.n_pes / nodes;
+    let fits = gpus_per_node * nodes == cfg.n_pes;
+    assert!(fits, "config/system size mismatch");
     // Per-table kernels, then hierarchical bulk All-to-All.
     let desc = KernelDesc {
         name: "embedding".into(),
@@ -199,11 +49,12 @@ pub fn simulate_hierarchical(
     );
     // Cross-node volume per node: its g GPUs' payloads to all other nodes.
     let cross_bytes = cfg.alltoall_bytes_per_pair() as f64
-        * sys.gpus_per_node as f64
-        * (cfg.n_pes - sys.gpus_per_node) as f64;
-    let nic_time = SimTime::from_nanos_f64(cross_bytes / nic_link.bandwidth) + nic_link.latency;
+        * gpus_per_node as f64
+        * (cfg.n_pes - gpus_per_node) as f64;
+    let nic_time =
+        SimTime::from_nanos_f64(cross_bytes / topo.link().bandwidth) + topo.link().latency;
     // Intra-node copy kernel (as in BaselineCosts::alltoall).
-    let intra_bytes = cfg.alltoall_bytes_per_pair() * (sys.gpus_per_node.saturating_sub(1)) as u64;
+    let intra_bytes = cfg.alltoall_bytes_per_pair() * (gpus_per_node.saturating_sub(1)) as u64;
     let copy_desc = KernelDesc {
         name: "copy".into(),
         resources: KernelResources {
@@ -221,107 +72,70 @@ pub fn simulate_hierarchical(
     } else {
         SimTime::ZERO
     };
-    let baseline = compute + gpu.stream_sync_overhead + copy + nic_time + gpu.stream_sync_overhead;
-
-    HierResult {
-        fused,
-        baseline,
-        normalized: fused.as_nanos_f64() / baseline.as_nanos_f64(),
-    }
+    compute + gpu.stream_sync_overhead + copy + nic_time + gpu.stream_sync_overhead
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::fused::{simulate_fused, FusedParams};
+    use fcc_net::LinkSpec;
 
     fn cfg(n_pes: usize) -> DlrmConfig {
         DlrmConfig::hw_eval(n_pes, 64 * n_pes, 32)
     }
 
+    fn nodes(n: u32) -> Topology {
+        Topology::Switched {
+            endpoints: n,
+            link: LinkSpec::infiniband_20gbs(),
+        }
+    }
+
+    /// The fused kernel's makespan on `topo`, and the messages its PEs posted.
+    fn fused(cfg: DlrmConfig, topo: Topology) -> (SimTime, u64) {
+        let r = simulate_fused(&FusedParams::new(cfg, GpuConfig::mi210(), topo));
+        (r.makespan(), r.per_pe.iter().map(|p| p.messages).sum())
+    }
+
     #[test]
-    fn fused_wins_across_node_widths() {
+    fn fused_wins_across_gpus_per_nic() {
         let gpu = GpuConfig::mi210();
         for g in [1usize, 2, 4] {
-            let sys = HierSystem {
-                nodes: 4,
-                gpus_per_node: g,
-            };
-            let r = simulate_hierarchical(
-                &cfg(sys.n_pes()),
-                &gpu,
-                sys,
-                LinkSpec::infiniband_20gbs(),
-                &FusedTuning::default(),
-            );
+            let (cfg, topo) = (cfg(4 * g), nodes(4));
+            let baseline = hierarchical_baseline(&cfg, &gpu, &topo);
+            let (fused, _) = fused(cfg, topo);
             assert!(
-                r.normalized < 1.0,
-                "g={g}: fused {} !< baseline {}",
-                r.fused,
-                r.baseline
+                fused < baseline,
+                "g={g}: fused {fused} !< baseline {baseline}"
             );
         }
     }
 
     #[test]
     fn shared_nic_slows_both_systems() {
-        // Same total PEs, fewer NICs: absolute times grow for both.
-        let gpu = GpuConfig::mi210();
-        let t = FusedTuning::default();
-        let narrow = simulate_hierarchical(
-            &cfg(8),
-            &gpu,
-            HierSystem {
-                nodes: 8,
-                gpus_per_node: 1,
-            },
-            LinkSpec::infiniband_20gbs(),
-            &t,
-        );
-        let wide = simulate_hierarchical(
-            &cfg(8),
-            &gpu,
-            HierSystem {
-                nodes: 2,
-                gpus_per_node: 4,
-            },
-            LinkSpec::infiniband_20gbs(),
-            &t,
-        );
-        // 4 GPUs per NIC: the fused kernel has more exposed communication
+        // Same total PEs, fewer NICs: absolute times grow for both. With 4
+        // GPUs per NIC the fused kernel has more exposed communication
         // than with a NIC per GPU.
-        assert!(wide.fused >= narrow.fused);
+        let gpu = GpuConfig::mi210();
+        let (narrow, wide) = (nodes(8), nodes(2));
+        let base = |topo| hierarchical_baseline(&cfg(8), &gpu, topo);
+        assert!(base(&wide) >= base(&narrow));
+        assert!(fused(cfg(8), wide).0 >= fused(cfg(8), narrow).0);
     }
 
     #[test]
     fn single_node_all_p2p_has_no_nic_traffic() {
         let gpu = GpuConfig::mi210();
-        let sys = HierSystem {
-            nodes: 1,
-            gpus_per_node: 4,
-        };
-        let r = simulate_hierarchical(
-            &cfg(4),
-            &gpu,
-            sys,
-            LinkSpec::infiniband_20gbs(),
-            &FusedTuning::default(),
-        );
-        assert!(r.normalized < 1.0);
+        let baseline = hierarchical_baseline(&cfg(4), &gpu, &nodes(1));
+        let (fused, messages) = fused(cfg(4), nodes(1));
+        assert!(fused < baseline);
+        assert_eq!(messages, 0, "same-NIC peers are P2P");
     }
 
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn config_system_size_checked() {
-        let gpu = GpuConfig::mi210();
-        simulate_hierarchical(
-            &cfg(4),
-            &gpu,
-            HierSystem {
-                nodes: 4,
-                gpus_per_node: 4,
-            },
-            LinkSpec::infiniband_20gbs(),
-            &FusedTuning::default(),
-        );
+        hierarchical_baseline(&cfg(4), &GpuConfig::mi210(), &nodes(3));
     }
 }

@@ -13,6 +13,8 @@
 //! row-major block `s × (T·dim) + t·dim .. + dim`. Point-to-point slice
 //! writes land directly in this layout — no shuffle kernel afterwards.
 
+use crate::op::protocol::SliceTable;
+
 /// Where one slice of pooled outputs lives and goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceInfo {
@@ -158,12 +160,6 @@ impl SliceMap {
         &self.slices[idx as usize]
     }
 
-    /// Position of a WG within its slice (for the `WG_Done` bit index).
-    pub fn wg_index_in_slice(&self, wg: u32) -> u32 {
-        let (_, sample) = self.decode_wg(wg);
-        (sample % self.local_batch) % self.slice_embeddings
-    }
-
     /// Element offset (in f32s) of `(src_pe, local table, global sample)`'s
     /// output vector inside the *destination* PE's output buffer of shape
     /// `{local_batch, total_tables × dim}`. Returns `(dst_pe, offset)`.
@@ -180,6 +176,23 @@ impl SliceMap {
     /// Payload bytes of a slice with `len` output vectors of width `dim`.
     pub fn slice_bytes(len: u32, dim: usize) -> u64 {
         len as u64 * dim as u64 * 4
+    }
+
+    /// The protocol's slice table: every source has this partition, whose
+    /// slices are listed in WG-id order, so slice `k` of the table is
+    /// [`SliceInfo`] `k` and its lengths alone place it.
+    pub(crate) fn table(&self) -> SliceTable {
+        let runs: Vec<(usize, usize)> = self
+            .slices
+            .iter()
+            .map(|s| (s.len as usize, s.dst_pe as usize))
+            .collect();
+        SliceTable::new(&vec![runs; self.n_pes as usize])
+    }
+
+    /// The protocol task of logical WG `wg` (on any source PE).
+    pub(crate) fn task(&self, wg: u32) -> u64 {
+        SliceTable::task(self.slice_of_wg(wg).id as usize, wg as usize)
     }
 }
 
@@ -227,14 +240,6 @@ mod tests {
             let (t, s) = map.decode_wg(wg);
             assert_eq!(map.encode_wg(t, s), wg);
         }
-    }
-
-    #[test]
-    fn wg_index_in_slice_is_dense() {
-        let map = SliceMap::new(2, 1, 8, 2);
-        // Samples 0..4 are shard 0 (slices [0,1],[2,3]); indices alternate 0,1.
-        let idx: Vec<u32> = (0..8).map(|wg| map.wg_index_in_slice(wg)).collect();
-        assert_eq!(idx, vec![0, 1, 0, 1, 0, 1, 0, 1]);
     }
 
     #[test]
