@@ -3,7 +3,7 @@
 //!
 //! Default mode measures operator executions/sec and network PUTs/sec
 //! for the fused functional operator over the delivery rings (plus the
-//! all-P2P zero-copy ceiling), prints the table, and writes
+//! same operator on an all-P2P world, `zerocopy`), prints the table, and writes
 //! `BENCH_throughput.json` to the results directory.
 //!
 //! ```text

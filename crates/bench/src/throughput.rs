@@ -5,8 +5,9 @@
 //!
 //! * **`fused-ring`** — every network PUT rides the lock-free delivery
 //!   rings (`fcc_shmem::ring`);
-//! * **`zerocopy`** — the all-P2P operator, whose stores never touch
-//!   the rings (inline-copy ceiling).
+//! * **`zerocopy`** — the same operator at the same slice width on an
+//!   all-P2P world, whose stores never touch the rings: the two points
+//!   differ only in transport.
 //!
 //! The harness derives the network PUT count analytically from the
 //! slice map and cross-checks it against the rings' own monotone tails.
@@ -18,7 +19,7 @@
 use std::time::Instant;
 
 use fcc_core::op::reference;
-use fcc_core::{FusedPlan, ScheduleKind, ZeroCopyPlan};
+use fcc_core::{FusedPlan, ScheduleKind};
 use fcc_dlrm::{DlrmConfig, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
 use fcc_shmem::{RingStats, ShmemWorld};
@@ -140,19 +141,44 @@ fn network_puts_per_exec(plan: &FusedPlan, n_pes: usize) -> u64 {
     puts
 }
 
-/// Runs the fused operator over the delivery rings: warm-up execution
-/// verified bit-identical against the unfused reference, then `execs`
-/// timed executions.
+/// How a point's world carries the operator's traffic.
+#[derive(Clone, Copy, PartialEq)]
+enum Transport {
+    /// One P2P group per PE: every cross-PE PUT rides the delivery rings.
+    Ring,
+    /// [`Transport::Ring`] with per-put checksums armed.
+    RingIntegrity,
+    /// One P2P group: every item is stored straight at its destination.
+    P2p,
+}
+
+impl Transport {
+    fn name(self) -> &'static str {
+        match self {
+            Transport::Ring => "fused-ring",
+            Transport::RingIntegrity => "fused-ring-integrity",
+            Transport::P2p => "zerocopy",
+        }
+    }
+}
+
+/// Runs the fused operator over `transport`: warm-up execution verified
+/// bit-identical against the unfused reference, then `execs` timed
+/// executions.
 fn run_fused(
     cfg: &DlrmConfig,
     slice_embeddings: usize,
     execs: u64,
-    integrity: bool,
+    transport: Transport,
 ) -> VariantThroughput {
     let mut layout = HeapLayout::new();
     let plan = FusedPlan::plan(&mut layout, cfg, slice_embeddings);
-    let groups = (0..cfg.n_pes as u32).collect();
+    let groups = match transport {
+        Transport::P2p => vec![0; cfg.n_pes],
+        _ => (0..cfg.n_pes as u32).collect(),
+    };
     let mut world = ShmemWorld::new(cfg.n_pes, layout).with_p2p_groups(groups);
+    let integrity = transport == Transport::RingIntegrity;
     if integrity {
         world = world.with_integrity();
     }
@@ -188,7 +214,10 @@ fn run_fused(
     }
     let wall = start.elapsed();
 
-    let puts_per_exec = network_puts_per_exec(&plan, cfg.n_pes);
+    let puts_per_exec = match transport {
+        Transport::P2p => 0,
+        _ => network_puts_per_exec(&plan, cfg.n_pes),
+    };
     let ring = world.ring_stats();
     // Cross-check the analytic count against the rings' own tails.
     assert_eq!(
@@ -208,60 +237,13 @@ fn run_fused(
     }
     let secs = wall.as_secs_f64().max(1e-9);
     VariantThroughput {
-        name: if integrity {
-            "fused-ring-integrity"
-        } else {
-            "fused-ring"
-        }
-        .to_string(),
+        name: transport.name().to_string(),
         execs,
         wall_ns: wall.as_nanos() as u64,
         ops_per_sec: execs as f64 / secs,
         network_puts_per_exec: puts_per_exec,
         puts_per_sec: (puts_per_exec * execs) as f64 / secs,
         ring,
-        scratch_misses: plan.scratch_misses(),
-    }
-}
-
-/// The all-P2P zero-copy operator: no slices, no staging, no network
-/// plane — the inline-store ceiling the rings chase.
-fn run_zerocopy(cfg: &DlrmConfig, execs: u64) -> VariantThroughput {
-    let mut layout = HeapLayout::new();
-    let plan = ZeroCopyPlan::plan(&mut layout, cfg);
-    let mut world = ShmemWorld::new(cfg.n_pes, layout);
-    let tables = reference::build_tables(cfg);
-    let gen = reference::build_generator(cfg);
-
-    let run_exec = |world: &mut ShmemWorld, exec: u64| {
-        world.run(|ctx| {
-            let me = ctx.me();
-            let local = &tables[me * cfg.tables_per_pe..(me + 1) * cfg.tables_per_pe];
-            plan.execute(ctx, local, &gen, PoolingMode::Sum, exec);
-        });
-    };
-
-    run_exec(&mut world, 1);
-    for dst in 0..cfg.n_pes {
-        let got = world.read(dst, plan.output);
-        let want = reference::expected_output(cfg, &tables, &gen, PoolingMode::Sum, dst);
-        assert_eq!(got, want, "zerocopy warm-up diverged at dst {dst}");
-    }
-
-    let start = Instant::now();
-    for exec in 2..=execs + 1 {
-        run_exec(&mut world, exec);
-    }
-    let wall = start.elapsed();
-    let secs = wall.as_secs_f64().max(1e-9);
-    VariantThroughput {
-        name: "zerocopy".to_string(),
-        execs,
-        wall_ns: wall.as_nanos() as u64,
-        ops_per_sec: execs as f64 / secs,
-        network_puts_per_exec: 0,
-        puts_per_sec: 0.0,
-        ring: world.ring_stats(),
         scratch_misses: plan.scratch_misses(),
     }
 }
@@ -288,11 +270,16 @@ pub fn run_throughput_with(
     assert!(execs >= 1);
     let cfg = bench_point(pes);
     let mut variants = vec![
-        run_fused(&cfg, slice_embeddings, execs, false),
-        run_zerocopy(&cfg, execs),
+        run_fused(&cfg, slice_embeddings, execs, Transport::Ring),
+        run_fused(&cfg, slice_embeddings, execs, Transport::P2p),
     ];
     if integrity {
-        variants.push(run_fused(&cfg, slice_embeddings, execs, true));
+        variants.push(run_fused(
+            &cfg,
+            slice_embeddings,
+            execs,
+            Transport::RingIntegrity,
+        ));
     }
     ThroughputRun {
         pes,

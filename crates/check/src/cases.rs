@@ -23,16 +23,16 @@
 //! dimension the same way [`crate::explore`] walks delivery orders.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use fcc_core::ext::allgather_gemm::{reference_gemm, AllGatherGemmPlan};
+use fcc_core::ext::backward_fused::{reference_backward, BackwardFusedPlan};
 use fcc_core::ext::moe::{reference_moe, MoePlan};
 use fcc_core::op::elastic::ElasticFusedPlan;
 use fcc_core::op::generic::{FusedProducer, GenericFusedPlan};
 use fcc_core::op::reference;
 use fcc_core::op::resilient::ResilientFusedPlan;
-use fcc_core::op::zerocopy::ZeroCopyPlan;
 use fcc_core::{
     FusedPlan, RecoveryBoard, RecoveryCounters, RecoveryPolicy, ScheduleKind, StealPolicy, TeamView,
 };
@@ -173,14 +173,13 @@ pub struct FusedCase {
     pub slice_embeddings: usize,
 }
 
-impl FusedCase {
-    fn cfg(&self) -> DlrmConfig {
-        let mut cfg = DlrmConfig::hw_eval(self.n_pes, self.batch, self.tables_per_pe);
-        cfg.table_rows = 64;
-        cfg.dim = 8;
-        cfg.pooling = 4;
-        cfg
-    }
+/// The DLRM shape of the fused, zero-copy, resilient and backward cases.
+fn dlrm_cfg(n_pes: usize, batch: usize, tables_per_pe: usize) -> DlrmConfig {
+    let mut cfg = DlrmConfig::hw_eval(n_pes, batch, tables_per_pe);
+    cfg.table_rows = 64;
+    cfg.dim = 8;
+    cfg.pooling = 4;
+    cfg
 }
 
 impl ProtocolCase for FusedCase {
@@ -202,43 +201,58 @@ impl ProtocolCase for FusedCase {
         order: Option<Arc<dyn DeliveryOrder>>,
         steal: Option<StealPolicy>,
     ) -> CaseRun {
-        let cfg = self.cfg();
-        let mut layout = HeapLayout::new();
-        let mut plan = FusedPlan::plan(&mut layout, &cfg, self.slice_embeddings);
-        if let Some(policy) = steal {
-            plan.set_steal(policy);
-        }
-        let world = ShmemWorld::new(cfg.n_pes, layout)
-            .with_p2p_groups(internode_groups(cfg.n_pes))
-            .with_trace();
-        let mut world = with_order(world, order);
-        let tables = reference::build_tables(&cfg);
-        let gen = reference::build_generator(&cfg);
-        world.run(|ctx| {
-            let me = ctx.me();
-            let local = &tables[me * cfg.tables_per_pe..(me + 1) * cfg.tables_per_pe];
-            plan.execute(
-                ctx,
-                local,
-                &gen,
-                PoolingMode::Sum,
-                ScheduleKind::CommAware,
-                1,
-            );
-        });
-        let mut mismatch = None;
-        for dst in 0..cfg.n_pes {
-            let want = reference::expected_output(&cfg, &tables, &gen, PoolingMode::Sum, dst);
-            let got = world.read(dst, plan.output);
-            mismatch = mismatch.or_else(|| diff_exact(&self.name(), dst, &got, &want));
-        }
-        finish(&mut world, mismatch)
+        let cfg = dlrm_cfg(self.n_pes, self.batch, self.tables_per_pe);
+        let (slice, groups) = (self.slice_embeddings, internode_groups(self.n_pes));
+        run_fused(&self.name(), &cfg, slice, groups, order, steal)
     }
 }
 
-/// The intra-node zero-copy operator ([`ZeroCopyPlan`]): all traffic is
-/// P2P, so the explorable surface is the RMW interleaving, not put
-/// deferral.
+/// Runs [`FusedPlan`] once on a world with `groups` as its P2P groups and
+/// diffs every destination against the reference.
+fn run_fused(
+    name: &str,
+    cfg: &DlrmConfig,
+    slice_embeddings: usize,
+    groups: Vec<u32>,
+    order: Option<Arc<dyn DeliveryOrder>>,
+    steal: Option<StealPolicy>,
+) -> CaseRun {
+    let mut layout = HeapLayout::new();
+    let mut plan = FusedPlan::plan(&mut layout, cfg, slice_embeddings);
+    if let Some(policy) = steal {
+        plan.set_steal(policy);
+    }
+    let world = ShmemWorld::new(cfg.n_pes, layout)
+        .with_p2p_groups(groups)
+        .with_trace();
+    let mut world = with_order(world, order);
+    let tables = reference::build_tables(cfg);
+    let gen = reference::build_generator(cfg);
+    world.run(|ctx| {
+        let me = ctx.me();
+        let local = &tables[me * cfg.tables_per_pe..(me + 1) * cfg.tables_per_pe];
+        plan.execute(
+            ctx,
+            local,
+            &gen,
+            PoolingMode::Sum,
+            ScheduleKind::CommAware,
+            1,
+        );
+    });
+    let mut mismatch = None;
+    for dst in 0..cfg.n_pes {
+        let want = reference::expected_output(cfg, &tables, &gen, PoolingMode::Sum, dst);
+        let got = world.read(dst, plan.output);
+        mismatch = mismatch.or_else(|| diff_exact(name, dst, &got, &want));
+    }
+    finish(&mut world, mismatch)
+}
+
+/// The intra-node zero-copy operator: [`FusedPlan`] on one fully
+/// connected node, one slice per (table, destination). All traffic is
+/// P2P, so the explorable surface is the `WG_Done` RMW interleaving, not
+/// put deferral.
 pub struct ZeroCopyCase {
     /// Number of PEs (one fully connected node).
     pub n_pes: usize,
@@ -258,8 +272,8 @@ impl ProtocolCase for ZeroCopyCase {
     }
 
     fn steal_tasks(&self) -> usize {
-        // One task per global sample (the per-table stealing loop).
-        self.batch
+        // One logical WG per (owned table, global sample).
+        self.tables_per_pe * self.batch
     }
 
     fn run_with_steal(
@@ -267,31 +281,9 @@ impl ProtocolCase for ZeroCopyCase {
         order: Option<Arc<dyn DeliveryOrder>>,
         steal: Option<StealPolicy>,
     ) -> CaseRun {
-        let mut cfg = DlrmConfig::hw_eval(self.n_pes, self.batch, self.tables_per_pe);
-        cfg.table_rows = 64;
-        cfg.dim = 8;
-        cfg.pooling = 4;
-        let mut layout = HeapLayout::new();
-        let mut plan = ZeroCopyPlan::plan(&mut layout, &cfg);
-        if let Some(policy) = steal {
-            plan.set_steal(policy);
-        }
-        let world = ShmemWorld::new(cfg.n_pes, layout).with_trace();
-        let mut world = with_order(world, order);
-        let tables = reference::build_tables(&cfg);
-        let gen = reference::build_generator(&cfg);
-        world.run(|ctx| {
-            let me = ctx.me();
-            let local = &tables[me * cfg.tables_per_pe..(me + 1) * cfg.tables_per_pe];
-            plan.execute(ctx, local, &gen, PoolingMode::Sum, 1);
-        });
-        let mut mismatch = None;
-        for dst in 0..cfg.n_pes {
-            let want = reference::expected_output(&cfg, &tables, &gen, PoolingMode::Sum, dst);
-            let got = world.read(dst, plan.output);
-            mismatch = mismatch.or_else(|| diff_exact(&self.name(), dst, &got, &want));
-        }
-        finish(&mut world, mismatch)
+        let cfg = dlrm_cfg(self.n_pes, self.batch, self.tables_per_pe);
+        let groups = vec![0; self.n_pes];
+        run_fused(&self.name(), &cfg, cfg.local_batch(), groups, order, steal)
     }
 }
 
@@ -532,10 +524,7 @@ impl ProtocolCase for ResilientCase {
         order: Option<Arc<dyn DeliveryOrder>>,
         steal: Option<StealPolicy>,
     ) -> CaseRun {
-        let mut cfg = DlrmConfig::hw_eval(self.n_pes, self.batch, self.tables_per_pe);
-        cfg.table_rows = 64;
-        cfg.dim = 8;
-        cfg.pooling = 4;
+        let cfg = dlrm_cfg(self.n_pes, self.batch, self.tables_per_pe);
         let mut layout = HeapLayout::new();
         let mut plan = ResilientFusedPlan::plan(
             &mut layout,
@@ -601,8 +590,8 @@ impl ProtocolCase for MoeCase {
     }
 
     fn steal_tasks(&self) -> usize {
-        // One dispatch per expert.
-        self.n_pes
+        // One task per token row, in each of the two exchanges.
+        self.n_pes * self.tokens_per_pair
     }
 
     fn run_with_steal(
@@ -660,8 +649,8 @@ impl ProtocolCase for AllGatherGemmCase {
     }
 
     fn steal_tasks(&self) -> usize {
-        // One shard publication per destination PE.
-        self.n_pes
+        // One task per (destination PE, shard row).
+        self.n_pes * self.rows_per_pe
     }
 
     fn run_with_steal(
@@ -705,6 +694,84 @@ impl ProtocolCase for AllGatherGemmCase {
             for (b, (got, want)) in outputs[pe].iter().zip(&want).enumerate() {
                 mismatch = mismatch.or_else(|| diff_approx(&self.name(), pe * 100 + b, got, want));
             }
+        }
+        finish(&mut world, mismatch)
+    }
+}
+
+/// The fused backward operator ([`BackwardFusedPlan`]): gradient rows
+/// return to their table owners, whose SGD step consumes each on arrival.
+pub struct BackwardCase {
+    /// Number of PEs.
+    pub n_pes: usize,
+    /// Global batch size (must divide by `n_pes`).
+    pub batch: usize,
+    /// Tables owned per PE.
+    pub tables_per_pe: usize,
+    /// Gradient rows per communication slice.
+    pub slice_embeddings: usize,
+}
+
+impl ProtocolCase for BackwardCase {
+    fn name(&self) -> String {
+        format!("backward/p{}", self.n_pes)
+    }
+
+    fn run_with(&self, order: Option<Arc<dyn DeliveryOrder>>) -> CaseRun {
+        self.run_with_steal(order, None)
+    }
+
+    fn steal_tasks(&self) -> usize {
+        // One task per (global table, local sample): the plan's items.
+        self.tables_per_pe * self.batch
+    }
+
+    fn run_with_steal(
+        &self,
+        order: Option<Arc<dyn DeliveryOrder>>,
+        steal: Option<StealPolicy>,
+    ) -> CaseRun {
+        const LR: f32 = 0.05;
+        let cfg = dlrm_cfg(self.n_pes, self.batch, self.tables_per_pe);
+        let tpp = cfg.tables_per_pe;
+        let mut layout = HeapLayout::new();
+        let mut plan = BackwardFusedPlan::plan(&mut layout, &cfg, self.slice_embeddings);
+        if let Some(policy) = steal {
+            plan.set_steal(policy);
+        }
+        let world = ShmemWorld::new(cfg.n_pes, layout)
+            .with_p2p_groups(internode_groups(cfg.n_pes))
+            .with_trace();
+        let mut world = with_order(world, order);
+        let mut want = reference::build_tables(&cfg);
+        let gen = reference::build_generator(&cfg);
+        let grad_len = cfg.local_batch() * cfg.n_pes * tpp * cfg.dim;
+        let grads: Vec<Vec<f32>> = (0..cfg.n_pes)
+            .map(|pe| {
+                (0..grad_len)
+                    .map(|i| ((pe * 31 + i) % 17) as f32 * 0.01 - 0.08)
+                    .collect()
+            })
+            .collect();
+        let shards: Vec<Mutex<Vec<EmbeddingTable>>> =
+            want.chunks(tpp).map(|c| Mutex::new(c.to_vec())).collect();
+        world.run(|ctx| {
+            let me = ctx.me();
+            let mut tables = shards[me].lock().expect("one PE per shard");
+            plan.execute(ctx, &grads[me], &mut tables, &gen, PoolingMode::Sum, LR, 1);
+        });
+        reference_backward(&cfg, &mut want, &gen, PoolingMode::Sum, &grads, LR);
+        let rows = |tables: &[EmbeddingTable]| -> Vec<f32> {
+            tables
+                .iter()
+                .flat_map(|t| (0..t.rows() as u32).flat_map(move |r| t.row(r).to_vec()))
+                .collect()
+        };
+        let mut mismatch = None;
+        for (pe, shard) in shards.into_iter().enumerate() {
+            let got = rows(&shard.into_inner().expect("one PE per shard"));
+            let want = rows(&want[pe * tpp..(pe + 1) * tpp]);
+            mismatch = mismatch.or_else(|| diff_approx(&self.name(), pe, &got, &want));
         }
         finish(&mut world, mismatch)
     }
@@ -864,6 +931,12 @@ pub fn standard_cases(n_pes: usize) -> Vec<Box<dyn ProtocolCase>> {
             in_dim: 6,
             rows_per_pe: 2,
             batch: 3,
+        }),
+        Box::new(BackwardCase {
+            n_pes,
+            batch: 2 * n_pes,
+            tables_per_pe: 2,
+            slice_embeddings: 2,
         }),
     ]
 }

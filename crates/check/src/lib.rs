@@ -33,8 +33,8 @@ pub mod explore;
 pub mod invariants;
 
 pub use cases::{
-    standard_cases, AllGatherGemmCase, CaseRun, ChecksumBypassCase, ElasticCase, FusedCase,
-    GenericCase, MoeCase, ProtocolCase, ResilientCase, UnfencedFlagCase, ZeroCopyCase,
+    standard_cases, AllGatherGemmCase, BackwardCase, CaseRun, ChecksumBypassCase, ElasticCase,
+    FusedCase, GenericCase, MoeCase, ProtocolCase, ResilientCase, UnfencedFlagCase, ZeroCopyCase,
 };
 pub use ctx::{check_ctx_trace, CtxViolation};
 pub use explore::{explore, explore_all, explore_steal, Budget, Report};

@@ -4,43 +4,48 @@
 //! all-gathered before `y = W·x`. The unfused schedule serializes
 //! gather-then-multiply; the fused operator computes the output rows of
 //! each weight shard *as that shard arrives*, overlapping the gather with
-//! the multiplication — shard-granular, exactly the slice idea with the
-//! dependence direction reversed (communication feeds computation).
+//! the multiplication — exactly the slice idea with the dependence
+//! direction reversed (communication feeds computation). The gather runs
+//! on the shared protocol core, one slice per (shard, destination), and
+//! the GEMM block is its drain's consumer.
 
 use fcc_net::{analytic, Topology};
 use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{PeCtx, SymFlags, SymSlice};
+use fcc_shmem::{PeCtx, SymSlice};
 use fcc_sim::SimTime;
 
-use crate::schedule::steal::{sequential_order, StealPolicy};
+use crate::op::generic::{GenericFusedPlan, Route, RowCopy};
+use crate::schedule::steal::StealPolicy;
 
 /// Functional fused AllGather + GEMM plan.
 ///
 /// Weights: `total_out × in_dim`, row-sharded so PE `p` owns rows
 /// `p·(total_out/n) ..`. Inputs are per-PE activation batches; outputs are
 /// per-PE `batch × total_out`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct AllGatherGemmPlan {
     /// Gathered weight buffer on every PE (`total_out × in_dim`).
     pub weights: SymSlice<f32>,
-    shard_ready: SymFlags,
-    n_pes: usize,
+    gather: GenericFusedPlan,
+    rows: usize,
     in_dim: usize,
-    total_out: usize,
-    /// Issue order of the shard-publish loop. Publication is sequential
-    /// (one thread per PE); the steal schedule decides which destination
-    /// gets this PE's shard first, so fcc-check explores gather
-    /// interleavings through the same seed dimension.
-    steal: StealPolicy,
+}
+
+/// Shard publication: item `(pe, r)` of PE `me` is row `r` of its
+/// `rows`-row shard, landing at weight row `me·rows + r` on `pe`.
+fn shards(n_pes: usize, rows: usize, in_dim: usize, shard: &[f32]) -> RowCopy<'_, impl Route> {
+    let route = move |me, item| (item % rows, item / rows, me * rows + item % rows);
+    RowCopy::new(shard, in_dim, n_pes * rows, route)
 }
 
 impl AllGatherGemmPlan {
     /// Rows per shard.
     pub fn shard_rows(&self) -> usize {
-        self.total_out / self.n_pes
+        self.rows
     }
 
-    /// Allocates the gathered-weight buffer and per-shard flags.
+    /// Allocates the gathered-weight buffer and per-shard flags: one slice
+    /// per (shard, destination).
     ///
     /// # Panics
     /// Panics unless `total_out` divides evenly among PEs.
@@ -51,27 +56,26 @@ impl AllGatherGemmPlan {
         total_out: usize,
     ) -> AllGatherGemmPlan {
         assert_eq!(total_out % n_pes, 0, "rows must shard evenly");
+        let rows = total_out / n_pes;
+        let gather = GenericFusedPlan::plan(layout, n_pes, &shards(n_pes, rows, in_dim, &[]), rows);
         AllGatherGemmPlan {
-            weights: layout.alloc::<f32>(total_out * in_dim),
-            shard_ready: layout.alloc_flags(n_pes),
-            n_pes,
+            weights: gather.output,
+            gather,
+            rows,
             in_dim,
-            total_out,
-            steal: StealPolicy::sequential(0),
         }
     }
 
-    /// Replaces the work-stealing policy (builder form). Only the seed
-    /// matters here: publication is shard-sequential, so the policy picks
-    /// the issue order, not a thread count.
+    /// Replaces the work-stealing policy (builder form).
     pub fn with_steal(mut self, steal: StealPolicy) -> AllGatherGemmPlan {
-        self.steal = steal;
+        self.set_steal(steal);
         self
     }
 
-    /// Replaces the work-stealing policy in place (call before running).
+    /// Replaces the work-stealing policy in place (call before running):
+    /// the gather runs one task per (destination, shard row).
     pub fn set_steal(&mut self, steal: StealPolicy) {
-        self.steal = steal;
+        self.gather.set_steal(steal);
     }
 
     /// Executes the fused operator on the calling PE: gathers every weight
@@ -88,51 +92,19 @@ impl AllGatherGemmPlan {
         xs: &[Vec<f32>],
         exec: u64,
     ) -> Vec<Vec<f32>> {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(ctx.n_pes(), self.n_pes, "plan/world size mismatch");
-        let rows = self.shard_rows();
-        assert_eq!(local_shard.len(), rows * self.in_dim, "shard shape");
-        let me = ctx.me();
-        // Causal attribution: shard publication (me → pe) is slice
-        // `me·n + pe`, unique per send within the execution.
-        let root = crate::op::ctx_root(exec);
-        let _ctx_guard = fcc_shmem::scoped_ctx(root);
-
-        // Publish my shard to every PE (myself included), then flag it.
-        // Destinations are independent, so any issue order is correct —
-        // the steal schedule picks which one this round realizes.
-        let dst_ids: Vec<u64> = (0..self.n_pes as u64).collect();
-        let workers = self.steal.effective_workers(self.n_pes);
-        for pe in sequential_order(workers, &dst_ids, self.steal.seed) {
-            let pe = pe as usize;
-            let _slice_guard =
-                fcc_shmem::scoped_ctx(root.with_slice((me * self.n_pes + pe) as u64));
-            ctx.put(self.weights, me * rows * self.in_dim, local_shard, pe);
-            ctx.fence();
-            ctx.flag_store(self.shard_ready, me, exec, pe);
-        }
-
-        // Consume shards as they arrive: the GEMM is decomposed by output
-        // rows, each block unlocked by its shard's flag.
-        let mut out = vec![vec![0.0f32; self.total_out]; xs.len()];
-        let mut shard_rows_buf = vec![0.0f32; rows * self.in_dim];
-        for src in 0..self.n_pes {
-            ctx.wait_until(self.shard_ready, src, |v| v >= exec);
-            ctx.get(
-                &mut shard_rows_buf,
-                self.weights,
-                src * rows * self.in_dim,
-                me,
-            );
+        let (n, rows, in_dim) = (ctx.n_pes(), self.rows, self.in_dim);
+        assert_eq!(local_shard.len(), rows * in_dim, "shard shape");
+        assert!(xs.iter().all(|x| x.len() == in_dim), "activation width");
+        // The GEMM is decomposed by output rows, each computed as soon as
+        // its weight row's shard flag is seen.
+        let mut out = vec![vec![0.0f32; n * rows]; xs.len()];
+        let gemm = |src, item, w: &[f32], _: &mut _| {
             for (x, y) in xs.iter().zip(out.iter_mut()) {
-                assert_eq!(x.len(), self.in_dim, "activation width");
-                for r in 0..rows {
-                    let w = &shard_rows_buf[r * self.in_dim..(r + 1) * self.in_dim];
-                    let dot: f32 = w.iter().zip(x).map(|(a, b)| a * b).sum();
-                    y[src * rows + r] = dot;
-                }
+                y[src * rows + item % rows] = w.iter().zip(x).map(|(a, b)| a * b).sum();
             }
-        }
+        };
+        let shard = shards(n, rows, in_dim, local_shard);
+        self.gather.execute_consuming(ctx, &shard, exec, gemm);
         out
     }
 }

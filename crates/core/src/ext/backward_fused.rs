@@ -7,34 +7,41 @@
 //! forward output. Those gradients must return to their table owners
 //! (a reverse All-to-All) and be scattered into table rows (the SGD
 //! update). The bulk-synchronous schedule serializes the two; the fused
-//! schedule PUTs gradient slices as they are assembled and lets the owner
-//! scatter each slice the moment it arrives, overlapping wire time with
-//! row updates.
+//! schedule ships gradient slices on the shared protocol core and the
+//! owner's optimizer consumes each row the moment its slice arrives,
+//! overlapping wire time with row updates.
 
 use fcc_dlrm::backward::embedding_backward_sgd;
 use fcc_dlrm::{BatchGenerator, DlrmConfig, EmbeddingTable, PoolingMode};
 use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{PeCtx, SymFlags, SymSlice};
+use fcc_shmem::PeCtx;
 
-use crate::scratch::{fit, Workspace, Workspaces};
+use crate::op::generic::{GenericFusedPlan, Route, RowCopy};
+use crate::schedule::steal::StealPolicy;
 
 /// Symmetric-heap plan for the backward fused operator.
 #[derive(Debug)]
 pub struct BackwardFusedPlan {
-    /// Gradient input at each PE: `{local_batch, total_tables × dim}` —
-    /// the same layout the forward operator produced.
-    pub grads_in: SymSlice<f32>,
-    /// Gradient staging at each table owner: `{tables_per_pe ×
-    /// global_batch × dim}`, indexed `(local table, global sample)`.
-    staging: SymSlice<f32>,
-    /// One readiness flag per `(sender, local table, shard slice)`.
-    slice_rdy: SymFlags,
+    /// The gradient return; its output is the owner's staging,
+    /// `{tables_per_pe × global_batch × dim}` indexed `(local table,
+    /// global sample)`.
+    scatter: GenericFusedPlan,
     cfg: DlrmConfig,
-    slice_embeddings: usize,
-    slices_per_shard: usize,
-    /// One workspace per PE: the gradient row in flight and the bag it
-    /// scatters through.
-    workspaces: Workspaces,
+}
+
+/// The gradient return: item `(global table, local sample)` of PE `me` —
+/// owner-major, so the table owner drains sender, table, sample in order —
+/// is row `(sample, table)` of `grads`, landing at the owner's staging
+/// row `(local table, me's sample)`.
+fn gradients<'a>(cfg: &DlrmConfig, grads: &'a [f32]) -> RowCopy<'a, impl Route> {
+    let (tpp, lb, gb) = (cfg.tables_per_pe, cfg.local_batch(), cfg.global_batch);
+    let tables = cfg.n_pes * tpp;
+    let route = move |me, item| {
+        let (table, ls) = (item / lb, item % lb);
+        let staged = table % tpp * gb + me * lb + ls;
+        (ls * tables + table, table / tpp, staged)
+    };
+    RowCopy::new(grads, cfg.dim, tables * lb, route)
 }
 
 impl BackwardFusedPlan {
@@ -45,22 +52,16 @@ impl BackwardFusedPlan {
         slice_embeddings: usize,
     ) -> BackwardFusedPlan {
         assert!(slice_embeddings >= 1);
-        let total_tables = cfg.n_pes * cfg.tables_per_pe;
-        let slice_embeddings = slice_embeddings.min(cfg.local_batch());
-        let slices_per_shard = cfg.local_batch().div_ceil(slice_embeddings);
-        BackwardFusedPlan {
-            grads_in: layout.alloc::<f32>(cfg.local_batch() * total_tables * cfg.dim),
-            staging: layout.alloc::<f32>(cfg.tables_per_pe * cfg.global_batch * cfg.dim),
-            slice_rdy: layout.alloc_flags(cfg.n_pes * cfg.tables_per_pe * slices_per_shard),
-            cfg: cfg.clone(),
-            slice_embeddings,
-            slices_per_shard,
-            workspaces: Workspaces::sized(cfg.n_pes, 1, cfg.dim, cfg.pooling, 0),
-        }
+        let width = slice_embeddings.min(cfg.local_batch());
+        let scatter = GenericFusedPlan::plan(layout, cfg.n_pes, &gradients(cfg, &[]), width);
+        let cfg = cfg.clone();
+        BackwardFusedPlan { scatter, cfg }
     }
 
-    fn flag_index(&self, sender: usize, lt: usize, slice: usize) -> usize {
-        (sender * self.cfg.tables_per_pe + lt) * self.slices_per_shard + slice
+    /// Replaces the work-stealing policy in place (call before running):
+    /// the gradient return runs one task per (global table, local sample).
+    pub fn set_steal(&mut self, steal: StealPolicy) {
+        self.scatter.set_steal(steal);
     }
 
     /// Executes the backward fused operator on the calling PE: ships this
@@ -68,12 +69,14 @@ impl BackwardFusedPlan {
     /// arriving slice into this PE's own tables with an SGD step of rate
     /// `lr`.
     ///
-    /// `grads_in` must be seeded (e.g. with
-    /// [`fcc_shmem::ShmemWorld::write`]) before the run. `exec` is
-    /// 1-based and monotonic across reuses.
+    /// `grads` is this PE's `{local_batch, total_tables × dim}` gradient —
+    /// the layout the forward operator produced. `exec` is 1-based and
+    /// monotonic across reuses.
+    #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &self,
         ctx: &PeCtx<'_>,
+        grads: &[f32],
         local_tables: &mut [EmbeddingTable],
         gen: &BatchGenerator,
         mode: PoolingMode,
@@ -81,7 +84,7 @@ impl BackwardFusedPlan {
         exec: u64,
     ) {
         assert_eq!(local_tables.len(), self.cfg.tables_per_pe, "table shard");
-        self.execute_with(ctx, gen, exec, |lt, bag, grad| {
+        self.execute_with(ctx, grads, gen, exec, |lt, bag, grad| {
             embedding_backward_sgd(&mut local_tables[lt], bag, mode, grad, lr);
         });
     }
@@ -90,9 +93,11 @@ impl BackwardFusedPlan {
     /// the optimizer production DLRM uses for sparse parameters.
     ///
     /// `states[lt]` is table `lt`'s accumulator state.
+    #[allow(clippy::too_many_arguments)]
     pub fn execute_adagrad(
         &self,
         ctx: &PeCtx<'_>,
+        grads: &[f32],
         local_tables: &mut [EmbeddingTable],
         states: &mut [fcc_dlrm::RowwiseAdagrad],
         gen: &BatchGenerator,
@@ -101,80 +106,32 @@ impl BackwardFusedPlan {
     ) {
         assert_eq!(local_tables.len(), self.cfg.tables_per_pe, "table shard");
         assert_eq!(states.len(), self.cfg.tables_per_pe, "state shard");
-        self.execute_with(ctx, gen, exec, |lt, bag, grad| {
+        self.execute_with(ctx, grads, gen, exec, |lt, bag, grad| {
             states[lt].update(&mut local_tables[lt], bag, mode, grad);
         });
     }
 
     /// The transport skeleton shared by both optimizers: ship gradient
     /// slices to their owners, then hand each arriving `(table, bag,
-    /// gradient-row)` to `apply` in a deterministic (sender-major,
-    /// sample-ascending) order.
+    /// gradient-row)` to `apply` in a deterministic (sender-major, then
+    /// table, then sample) order.
     pub fn execute_with(
         &self,
         ctx: &PeCtx<'_>,
+        grads: &[f32],
         gen: &BatchGenerator,
         exec: u64,
         mut apply: impl FnMut(usize, &[u32], &[f32]),
     ) {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(ctx.n_pes(), self.cfg.n_pes, "plan/world size mismatch");
-        let me = ctx.me();
-        let dim = self.cfg.dim;
-        let total_tables = self.cfg.n_pes * self.cfg.tables_per_pe;
-        let local_batch = self.cfg.local_batch();
-
-        // --- Send phase: slice-granular gradient PUTs -------------------
-        // Remote owners first (the communication-aware order), then the
-        // local shard, which is "shipped" with plain local copies.
-        let mut ws = self.workspaces.borrow(me, 0);
-        let ws: &mut Workspace = &mut ws;
-        let row = fit(&mut ws.vector, dim);
-        let owners = (0..self.cfg.n_pes)
-            .filter(|&o| o != me)
-            .chain(std::iter::once(me));
-        for owner in owners {
-            for lt in 0..self.cfg.tables_per_pe {
-                let gt = owner * self.cfg.tables_per_pe + lt;
-                for slice in 0..self.slices_per_shard {
-                    let start = slice * self.slice_embeddings;
-                    let len = self.slice_embeddings.min(local_batch - start);
-                    for i in 0..len {
-                        let ls = start + i;
-                        let sample = me * local_batch + ls;
-                        let src_off = ls * total_tables * dim + gt * dim;
-                        ctx.get(row, self.grads_in, src_off, me);
-                        let dst_off = (lt * self.cfg.global_batch + sample) * dim;
-                        ctx.put(self.staging, dst_off, row, owner);
-                    }
-                    ctx.fence();
-                    ctx.flag_store(self.slice_rdy, self.flag_index(me, lt, slice), exec, owner);
-                }
-            }
-        }
-
-        // --- Scatter phase: update rows as slices arrive ----------------
-        // Arrival order: iterate senders round-robin so early arrivals
-        // from any sender are consumed while later ones are in flight.
-        for sender in 0..self.cfg.n_pes {
-            for lt in 0..self.cfg.tables_per_pe {
-                let gt = me * self.cfg.tables_per_pe + lt;
-                for slice in 0..self.slices_per_shard {
-                    ctx.wait_until(self.slice_rdy, self.flag_index(sender, lt, slice), |v| {
-                        v >= exec
-                    });
-                    let start = slice * self.slice_embeddings;
-                    let len = self.slice_embeddings.min(local_batch - start);
-                    for i in 0..len {
-                        let sample = sender * local_batch + start + i;
-                        let off = (lt * self.cfg.global_batch + sample) * dim;
-                        ctx.get(row, self.staging, off, me);
-                        gen.bag_into(gt, sample, &mut ws.bag);
-                        apply(lt, &ws.bag, row);
-                    }
-                }
-            }
-        }
+        let (tpp, lb) = (self.cfg.tables_per_pe, self.cfg.local_batch());
+        let sends = gradients(&self.cfg, grads);
+        assert_eq!(grads.len(), sends.items * self.cfg.dim, "gradient shape");
+        let optimizer = |src, item, grad: &[f32], bag: &mut Vec<u32>| {
+            let (table, ls) = (item / lb, item % lb);
+            gen.bag_into(table, src * lb + ls, bag);
+            apply(table % tpp, bag, grad);
+        };
+        self.scatter.execute_consuming(ctx, &sends, exec, optimizer);
     }
 }
 
@@ -248,13 +205,11 @@ mod tests {
 
         let mut layout = HeapLayout::new();
         let plan = BackwardFusedPlan::plan(&mut layout, &cfg, slice);
-        let mut world = ShmemWorld::new(n_pes, layout);
-        for (p, grad) in grads.iter().enumerate() {
-            world.write(p, plan.grads_in, 0, grad);
-        }
+        let world = ShmemWorld::new(n_pes, layout);
         world.run(|ctx| {
-            let mut tables = shards[ctx.me()].lock().unwrap();
-            plan.execute(ctx, &mut tables, &gen, PoolingMode::Sum, lr, 1);
+            let me = ctx.me();
+            let mut tables = shards[me].lock().unwrap();
+            plan.execute(ctx, &grads[me], &mut tables, &gen, PoolingMode::Sum, lr, 1);
         });
 
         for p in 0..n_pes {
@@ -341,14 +296,12 @@ mod tests {
         };
         let mut layout = HeapLayout::new();
         let plan = BackwardFusedPlan::plan(&mut layout, &cfg, 2);
-        let mut world = ShmemWorld::new(n_pes, layout);
-        for (p, grad) in grads.iter().enumerate() {
-            world.write(p, plan.grads_in, 0, grad);
-        }
+        let world = ShmemWorld::new(n_pes, layout);
         world.run(|ctx| {
-            let mut guard = shards[ctx.me()].lock().unwrap();
+            let me = ctx.me();
+            let mut guard = shards[me].lock().unwrap();
             let (tables, states) = &mut *guard;
-            plan.execute_adagrad(ctx, tables, states, &gen, PoolingMode::Sum, 1);
+            plan.execute_adagrad(ctx, &grads[me], tables, states, &gen, PoolingMode::Sum, 1);
         });
 
         for p in 0..n_pes {

@@ -4,9 +4,11 @@
 //! Expert parallelism places one expert per PE; tokens are routed to their
 //! expert with an All-to-All (*dispatch*), transformed, and routed back
 //! (*combine*). Unfused, the expert waits for the whole dispatch. Fused,
-//! each sender PUTs its token chunk for an expert as soon as it is
-//! assembled and flags it; the expert processes chunks in arrival order —
-//! token-chunk granularity instead of slice granularity, same machinery.
+//! both All-to-Alls run on the shared protocol core at token-chunk
+//! granularity — a slice is one (source, expert) chunk — and the expert
+//! consumes each token row the moment its chunk's flag is seen, so the
+//! expert overlaps the rest of the dispatch. The combine ships the
+//! expert's outputs once this PE's dispatch drain is done.
 //!
 //! The functional expert here is an affine map `y = scale_e · x + bias_e`
 //! (distinct per expert), which keeps the oracle trivial while still
@@ -15,67 +17,69 @@
 
 use fcc_net::{analytic, Topology};
 use fcc_shmem::heap::HeapLayout;
-use fcc_shmem::{PeCtx, SymFlags, SymSlice};
+use fcc_shmem::{PeCtx, SymSlice};
 use fcc_sim::SimTime;
 
-use crate::schedule::steal::{sequential_order, StealPolicy};
+use crate::op::generic::{GenericFusedPlan, Route, RowCopy};
+use crate::schedule::steal::StealPolicy;
 
 /// Functional fused MoE dispatch → expert → combine plan.
 ///
 /// Each PE holds `tokens_per_pair` tokens of width `dim` destined to
 /// *each* expert (uniform routing, the shape MoE capacity factors enforce).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct MoePlan {
-    /// Dispatch buffer at the expert: `n_pes × tokens_per_pair × dim`,
-    /// chunk `src` from PE `src`.
-    dispatch: SymSlice<f32>,
     /// Combine buffer at the source: `n_pes × tokens_per_pair × dim`,
     /// chunk `e` holding tokens returned by expert `e`.
     pub combined: SymSlice<f32>,
-    dispatch_ready: SymFlags,
-    combine_ready: SymFlags,
-    n_pes: usize,
+    /// Tokens to their experts; its output is the expert's `n_pes ×
+    /// tokens_per_pair × dim` dispatch buffer, chunk `src` from PE `src`.
+    dispatch: GenericFusedPlan,
+    /// Expert outputs back to their sources, into `combined`.
+    combine: GenericFusedPlan,
     tokens_per_pair: usize,
     dim: usize,
-    /// Issue order of the dispatch loop. The loop itself stays sequential
-    /// (one thread per PE), but the steal schedule decides which expert's
-    /// chunk goes out first, so fcc-check explores dispatch interleavings
-    /// through the same seed dimension as the parallel operators.
-    steal: StealPolicy,
+}
+
+/// Both All-to-Alls: item `(peer, token)` of PE `me` is row `item` of
+/// `rows`, landing at row `(me, token)` of `peer`'s buffer.
+fn exchange(n_pes: usize, t: usize, dim: usize, rows: &[f32]) -> RowCopy<'_, impl Route> {
+    let route = move |me, item| (item, item / t, me * t + item % t);
+    RowCopy::new(rows, dim, n_pes * t, route)
 }
 
 impl MoePlan {
-    /// Allocates dispatch/combine buffers and flag banks.
+    /// Allocates both exchanges' buffers and flag banks: one slice per
+    /// (source, expert) token chunk.
     pub fn plan(
         layout: &mut HeapLayout,
         n_pes: usize,
         tokens_per_pair: usize,
         dim: usize,
     ) -> MoePlan {
-        let chunk = tokens_per_pair * dim;
+        let shape = exchange(n_pes, tokens_per_pair, dim, &[]);
+        let dispatch = GenericFusedPlan::plan(layout, n_pes, &shape, tokens_per_pair);
+        let combine = GenericFusedPlan::plan(layout, n_pes, &shape, tokens_per_pair);
         MoePlan {
-            dispatch: layout.alloc::<f32>(n_pes * chunk),
-            combined: layout.alloc::<f32>(n_pes * chunk),
-            dispatch_ready: layout.alloc_flags(n_pes),
-            combine_ready: layout.alloc_flags(n_pes),
-            n_pes,
+            combined: combine.output,
+            dispatch,
+            combine,
             tokens_per_pair,
             dim,
-            steal: StealPolicy::sequential(0),
         }
     }
 
-    /// Replaces the work-stealing policy (builder form). Only the seed
-    /// matters here: dispatch is chunk-sequential, so the policy picks
-    /// the issue order, not a thread count.
+    /// Replaces the work-stealing policy of both exchanges (builder form).
     pub fn with_steal(mut self, steal: StealPolicy) -> MoePlan {
-        self.steal = steal;
+        self.set_steal(steal);
         self
     }
 
-    /// Replaces the work-stealing policy in place (call before running).
+    /// Replaces the work-stealing policy of both exchanges in place (call
+    /// before running): each runs one task per token row.
     pub fn set_steal(&mut self, steal: StealPolicy) {
-        self.steal = steal;
+        self.dispatch.set_steal(steal);
+        self.combine.set_steal(steal);
     }
 
     /// Executes one fused dispatch → expert → combine round on the calling
@@ -84,56 +88,22 @@ impl MoePlan {
     /// `y = scale(me)·x + bias(me)`. `exec` is 1-based and monotonic;
     /// in-run reuses need a `barrier_all` between rounds.
     pub fn execute(&self, ctx: &PeCtx<'_>, tokens: &[f32], exec: u64) {
-        assert!(exec >= 1, "executions are 1-based");
-        assert_eq!(ctx.n_pes(), self.n_pes, "plan/world size mismatch");
-        let chunk = self.tokens_per_pair * self.dim;
-        assert_eq!(tokens.len(), self.n_pes * chunk, "token shape");
-        let me = ctx.me();
-        // Causal attribution: one slice qualifier per publication —
-        // dispatch chunks occupy [0, n²), combine chunks [n², 2n²) — so
-        // every send resolves to exactly one (src, publication) pair.
-        let root = crate::op::ctx_root(exec);
-        let _ctx_guard = fcc_shmem::scoped_ctx(root);
-
-        // Dispatch: chunk-granular non-blocking sends, flagged per source.
-        // Chunks are disjoint, so any issue order is correct — the steal
-        // schedule picks which one this round realizes.
-        let expert_ids: Vec<u64> = (0..self.n_pes as u64).collect();
-        let workers = self.steal.effective_workers(self.n_pes);
-        for expert in sequential_order(workers, &expert_ids, self.steal.seed) {
-            let expert = expert as usize;
-            let _slice_guard =
-                fcc_shmem::scoped_ctx(root.with_slice((me * self.n_pes + expert) as u64));
-            let payload = &tokens[expert * chunk..(expert + 1) * chunk];
-            ctx.put(self.dispatch, me * chunk, payload, expert);
-            ctx.fence();
-            ctx.flag_store(self.dispatch_ready, me, exec, expert);
-        }
-
-        // Expert: process chunks as they become ready (arrival order is
-        // source order here; any order is correct since chunks are
-        // disjoint), returning each immediately — the combine overlaps the
-        // remaining dispatch.
-        let (scale, bias) = expert_params(me);
-        let mut buf = vec![0.0f32; chunk];
-        for src in 0..self.n_pes {
-            let _slice_guard = fcc_shmem::scoped_ctx(
-                root.with_slice((self.n_pes * self.n_pes + me * self.n_pes + src) as u64),
-            );
-            ctx.wait_until(self.dispatch_ready, src, |v| v >= exec);
-            ctx.get(&mut buf, self.dispatch, src * chunk, me);
-            for v in buf.iter_mut() {
-                *v = scale * *v + bias;
+        let (n, t, dim) = (ctx.n_pes(), self.tokens_per_pair, self.dim);
+        assert_eq!(tokens.len(), n * t * dim, "token shape");
+        // The expert runs on each token row as it arrives, into the row
+        // the combine ships back: `(src, token)`.
+        let (scale, bias) = expert_params(ctx.me());
+        let mut expert_out = vec![0.0f32; tokens.len()];
+        let sends = exchange(n, t, dim, tokens);
+        let expert = |src, item, x: &[f32], _: &mut _| {
+            let y = &mut expert_out[(src * t + item % t) * dim..][..dim];
+            for (y, &x) in y.iter_mut().zip(x) {
+                *y = scale * x + bias;
             }
-            ctx.put(self.combined, me * chunk, &buf, src);
-            ctx.fence();
-            ctx.flag_store(self.combine_ready, me, exec, src);
-        }
-
-        // Gather all returned chunks.
-        for expert in 0..self.n_pes {
-            ctx.wait_until(self.combine_ready, expert, |v| v >= exec);
-        }
+        };
+        self.dispatch.execute_consuming(ctx, &sends, exec, expert);
+        let returns = exchange(n, t, dim, &expert_out);
+        self.combine.execute(ctx, &returns, exec);
     }
 }
 

@@ -18,18 +18,20 @@
 //!   protocol core (the `WG_Done` last-finisher election, staging + slice
 //!   PUT + `sliceRdy` flags, with the zero-copy store path for P2P peers,
 //!   whose per-item step the timed simulator runs too) carries
-//!   [`op::FusedPlan`], the
+//!   [`op::FusedPlan`] (on an all-P2P node, the zero-copy operator), the
 //!   producer-generic [`op::GenericFusedPlan`] and
 //!   [`op::ResilientFusedPlan`], which adds timeout + bounded-retry
 //!   recovery and a degraded-mode fallback to the bulk All-to-All under
-//!   injected faults; [`op::ZeroCopyPlan`] covers all-P2P nodes with
-//!   per-thread direct stores. All are tested bit-for-bit against the
-//!   unfused `embedding → All-to-All` reference.
+//!   injected faults. All are tested bit-for-bit against the unfused
+//!   `embedding → All-to-All` reference.
 //! * [`sim`] — **timed** simulations of the same designs on the GPU and
 //!   NIC models, which regenerate the paper's Figures 9–14; the fused
 //!   kernel is priced by stepping the functional operators' protocol.
-//! * [`ext`] — §3.5 generality: fused `AllGather + GEMM` (fully sharded
-//!   data parallelism) and fused `All-to-All + expert` (MoE) operators.
+//! * [`ext`] — §3.5 generality on the same core: fused `AllGather + GEMM`
+//!   (fully sharded data parallelism), fused `All-to-All + expert` (MoE)
+//!   and the fused backward gradient return + embedding update, each a
+//!   row-copy producer whose dependent computation consumes rows on
+//!   arrival.
 //! * [`tune`] — the online telemetry-driven auto-tuner closing the loop
 //!   over slice width, QP count, and WG occupancy.
 
@@ -45,7 +47,7 @@ pub mod tune;
 
 pub use op::{
     ElasticFusedPlan, ElasticTrainer, FusedPlan, PeOutcome, ResilientFusedPlan, TrainerConfig,
-    TrainerReport, ZeroCopyPlan,
+    TrainerReport,
 };
 pub use progress::{RecoveryCounters, RecoveryPolicy, RecoverySnapshot};
 pub use schedule::steal::{StealArena, StealBug, StealMode, StealPolicy, StealStats};

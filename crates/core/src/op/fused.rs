@@ -368,6 +368,16 @@ mod tests {
     }
 
     #[test]
+    fn fused_is_the_zero_copy_operator_on_an_all_p2p_quad_node() {
+        // One slice per (table, destination), every item stored straight
+        // at its destination: §3.3's zero-copy operator.
+        let cfg = tiny_cfg(4, 8, 2);
+        for mode in [PoolingMode::Sum, PoolingMode::Mean] {
+            check(&cfg, cfg.local_batch(), mode, ScheduleKind::CommAware, None);
+        }
+    }
+
+    #[test]
     fn fused_mean_pooling() {
         let cfg = tiny_cfg(2, 8, 2);
         check(

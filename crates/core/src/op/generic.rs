@@ -10,7 +10,10 @@
 //! PUT + fence + `sliceRdy` for network peers, zero-copy stores for P2P
 //! peers — for any implementor. This is how a downstream user fuses a
 //! GEMM, a graph gather, or anything else with its dependent exchange
-//! (§3.5's generality, as an API instead of an example).
+//! (§3.5's generality, as an API instead of an example). When computation
+//! depends on the exchange instead, [`GenericFusedPlan::execute_consuming`]
+//! hands every arriving row to it as the drain sees its slice flag; the
+//! `crate::ext` operators are [`RowCopy`] producers drained that way.
 
 use std::ops::ControlFlow;
 
@@ -19,6 +22,7 @@ use fcc_shmem::{PeCtx, SymSlice};
 
 use crate::op::protocol::{FusedCore, Slice, SliceTable};
 use crate::schedule::steal::StealPolicy;
+use crate::scratch::{fit, Workspace};
 
 /// A workload that can be fused with its output exchange.
 ///
@@ -142,16 +146,87 @@ impl GenericFusedPlan {
     /// Executes the fused operator on the calling PE. `exec` is 1-based
     /// and monotonic across plan reuses.
     pub fn execute(&self, ctx: &PeCtx<'_>, producer: &impl FusedProducer, exec: u64) {
+        self.execute_consuming(ctx, producer, exec, |_, _, _, _| {});
+    }
+
+    /// [`execute`](Self::execute), consuming each row destined to the
+    /// calling PE on arrival: right after a slice's `sliceRdy` flag is
+    /// seen, the drain calls `consume(src, item, row, indices)` once per
+    /// row of the slice — source-major, then in item order. `row` is read
+    /// into the PE's own workspace and `indices` is that workspace's
+    /// reusable index buffer, so a consumer allocates nothing.
+    pub fn execute_consuming<P: FusedProducer>(
+        &self,
+        ctx: &PeCtx<'_>,
+        producer: &P,
+        exec: u64,
+        mut consume: impl FnMut(usize, usize, &[f32], &mut Vec<u32>),
+    ) {
         let me = ctx.me();
         let _ctx_guard = fcc_shmem::scoped_ctx(crate::op::ctx_root(exec));
         let core = &self.core;
         core.run_tasks(ctx, producer, &self.tasks[me], exec, |s, ws| {
             core.ship(ctx, producer, s, exec, ws)
         });
+        let mut ws = core.workspace(me, 0);
+        let Workspace { vector, bag, .. } = &mut *ws;
+        let row = fit(vector, producer.dim());
         core.table().drain(me, |s| {
             core.wait_ready(ctx, s, exec);
+            for item in s.first_item..s.first_item + s.len {
+                let (_, off) = producer.destination(s.src, item);
+                ctx.get(row, self.output, off, me);
+                consume(s.src, item, row, bag);
+            }
             ControlFlow::Continue(())
         });
+    }
+}
+
+/// Where a row-copy item goes: `(me, item)` → (source row, destination
+/// PE, destination row).
+pub(crate) trait Route: Fn(usize, usize) -> (usize, usize, usize) + Sync {}
+impl<R: Fn(usize, usize) -> (usize, usize, usize) + Sync> Route for R {}
+
+/// A producer that copies `dim`-wide rows out of a borrowed host buffer,
+/// each as its [`Route`] says: the send side of the `crate::ext`
+/// operators. Every PE sends `items` rows and receives as many. A plan
+/// built from one with empty `rows` slices exactly like one holding data.
+pub(crate) struct RowCopy<'a, R> {
+    rows: &'a [f32],
+    dim: usize,
+    pub items: usize,
+    route: R,
+}
+
+impl<R: Route> RowCopy<'_, R> {
+    pub(crate) fn new(rows: &[f32], dim: usize, items: usize, route: R) -> RowCopy<'_, R> {
+        RowCopy {
+            rows,
+            dim,
+            items,
+            route,
+        }
+    }
+}
+
+impl<R: Route> FusedProducer for RowCopy<'_, R> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+    fn num_items(&self, _me: usize) -> usize {
+        self.items
+    }
+    fn output_len(&self) -> usize {
+        self.items * self.dim
+    }
+    fn destination(&self, me: usize, item: usize) -> (usize, usize) {
+        let (_, dst, row) = (self.route)(me, item);
+        (dst, row * self.dim)
+    }
+    fn produce(&self, me: usize, item: usize, out: &mut [f32]) {
+        let (row, ..) = (self.route)(me, item);
+        out.copy_from_slice(&self.rows[row * self.dim..][..self.dim]);
     }
 }
 

@@ -3,12 +3,14 @@
 //! The paper's recipe — task loop, `WG_Done` election, slice PUT + fence +
 //! `sliceRdy`, drain — lives once, in the crate-private `protocol` core,
 //! whose per-item step the timed simulator (`crate::sim`) runs too.
-//! [`FusedPlan`] (embedding pooling), [`GenericFusedPlan`] (any
-//! [`FusedProducer`]) and [`ResilientFusedPlan`] (the fault ladder) are a
-//! producer, a slice table, an item order and a ship/wait policy on it.
-//! [`ZeroCopyPlan`] and [`ElasticFusedPlan`] signal differently (one
-//! arrival counter; slice-granular jobs without an election) and keep
-//! their own loops.
+//! [`FusedPlan`] (embedding pooling; on an all-P2P node it is the
+//! zero-copy operator of §3.3), [`GenericFusedPlan`] (any
+//! [`FusedProducer`], optionally consuming rows on arrival — what the
+//! `crate::ext` operators are built from) and [`ResilientFusedPlan`] (the
+//! fault ladder) are a producer, a slice table, an item order and a
+//! ship/wait policy on it. [`ElasticFusedPlan`] is the one operator that
+//! keeps its own loop, on purpose: it has no election, its slice ids
+//! survive ownership migration, and heartbeats supervise its drain.
 
 use fcc_shmem::TraceCtx;
 
@@ -19,7 +21,6 @@ pub(crate) mod protocol;
 pub mod recovery;
 pub mod reference;
 pub mod resilient;
-pub mod zerocopy;
 
 /// The causal root an operator execution runs under: the ambient context
 /// when a boundary (serving loop, trainer) already minted one, otherwise
@@ -40,4 +41,3 @@ pub use fused::FusedPlan;
 pub use generic::{FusedProducer, GenericFusedPlan};
 pub use recovery::{ElasticTrainer, PeOutcome, TrainerConfig, TrainerReport};
 pub use resilient::ResilientFusedPlan;
-pub use zerocopy::ZeroCopyPlan;

@@ -33,10 +33,13 @@
 //! keeps it across logical WGs, so an item costs no lock and no
 //! allocation (`scratch.rs`).
 //!
-//! Not built on this core, on purpose: `ZeroCopyPlan` signals with one
-//! arrival counter per PE (§3.3), `ElasticFusedPlan` runs slice-granular
-//! jobs with no election, and `MoePlan` / `AllGatherGemmPlan` /
-//! `BackwardFusedPlan` publish chunk-sequentially.
+//! Every fixed-team operator runs on this core: the zero-copy operator is
+//! `FusedPlan` on an all-P2P world, and `MoePlan`, `AllGatherGemmPlan` and
+//! `BackwardFusedPlan` are row-copy producers on `GenericFusedPlan`,
+//! drained on arrival. Not built on it, on purpose: `ElasticFusedPlan`,
+//! whose slice-granular jobs have no election, whose global slice ids
+//! survive ownership migration, and whose drain heartbeats supervise —
+//! folding it in would make the core branch on its caller.
 
 use std::ops::ControlFlow;
 use std::time::Duration;

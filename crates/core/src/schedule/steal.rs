@@ -654,10 +654,9 @@ fn simulate_sequential(
 }
 
 /// The deterministic execution order a sequential steal run realizes —
-/// used by the chunk-sequential operators (elastic scatter, MoE dispatch,
-/// AllGather publish) whose loops stay single-threaded by design: the
-/// steal schedule still decides their issue order, so fcc-check explores
-/// them through the same seed dimension.
+/// used by the elastic scatter, whose job loop stays single-threaded by
+/// design: the steal schedule still decides its issue order, so fcc-check
+/// explores it through the same seed dimension.
 pub fn sequential_order(workers: usize, tasks: &[u64], seed: u64) -> Vec<u64> {
     let mut out = Vec::with_capacity(tasks.len());
     simulate_sequential(workers.max(1), tasks, seed, |_, t| out.push(t));

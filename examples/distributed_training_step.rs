@@ -110,7 +110,7 @@ fn main() {
             ctx.get(&mut gathered, fwd.output, 0, me);
 
             // 2. Per-sample forward tail + backward to gradient buffers.
-            let mut grads_in = vec![0.0f32; local_batch * row_width];
+            let mut grads = vec![0.0f32; local_batch * row_width];
             let mut bot_grad_acc: Option<Vec<_>> = None;
             let mut top_grad_acc: Option<Vec<_>> = None;
             let mut loss_sum = 0.0f32;
@@ -128,7 +128,7 @@ fn main() {
                 let (dinter, top_grads) = top.backward(&top_cache, &[2.0 * err]);
                 let (ddense, dembs) = interaction_backward(&dense_out, embs, &dinter);
                 let (_, bot_grads) = bottom.backward(&bot_cache, &ddense);
-                grads_in[ls * row_width..(ls + 1) * row_width].copy_from_slice(&dembs);
+                grads[ls * row_width..(ls + 1) * row_width].copy_from_slice(&dembs);
 
                 // Accumulate MLP gradients over the shard.
                 let acc = |store: &mut Option<Vec<_>>, new: Vec<_>| match store {
@@ -154,8 +154,7 @@ fn main() {
                 .expect("loss mutex poisoned by an earlier PE panic") = loss_sum;
 
             // 3. Backward fused: gradient All-to-All + embedding SGD.
-            ctx.put(bwd.grads_in, 0, &grads_in, me);
-            bwd.execute(ctx, &mut tables, &gen, PoolingMode::Sum, lr, step);
+            bwd.execute(ctx, &grads, &mut tables, &gen, PoolingMode::Sum, lr, step);
 
             // 4. Data-parallel MLP sync: ring AllReduce of gradients, then
             // an identical SGD step on every replica.

@@ -1,8 +1,8 @@
 //! End-to-end DLRM forward pass on a simulated 4-GPU node.
 //!
 //! Embedding tables are model-parallel (one shard per GPU thread); the
-//! zero-copy fused operator performs `embedding + All-to-All` in one step
-//! with direct peer stores; each PE then runs the data-parallel tail —
+//! fused operator on this all-P2P node is the zero-copy operator: it
+//! performs `embedding + All-to-All` in one step with direct peer stores; each PE then runs the data-parallel tail —
 //! bottom MLP on dense features, feature interaction, top MLP — for its
 //! batch shard, exactly the pipeline of the paper's Figure 2. Every PE's
 //! predictions are checked against a sequential oracle.
@@ -12,7 +12,7 @@
 //! ```
 
 use fused_collectives::core::op::reference;
-use fused_collectives::core::ZeroCopyPlan;
+use fused_collectives::core::{FusedPlan, ScheduleKind};
 use fused_collectives::dlrm::{interact, DlrmConfig, Mlp, PoolingMode};
 use fused_collectives::shmem::{heap::HeapLayout, ShmemWorld};
 
@@ -56,18 +56,26 @@ fn main() {
         })
         .collect();
 
-    // Distributed run: 4 P2P GPUs (threads), zero-copy fused exchange.
-    let mut layout = HeapLayout::new();
-    let plan = ZeroCopyPlan::plan(&mut layout, &cfg);
-    let world = ShmemWorld::new(n_pes, layout);
+    // Distributed run: 4 P2P GPUs (threads), zero-copy fused exchange —
+    // one slice per (table, destination).
     let local_batch = cfg.local_batch();
+    let mut layout = HeapLayout::new();
+    let plan = FusedPlan::plan(&mut layout, &cfg, local_batch);
+    let world = ShmemWorld::new(n_pes, layout);
 
     world.run(|ctx| {
         let me = ctx.me();
         let local = &tables[me * cfg.tables_per_pe..(me + 1) * cfg.tables_per_pe];
 
         // Model-parallel phase: fused embedding + All-to-All.
-        plan.execute(ctx, local, &gen, PoolingMode::Sum, 1);
+        plan.execute(
+            ctx,
+            local,
+            &gen,
+            PoolingMode::Sum,
+            ScheduleKind::CommAware,
+            1,
+        );
 
         // Data-parallel tail over this PE's batch shard.
         let row = total_tables * cfg.dim;
