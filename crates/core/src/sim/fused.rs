@@ -27,7 +27,7 @@ use std::ops::ControlFlow;
 
 use fcc_dlrm::DlrmConfig;
 use fcc_gpu::config::GpuConfig;
-use fcc_gpu::exec::{TaskUnit, WgPlan};
+use fcc_gpu::exec::{PersistentExec, TaskUnit, WgPlan};
 use fcc_gpu::kernel::KernelResources;
 use fcc_net::{FaultPlan, FaultStats, Topology};
 use fcc_sim::trace::SpanKind;
@@ -39,7 +39,7 @@ use crate::op::protocol::Slice;
 use crate::schedule::{self, ScheduleKind};
 use crate::slice::SliceMap;
 
-use super::timed::{persistent_wgs, Timed, Wire};
+use super::timed::{hbm_exec, persistent_wgs, Timed, Wire};
 use super::FusedTuning;
 
 /// How logical WGs map onto persistent WG slots at runtime.
@@ -287,14 +287,7 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
                 Timeline::disabled()
             };
             let mut st = timed.pe(pe, timeline);
-            // Each PE thieves from its own deterministic stream.
-            let stream = (pe as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f);
-            let steal = match params.wg_schedule {
-                WgSchedule::Stealing { seed } => Some(seed ^ stream),
-                _ => None,
-            };
-            let plans = wg_plans(params, &map, pe, n_persistent);
-            let exec = timed.run(&params.gpu, plans, steal, &mut st);
+            let exec = pe_exec(params, &map, pe, n_persistent).run(|c| timed.complete(&mut st, c));
             puts.append(&mut st.puts);
             runs.push(PeRun {
                 compute_end: exec.makespan,
@@ -365,9 +358,22 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
     }
 }
 
+/// PE `pe`'s `n` persistent WGs on its HBM, running its [`wg_plans`];
+/// under [`WgSchedule::Stealing`] each PE thieves from its own
+/// deterministic stream.
+pub(super) fn pe_exec(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -> PersistentExec {
+    let exec = hbm_exec(&params.gpu, wg_plans(params, map, pe, n));
+    match params.wg_schedule {
+        WgSchedule::Stealing { seed } => {
+            exec.with_stealing(seed ^ (pe as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f))
+        }
+        _ => exec,
+    }
+}
+
 /// PE `pe`'s persistent-WG plans: its logical WGs in `params.schedule`
 /// order, dealt under `params.wg_schedule`, each priced by the skew.
-pub(super) fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -> Vec<WgPlan> {
+fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -> Vec<WgPlan> {
     let order = schedule::order(map, pe as u32, params.schedule);
     let bytes_per_task = params.cfg.bytes_per_pooled_lookup();
     let task = |wg: u32| TaskUnit {

@@ -1,175 +1,68 @@
-//! Integrated discrete-event co-simulation of the fused kernel.
+//! Integrated co-simulation of the fused kernel: the decoupled pipeline
+//! plus one coupling.
 //!
-//! [`super::fused::simulate_fused`] decouples compute from network, which
-//! is exact *except* for one feedback path: an arriving slice is an RDMA
-//! write into the destination GPU's HBM, and those writes steal memory
-//! bandwidth from the destination's still-running pooling workgroups.
-//! This module runs all PEs, their NICs, and both directions of HBM
-//! traffic in one event engine, closing that loop:
+//! [`super::fused::simulate_fused`] prices each PE's compute on its own
+//! HBM and replays the NICs afterwards. That is exact *except* for one
+//! feedback path: an arriving slice is an RDMA write into the destination
+//! GPU's HBM, and those writes steal memory bandwidth from the
+//! destination's still-running pooling workgroups. This driver runs the
+//! decoupled model's own pieces on one clock — per PE the same executor
+//! over the same plans ([`pe_exec`]), the same protocol step
+//! ([`Timed::complete`]) and the same [`Wire`] — and adds only that
+//! coupling:
 //!
-//! * each PE's HBM is one processor-sharing resource whose jobs are both
-//!   local WG tasks *and* incoming slice writes;
-//! * every task completion runs the same protocol step as the decoupled
-//!   model (`sim/timed.rs`), and a slice it ships posts on the source NIC
-//!   at its issue time; its arrival
-//!   schedules an HBM write job at the destination; `sliceRdy` fires when
-//!   the write has landed and the (fenced) flag has arrived;
+//! * a shipped slice posts on its source's wire at its issue instant, as
+//!   soon as the completion that shipped it is stepped;
+//! * its payload's arrival inserts an HBM write job into the
+//!   destination's executor, where it shares capacity with the local
+//!   tasks; `sliceRdy` fires when the write has landed and the (fenced)
+//!   flag has arrived;
 //! * a PE's kernel ends when its task loop has drained and every expected
 //!   slice is ready.
 //!
-//! The decoupled model stays the workhorse for sweeps (it is ~2× faster
-//! and the feedback is small — incoming bytes are a few percent of local
-//! traffic at the paper's shapes); the co-simulation exists to *measure*
-//! that error instead of assuming it. See the cross-validation tests.
+//! At one instant a PE takes an arriving write first, then its own
+//! resumes and completions in the executor's order.
+//!
+//! The decoupled model stays the workhorse for sweeps: the feedback is
+//! small (incoming bytes are a few percent of local traffic at the
+//! paper's shapes) and a co-simulated point costs ~1.3x the decoupled
+//! one (ablation 8's `1024|256` point: ~140 ms vs ~110 ms of wall time
+//! on a 2-vCPU Xeon). The co-simulation exists to *measure* that error
+//! instead of assuming it (ablation 8 and the cross-validation tests
+//! below).
 
-use std::collections::HashMap;
-use std::ops::ControlFlow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use fcc_gpu::exec::{TaskCompletion, WgPlan};
-use fcc_sim::{Engine, JobId, Model, PsResource, Scheduler, SimTime, Timeline};
+use fcc_gpu::exec::PersistentExec;
+use fcc_sim::{SimTime, Timeline};
 
-use super::fused::{wg_plans, FusedParams, PeOutcome, WgSchedule};
+use super::fused::{pe_exec, FusedParams, PeOutcome};
 use super::timed::{Timed, TimedPe, Wire};
 
-#[derive(Debug)]
-enum Ev {
-    /// Re-examine PE `pe`'s HBM resource; stale generations are ignored.
-    PsCheck { pe: usize, generation: u64 },
-    /// A workgroup's post-completion overhead elapsed; start its next task.
-    WgResume { pe: usize, wg: u32 },
-    /// A slice payload arrived at `pe` and begins writing to HBM.
-    SliceWrite {
-        pe: usize,
-        bytes: f64,
-        flag_at: SimTime,
-    },
-}
-
-/// What an HBM job is working on.
-#[derive(Debug, Clone, Copy)]
-enum JobKind {
-    /// Protocol task `seq` of persistent WG `wg`.
-    Task { wg: u32, seq: u32 },
-    /// An incoming slice write; `sliceRdy` fires at
-    /// `max(completion, flag_at)`.
-    IncomingWrite { flag_at: SimTime },
-}
-
-struct PeState {
-    hbm: PsResource,
-    jobs: HashMap<JobId, JobKind>,
-    plans: Vec<WgPlan>,
-    next_seq: Vec<u32>,
+/// One PE on the shared clock.
+struct Pe {
+    exec: PersistentExec,
     protocol: TimedPe,
     wire: Wire,
-    ready_arrivals: u32,
-    compute_end: SimTime,
-    last_ready: SimTime,
+    /// Payload bytes posted.
     bytes: u64,
+    /// Payloads in flight to this PE: (arrival, post order, bytes).
+    inbound: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    /// Latest `sliceRdy` among its inbound slices.
+    ready: SimTime,
 }
 
-struct CoSim<'t> {
-    timed: Timed<'t>,
-    pes: Vec<PeState>,
-}
-
-impl CoSim<'_> {
-    fn start_next_task(&mut self, pe: usize, wg: u32, sched: &mut Scheduler<Ev>) {
-        let st = &mut self.pes[pe];
-        let seq = st.next_seq[wg as usize];
-        if let Some(task) = st.plans[wg as usize].tasks.get(seq as usize) {
-            st.next_seq[wg as usize] += 1;
-            let job = st.hbm.insert(sched.now(), task.work);
-            st.jobs.insert(job, JobKind::Task { wg, seq });
-            self.schedule_check(pe, sched);
-        }
-    }
-
-    fn schedule_check(&mut self, pe: usize, sched: &mut Scheduler<Ev>) {
-        let st = &self.pes[pe];
-        if let Some(at) = st.hbm.next_completion().filter(|&at| at < SimTime::MAX) {
-            let generation = st.hbm.generation();
-            sched.schedule_at(at, Ev::PsCheck { pe, generation });
-        }
-    }
-
-    /// Steps the protocol for the task, then posts any slice it shipped on
-    /// this PE's NIC at its issue instant and schedules the destination's
-    /// HBM write for the payload's arrival.
-    fn on_task_done(&mut self, pe: usize, wg: u32, seq: u32, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
-        let st = &mut self.pes[pe];
-        let completion = TaskCompletion {
-            wg,
-            seq,
-            id: st.plans[wg as usize].tasks[seq as usize].id,
-            // No timeline is recorded here, so the start is not tracked.
-            start: now,
-            end: now,
-            stolen: false,
-        };
-        let overhead = self.timed.complete(&mut st.protocol, &completion);
-        for (issue, s) in st.protocol.puts.drain(..) {
-            let bytes = self.timed.payload_bytes(&s);
-            let (payload, flag) = st.wire.publish(issue, &s, bytes);
-            st.bytes += bytes;
-            sched.schedule_at(
-                payload.arrival,
-                Ev::SliceWrite {
-                    pe: s.dst,
-                    bytes: bytes as f64,
-                    flag_at: flag.arrival,
-                },
-            );
-        }
-        st.compute_end = st.compute_end.max(now + overhead);
-        if overhead == SimTime::ZERO {
-            self.start_next_task(pe, wg, sched);
-        } else {
-            sched.schedule_at(now + overhead, Ev::WgResume { pe, wg });
-        }
-    }
-}
-
-impl Model for CoSim<'_> {
-    type Event = Ev;
-
-    fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
-        match event {
-            Ev::PsCheck { pe, generation } => {
-                if self.pes[pe].hbm.generation() != generation {
-                    return; // superseded by a later mutation
-                }
-                let now = sched.now();
-                let job = self.pes[pe].hbm.complete_next(now);
-                let kind = self.pes[pe].jobs.remove(&job).expect("tracked job");
-                match kind {
-                    JobKind::Task { wg, seq } => self.on_task_done(pe, wg, seq, sched),
-                    JobKind::IncomingWrite { flag_at } => {
-                        let st = &mut self.pes[pe];
-                        st.ready_arrivals += 1;
-                        st.last_ready = st.last_ready.max(now.max(flag_at));
-                    }
-                }
-                self.schedule_check(pe, sched);
-            }
-            Ev::WgResume { pe, wg } => self.start_next_task(pe, wg, sched),
-            Ev::SliceWrite { pe, bytes, flag_at } => {
-                let st = &mut self.pes[pe];
-                let job = st.hbm.insert(sched.now(), bytes);
-                st.jobs.insert(job, JobKind::IncomingWrite { flag_at });
-                self.schedule_check(pe, sched);
-            }
-        }
+impl Pe {
+    fn next_event(&self) -> Option<SimTime> {
+        let landing = self.inbound.peek().map(|Reverse((at, ..))| *at);
+        landing.into_iter().chain(self.exec.next_event()).min()
     }
 }
 
 /// Runs the integrated co-simulation, producing the same outcome shape as
 /// [`super::fused::simulate_fused`] (timelines are not recorded here).
 pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
-    assert_eq!(params.num_qps, 1, "co-simulation models one QP per NIC");
-    let stealing = matches!(params.wg_schedule, WgSchedule::Stealing { .. });
-    assert!(!stealing, "co-simulation models dealt WG schedules");
     let (map, n_persistent) = params.shape();
     let table = map.table();
     let timed = Timed::new(&table, params.cfg.dim, params.tuning, &params.topo);
@@ -180,59 +73,67 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
         "co-simulation models a NIC per PE"
     );
 
-    let pes: Vec<PeState> = (0..n_pes)
+    let mut pes: Vec<Pe> = (0..n_pes)
         .map(|pe| {
-            let plans = wg_plans(params, &map, pe, n_persistent);
-            let hbm_curve = params.gpu.hbm.clone();
-            PeState {
-                hbm: PsResource::new(move |n| hbm_curve.aggregate(n)),
-                jobs: HashMap::new(),
-                next_seq: vec![0; plans.len()],
-                plans,
+            let mut exec = pe_exec(params, &map, pe, n_persistent);
+            exec.start();
+            Pe {
+                exec,
                 protocol: timed.pe(pe, Timeline::disabled()),
-                wire: Wire::new(*params.topo.link(), None, 1),
-                ready_arrivals: 0,
-                compute_end: SimTime::ZERO,
-                last_ready: SimTime::ZERO,
+                wire: Wire::new(*params.topo.link(), params.faults.as_ref(), params.num_qps),
                 bytes: 0,
+                inbound: BinaryHeap::new(),
+                ready: SimTime::ZERO,
             }
         })
         .collect();
 
-    let mut sim = CoSim { timed, pes };
-    let mut engine = Engine::new();
-    for pe in 0..n_pes {
-        for wg in 0..n_persistent {
-            sim.start_next_task(pe, wg, engine.scheduler());
+    let mut posted = 0;
+    while let Some((now, pe)) = (0..n_pes)
+        .filter_map(|pe| Some((pes[pe].next_event()?, pe)))
+        .min()
+    {
+        let st = &mut pes[pe];
+        if st
+            .inbound
+            .peek()
+            .is_some_and(|Reverse((at, ..))| *at == now)
+        {
+            let Reverse((_, _, bytes)) = st.inbound.pop().expect("peeked");
+            st.exec.insert(now, bytes as f64);
+            continue;
+        }
+        if st
+            .exec
+            .step(|c| timed.complete(&mut st.protocol, c))
+            .is_some()
+        {
+            st.ready = st.ready.max(now); // an inbound write landed
+            continue;
+        }
+        for (issue, s) in std::mem::take(&mut st.protocol.puts) {
+            let bytes = timed.payload_bytes(&s);
+            let (payload, flag) = pes[pe].wire.publish(issue, &s, bytes);
+            pes[pe].bytes += bytes;
+            let dst = &mut pes[s.dst];
+            dst.inbound.push(Reverse((payload.arrival, posted, bytes)));
+            dst.ready = dst.ready.max(flag.arrival);
+            posted += 1;
         }
     }
-    engine.run(&mut sim);
 
-    sim.pes
-        .iter()
-        .enumerate()
-        .map(|(pe, st)| {
-            let mut drained = st.plans.iter().zip(&st.next_seq);
-            assert!(
-                drained.all(|(p, &n)| p.tasks.len() == n as usize),
-                "task loop must drain"
-            );
-            // Every slice destined to this PE from another source arrived.
-            let mut expected = 0;
-            table.drain(pe, |s| {
-                expected += u32::from(s.src != pe);
-                ControlFlow::Continue(())
-            });
-            assert_eq!(st.ready_arrivals, expected, "all slices must arrive");
-            let body = st.compute_end.max(st.last_ready);
+    pes.into_iter()
+        .map(|st| {
+            let exec = st.exec.finish();
+            let body = exec.makespan.max(st.ready);
             PeOutcome {
-                compute_end: st.compute_end,
-                last_arrival: st.last_ready,
+                compute_end: exec.makespan,
+                last_arrival: st.ready,
                 total: params.gpu.kernel_launch_overhead + body + params.tuning.drain_poll,
                 messages: st.wire.sent().0,
                 bytes: st.bytes,
                 persistent_wgs: n_persistent,
-                steals: 0,
+                steals: exec.steals,
             }
         })
         .collect()
@@ -241,10 +142,10 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::fused::simulate_fused;
+    use crate::sim::fused::{simulate_fused, SkewSpec, WgSchedule};
     use fcc_dlrm::DlrmConfig;
     use fcc_gpu::config::GpuConfig;
-    use fcc_net::presets;
+    use fcc_net::{presets, FaultPlan};
 
     fn params(batch: usize, tables: usize) -> FusedParams {
         let mut cfg = DlrmConfig::hw_eval(2, batch, tables);
@@ -255,22 +156,64 @@ mod tests {
         }
     }
 
+    /// The dealt single-QP point, the same with stragglers under work
+    /// stealing, and on four QPs per NIC.
+    fn variants() -> [FusedParams; 3] {
+        let base = params(64, 8);
+        let stealing = FusedParams {
+            wg_schedule: WgSchedule::Stealing { seed: 3 },
+            skew: Some(SkewSpec::stragglers(0.2, 8.0, 11)),
+            occupancy_cap: Some(16),
+            ..base.clone()
+        };
+        let multi_qp = FusedParams {
+            num_qps: 4,
+            ..base.clone()
+        };
+        [base, stealing, multi_qp]
+    }
+
     #[test]
     fn integrated_is_deterministic() {
-        let p = params(64, 8);
-        assert_eq!(simulate_fused_integrated(&p), simulate_fused_integrated(&p));
+        for p in variants() {
+            assert_eq!(simulate_fused_integrated(&p), simulate_fused_integrated(&p));
+        }
     }
 
     #[test]
     fn matches_decoupled_message_accounting_exactly() {
-        let p = params(64, 8);
-        let integrated = simulate_fused_integrated(&p);
-        let decoupled = simulate_fused(&p);
-        for (i, d) in integrated.iter().zip(&decoupled.per_pe) {
-            assert_eq!(i.messages, d.messages);
-            assert_eq!(i.bytes, d.bytes);
-            assert_eq!(i.persistent_wgs, d.persistent_wgs);
+        for p in variants() {
+            let integrated = simulate_fused_integrated(&p);
+            let decoupled = simulate_fused(&p);
+            for (i, d) in integrated.iter().zip(&decoupled.per_pe) {
+                assert_eq!(i.messages, d.messages);
+                assert_eq!(i.bytes, d.bytes);
+                assert_eq!(i.persistent_wgs, d.persistent_wgs);
+            }
         }
+    }
+
+    #[test]
+    fn stealing_is_reported_from_the_executor() {
+        let [_, stealing, _] = variants();
+        let integrated = simulate_fused_integrated(&stealing);
+        assert!(integrated.iter().any(|o| o.steals > 0), "{integrated:?}");
+    }
+
+    #[test]
+    fn injected_drops_retransmit_and_delay_the_integrated_run() {
+        let clean = params(64, 8);
+        let faulty = FusedParams {
+            faults: Some(FaultPlan::new(42).with_drop_rate(0.3)),
+            ..clean.clone()
+        };
+        let run = simulate_fused_integrated(&faulty);
+        assert_eq!(run, simulate_fused_integrated(&faulty));
+        let clean = simulate_fused_integrated(&clean);
+        let posted = |o: &[PeOutcome]| o.iter().map(|o| o.messages).sum::<u64>();
+        assert!(posted(&run) > posted(&clean), "go-back-N retransmits");
+        let end = |o: &[PeOutcome]| o.iter().map(|o| o.total).max();
+        assert!(end(&run) > end(&clean), "retransmissions delay the drain");
     }
 
     #[test]
@@ -315,13 +258,5 @@ mod tests {
         let integrated = simulate_fused_integrated(&p);
         assert_eq!(integrated[0].messages, 0);
         assert_eq!(integrated[0].last_arrival, SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "one QP")]
-    fn multi_qp_not_supported_here() {
-        let mut p = params(64, 4);
-        p.num_qps = 4;
-        simulate_fused_integrated(&p);
     }
 }

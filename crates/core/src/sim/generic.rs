@@ -9,14 +9,13 @@
 //! step, on the timed backend.
 
 use fcc_gpu::config::GpuConfig;
-use fcc_gpu::exec::{PersistentExec, TaskUnit, WgPlan};
+use fcc_gpu::exec::{TaskUnit, WgPlan};
 use fcc_gpu::kernel::KernelResources;
-use fcc_net::Topology;
-use fcc_shmem::timed::TimedEndpoint;
+use fcc_net::{Message, MessageKind, Nic, Topology};
 use fcc_sim::{SimTime, Timeline};
 
 use crate::op::generic::{FusedProducer, GenericFusedPlan};
-use crate::sim::timed::{persistent_wgs, Timed, Wire};
+use crate::sim::timed::{hbm_exec, persistent_wgs, Timed, Wire};
 use crate::sim::FusedTuning;
 
 /// Cost annotations for a producer: how much work each item is.
@@ -73,7 +72,9 @@ pub fn price_producer(
     let timed = Timed::new(&table, producer.dim(), *tuning, topo);
     let mut pe = timed.pe(me, Timeline::disabled());
     let plans = deal(&mut tasks[me].iter().map(|&t| (t, table.step_of(me, t).1)));
-    let compute = timed.run(gpu, plans, None, &mut pe).makespan;
+    let compute = hbm_exec(gpu, plans)
+        .run(|c| timed.complete(&mut pe, c))
+        .makespan;
     let mut wire = Wire::new(*topo.link(), None, 1);
     let last_arrival = pe.puts.iter().fold(SimTime::ZERO, |last, (issue, s)| {
         let (_, flag) = wire.publish(*issue, s, timed.payload_bytes(s));
@@ -85,17 +86,19 @@ pub fn price_producer(
         + tuning.drain_poll;
 
     // Unfused: same compute (no per-slice overheads), then bulk shipping.
-    let hbm = gpu.hbm.clone();
     let plans = deal(&mut (0..n_items).map(|item| (item as u64, item)));
-    let compute_only = PersistentExec::new(move |n| hbm.aggregate(n), plans)
-        .run(|_| SimTime::ZERO)
-        .makespan;
-    let mut ep = TimedEndpoint::new(me as u32, *topo.link());
+    let compute_only = hbm_exec(gpu, plans).run(|_| SimTime::ZERO).makespan;
+    let mut nic = Nic::new(*topo.link());
     let mut bulk_done = compute_only;
     for s in table.slices(me).iter().filter(|s| s.dst != me) {
-        let bytes = timed.payload_bytes(s);
-        let d = ep.put_nbi(compute_only, s.dst as u32, bytes, s.index as u64);
-        bulk_done = bulk_done.max(d.arrival);
+        let payload = Message {
+            src: me as u32,
+            dst: s.dst as u32,
+            bytes: timed.payload_bytes(s),
+            tag: s.index as u64,
+            kind: MessageKind::Payload,
+        };
+        bulk_done = bulk_done.max(nic.post(compute_only, payload).arrival);
     }
     let unfused = gpu.kernel_launch_overhead
         + bulk_done

@@ -12,9 +12,10 @@
 //!   bulk-synchronous All-to-All (the denominator everywhere).
 //! * [`intranode::simulate_zero_copy`] — per-table zero-copy fused kernels
 //!   on an all-P2P node (Fig. 14).
-//! * [`fused_des::simulate_fused_integrated`] — the fused kernel and the
-//!   destinations' incoming HBM writes in one event engine, measuring
-//!   what the decoupled model leaves out.
+//! * [`fused_des::simulate_fused_integrated`] — the same pipeline on one
+//!   clock plus one coupling: incoming slice writes share the
+//!   destination's HBM with its compute, measuring what the decoupled
+//!   model leaves out.
 //! * [`generic::price_producer`] — fused vs unfused for any
 //!   [`FusedProducer`](crate::op::FusedProducer), on the plan's own slice
 //!   table and task order.

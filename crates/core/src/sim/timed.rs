@@ -16,7 +16,7 @@
 //! of a NIC's PEs serialize on it.
 
 use fcc_gpu::config::GpuConfig;
-use fcc_gpu::exec::{ExecResult, PersistentExec, TaskCompletion, WgPlan};
+use fcc_gpu::exec::{PersistentExec, TaskCompletion, WgPlan};
 use fcc_gpu::kernel::KernelResources;
 use fcc_gpu::occupancy::occupancy;
 use fcc_net::{
@@ -45,6 +45,12 @@ pub(crate) fn persistent_wgs(
         n = n.min(cap);
     }
     (n as u64).min(items as u64).max(1) as u32
+}
+
+/// Persistent WGs running `plans` on `gpu`'s shared HBM.
+pub(crate) fn hbm_exec(gpu: &GpuConfig, plans: Vec<WgPlan>) -> PersistentExec {
+    let hbm = gpu.hbm.clone();
+    PersistentExec::new(move |n| hbm.aggregate(n), plans)
 }
 
 /// The timed clock over one run's slice table.
@@ -129,24 +135,6 @@ impl<'t> Timed<'t> {
         pe.overhead = self.tuning.bookkeeping;
         step(self, pe, s, item, 1);
         pe.overhead
-    }
-
-    /// Stage 1 for PE `pe`: its persistent WGs run `plans` (of
-    /// [`SliceTable::task`] ids) on the GPU's shared HBM, stealing with
-    /// `steal_seed` if set, and step the protocol at every completion.
-    pub(crate) fn run(
-        &self,
-        gpu: &GpuConfig,
-        plans: Vec<WgPlan>,
-        steal_seed: Option<u64>,
-        pe: &mut TimedPe,
-    ) -> ExecResult {
-        let hbm = gpu.hbm.clone();
-        let mut exec = PersistentExec::new(move |n| hbm.aggregate(n), plans);
-        if let Some(seed) = steal_seed {
-            exec = exec.with_stealing(seed);
-        }
-        exec.run(|c| self.complete(pe, c))
     }
 
     /// How long PE `pe`'s direct stores to same-NIC peers outlast its

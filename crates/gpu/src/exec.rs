@@ -8,6 +8,13 @@
 //! lets a caller-supplied hook inject per-task post-completion overhead —
 //! which is how the fused operator models `WG_Done` bookkeeping and the
 //! GPU-initiated networking API latency of the last-finishing workgroup.
+//!
+//! [`PersistentExec::run`] drives the executor alone. A caller that couples
+//! it to other clocks drives it event by event instead
+//! ([`start`](PersistentExec::start), [`next_event`](PersistentExec::next_event),
+//! [`step`](PersistentExec::step), [`finish`](PersistentExec::finish)) and
+//! can [`insert`](PersistentExec::insert) jobs that are not tasks but share
+//! the capacity curve, such as incoming writes into the same HBM.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,8 +62,6 @@ pub struct TaskCompletion {
 /// Result of executing a (persistent) kernel.
 #[derive(Debug, Clone, Default)]
 pub struct ExecResult {
-    /// Every task completion, in completion order.
-    pub completions: Vec<TaskCompletion>,
     /// Per-workgroup time at which its task loop fully drained (including
     /// trailing hook overhead).
     pub wg_finish: Vec<SimTime>,
@@ -121,7 +126,9 @@ pub struct PersistentExec {
     remaining: usize,
     /// Work-stealing RNG state; `None` pins tasks to their planned WG.
     steal: Option<u64>,
-    steals: u64,
+    /// Finish and busy times and steals so far; the makespan is set by
+    /// [`finish`](Self::finish).
+    result: ExecResult,
 }
 
 impl PersistentExec {
@@ -135,7 +142,11 @@ impl PersistentExec {
             pending: BinaryHeap::new(),
             job_owner: HashMap::new(),
             steal: None,
-            steals: 0,
+            result: ExecResult {
+                wg_finish: vec![SimTime::ZERO; plans.len()],
+                wg_busy: vec![SimTime::ZERO; plans.len()],
+                ..ExecResult::default()
+            },
             plans,
         }
     }
@@ -188,7 +199,7 @@ impl PersistentExec {
             }
             self.back[v] -= 1;
             self.remaining -= 1;
-            self.steals += 1;
+            self.result.steals += 1;
             let seq = self.back[v];
             let task = self.plans[v].tasks[seq as usize];
             let job = self.ps.insert(now, task.work);
@@ -212,6 +223,84 @@ impl PersistentExec {
         self.front[w] < self.back[w] || (self.steal.is_some() && self.remaining > 0)
     }
 
+    /// Starts every workgroup's first task at time zero.
+    pub fn start(&mut self) {
+        for wg in 0..self.plans.len() as u32 {
+            self.start_next_task(wg, SimTime::ZERO);
+        }
+    }
+
+    /// The instant of the next event — a workgroup resuming after its hook
+    /// overhead, or a job completing — or `None` once everything drained.
+    pub fn next_event(&self) -> Option<SimTime> {
+        let resume = self.pending.peek().map(|&Reverse((t, _))| t);
+        resume.into_iter().chain(self.ps.next_completion()).min()
+    }
+
+    /// Processes the event at [`next_event`](Self::next_event). A task
+    /// completion goes through `hook` (see [`run`](Self::run)); a completed
+    /// [`insert`](Self::insert)ed job is returned.
+    ///
+    /// # Panics
+    /// Panics if nothing is pending or capacity is zero.
+    pub fn step(&mut self, hook: impl FnOnce(&TaskCompletion) -> SimTime) -> Option<JobId> {
+        self.advance(hook).expect("step on a drained executor")
+    }
+
+    /// [`step`](Self::step), or `None` if nothing is pending.
+    fn advance(&mut self, hook: impl FnOnce(&TaskCompletion) -> SimTime) -> Option<Option<JobId>> {
+        let resume = self.pending.peek().map(|&Reverse((t, _))| t);
+        let done = self.ps.next_completion();
+        // Resuming a workgroup at or before the next completion keeps
+        // capacity accounting exact: it shares bandwidth from that instant.
+        if resume.is_some_and(|rt| done.is_none_or(|dt| rt <= dt)) {
+            let Reverse((t, wg)) = self.pending.pop().expect("peeked");
+            self.start_next_task(wg, t);
+            return Some(None);
+        }
+        let dt = done?;
+        assert!(dt < SimTime::MAX, "executor starved: zero capacity");
+        let job = self.ps.complete_next(dt);
+        let Some(s) = self.job_owner.remove(&job) else {
+            return Some(Some(job));
+        };
+        let wg = s.wg;
+        let overhead = hook(&TaskCompletion {
+            wg,
+            seq: s.seq,
+            id: s.id,
+            start: s.start,
+            end: dt,
+            stolen: s.stolen,
+        });
+        let free_at = dt + overhead;
+        let w = wg as usize;
+        self.result.wg_finish[w] = free_at;
+        self.result.wg_busy[w] = self.result.wg_busy[w] + (dt - s.start) + overhead;
+        if self.has_work(wg) {
+            if overhead == SimTime::ZERO {
+                self.start_next_task(wg, dt);
+            } else {
+                self.pending.push(Reverse((free_at, wg)));
+            }
+        }
+        Some(None)
+    }
+
+    /// Starts a job of `work` units at `now` that is no workgroup's task
+    /// but shares the capacity curve with them; [`step`](Self::step)
+    /// returns its id when it completes.
+    pub fn insert(&mut self, now: SimTime, work: f64) -> JobId {
+        self.ps.insert(now, work)
+    }
+
+    /// The run's outcome so far; after a drained run, its final one.
+    pub fn finish(self) -> ExecResult {
+        let mut result = self.result;
+        result.makespan = result.wg_finish.iter().copied().max().unwrap_or_default();
+        result
+    }
+
     /// Runs every workgroup's task loop to completion, starting at time
     /// zero.
     ///
@@ -220,74 +309,9 @@ impl PersistentExec {
     /// starting its next task. Returning [`SimTime::ZERO`] means the next
     /// task starts immediately.
     pub fn run(mut self, mut hook: impl FnMut(&TaskCompletion) -> SimTime) -> ExecResult {
-        let num_wgs = self.plans.len();
-        let mut result = ExecResult {
-            completions: Vec::with_capacity(self.plans.iter().map(|p| p.tasks.len()).sum()),
-            wg_finish: vec![SimTime::ZERO; num_wgs],
-            wg_busy: vec![SimTime::ZERO; num_wgs],
-            makespan: SimTime::ZERO,
-            steals: 0,
-        };
-
-        for wg in 0..num_wgs as u32 {
-            self.start_next_task(wg, SimTime::ZERO);
-        }
-
-        loop {
-            let next_resume = self.pending.peek().map(|&Reverse((t, _))| t);
-            let next_done = self.ps.next_completion();
-            match (next_resume, next_done) {
-                // Resuming a workgroup strictly before (or at) the next
-                // completion keeps capacity accounting exact: the resumed
-                // WG must share bandwidth from its resume instant.
-                (Some(rt), Some(dt)) if rt <= dt => {
-                    let Reverse((t, wg)) = self.pending.pop().expect("peeked");
-                    self.start_next_task(wg, t);
-                }
-                (Some(rt), None) => {
-                    let Reverse((t, wg)) = self.pending.pop().expect("peeked");
-                    debug_assert_eq!(t, rt);
-                    self.start_next_task(wg, t);
-                }
-                (_, Some(dt)) => {
-                    assert!(dt < SimTime::MAX, "executor starved: zero capacity");
-                    let job = self.ps.complete_next(dt);
-                    let s = self.job_owner.remove(&job).expect("owned job");
-                    let wg = s.wg;
-                    let completion = TaskCompletion {
-                        wg,
-                        seq: s.seq,
-                        id: s.id,
-                        start: s.start,
-                        end: dt,
-                        stolen: s.stolen,
-                    };
-                    let overhead = hook(&completion);
-                    result.completions.push(completion);
-                    let free_at = dt + overhead;
-                    result.wg_finish[wg as usize] = free_at;
-                    result.wg_busy[wg as usize] =
-                        result.wg_busy[wg as usize] + (dt - s.start) + overhead;
-                    if self.has_work(wg) {
-                        if overhead == SimTime::ZERO {
-                            self.start_next_task(wg, dt);
-                        } else {
-                            self.pending.push(Reverse((free_at, wg)));
-                        }
-                    }
-                }
-                (None, None) => break,
-            }
-        }
-
-        result.makespan = result
-            .wg_finish
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        result.steals = self.steals;
-        result
+        self.start();
+        while self.advance(&mut hook).is_some() {}
+        self.finish()
     }
 }
 
@@ -353,15 +377,24 @@ mod tests {
             .collect()
     }
 
+    /// Runs `exec` under `overhead`, collecting completions in the hook.
+    fn logged(
+        exec: PersistentExec,
+        overhead: impl Fn(&TaskCompletion) -> SimTime,
+    ) -> (ExecResult, Vec<TaskCompletion>) {
+        let mut done = Vec::new();
+        let result = exec.run(|c| {
+            done.push(*c);
+            overhead(c)
+        });
+        (result, done)
+    }
+
     #[test]
     fn single_wg_executes_serially() {
         let exec = PersistentExec::new(|_| 1.0, uniform_plans(1, 3, 100.0));
-        let result = exec.run(|_| SimTime::ZERO);
-        let ends: Vec<u64> = result
-            .completions
-            .iter()
-            .map(|c| c.end.as_nanos())
-            .collect();
+        let (result, done) = logged(exec, |_| SimTime::ZERO);
+        let ends: Vec<u64> = done.iter().map(|c| c.end.as_nanos()).collect();
         assert_eq!(ends, vec![100, 200, 300]);
         assert_eq!(result.makespan, ns(300));
     }
@@ -372,9 +405,9 @@ mod tests {
         // 0.5/ns -> tasks end at 200 and 400; makespan 400 (same total work
         // as serial).
         let exec = PersistentExec::new(|_| 1.0, uniform_plans(2, 2, 100.0));
-        let result = exec.run(|_| SimTime::ZERO);
+        let (result, done) = logged(exec, |_| SimTime::ZERO);
         assert_eq!(result.makespan, ns(400));
-        assert_eq!(result.completions.len(), 4);
+        assert_eq!(done.len(), 4);
     }
 
     #[test]
@@ -419,8 +452,8 @@ mod tests {
                 },
             ],
         );
-        let result = exec.run(|c| if c.wg == 0 { ns(1000) } else { SimTime::ZERO });
-        let last = result.completions.last().unwrap();
+        let (result, done) = logged(exec, |c| if c.wg == 0 { ns(1000) } else { SimTime::ZERO });
+        let last = done.last().unwrap();
         assert_eq!(last.id, 2);
         assert_eq!(last.end, ns(300));
         assert_eq!(result.wg_finish[0], ns(1200));
@@ -442,17 +475,32 @@ mod tests {
     #[test]
     fn completions_report_start_times() {
         let exec = PersistentExec::new(|_| 1.0, uniform_plans(1, 2, 50.0));
-        let result = exec.run(|_| SimTime::ZERO);
-        assert_eq!(result.completions[0].start, ns(0));
-        assert_eq!(result.completions[1].start, ns(50));
+        let (_, done) = logged(exec, |_| SimTime::ZERO);
+        assert_eq!(done[0].start, ns(0));
+        assert_eq!(done[1].start, ns(50));
     }
 
     #[test]
     fn empty_plans_finish_instantly() {
         let exec = PersistentExec::new(|_| 1.0, vec![WgPlan::default(); 4]);
-        let result = exec.run(|_| SimTime::ZERO);
+        let (result, done) = logged(exec, |_| SimTime::ZERO);
         assert_eq!(result.makespan, SimTime::ZERO);
-        assert!(result.completions.is_empty());
+        assert!(done.is_empty());
+    }
+
+    #[test]
+    fn inserted_jobs_share_capacity_and_come_back_from_step() {
+        // One task of 100 and an inserted job of 50 share capacity 1.0:
+        // the job ends at 100 (rate 0.5), the task then runs alone to 150.
+        let mut exec = PersistentExec::new(|_| 1.0, uniform_plans(1, 1, 100.0));
+        exec.start();
+        let job = exec.insert(SimTime::ZERO, 50.0);
+        assert_eq!(exec.next_event(), Some(ns(100)));
+        assert_eq!(exec.step(|_| panic!("the job ends first")), Some(job));
+        assert_eq!(exec.next_event(), Some(ns(150)));
+        assert_eq!(exec.step(|_| SimTime::ZERO), None);
+        assert_eq!(exec.next_event(), None);
+        assert_eq!(exec.finish().makespan, ns(150));
     }
 
     #[test]
@@ -531,24 +579,22 @@ mod tests {
         let mut plans = uniform_plans(1, 8, 100.0);
         plans.extend(vec![WgPlan::default(); 3]);
         let still = PersistentExec::new(|n| n as f64, plans.clone()).run(|_| SimTime::ZERO);
-        let stolen = PersistentExec::new(|n| n as f64, plans)
-            .with_stealing(7)
-            .run(|_| SimTime::ZERO);
+        let exec = PersistentExec::new(|n| n as f64, plans).with_stealing(7);
+        let (stolen, done) = logged(exec, |_| SimTime::ZERO);
         assert_eq!(still.makespan, ns(800));
         assert_eq!(still.steals, 0);
         assert_eq!(stolen.makespan, ns(200));
         assert_eq!(stolen.steals, 6, "three thieves rob two tasks each");
-        assert!(stolen.completions.iter().any(|c| c.stolen));
+        assert!(done.iter().any(|c| c.stolen));
     }
 
     #[test]
     fn stealing_executes_every_task_exactly_once() {
         let mut plans = uniform_plans(2, 5, 64.0);
         plans.push(WgPlan::default());
-        let result = PersistentExec::new(|_| 2.0, plans)
-            .with_stealing(42)
-            .run(|_| SimTime::ZERO);
-        let mut ids: Vec<u64> = result.completions.iter().map(|c| c.id).collect();
+        let exec = PersistentExec::new(|_| 2.0, plans).with_stealing(42);
+        let (result, done) = logged(exec, |_| SimTime::ZERO);
+        let mut ids: Vec<u64> = done.iter().map(|c| c.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..10).collect::<Vec<u64>>());
         // Stolen completions credit the thief: its busy time is nonzero.
@@ -561,12 +607,11 @@ mod tests {
         let mut plans = uniform_plans(3, 4, 50.0);
         plans[0].tasks[0].work = 400.0; // a straggler worth robbing around
         let run = |seed| {
-            PersistentExec::new(|n| n as f64, plans.clone())
-                .with_stealing(seed)
-                .run(|_| SimTime::ZERO)
+            let exec = PersistentExec::new(|n| n as f64, plans.clone()).with_stealing(seed);
+            logged(exec, |_| SimTime::ZERO)
         };
-        let (a, b) = (run(9), run(9));
-        assert_eq!(a.completions, b.completions);
+        let ((a, a_done), (b, b_done)) = (run(9), run(9));
+        assert_eq!(a_done, b_done);
         assert_eq!(a.steals, b.steals);
     }
 
@@ -590,15 +635,9 @@ mod tests {
                 tasks: vec![TaskUnit { id: 3, work: 10.0 }],
             },
         ];
-        let result = PersistentExec::new(|n| n as f64, plans)
-            .with_stealing(1)
-            .run(|_| SimTime::ZERO);
-        let stolen: Vec<u64> = result
-            .completions
-            .iter()
-            .filter(|c| c.stolen)
-            .map(|c| c.id)
-            .collect();
+        let exec = PersistentExec::new(|n| n as f64, plans).with_stealing(1);
+        let (_, done) = logged(exec, |_| SimTime::ZERO);
+        let stolen: Vec<u64> = done.iter().filter(|c| c.stolen).map(|c| c.id).collect();
         assert_eq!(stolen, vec![2, 1], "tail first, then the next-innermost");
     }
 

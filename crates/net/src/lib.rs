@@ -33,7 +33,6 @@ pub mod inject;
 pub mod link;
 pub mod nic;
 pub mod presets;
-pub mod reorder;
 pub mod routes;
 pub mod topology;
 
@@ -48,5 +47,4 @@ pub use flow::{
 pub use inject::JitteryNic;
 pub use link::LinkSpec;
 pub use nic::{Delivery, Message, MessageKind, MultiQpNic, Nic};
-pub use reorder::ArrivalSkew;
 pub use topology::Topology;

@@ -645,9 +645,7 @@ impl<'w> PeCtx<'w> {
     /// Deadline-aware [`quiet`](Self::quiet): polls the outstanding-put
     /// gauge until it drains or `timeout` elapses. On expiry returns
     /// [`ShmemError::QuietTimeout`] carrying how many deliveries were
-    /// still in flight — the timed backend
-    /// ([`crate::timed::TimedEndpoint::quiet_timeout`]) prices the same
-    /// vocabulary in simulated time.
+    /// still in flight.
     ///
     /// With nothing outstanding this succeeds immediately, even with a
     /// zero timeout; the deadline is checked on a coarse stride (every 64

@@ -3,9 +3,8 @@
 //! The classic SHMEM API has no failure mode: `wait_until` spins forever
 //! and a lost message hangs the job. The resilient operators instead use
 //! the `*_timeout` variants ([`crate::PeCtx::wait_until_timeout`],
-//! [`crate::timed::TimedEndpoint::quiet_timeout`]), which surface one of
-//! these errors so callers can retry, degrade, or abort instead of
-//! spinning.
+//! [`crate::PeCtx::quiet_timeout`]), which surface one of these errors so
+//! callers can retry, degrade, or abort instead of spinning.
 
 use std::fmt;
 use std::time::Duration;

@@ -5,19 +5,16 @@
 //! ROC_SHMEM: a symmetric heap is allocated on every processing element
 //! (PE), workgroups post non-blocking `PUT`s, order them with fences, and
 //! publish readiness through flag writes that remote waiters poll. This
-//! crate reproduces that programming model with two cooperating layers:
-//!
-//! * **Functional layer** ([`world`], [`ctx`], [`heap`]) — each PE is an OS
-//!   thread; the symmetric heap is real shared memory. `put` is a byte
-//!   copy, flags are `AtomicU64`s with Release/Acquire publication, and
-//!   `barrier_all` is a real barrier. Every data-movement algorithm in the
-//!   workspace (baseline collectives, the fused operator, the zero-copy
-//!   path) executes for real against this layer, so functional equivalence
-//!   with reference implementations is *tested*, not assumed.
-//! * **Timed layer** ([`timed`]) — the same operation vocabulary priced
-//!   against `fcc-net`'s NIC model, used by the simulators. Keeping the
-//!   vocabulary identical is the point: one algorithm, two
-//!   interpretations.
+//! crate reproduces that programming model functionally ([`world`],
+//! [`ctx`], [`heap`]): each PE is an OS thread; the symmetric heap is real
+//! shared memory. `put` is a byte copy, flags are `AtomicU64`s with
+//! Release/Acquire publication, and `barrier_all` is a real barrier. Every
+//! data-movement algorithm in the workspace (baseline collectives, the
+//! fused operator, the zero-copy path) executes for real against it, so
+//! functional equivalence with reference implementations is *tested*, not
+//! assumed. Pricing lives with the protocol, not here: the simulators run
+//! the fused operator's own protocol step on a timed backend over
+//! `fcc-net`'s NIC model (`fcc_core::sim`).
 //!
 //! # Memory-safety contract
 //!
@@ -37,7 +34,6 @@ pub mod integrity;
 pub mod lease;
 pub mod pod;
 pub mod ring;
-pub mod timed;
 pub mod trace;
 pub mod world;
 

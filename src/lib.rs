@@ -3,8 +3,8 @@
 //! Re-exports the sub-crates under one roof so downstream code (and the
 //! integration tests in `tests/`) can depend on a single crate:
 //!
-//! * [`shmem`] — SHMEM-style symmetric heap with functional (threaded) and
-//!   timed (NIC-priced) backends.
+//! * [`shmem`] — SHMEM-style symmetric heap, functional (threaded); the
+//!   simulators in [`core`] price its protocol on [`net`]'s NIC model.
 //! * [`net`] — link/NIC/topology models, the packet-level fabric, and the
 //!   fault-injection layer ([`net::FaultPlan`], [`net::FaultyNic`]).
 //! * [`gpu`] — GPU execution model (persistent work-groups, occupancy).
