@@ -12,7 +12,10 @@ use fcc_core::sim::fused::{simulate_fused, FusedParams};
 use fcc_core::ScheduleKind;
 use fcc_gpu::config::GpuConfig;
 use fcc_net::presets;
-use fcc_sim::stats;
+use fcc_sim::{stats, SimTime};
+use fcc_telemetry::{
+    check_chrome_trace, export_chrome_trace, Telemetry, TraceRecord, TraceSink, TrackId,
+};
 use rayon::prelude::*;
 
 use crate::report::{print_table, FigureRecord, Series};
@@ -22,9 +25,14 @@ use crate::runs;
 pub fn fig09() -> FigureRecord {
     // The paper profiles the 1024|256 point with slices of 16 WGs and
     // shows the first 32 persistent WGs.
+    const SHOWN_WGS: u32 = 32;
+    let sink = TraceSink::enabled();
     let params = FusedParams {
         slice_embeddings: 16,
-        trace: true,
+        telemetry: Telemetry {
+            trace: sink.clone(),
+            ..Telemetry::disabled()
+        },
         ..FusedParams::new(
             runs::design_point(),
             GpuConfig::mi210(),
@@ -32,25 +40,37 @@ pub fn fig09() -> FigureRecord {
         )
     };
     let result = simulate_fused(&params);
-    let tl = &result.timelines[0];
+    let trace = sink.data();
     println!("\n== Fig 9: persistent-WG timeline (node 0, first 32 WGs) ==");
     println!("legend: # compute   ! remote PUT issued   o local slice completion\n");
-    print!("{}", tl.render_ascii(32, 100));
+    print!("{}", trace.render_ascii(0, SHOWN_WGS, 100));
 
     // Quantify the overlap the chart shows: how many PUTs are issued
     // strictly before this PE's compute drains (all of them should be).
-    let puts: Vec<_> = tl
-        .points()
-        .iter()
-        .filter(|p| p.kind == fcc_sim::trace::PointKind::RemotePut)
+    let puts: Vec<(u32, SimTime)> = (trace.records.iter())
+        .filter_map(|r| match r {
+            TraceRecord::Instant {
+                track, name, at, ..
+            } if track.pid == 0 && name == "remote_put" => Some((track.tid, *at)),
+            _ => None,
+        })
         .collect();
     let compute_end = result.per_pe[0].compute_end;
-    let overlapped = puts.iter().filter(|p| p.at < compute_end).count();
+    let overlapped = puts.iter().filter(|&&(_, at)| at < compute_end).count();
+    // Keep the charted tracks alone; all of PE 0's WG tracks would export
+    // to ~39 MB of Perfetto/chrome://tracing JSON.
+    let shown = |t: TrackId| t.pid == 0 && t.tid < SHOWN_WGS;
+    let mut chart = trace;
+    chart.records.retain(|r| shown(r.track()));
+    chart.processes.retain(|&pid, _| pid == 0);
+    chart
+        .threads
+        .retain(|&(pid, tid), _| shown(TrackId::new(pid, tid)));
     // Mean per-WG compute utilization up to the kernel's end — the
     // "others keep computing while some communicate" claim, as a number.
     let horizon = result.per_pe[0].total;
-    let utils: Vec<f64> = (0..32)
-        .filter_map(|wg| tl.compute_utilization(wg, horizon))
+    let utils: Vec<f64> = (0..SHOWN_WGS)
+        .filter_map(|wg| chart.compute_utilization(TrackId::new(0, wg), horizon))
         .collect();
     let mean_util = utils.iter().sum::<f64>() / utils.len().max(1) as f64;
     let measured = format!(
@@ -65,7 +85,7 @@ pub fn fig09() -> FigureRecord {
 
     // Distribution of inter-PUT intervals: fine-grained overlap means the
     // network is fed continuously, not in bursts at kernel boundaries.
-    let mut issue_times: Vec<f64> = puts.iter().map(|p| p.at.as_micros_f64()).collect();
+    let mut issue_times: Vec<f64> = puts.iter().map(|(_, at)| at.as_micros_f64()).collect();
     issue_times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     let mut hist = fcc_sim::stats::Histogram::new(0.0, 16.0, 8);
     for w in issue_times.windows(2) {
@@ -73,12 +93,13 @@ pub fn fig09() -> FigureRecord {
     }
     println!("inter-PUT intervals (us, 2us buckets): {}", hist.render());
 
-    // A Perfetto/chrome://tracing-loadable version of the full timeline.
-    crate::report::write_result("fig09_trace.json", &tl.to_chrome_trace());
+    let json = export_chrome_trace(&chart);
+    check_chrome_trace(&json).expect("Fig. 9's trace must pass the Chrome-trace checker");
+    crate::report::write_result("fig09_trace.json", &json);
 
     let mut s = Series::new("put_issue_times_us");
-    for p in &puts {
-        s.push(format!("wg{}", p.actor), p.at.as_micros_f64());
+    for (wg, at) in &puts {
+        s.push(format!("wg{wg}"), at.as_micros_f64());
     }
     FigureRecord {
         id: "fig09".into(),

@@ -480,8 +480,9 @@ mod tests {
     use crate::op::{reference, FusedPlan, GenericFusedPlan, ResilientFusedPlan};
     use crate::progress::{RecoveryCounters, RecoveryPolicy};
     use crate::schedule::ScheduleKind;
-    use crate::sim::fused::{simulate_fused, FusedParams, FusedResult, WgSchedule};
-    use fcc_sim::trace::PointKind;
+    use crate::sim::fused::{simulate_fused, FusedParams, WgSchedule};
+    use fcc_telemetry::trace::TID_WIRE;
+    use fcc_telemetry::{Telemetry, TraceData, TraceRecord, TraceSink};
 
     fn tiny_cfg(n_pes: usize, batch: usize, tables_per_pe: usize, dim: usize) -> DlrmConfig {
         let mut cfg = DlrmConfig::hw_eval(n_pes, batch, tables_per_pe);
@@ -647,22 +648,28 @@ mod tests {
     }
 
     /// The timed clock's publications per PE, in completion order, from
-    /// its timeline: a shipped slice's fenced payload + flag, or an own or
-    /// P2P slice's fenced flag.
-    fn timed_publications(table: &SliceTable, r: &FusedResult) -> Vec<Vec<Publication>> {
-        r.timelines
-            .iter()
-            .enumerate()
-            .map(|(pe, timeline)| {
-                let points = timeline.points().iter();
-                let point = |p: &fcc_sim::trace::Point| {
-                    let s = &table.slices(pe)[p.tag as usize];
-                    let network = p.kind == PointKind::RemotePut;
-                    (s.flag, s.dst, s.len, network, true, true)
-                };
-                points.map(point).collect()
-            })
-            .collect()
+    /// the instants on its WG tracks: a shipped slice's fenced payload +
+    /// flag, or an own or P2P slice's fenced flag.
+    fn timed_publications(table: &SliceTable, trace: &TraceData) -> Vec<Vec<Publication>> {
+        let mut per_pe = vec![Vec::new(); table.n_pes()];
+        for r in &trace.records {
+            let TraceRecord::Instant {
+                track,
+                name,
+                tag: Some(index),
+                ..
+            } = r
+            else {
+                continue;
+            };
+            if track.tid < TID_WIRE {
+                let pe = track.pid as usize;
+                let s = &table.slices(pe)[*index as usize];
+                let network = name == "remote_put";
+                per_pe[pe].push((s.flag, s.dst, s.len, network, true, true));
+            }
+        }
+        per_pe
     }
 
     #[test]
@@ -690,15 +697,19 @@ mod tests {
         let timed = |occupancy_cap, wg_schedule| {
             let link = fcc_net::LinkSpec::infiniband_20gbs();
             let topo = fcc_net::Topology::Switched { endpoints: 2, link };
+            let sink = TraceSink::enabled();
             let params = FusedParams {
                 slice_embeddings: 2,
                 occupancy_cap: Some(occupancy_cap),
                 wg_schedule,
-                trace: true,
+                telemetry: Telemetry {
+                    trace: sink.clone(),
+                    ..Telemetry::disabled()
+                },
                 ..FusedParams::new(cfg.clone(), fcc_gpu::GpuConfig::mi210(), topo)
             };
-            let r = simulate_fused(&params);
-            (timed_publications(&table, &r), r)
+            let per_pe = simulate_fused(&params).per_pe;
+            (timed_publications(&table, &sink.data()), per_pe)
         };
 
         // One persistent WG: the same publications in the same order.
@@ -721,9 +732,9 @@ mod tests {
                 pubs
             };
             let shipped = sorted(functional(StealPolicy::sequential(seed)));
-            let (priced, r) = timed(4, WgSchedule::Stealing { seed });
+            let (priced, per_pe) = timed(4, WgSchedule::Stealing { seed });
             assert_eq!(shipped, sorted(priced), "seed {seed}");
-            for (pubs, out) in shipped.iter().zip(&r.per_pe) {
+            for (pubs, out) in shipped.iter().zip(&per_pe) {
                 let network = pubs.iter().filter(|p| p.3);
                 let rows: usize = network.clone().map(|p| p.2).sum();
                 assert_eq!(out.messages, 2 * network.count() as u64);

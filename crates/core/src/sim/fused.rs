@@ -23,6 +23,7 @@
 //! A topology with fewer endpoints than PEs shares each NIC among
 //! `n_pes / endpoints` PEs, which reach each other P2P.
 
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
 use fcc_dlrm::DlrmConfig;
@@ -30,10 +31,9 @@ use fcc_gpu::config::GpuConfig;
 use fcc_gpu::exec::{PersistentExec, TaskUnit, WgPlan};
 use fcc_gpu::kernel::KernelResources;
 use fcc_net::{FaultPlan, FaultStats, Topology};
-use fcc_sim::trace::SpanKind;
-use fcc_sim::{SimTime, Timeline};
+use fcc_sim::SimTime;
 use fcc_telemetry::trace::{TrackId, TID_WIRE};
-use fcc_telemetry::{union_intervals, OverlapStats, Telemetry};
+use fcc_telemetry::{union_intervals, OverlapStats, Telemetry, TraceRecord};
 
 use crate::op::protocol::Slice;
 use crate::schedule::{self, ScheduleKind};
@@ -135,9 +135,6 @@ pub struct FusedParams {
     /// while wire bandwidth stays shared. 1 = the paper's single-QP
     /// behaviour.
     pub num_qps: usize,
-    /// Record per-WG timelines (Figure 9). Costs memory; leave off for
-    /// sweeps.
-    pub trace: bool,
     /// Inject faults into the network stage: PUTs replay through a
     /// [`fcc_net::FaultyNic`] (go-back-N retransmission, FIFO preserved)
     /// instead of a clean queue pair, and per-NIC [`FaultStats`] land in
@@ -145,11 +142,12 @@ pub struct FusedParams {
     /// Only the single-QP path models faults; combining a plan with
     /// `num_qps > 1` panics.
     pub faults: Option<FaultPlan>,
-    /// Unified telemetry. When enabled, the simulation records per-WG
-    /// timelines into the trace sink (one track per PE × WG plus a per-PE
-    /// wire lane), publishes the hot-path metrics (`fused.*`, `net.*`,
-    /// `overlap.*` — see DESIGN.md §9), and derives per-PE overlap
-    /// efficiency. [`Telemetry::disabled`] (the default) costs nothing.
+    /// Unified telemetry. When enabled, the simulation records each PE's
+    /// compute spans and slice publications (one track per PE × WG, the
+    /// Figure 9 timeline) plus a per-PE wire lane into the trace sink,
+    /// publishes the hot-path metrics (`fused.*`, `net.*`, `overlap.*` —
+    /// see DESIGN.md §9), and derives per-PE overlap efficiency.
+    /// [`Telemetry::disabled`] (the default) costs nothing.
     pub telemetry: Telemetry,
 }
 
@@ -168,7 +166,6 @@ impl FusedParams {
             occupancy_cap: None,
             tuning: FusedTuning::default(),
             num_qps: 1,
-            trace: false,
             faults: None,
             telemetry: Telemetry::disabled(),
         }
@@ -211,8 +208,6 @@ pub struct PeOutcome {
 #[derive(Debug)]
 pub struct FusedResult {
     pub per_pe: Vec<PeOutcome>,
-    /// One timeline per PE when tracing was requested.
-    pub timelines: Vec<Timeline>,
     /// One entry per NIC (per PE unless PEs share NICs) when fault
     /// injection was requested, else empty.
     pub fault_stats: Vec<FaultStats>,
@@ -269,9 +264,6 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
     let table = map.table();
     let timed = Timed::new(&table, params.cfg.dim, params.tuning, &params.topo);
     let tel = &params.telemetry;
-    // Telemetry derives slice latency and overlap from the timeline, so it
-    // forces recording on even without `trace`.
-    let record = params.trace || tel.is_enabled();
 
     // `sliceRdy` arrivals by flag index, read by the drain (stage 3).
     let mut arrivals = vec![SimTime::ZERO; table.num_flags()];
@@ -281,12 +273,9 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
         // Stage 1: each PE's persistent WGs step the protocol per task.
         let mut puts: Vec<(SimTime, Slice)> = Vec::new();
         for pe in pes {
-            let timeline = if record {
-                Timeline::enabled()
-            } else {
-                Timeline::disabled()
-            };
-            let mut st = timed.pe(pe, timeline);
+            // Metrics derive slice latency and overlap from the recorded
+            // compute spans, so any enabled part of telemetry records.
+            let mut st = timed.pe(pe, tel.is_enabled());
             let exec = pe_exec(params, &map, pe, n_persistent).run(|c| timed.complete(&mut st, c));
             puts.append(&mut st.puts);
             runs.push(PeRun {
@@ -294,7 +283,7 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
                 tail: timed.p2p_tail(&st, exec.makespan),
                 steals: exec.steals,
                 wg_busy: exec.wg_busy,
-                timeline: st.timeline,
+                records: st.records.unwrap_or_default(),
                 ..PeRun::default()
             });
         }
@@ -321,7 +310,8 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
 
     // Stage 3: a PE's kernel ends once its own task loop has drained, its
     // direct stores have left, and every slice destined to it has arrived.
-    let mut timelines: Vec<Timeline> = Vec::new();
+    // Traces are flushed here, PE by PE, so each PE's WG tracks precede its
+    // wire lane.
     let per_pe = runs
         .into_iter()
         .enumerate()
@@ -342,10 +332,7 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
                 steals: run.steals,
             };
             if tel.is_enabled() {
-                record_pe_telemetry(tel, pe as u32, &run, &out);
-            }
-            if params.trace {
-                timelines.push(run.timeline);
+                record_pe_telemetry(tel, pe as u32, run, &out);
             }
             out
         })
@@ -353,7 +340,6 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
 
     FusedResult {
         per_pe,
-        timelines,
         fault_stats,
     }
 }
@@ -421,7 +407,8 @@ struct PeRun {
     tail: SimTime,
     steals: u64,
     wg_busy: Vec<SimTime>,
-    timeline: Timeline,
+    /// The timed clock's records, when telemetry is on.
+    records: Vec<TraceRecord>,
     wire_bytes: u64,
     messages: u64,
     payload_bytes: u64,
@@ -432,33 +419,37 @@ struct PeRun {
 /// Publishes one PE's metrics and trace tracks.
 ///
 /// Metric names and label conventions are documented in DESIGN.md §9; the
-/// trace layout is one `pid` per PE with one `tid` per WG (from the
-/// timeline) plus the reserved wire lane carrying the union of in-flight
-/// PUT intervals (disjoint by construction, so `B`/`E` nesting holds).
-fn record_pe_telemetry(tel: &Telemetry, pe: u32, run: &PeRun, out: &PeOutcome) {
+/// trace layout is one `pid` per PE with one `tid` per WG (the timed
+/// clock's records) plus the reserved wire lane carrying the union of
+/// in-flight PUT intervals (disjoint by construction, so `B`/`E` nesting
+/// holds).
+fn record_pe_telemetry(tel: &Telemetry, pe: u32, run: PeRun, out: &PeOutcome) {
     let pe_label = pe.to_string();
     let labels = [("pe", pe_label.as_str())];
     let reg = &tel.registry;
     let gauge = |name, value| reg.gauge(name, &labels).set(value);
-    let timeline = &run.timeline;
 
     // Per-slice compute latency: first task start to last task end of
-    // each slice, from the timeline's tagged compute spans.
-    let mut slice_window: std::collections::BTreeMap<u64, (SimTime, SimTime)> =
-        std::collections::BTreeMap::new();
+    // each slice, from the tagged compute spans (the records' only spans).
+    let mut slice_window: BTreeMap<u64, (SimTime, SimTime)> = BTreeMap::new();
     let mut compute_spans: Vec<(SimTime, SimTime)> = Vec::new();
-    for s in timeline.spans() {
-        if s.kind != SpanKind::Compute {
-            continue;
+    for r in &run.records {
+        if let &TraceRecord::Span {
+            start,
+            end,
+            tag: Some(slice),
+            ..
+        } = r
+        {
+            compute_spans.push((start, end));
+            slice_window
+                .entry(slice)
+                .and_modify(|w| {
+                    w.0 = w.0.min(start);
+                    w.1 = w.1.max(end);
+                })
+                .or_insert((start, end));
         }
-        compute_spans.push((s.start, s.end));
-        slice_window
-            .entry(s.tag)
-            .and_modify(|w| {
-                w.0 = w.0.min(s.start);
-                w.1 = w.1.max(s.end);
-            })
-            .or_insert((s.start, s.end));
     }
     let slice_hist = reg.histogram("fused.slice.compute_ns", &labels, 0.0, 16.0e6, 64);
     for (start, end) in slice_window.values() {
@@ -501,10 +492,15 @@ fn record_pe_telemetry(tel: &Telemetry, pe: u32, run: &PeRun, out: &PeOutcome) {
     gauge("overlap.hidden_ns", overlap.comm_hidden_ns as f64);
     gauge("overlap.efficiency", overlap.efficiency());
 
-    // Trace: WG tracks from the timeline, wire lane from the PUT union.
+    // Trace: the WG tracks as recorded, the wire lane from the PUT union.
     let sink = &tel.trace;
     if sink.is_enabled() {
-        sink.record_timeline(pe, timeline);
+        // Every persistent WG runs at least its first task.
+        sink.name_process(pe, &format!("pe{pe}"));
+        for wg in 0..out.persistent_wgs {
+            sink.name_thread(pe, wg, &format!("wg{wg}"));
+        }
+        sink.extend(run.records);
         sink.name_thread(pe, TID_WIRE, "wire");
         let wire = TrackId::new(pe, TID_WIRE);
         for (start, end) in union_intervals(put_spans) {
@@ -520,7 +516,7 @@ fn record_pe_telemetry(tel: &Telemetry, pe: u32, run: &PeRun, out: &PeOutcome) {
 mod tests {
     use super::*;
     use fcc_net::presets;
-    use fcc_sim::trace::PointKind;
+    use fcc_telemetry::{TraceData, TraceSink};
 
     fn small_params() -> FusedParams {
         let mut cfg = DlrmConfig::hw_eval(2, 64, 4);
@@ -529,6 +525,28 @@ mod tests {
             slice_embeddings: 8,
             ..FusedParams::new(cfg, GpuConfig::mi210(), presets::dual_node_ib())
         }
+    }
+
+    /// Runs `p` with only the trace sink on.
+    fn traced(mut p: FusedParams) -> (FusedResult, TraceData) {
+        let sink = TraceSink::enabled();
+        p.telemetry = Telemetry {
+            trace: sink.clone(),
+            ..Telemetry::disabled()
+        };
+        (simulate_fused(&p), sink.data())
+    }
+
+    /// Timestamps of PE `pe`'s instants named `name` on its WG tracks.
+    fn instants(d: &TraceData, pe: u32, name: &str) -> Vec<SimTime> {
+        (d.records.iter())
+            .filter_map(|r| match r {
+                TraceRecord::Instant {
+                    track, name: n, at, ..
+                } if track.pid == pe && track.tid < TID_WIRE && n == name => Some(*at),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -568,24 +586,15 @@ mod tests {
         // Cap occupancy so task loops are long — with fewer tasks than
         // persistent WGs every slice starts at t=0 and order is moot.
         let mut aware = small_params();
-        aware.trace = true;
         aware.occupancy_cap = Some(16);
         let mut oblivious = aware.clone();
         oblivious.schedule = ScheduleKind::Oblivious;
-        let ra = simulate_fused(&aware);
-        let ro = simulate_fused(&oblivious);
+        let (_, ta) = traced(aware);
+        let (_, to) = traced(oblivious);
         // PE 0's first remote PUT under comm-aware precedes oblivious
         // (under oblivious, PE 0 computes its local shard first).
-        let first_put = |r: &FusedResult| {
-            r.timelines[0]
-                .points()
-                .iter()
-                .filter(|p| p.kind == PointKind::RemotePut)
-                .map(|p| p.at)
-                .min()
-                .unwrap()
-        };
-        assert!(first_put(&ra) < first_put(&ro));
+        let first_put = |d: &TraceData| instants(d, 0, "remote_put").into_iter().min().unwrap();
+        assert!(first_put(&ta) < first_put(&to));
     }
 
     #[test]
@@ -618,19 +627,42 @@ mod tests {
 
     #[test]
     fn tracing_produces_timelines() {
-        let mut p = small_params();
-        p.trace = true;
-        let r = simulate_fused(&p);
-        assert_eq!(r.timelines.len(), 2);
-        assert!(!r.timelines[0].spans().is_empty());
-        assert!(r.timelines[0]
-            .points()
-            .iter()
-            .any(|pt| pt.kind == PointKind::RemotePut));
-        assert!(r.timelines[0]
-            .points()
-            .iter()
-            .any(|pt| pt.kind == PointKind::LocalSliceComplete));
+        let (_, d) = traced(small_params());
+        assert_eq!(d.processes.len(), 2);
+        assert!(d.records.iter().any(|r| {
+            let t = r.track();
+            matches!(r, TraceRecord::Span { .. }) && t.pid == 0 && t.tid < TID_WIRE
+        }));
+        assert!(!instants(&d, 0, "remote_put").is_empty());
+        assert!(!instants(&d, 0, "local_slice").is_empty());
+    }
+
+    #[test]
+    fn trace_holds_one_compute_span_per_task_and_one_put_per_network_slice() {
+        let p = small_params();
+        let tasks = p.shape().0.num_wgs() as usize;
+        let (r, d) = traced(p);
+        for (pe, out) in r.per_pe.iter().enumerate() {
+            let pid = pe as u32;
+            let computes = (d.records.iter())
+                .filter(|r| {
+                    let t = r.track();
+                    matches!(r, TraceRecord::Span { name, .. } if name == "compute")
+                        && t.pid == pid
+                        && t.tid < TID_WIRE
+                })
+                .count();
+            assert_eq!(computes, tasks, "PE {pe}");
+            let puts = instants(&d, pid, "remote_put").len() as u64;
+            assert_eq!(puts, out.messages / 2, "PE {pe}");
+            assert_eq!(d.processes[&pid], format!("pe{pe}"));
+            for r in &d.records {
+                let t = r.track();
+                if t.pid == pid && t.tid < TID_WIRE {
+                    assert_eq!(d.threads[&(pid, t.tid)], format!("wg{}", t.tid));
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use fcc_gpu::exec::PersistentExec;
-use fcc_sim::{SimTime, Timeline};
+use fcc_sim::SimTime;
 
 use super::fused::{pe_exec, FusedParams, PeOutcome};
 use super::timed::{Timed, TimedPe, Wire};
@@ -61,7 +61,7 @@ impl Pe {
 }
 
 /// Runs the integrated co-simulation, producing the same outcome shape as
-/// [`super::fused::simulate_fused`] (timelines are not recorded here).
+/// [`super::fused::simulate_fused`] (no trace is recorded here).
 pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
     let (map, n_persistent) = params.shape();
     let table = map.table();
@@ -79,7 +79,7 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
             exec.start();
             Pe {
                 exec,
-                protocol: timed.pe(pe, Timeline::disabled()),
+                protocol: timed.pe(pe, false),
                 wire: Wire::new(*params.topo.link(), params.faults.as_ref(), params.num_qps),
                 bytes: 0,
                 inbound: BinaryHeap::new(),

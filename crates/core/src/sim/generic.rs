@@ -12,7 +12,7 @@ use fcc_gpu::config::GpuConfig;
 use fcc_gpu::exec::{TaskUnit, WgPlan};
 use fcc_gpu::kernel::KernelResources;
 use fcc_net::{Message, MessageKind, Nic, Topology};
-use fcc_sim::{SimTime, Timeline};
+use fcc_sim::SimTime;
 
 use crate::op::generic::{FusedProducer, GenericFusedPlan};
 use crate::sim::timed::{hbm_exec, persistent_wgs, Timed, Wire};
@@ -70,7 +70,7 @@ pub fn price_producer(
 
     // Fused: the plan's remote-first tasks, PUTs overlapped through the NIC.
     let timed = Timed::new(&table, producer.dim(), *tuning, topo);
-    let mut pe = timed.pe(me, Timeline::disabled());
+    let mut pe = timed.pe(me, false);
     let plans = deal(&mut tasks[me].iter().map(|&t| (t, table.step_of(me, t).1)));
     let compute = hbm_exec(gpu, plans)
         .run(|c| timed.complete(&mut pe, c))

@@ -23,8 +23,8 @@ use fcc_net::{
     Delivery, FaultPlan, FaultStats, FaultyNic, LinkSpec, Message, MessageKind, MultiQpNic, Nic,
     Topology,
 };
-use fcc_sim::trace::{PointKind, SpanKind};
-use fcc_sim::{SimTime, Timeline};
+use fcc_sim::SimTime;
+use fcc_telemetry::{TraceRecord, TrackId};
 
 use crate::op::protocol::{step, Backend, Slice, SliceTable};
 
@@ -78,7 +78,25 @@ pub(crate) struct TimedPe {
     pub puts: Vec<(SimTime, Slice)>,
     /// Bytes stored directly into same-NIC peers.
     p2p_bytes: u64,
-    pub timeline: Timeline,
+    /// When recording: every task's `compute` span and every slice's
+    /// `remote_put` or `local_slice` instant, on track `(PE, WG)` and
+    /// tagged with the slice index, in completion order.
+    pub records: Option<Vec<TraceRecord>>,
+}
+
+impl TimedPe {
+    /// Records the stepping WG's instant `name` for slice `s` at the end
+    /// of its overhead so far.
+    fn instant(&mut self, name: &str, s: &Slice) {
+        if let Some(records) = &mut self.records {
+            records.push(TraceRecord::Instant {
+                track: TrackId::new(self.me as u32, self.wg),
+                name: name.to_string(),
+                at: self.end + self.overhead,
+                tag: Some(s.index as u64),
+            });
+        }
+    }
 }
 
 impl<'t> Timed<'t> {
@@ -108,12 +126,12 @@ impl<'t> Timed<'t> {
         (0..self.table.n_pes() / ppn).map(move |nic| nic * ppn..(nic + 1) * ppn)
     }
 
-    /// Fresh protocol state for PE `me`.
-    pub(crate) fn pe(&self, me: usize, timeline: Timeline) -> TimedPe {
+    /// Fresh protocol state for PE `me`, recording its trace if `record`.
+    pub(crate) fn pe(&self, me: usize, record: bool) -> TimedPe {
         TimedPe {
             me,
             wg_done: vec![0; self.table.slices(me).len()],
-            timeline,
+            records: record.then(Vec::new),
             ..TimedPe::default()
         }
     }
@@ -127,10 +145,16 @@ impl<'t> Timed<'t> {
     /// the WG's overhead before its next task.
     pub(crate) fn complete(&self, pe: &mut TimedPe, c: &TaskCompletion) -> SimTime {
         let (s, item) = self.table.step_of(pe.me, c.id);
-        let tag = s.index as u64;
-        pe.timeline
-            .span(c.wg, SpanKind::Compute, c.start, c.end, tag);
         pe.wg = c.wg;
+        if let Some(records) = &mut pe.records {
+            records.push(TraceRecord::Span {
+                track: TrackId::new(pe.me as u32, c.wg),
+                name: "compute".to_string(),
+                start: c.start,
+                end: c.end,
+                tag: Some(s.index as u64),
+            });
+        }
         pe.end = c.end;
         pe.overhead = self.tuning.bookkeeping;
         step(self, pe, s, item, 1);
@@ -172,16 +196,12 @@ impl Backend for Timed<'_> {
 
     fn ship(&self, pe: &mut TimedPe, s: &Slice) {
         pe.overhead += self.tuning.api_latency;
-        let issue = pe.end + pe.overhead;
-        pe.timeline
-            .point(pe.wg, PointKind::RemotePut, issue, s.index as u64);
-        pe.puts.push((issue, *s));
+        pe.instant("remote_put", s);
+        pe.puts.push((pe.end + pe.overhead, *s));
     }
 
     fn publish(&self, pe: &mut TimedPe, s: &Slice) {
-        let at = pe.end + pe.overhead;
-        pe.timeline
-            .point(pe.wg, PointKind::LocalSliceComplete, at, s.index as u64);
+        pe.instant("local_slice", s);
     }
 }
 
@@ -291,7 +311,7 @@ mod tests {
     fn single_wg_slice_elects_immediately() {
         let table = table(&[1]);
         let timed = clock(&table);
-        let mut pe = timed.pe(0, Timeline::disabled());
+        let mut pe = timed.pe(0, false);
         assert!(complete(&timed, &mut pe, 0, 0));
         assert_eq!(pe.puts, vec![(pe.puts[0].0, table.slices(0)[0])]);
     }
@@ -303,7 +323,7 @@ mod tests {
         for perm in permutations(&[0, 1, 2, 3]) {
             let table = table(&[4]);
             let timed = clock(&table);
-            let mut pe = timed.pe(0, Timeline::disabled());
+            let mut pe = timed.pe(0, false);
             let mut elected = 0;
             for (i, &item) in perm.iter().enumerate() {
                 if complete(&timed, &mut pe, 0, item) {
@@ -320,7 +340,7 @@ mod tests {
         let n = 100;
         let table = table(&[n]);
         let timed = clock(&table);
-        let mut pe = timed.pe(0, Timeline::disabled());
+        let mut pe = timed.pe(0, false);
         for i in 0..n - 1 {
             assert!(!complete(&timed, &mut pe, 0, i));
         }
@@ -331,7 +351,7 @@ mod tests {
     fn sixty_four_wg_boundary() {
         let table = table(&[64]);
         let timed = clock(&table);
-        let mut pe = timed.pe(0, Timeline::disabled());
+        let mut pe = timed.pe(0, false);
         for i in 0..63 {
             assert!(!complete(&timed, &mut pe, 0, i));
         }
@@ -345,7 +365,7 @@ mod tests {
         // early; the slice's remaining WG then over-completes it.
         let table = table(&[2]);
         let timed = clock(&table);
-        let mut pe = timed.pe(0, Timeline::disabled());
+        let mut pe = timed.pe(0, false);
         complete(&timed, &mut pe, 0, 1);
         complete(&timed, &mut pe, 0, 1);
         complete(&timed, &mut pe, 0, 0);
@@ -355,7 +375,7 @@ mod tests {
     fn independent_slices() {
         let table = table(&[2, 3]);
         let timed = clock(&table);
-        let mut pe = timed.pe(0, Timeline::disabled());
+        let mut pe = timed.pe(0, false);
         assert!(!complete(&timed, &mut pe, 0, 0));
         assert!(!complete(&timed, &mut pe, 1, 0));
         assert!(complete(&timed, &mut pe, 0, 1));

@@ -86,12 +86,11 @@ pub struct TunerSignals {
 
 impl TunerSignals {
     /// Prices `params` once with telemetry on and distills the signals.
-    /// The caller's own telemetry/trace settings are not disturbed — the
-    /// measurement runs on a private registry.
+    /// The caller's own telemetry is not disturbed — the measurement runs
+    /// on a private registry.
     pub fn measure(params: &FusedParams) -> TunerSignals {
         let mut p = params.clone();
         p.telemetry = Telemetry::enabled();
-        p.trace = false;
         let result = simulate_fused(&p);
         let snap = p.telemetry.registry.snapshot();
         let drain = snap

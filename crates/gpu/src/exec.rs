@@ -20,7 +20,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
-use fcc_sim::{JobId, PsResource, SimTime};
+use fcc_sim::{splitmix64, JobId, PsResource, SimTime};
 
 use crate::config::GpuConfig;
 use crate::kernel::KernelDesc;
@@ -86,16 +86,6 @@ impl ExecResult {
         let busy = self.wg_busy.get(wg)?;
         Some(busy.as_nanos_f64() / self.makespan.as_nanos_f64())
     }
-}
-
-/// SplitMix64 step — the executor's only randomness, fully determined by
-/// the stealing seed so a `(plans, seed)` pair replays exactly.
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A task in flight: who runs it, where it came from, and when it began.
@@ -189,8 +179,10 @@ impl PersistentExec {
             return;
         };
         // Seeded victim selection: start at a random peer and scan
-        // forward for a non-empty queue, as the runtime thieves do.
-        let offset = (splitmix_next(state) % (n as u64 - 1)) as usize;
+        // forward for a non-empty queue, as the runtime thieves do. The
+        // SplitMix64 stream is the executor's only randomness, so a
+        // `(plans, seed)` pair replays exactly.
+        let offset = (splitmix64(state) % (n as u64 - 1)) as usize;
         let start = (w + 1 + offset) % n;
         for k in 0..n {
             let v = (start + k) % n;

@@ -23,7 +23,7 @@
 //! the queue pair is preserved, which is exactly the property the fused
 //! kernel's `PUT(payload); fence; PUT(flag)` sequence relies on.
 
-use fcc_sim::SimTime;
+use fcc_sim::{splitmix64, SimTime};
 
 use crate::link::LinkSpec;
 use crate::nic::{Delivery, Message, Nic};
@@ -92,13 +92,13 @@ impl CorruptEvent {
         if len == 0 {
             0
         } else {
-            (splitmix64(self.salt ^ 0xB17E) % len as u64) as usize
+            (splitmix64(&mut (self.salt ^ 0xB17E)) % len as u64) as usize
         }
     }
 
     /// A non-zero XOR mask for the flipped bit.
     pub fn bit_mask(&self) -> u8 {
-        1u8 << (splitmix64(self.salt ^ 0xF11B) % 8)
+        1u8 << (splitmix64(&mut (self.salt ^ 0xF11B)) % 8)
     }
 
     /// How many bytes of an `len`-byte torn put actually arrive
@@ -107,7 +107,7 @@ impl CorruptEvent {
         if len <= 1 {
             0
         } else {
-            (splitmix64(self.salt ^ 0x7042) % (len as u64 - 1)) as usize
+            (splitmix64(&mut (self.salt ^ 0x7042)) % (len as u64 - 1)) as usize
         }
     }
 
@@ -128,7 +128,7 @@ impl CorruptEvent {
             }
             CorruptKind::Torn => self.torn_len(buf.len()),
             CorruptKind::StaleReplay | CorruptKind::Misroute => {
-                let mask = (splitmix64(self.salt ^ 0x57A1E) as u8) | 1;
+                let mask = (splitmix64(&mut (self.salt ^ 0x57A1E)) as u8) | 1;
                 for b in buf.iter_mut() {
                     *b ^= mask;
                 }
@@ -190,13 +190,6 @@ pub struct PeCrash {
 pub struct Straggler {
     pub pe: u32,
     pub delay: SimTime,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Converts a probability to a 64-bit threshold for hash comparison.
@@ -401,33 +394,33 @@ impl FaultPlan {
         }
         let base = self
             .seed
-            .wrapping_add(splitmix64((src as u64) << 32 | dst as u64))
-            .wrapping_add(splitmix64(tag))
-            .wrapping_add(splitmix64(exec << 8 | attempt as u64));
-        if self.drop_t > 0 && splitmix64(base ^ 0xD509) < self.drop_t {
+            .wrapping_add(splitmix64(&mut ((src as u64) << 32 | dst as u64)))
+            .wrapping_add(splitmix64(&mut { tag }))
+            .wrapping_add(splitmix64(&mut (exec << 8 | attempt as u64)));
+        if self.drop_t > 0 && splitmix64(&mut (base ^ 0xD509)) < self.drop_t {
             return FaultAction::Drop;
         }
-        if self.corrupt_t > 0 && splitmix64(base ^ 0xC042) < self.corrupt_t {
-            let kind = self
-                .corrupt_kind
-                .unwrap_or_else(|| match splitmix64(base ^ 0xC1D5) % 4 {
-                    0 => CorruptKind::BitFlip,
-                    1 => CorruptKind::Torn,
-                    2 => CorruptKind::StaleReplay,
-                    _ => CorruptKind::Misroute,
-                });
+        if self.corrupt_t > 0 && splitmix64(&mut (base ^ 0xC042)) < self.corrupt_t {
+            let kind =
+                self.corrupt_kind
+                    .unwrap_or_else(|| match splitmix64(&mut (base ^ 0xC1D5)) % 4 {
+                        0 => CorruptKind::BitFlip,
+                        1 => CorruptKind::Torn,
+                        2 => CorruptKind::StaleReplay,
+                        _ => CorruptKind::Misroute,
+                    });
             return FaultAction::Corrupt(CorruptEvent {
                 kind,
-                salt: splitmix64(base ^ 0x5A17),
+                salt: splitmix64(&mut (base ^ 0x5A17)),
             });
         }
-        if self.delay_t > 0 && splitmix64(base ^ 0xDE1A) < self.delay_t {
+        if self.delay_t > 0 && splitmix64(&mut (base ^ 0xDE1A)) < self.delay_t {
             // Deterministic delay in (0, max_delay], scaled by the hash.
-            let frac = (splitmix64(base ^ 0x5CA1E) >> 11) as f64 / (1u64 << 53) as f64;
+            let frac = (splitmix64(&mut (base ^ 0x5CA1E)) >> 11) as f64 / (1u64 << 53) as f64;
             let ns = (self.max_delay.as_nanos_f64() * frac).max(1.0);
             return FaultAction::Delay(SimTime::from_nanos_f64(ns));
         }
-        if self.dup_t > 0 && splitmix64(base ^ 0xD0B1E) < self.dup_t {
+        if self.dup_t > 0 && splitmix64(&mut (base ^ 0xD0B1E)) < self.dup_t {
             return FaultAction::Duplicate;
         }
         FaultAction::Deliver

@@ -79,11 +79,8 @@ impl HopBuf {
 /// and rail selection. Depends on the tag only (chunks don't carry their
 /// source), so the packet and flow models pick identical paths.
 #[inline]
-pub fn tag_hash(tag: u64) -> u64 {
-    let mut z = tag.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+pub fn tag_hash(mut tag: u64) -> u64 {
+    fcc_sim::splitmix64(&mut tag)
 }
 
 #[inline]

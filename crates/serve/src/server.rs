@@ -134,7 +134,7 @@ pub struct ServeReport {
     pub shed_late: u64,
     /// Degrade transitions as `(batch tick, level)`.
     pub degrade_transitions: Vec<(u64, DegradeLevel)>,
-    /// Timeline position when the last outcome was decided, µs.
+    /// Serving-timeline position when the last outcome was decided, µs.
     pub end_us: u64,
     /// Sorted completion latencies, µs (admitted *and* completed only).
     latencies_us: Vec<u64>,

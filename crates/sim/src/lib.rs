@@ -13,20 +13,31 @@
 //!   saturation and contention curves). Completions are computed with the
 //!   virtual-time technique so each insert/complete costs `O(log n)`
 //!   regardless of how many jobs are in flight.
-//! * [`trace`] — span/point timeline recording used to regenerate the
-//!   paper's Figure 9 workgroup timelines.
 //! * [`stats`] — small summary-statistics helpers for the benchmark harness.
+//! * [`splitmix64`] — the one seeded 64-bit mixer behind every
+//!   deterministic hash and random stream in the workspace.
 //!
 //! Everything here is deterministic: no wall-clock, no global state, and all
-//! randomness is injected by callers through seeded RNGs.
+//! randomness is injected by callers through seeded RNGs. Timed traces are
+//! recorded in `fcc-telemetry`'s trace sink.
 
 pub mod engine;
 pub mod ps;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use ps::{JobId, PsResource};
 pub use time::SimTime;
-pub use trace::{SpanKind, Timeline};
+
+/// SplitMix64: advances `state` by the golden-ratio increment and returns
+/// the new state mixed. A seeded stream calls it on its state; a hash
+/// calls it on a copy of its input and drops the copy.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

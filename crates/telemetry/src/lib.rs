@@ -1,8 +1,6 @@
 //! Unified telemetry for the fused-collectives workspace.
 //!
-//! One subsystem replaces the three ad-hoc instrumentation mechanisms that
-//! grew in earlier PRs (the sim [`fcc_sim::trace::Timeline`], the shmem
-//! protocol event trace, and the core recovery counters):
+//! One subsystem for metrics, traces and recent-event dumps:
 //!
 //! * [`Registry`] — a zero-cost-when-disabled metrics registry holding
 //!   named, labeled counters, gauges, and histograms. A disabled registry
@@ -10,8 +8,11 @@
 //!   `None`; no allocation, no locking.
 //! * [`TraceSink`] — an append-only sink of spans / instants / counter
 //!   samples on the shared [`SimTime`] clock, organized into Perfetto-style
-//!   tracks (`pid` = process lane, `tid` = thread lane). [`ScopedSpan`]
-//!   gives hierarchical (strictly nested) spans per track.
+//!   tracks (`pid` = process lane, `tid` = thread lane), behind one lock.
+//!   [`ScopedSpan`] gives hierarchical (strictly nested) spans per track.
+//!   The timed simulator records its per-WG compute spans and slice
+//!   publications here, and [`TraceData`] renders them as the paper's
+//!   Fig. 9 chart and per-WG compute utilization.
 //! * [`chrome`] — Chrome trace-event JSON export (loadable in
 //!   `chrome://tracing` / Perfetto) plus a structural checker used by the
 //!   golden-file tests and the CI `profile-smoke` job.

@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use fcc_sim::time::SimTime;
-use fcc_sim::trace::{PointKind, SpanKind, Timeline};
 
 /// Reserved `tid` for the per-PE "wire busy" lane (union of in-flight PUT
 /// intervals).
@@ -117,6 +116,16 @@ impl TraceRecord {
             | TraceRecord::Flow { track, .. } => *track,
         }
     }
+
+    /// `(start, end)` of a span; `(at, at)` of any other record.
+    fn extent(&self) -> (SimTime, SimTime) {
+        match self {
+            TraceRecord::Span { start, end, .. } => (*start, *end),
+            TraceRecord::Instant { at, .. }
+            | TraceRecord::Counter { at, .. }
+            | TraceRecord::Flow { at, .. } => (*at, *at),
+        }
+    }
 }
 
 /// Owned copy of everything a [`TraceSink`] collected.
@@ -130,24 +139,77 @@ pub struct TraceData {
     pub threads: BTreeMap<(u32, u32), String>,
 }
 
-#[derive(Default)]
-struct SinkInner {
-    records: Mutex<Vec<TraceRecord>>,
-    processes: Mutex<BTreeMap<u32, String>>,
-    threads: Mutex<BTreeMap<(u32, u32), String>>,
+impl TraceData {
+    /// Renders process `pid`'s workgroup tracks (every `tid` below the
+    /// reserved lanes) as an ASCII Gantt chart: one row per WG, at most
+    /// `max_wgs`, and `width` columns spanning `[0, end]`, where `end` is
+    /// the latest record on those tracks. Spans are `#`; instants
+    /// overprint them, `remote_put` as `!` and any other as `o`.
+    pub fn render_ascii(&self, pid: u32, max_wgs: u32, width: usize) -> String {
+        let mut records: Vec<&TraceRecord> = (self.records.iter())
+            .filter(|r| r.track().pid == pid && r.track().tid < TID_WIRE)
+            .collect();
+        let end = (records.iter().map(|r| r.extent().1).max()).unwrap_or(SimTime::ZERO);
+        if end == SimTime::ZERO || width == 0 {
+            return String::new();
+        }
+        let scale = |t: SimTime| -> usize {
+            let frac = t.as_nanos_f64() / end.as_nanos_f64();
+            ((frac * (width.saturating_sub(1)) as f64).round() as usize).min(width - 1)
+        };
+        let rows = records.iter().map(|r| r.track().tid + 1).max().unwrap_or(0);
+        let mut chart = vec![vec![' '; width]; rows.min(max_wgs) as usize];
+        // Spans first (the sort is stable), so the instants overprint them.
+        records.sort_by_key(|r| !matches!(r, TraceRecord::Span { .. }));
+        for r in records {
+            let ch = match r {
+                TraceRecord::Span { .. } => '#',
+                TraceRecord::Instant { name, .. } if name == "remote_put" => '!',
+                _ => 'o',
+            };
+            if let Some(row) = chart.get_mut(r.track().tid as usize) {
+                let (start, end) = r.extent();
+                row[scale(start)..=scale(end)].fill(ch);
+            }
+        }
+        let mut out = String::new();
+        for (wg, row) in chart.into_iter().enumerate() {
+            out.push_str(&format!("WG {wg:>3} |"));
+            out.extend(row);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The fraction of `[0, horizon]` that `compute` spans cover on
+    /// `track`; `None` for a track without spans or a zero horizon.
+    pub fn compute_utilization(&self, track: TrackId, horizon: SimTime) -> Option<f64> {
+        let mut spans = (self.records.iter())
+            .filter(|r| r.track() == track && matches!(r, TraceRecord::Span { .. }))
+            .peekable();
+        if horizon == SimTime::ZERO || spans.peek().is_none() {
+            return None;
+        }
+        let busy: u64 = spans
+            .filter(|r| matches!(r, TraceRecord::Span { name, .. } if name == "compute"))
+            .map(|r| r.extent())
+            .map(|(start, end)| end.min(horizon).saturating_sub(start).as_nanos())
+            .sum();
+        Some(busy as f64 / horizon.as_nanos_f64())
+    }
 }
 
 /// Append-only, thread-safe trace sink. `Default` is disabled.
 #[derive(Clone, Default)]
 pub struct TraceSink {
-    inner: Option<Arc<SinkInner>>,
+    inner: Option<Arc<Mutex<TraceData>>>,
 }
 
 impl TraceSink {
     /// A collecting sink.
     pub fn enabled() -> TraceSink {
         TraceSink {
-            inner: Some(Arc::new(SinkInner::default())),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -161,32 +223,30 @@ impl TraceSink {
         self.inner.is_some()
     }
 
+    /// Runs `f` on the collected data under the sink's one lock; `None`
+    /// when disabled.
+    fn with<R>(&self, f: impl FnOnce(&mut TraceData) -> R) -> Option<R> {
+        let inner = self.inner.as_ref()?;
+        Some(f(&mut inner.lock().expect("trace poisoned")))
+    }
+
     /// Names a process lane (exported as `process_name` metadata).
     pub fn name_process(&self, pid: u32, name: &str) {
-        if let Some(inner) = &self.inner {
-            inner
-                .processes
-                .lock()
-                .expect("trace poisoned")
-                .insert(pid, name.to_string());
-        }
+        self.with(|d| d.processes.insert(pid, name.to_string()));
     }
 
     /// Names a thread lane (exported as `thread_name` metadata).
     pub fn name_thread(&self, pid: u32, tid: u32, name: &str) {
-        if let Some(inner) = &self.inner {
-            inner
-                .threads
-                .lock()
-                .expect("trace poisoned")
-                .insert((pid, tid), name.to_string());
-        }
+        self.with(|d| d.threads.insert((pid, tid), name.to_string()));
     }
 
     fn push(&self, record: TraceRecord) {
-        if let Some(inner) = &self.inner {
-            inner.records.lock().expect("trace poisoned").push(record);
-        }
+        self.with(|d| d.records.push(record));
+    }
+
+    /// Appends records buffered elsewhere, in order, under one lock.
+    pub fn extend(&self, records: impl IntoIterator<Item = TraceRecord>) {
+        self.with(|d| d.records.extend(records));
     }
 
     /// Records a span.
@@ -253,57 +313,9 @@ impl TraceSink {
         }
     }
 
-    /// Migrates an `fcc-sim` [`Timeline`] into the sink: each timeline
-    /// actor becomes thread lane `tid = actor` under process lane `pid`,
-    /// spans keep their kind names, points become instants. Also registers
-    /// the `PE {pid}` / `WG {actor}` track names.
-    pub fn record_timeline(&self, pid: u32, timeline: &Timeline) {
-        if self.inner.is_none() {
-            return;
-        }
-        self.name_process(pid, &format!("pe{pid}"));
-        let mut seen: BTreeMap<u32, ()> = BTreeMap::new();
-        for s in timeline.spans() {
-            seen.entry(s.actor).or_insert(());
-            let name = match s.kind {
-                SpanKind::Compute => "compute",
-                SpanKind::Wait => "wait",
-                SpanKind::Launch => "launch",
-                SpanKind::Communication => "communication",
-            };
-            self.span(
-                TrackId::new(pid, s.actor),
-                name,
-                s.start,
-                s.end,
-                Some(s.tag),
-            );
-        }
-        for p in timeline.points() {
-            seen.entry(p.actor).or_insert(());
-            let name = match p.kind {
-                PointKind::RemotePut => "remote_put",
-                PointKind::FlagPut => "flag_put",
-                PointKind::LocalSliceComplete => "local_slice",
-                PointKind::SliceArrival => "slice_arrival",
-            };
-            self.instant(TrackId::new(pid, p.actor), name, p.at, Some(p.tag));
-        }
-        for (&actor, ()) in &seen {
-            self.name_thread(pid, actor, &format!("wg{actor}"));
-        }
-    }
-
     /// Owned copy of the collected data (empty when disabled).
     pub fn data(&self) -> TraceData {
-        let Some(inner) = &self.inner else {
-            return TraceData::default();
-        };
-        TraceData {
-            records: inner.records.lock().expect("trace poisoned").clone(),
-            processes: inner.processes.lock().expect("trace poisoned").clone(),
-            threads: inner.threads.lock().expect("trace poisoned").clone(),
-        }
+        self.with(|d| d.clone()).unwrap_or_default()
     }
 }
 
@@ -352,15 +364,8 @@ impl<'a> ScopedSpan<'a> {
     /// Closes this scope at `end`, emitting the span (clamped so it always
     /// encloses its children) followed by all child spans.
     pub fn close(self, end: SimTime) {
-        let child_max = self
-            .children
-            .iter()
-            .map(|r| match r {
-                TraceRecord::Span { end, .. } => *end,
-                TraceRecord::Instant { at, .. }
-                | TraceRecord::Counter { at, .. }
-                | TraceRecord::Flow { at, .. } => *at,
-            })
+        let child_max = (self.children.iter())
+            .map(|r| r.extent().1)
             .max()
             .unwrap_or(self.start);
         let end = end.max(self.start).max(child_max);
@@ -451,16 +456,42 @@ mod tests {
     }
 
     #[test]
-    fn timeline_migration_maps_actors_to_threads() {
-        let mut tl = Timeline::enabled();
-        tl.span(2, SpanKind::Compute, ns(0), ns(10), 7);
-        tl.point(2, PointKind::RemotePut, ns(4), 7);
+    fn ascii_rendering_has_one_row_per_actor() {
         let s = TraceSink::enabled();
-        s.record_timeline(5, &tl);
+        s.span(TrackId::new(0, 0), "compute", ns(0), ns(100), None);
+        s.span(TrackId::new(0, 1), "compute", ns(0), ns(50), None);
+        s.instant(TrackId::new(0, 1), "remote_put", ns(50), None);
+        // Neither another PE's tracks nor the wire lane add rows.
+        s.span(TrackId::new(1, 2), "compute", ns(0), ns(10), None);
+        s.instant(TrackId::new(0, TID_WIRE), "slice_arrival", ns(400), None);
+        let chart = s.data().render_ascii(0, 8, 40);
+        let lines: Vec<&str> = chart.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].ends_with(&"#".repeat(40)), "{chart}");
+        assert!(lines[1].contains('!'));
+    }
+
+    #[test]
+    fn ascii_rendering_respects_actor_cap() {
+        let s = TraceSink::enabled();
+        for wg in 0..10 {
+            s.span(TrackId::new(0, wg), "compute", ns(0), ns(10), None);
+        }
+        assert_eq!(s.data().render_ascii(0, 4, 20).lines().count(), 4);
+    }
+
+    #[test]
+    fn utilization_accounts_compute_only() {
+        let s = TraceSink::enabled();
+        let wg = TrackId::new(0, 0);
+        s.span(wg, "compute", ns(0), ns(60), None);
+        s.span(wg, "wait", ns(60), ns(100), None);
         let d = s.data();
-        assert_eq!(d.records.len(), 2);
-        assert!(d.records.iter().all(|r| r.track() == TrackId::new(5, 2)));
-        assert_eq!(d.processes.get(&5).map(String::as_str), Some("pe5"));
-        assert_eq!(d.threads.get(&(5, 2)).map(String::as_str), Some("wg2"));
+        assert_eq!(d.compute_utilization(wg, ns(100)), Some(0.6));
+        // Spans clip at the horizon.
+        assert_eq!(d.compute_utilization(wg, ns(30)), Some(1.0));
+        // Unknown track / zero horizon.
+        assert_eq!(d.compute_utilization(TrackId::new(0, 5), ns(100)), None);
+        assert_eq!(d.compute_utilization(wg, SimTime::ZERO), None);
     }
 }

@@ -12,6 +12,7 @@ use fused_collectives::core::ScheduleKind;
 use fused_collectives::dlrm::DlrmConfig;
 use fused_collectives::gpu::GpuConfig;
 use fused_collectives::net::presets;
+use fused_collectives::telemetry::{Telemetry, TraceSink};
 
 fn main() {
     let cfg = DlrmConfig::hw_eval(2, 512, 64);
@@ -67,13 +68,17 @@ fn main() {
     // A small traced run for the WG timeline (the Fig. 9 view).
     let mut tiny = DlrmConfig::hw_eval(2, 128, 4);
     tiny.pooling = 16;
+    let sink = TraceSink::enabled();
     let params = FusedParams {
         slice_embeddings: 16,
         occupancy_cap: Some(16),
-        trace: true,
+        telemetry: Telemetry {
+            trace: sink.clone(),
+            ..Telemetry::disabled()
+        },
         ..FusedParams::new(tiny, gpu, topo)
     };
-    let r = simulate_fused(&params);
+    simulate_fused(&params);
     println!("\npersistent-WG timeline, node 0 (# compute, ! remote PUT, o local slice):");
-    print!("{}", r.timelines[0].render_ascii(16, 96));
+    print!("{}", sink.data().render_ascii(0, 16, 96));
 }
