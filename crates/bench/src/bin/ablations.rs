@@ -361,8 +361,8 @@ fn training_throughput_study() -> Series {
 
 fn fault_tolerance_study() -> Series {
     // Robustness: how much of the fused overlap win survives a lossy
-    // fabric? The fused kernel's slice PUTs replay through the FaultyNic
-    // (RoCE-style go-back-N, 20 µs RTO per lost attempt), while the bulk
+    // fabric? The fused kernel's slice PUTs replay through a NIC under the
+    // plan (RoCE-style go-back-N, 20 µs RTO per lost attempt), while the bulk
     // baseline is held fault-free — giving the baseline the benefit of
     // the doubt, since a lossy fabric slows it too.
     let cfg = DlrmConfig::hw_eval(2, 1024, 64);

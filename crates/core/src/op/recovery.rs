@@ -294,7 +294,7 @@ fn pe_main(
             round,
         );
 
-        // Crash injection: `exec` is 1-based, like FaultyNic executions.
+        // Crash injection: `exec` is 1-based, like the operators' `exec`.
         if let Some(point) = faults.crash_point(me as u32, step + 1) {
             match point {
                 CrashPoint::Start => {}

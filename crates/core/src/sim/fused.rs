@@ -30,7 +30,7 @@ use fcc_dlrm::DlrmConfig;
 use fcc_gpu::config::GpuConfig;
 use fcc_gpu::exec::{PersistentExec, TaskUnit, WgPlan};
 use fcc_gpu::kernel::KernelResources;
-use fcc_net::{FaultPlan, FaultStats, Topology};
+use fcc_net::{FaultPlan, FaultStats, Nic, Topology};
 use fcc_sim::SimTime;
 use fcc_telemetry::trace::{TrackId, TID_WIRE};
 use fcc_telemetry::{union_intervals, OverlapStats, Telemetry, TraceRecord};
@@ -39,7 +39,7 @@ use crate::op::protocol::Slice;
 use crate::schedule::{self, ScheduleKind};
 use crate::slice::SliceMap;
 
-use super::timed::{hbm_exec, persistent_wgs, Timed, Wire};
+use super::timed::{hbm_exec, persistent_wgs, Timed};
 use super::FusedTuning;
 
 /// How logical WGs map onto persistent WG slots at runtime.
@@ -135,12 +135,9 @@ pub struct FusedParams {
     /// while wire bandwidth stays shared. 1 = the paper's single-QP
     /// behaviour.
     pub num_qps: usize,
-    /// Inject faults into the network stage: PUTs replay through a
-    /// [`fcc_net::FaultyNic`] (go-back-N retransmission, FIFO preserved)
-    /// instead of a clean queue pair, and per-NIC [`FaultStats`] land in
-    /// the result.
-    /// Only the single-QP path models faults; combining a plan with
-    /// `num_qps > 1` panics.
+    /// Inject faults into the network stage: every NIC rides out the plan
+    /// (go-back-N retransmission, FIFO per queue pair preserved), and
+    /// per-NIC [`FaultStats`] land in the result.
     pub faults: Option<FaultPlan>,
     /// Unified telemetry. When enabled, the simulation records each PE's
     /// compute spans and slice publications (one track per PE × WG, the
@@ -180,6 +177,16 @@ impl FusedParams {
         let (kernel, items) = (KernelResources::embedding_fused(), map.num_wgs() as usize);
         let wgs = persistent_wgs(&self.gpu, &kernel, self.occupancy_cap, items);
         (map, wgs)
+    }
+
+    /// One NIC of this point: the topology's link, `num_qps` queue pairs,
+    /// and the fault plan if there is one.
+    pub(crate) fn nic(&self) -> Nic {
+        let nic = Nic::new(*self.topo.link()).with_qps(self.num_qps);
+        match &self.faults {
+            Some(plan) => nic.with_faults(plan.clone()),
+            None => nic,
+        }
     }
 }
 
@@ -291,21 +298,20 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
         // Stage 2: the NIC replays its PEs' publications merged by issue
         // time (within a PE, completion order: already chronological).
         puts.sort_by_key(|&(issue, _)| issue);
-        let mut wire = Wire::new(*params.topo.link(), params.faults.as_ref(), params.num_qps);
+        let mut nic = params.nic();
         for (issue, s) in puts {
-            let before = wire.sent();
-            let bytes = timed.payload_bytes(&s);
-            let (_, flag) = wire.publish(issue, &s, bytes);
+            let before = (nic.posted(), nic.bytes_sent());
+            let (_, flag) = timed.publish(&mut nic, issue, &s);
             arrivals[s.flag] = flag.arrival;
-            let (run, after) = (&mut runs[s.src], wire.sent());
-            run.messages += after.0 - before.0;
-            run.wire_bytes += after.1 - before.1;
-            run.payload_bytes += bytes;
+            let run = &mut runs[s.src];
+            run.messages += nic.posted() - before.0;
+            run.wire_bytes += nic.bytes_sent() - before.1;
+            run.payload_bytes += timed.payload_bytes(&s);
             if tel.is_enabled() {
                 run.put_spans.push((issue, flag.arrival));
             }
         }
-        fault_stats.extend(wire.fault_stats());
+        fault_stats.extend(nic.fault_stats());
     }
 
     // Stage 3: a PE's kernel ends once its own task loop has drained, its
@@ -794,12 +800,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-QP")]
-    fn fault_injection_rejects_multi_qp() {
-        let mut p = small_params();
-        p.num_qps = 4;
+    fn faults_ride_multiple_queue_pairs() {
+        let mut clean = small_params();
+        clean.num_qps = 4;
+        let mut p = clean.clone();
         p.faults = Some(FaultPlan::new(1));
-        simulate_fused(&p);
+        let (clean, free) = (simulate_fused(&clean), simulate_fused(&p));
+        assert_eq!(free.per_pe, clean.per_pe, "a fault-free plan adds no cost");
+        p.faults = Some(FaultPlan::new(42).with_drop_rate(0.3));
+        let lossy = simulate_fused(&p);
+        assert!(lossy.fault_stats.iter().all(|s| s.drops > 0));
+        assert!(lossy.makespan() > clean.makespan());
     }
 
     fn skewed_params() -> FusedParams {

@@ -8,8 +8,8 @@
 //! destination's still-running pooling workgroups. This driver runs the
 //! decoupled model's own pieces on one clock — per PE the same executor
 //! over the same plans ([`pe_exec`]), the same protocol step
-//! ([`Timed::complete`]) and the same [`Wire`] — and adds only that
-//! coupling:
+//! ([`Timed::complete`]) and the same NIC (`FusedParams::nic`) — and
+//! adds only that coupling:
 //!
 //! * a shipped slice posts on its source's wire at its issue instant, as
 //!   soon as the completion that shipped it is stepped;
@@ -35,16 +35,17 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use fcc_gpu::exec::PersistentExec;
+use fcc_net::Nic;
 use fcc_sim::SimTime;
 
 use super::fused::{pe_exec, FusedParams, PeOutcome};
-use super::timed::{Timed, TimedPe, Wire};
+use super::timed::{Timed, TimedPe};
 
 /// One PE on the shared clock.
 struct Pe {
     exec: PersistentExec,
     protocol: TimedPe,
-    wire: Wire,
+    nic: Nic,
     /// Payload bytes posted.
     bytes: u64,
     /// Payloads in flight to this PE: (arrival, post order, bytes).
@@ -80,7 +81,7 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
             Pe {
                 exec,
                 protocol: timed.pe(pe, false),
-                wire: Wire::new(*params.topo.link(), params.faults.as_ref(), params.num_qps),
+                nic: params.nic(),
                 bytes: 0,
                 inbound: BinaryHeap::new(),
                 ready: SimTime::ZERO,
@@ -113,7 +114,7 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
         }
         for (issue, s) in std::mem::take(&mut st.protocol.puts) {
             let bytes = timed.payload_bytes(&s);
-            let (payload, flag) = pes[pe].wire.publish(issue, &s, bytes);
+            let (payload, flag) = timed.publish(&mut pes[pe].nic, issue, &s);
             pes[pe].bytes += bytes;
             let dst = &mut pes[s.dst];
             dst.inbound.push(Reverse((payload.arrival, posted, bytes)));
@@ -130,7 +131,7 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
                 compute_end: exec.makespan,
                 last_arrival: st.ready,
                 total: params.gpu.kernel_launch_overhead + body + params.tuning.drain_poll,
-                messages: st.wire.sent().0,
+                messages: st.nic.posted(),
                 bytes: st.bytes,
                 persistent_wgs: n_persistent,
                 steals: exec.steals,

@@ -15,7 +15,7 @@ use fcc_net::{Message, MessageKind, Nic, Topology};
 use fcc_sim::SimTime;
 
 use crate::op::generic::{FusedProducer, GenericFusedPlan};
-use crate::sim::timed::{hbm_exec, persistent_wgs, Timed, Wire};
+use crate::sim::timed::{hbm_exec, persistent_wgs, Timed};
 use crate::sim::FusedTuning;
 
 /// Cost annotations for a producer: how much work each item is.
@@ -75,9 +75,9 @@ pub fn price_producer(
     let compute = hbm_exec(gpu, plans)
         .run(|c| timed.complete(&mut pe, c))
         .makespan;
-    let mut wire = Wire::new(*topo.link(), None, 1);
+    let mut nic = Nic::new(*topo.link());
     let last_arrival = pe.puts.iter().fold(SimTime::ZERO, |last, (issue, s)| {
-        let (_, flag) = wire.publish(*issue, s, timed.payload_bytes(s));
+        let (_, flag) = timed.publish(&mut nic, *issue, s);
         last.max(flag.arrival)
     });
     let fused = gpu.kernel_launch_overhead

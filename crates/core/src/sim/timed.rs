@@ -7,7 +7,7 @@
 //! elected last finisher of a network slice pays `api_latency` more and
 //! leaves one publication in the PE's replay list. The NIC models a
 //! slice's fenced run of row PUTs as **one payload message**, followed by
-//! its `sliceRdy` flag; stage 2 ([`Wire::publish`]) posts both.
+//! its `sliceRdy` flag; stage 2 ([`Timed::publish`]) posts both.
 //!
 //! NIC sharing is a property of the topology: when a run has more PEs than
 //! the topology has endpoints, `n_pes / endpoints` consecutive PEs share
@@ -19,10 +19,7 @@ use fcc_gpu::config::GpuConfig;
 use fcc_gpu::exec::{PersistentExec, TaskCompletion, WgPlan};
 use fcc_gpu::kernel::KernelResources;
 use fcc_gpu::occupancy::occupancy;
-use fcc_net::{
-    Delivery, FaultPlan, FaultStats, FaultyNic, LinkSpec, Message, MessageKind, MultiQpNic, Nic,
-    Topology,
-};
+use fcc_net::{Delivery, LinkSpec, Message, MessageKind, Nic, Topology};
 use fcc_sim::SimTime;
 use fcc_telemetry::{TraceRecord, TrackId};
 
@@ -141,6 +138,22 @@ impl<'t> Timed<'t> {
         (s.len * self.dim * 4) as u64
     }
 
+    /// Posts network slice `s`'s publication on `nic` at `at`: its row
+    /// PUTs as one payload message, then the `sliceRdy` flag. Both carry
+    /// the slice index as tag, so they ride one queue pair, whose FIFO
+    /// keeps the flag behind its payload. Returns (payload, flag).
+    pub(crate) fn publish(&self, nic: &mut Nic, at: SimTime, s: &Slice) -> (Delivery, Delivery) {
+        let message = |bytes, kind| Message {
+            src: s.src as u32,
+            dst: s.dst as u32,
+            bytes,
+            tag: s.index as u64,
+            kind,
+        };
+        let payload = nic.post(at, message(self.payload_bytes(s), MessageKind::Payload));
+        (payload, nic.post(at, message(8, MessageKind::Flag)))
+    }
+
     /// Steps the protocol for task completion `c` of PE `pe` and returns
     /// the WG's overhead before its next task.
     pub(crate) fn complete(&self, pe: &mut TimedPe, c: &TaskCompletion) -> SimTime {
@@ -202,67 +215,6 @@ impl Backend for Timed<'_> {
 
     fn publish(&self, pe: &mut TimedPe, s: &Slice) {
         pe.instant("local_slice", s);
-    }
-}
-
-/// The NIC a replay posts through, chosen once: a fault-injecting
-/// go-back-N queue pair, several queue pairs, or one clean queue pair.
-#[derive(Debug)]
-pub(crate) enum Wire {
-    Clean(Nic),
-    Faulty(Box<FaultyNic>),
-    MultiQp(MultiQpNic),
-}
-
-impl Wire {
-    /// Faults model the single-QP path only: a plan with `num_qps > 1`
-    /// panics.
-    pub(crate) fn new(link: LinkSpec, faults: Option<&FaultPlan>, num_qps: usize) -> Wire {
-        match faults {
-            Some(plan) => {
-                assert_eq!(num_qps, 1, "fault injection models the single-QP path");
-                Wire::Faulty(Box::new(FaultyNic::new(link, plan.clone())))
-            }
-            None if num_qps == 1 => Wire::Clean(Nic::new(link)),
-            None => Wire::MultiQp(MultiQpNic::new(link, num_qps)),
-        }
-    }
-
-    /// Posts network slice `s`'s publication at `at`: its `bytes` of row
-    /// PUTs as one payload message, then the `sliceRdy` flag. Both ride
-    /// one queue pair (several QPs pin a slice by its index), whose FIFO
-    /// keeps the flag behind its payload. Returns (payload, flag).
-    pub(crate) fn publish(&mut self, at: SimTime, s: &Slice, bytes: u64) -> (Delivery, Delivery) {
-        let message = |bytes, kind| Message {
-            src: s.src as u32,
-            dst: s.dst as u32,
-            bytes,
-            tag: s.index as u64,
-            kind,
-        };
-        let mut post = |m| match self {
-            Wire::Clean(nic) => nic.post(at, m),
-            Wire::Faulty(nic) => nic.post(at, m),
-            Wire::MultiQp(nic) => nic.post_on(s.index % nic.num_qps(), at, m),
-        };
-        let payload = post(message(bytes, MessageKind::Payload));
-        (payload, post(message(8, MessageKind::Flag)))
-    }
-
-    /// Messages posted and bytes on the wire so far: payloads, flags and
-    /// retransmissions.
-    pub(crate) fn sent(&self) -> (u64, u64) {
-        let nic = match self {
-            Wire::Clean(nic) => nic,
-            Wire::Faulty(nic) => nic.nic(),
-            Wire::MultiQp(nic) => return (nic.posted(), nic.bytes_sent()),
-        };
-        (nic.posted(), nic.bytes_sent())
-    }
-
-    pub(crate) fn fault_stats(&self) -> Option<FaultStats> {
-        let Wire::Faulty(nic) = self else { return None };
-        Some(nic.stats())
     }
 }
 

@@ -17,16 +17,14 @@
 //!   plan; each knob defaults to off, so `FaultPlan::new(seed)` is a
 //!   fault-free plan.
 //!
-//! [`FaultyNic`] applies a plan to the timed NIC model with RoCE-style
-//! go-back-N recovery: a lost message costs a retransmission timeout plus
-//! re-serialization, and everything queued behind it waits — FIFO within
-//! the queue pair is preserved, which is exactly the property the fused
-//! kernel's `PUT(payload); fence; PUT(flag)` sequence relies on.
+//! [`Nic::with_faults`](crate::Nic::with_faults) applies a plan to the
+//! timed NIC model with RoCE-style go-back-N recovery: a lost message costs
+//! a retransmission timeout plus re-serialization, and everything queued
+//! behind it waits — FIFO within the queue pair is preserved, which is
+//! exactly the property the fused kernel's `PUT(payload); fence; PUT(flag)`
+//! sequence relies on.
 
 use fcc_sim::{splitmix64, SimTime};
-
-use crate::link::LinkSpec;
-use crate::nic::{Delivery, Message, Nic};
 
 /// What the fault layer decides to do with one transmission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -445,7 +443,7 @@ impl FaultPlan {
     }
 }
 
-/// Fault counters accumulated by a [`FaultyNic`].
+/// Fault counters accumulated by a [`Nic`](crate::Nic) under a plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages the caller posted.
@@ -473,174 +471,11 @@ pub struct FaultStats {
     pub corrupt_escaped: u64,
 }
 
-/// A [`Nic`] under a [`FaultPlan`], recovering losses go-back-N style.
-///
-/// Loss model: the attempt occupies the wire, vanishes, the sender waits
-/// a retransmission timeout (`rto`), then re-serializes — and, because a
-/// reliable connection replays in order, everything queued behind the
-/// lost message waits too (`stall_until` on the inner NIC). Delivered
-/// timestamps therefore only ever move later under faults, and FIFO per
-/// queue pair is preserved, so a `sliceRdy` flag still cannot overtake
-/// its payload no matter the schedule.
-///
-/// Decisions come from [`FaultPlan::decide`] keyed by a per-NIC attempt
-/// sequence number, so a `FaultyNic` run is deterministic end to end.
-#[derive(Debug, Clone)]
-pub struct FaultyNic {
-    inner: Nic,
-    plan: FaultPlan,
-    /// Retransmission timeout charged per lost attempt.
-    rto: SimTime,
-    /// Bounds retransmissions of one message so a 100%-drop plan still
-    /// terminates; the final attempt is forced through.
-    max_retries: u32,
-    /// Completion times of in-flight messages, for SQ backpressure.
-    in_flight: std::collections::VecDeque<SimTime>,
-    seq: u64,
-    stats: FaultStats,
-}
-
-impl FaultyNic {
-    /// Default retransmission timeout: a conservative RoCE-style value.
-    pub const DEFAULT_RTO: SimTime = SimTime::from_micros(20);
-
-    /// Wraps a NIC on `link` under `plan`.
-    pub fn new(link: LinkSpec, plan: FaultPlan) -> FaultyNic {
-        FaultyNic {
-            inner: Nic::new(link),
-            plan,
-            rto: Self::DEFAULT_RTO,
-            max_retries: 16,
-            in_flight: std::collections::VecDeque::new(),
-            seq: 0,
-            stats: FaultStats::default(),
-        }
-    }
-
-    /// Overrides the retransmission timeout.
-    pub fn with_rto(mut self, rto: SimTime) -> FaultyNic {
-        self.rto = rto;
-        self
-    }
-
-    /// Fault counters so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    /// The wrapped NIC (for `posted()` / `bytes_sent()` bookkeeping).
-    pub fn nic(&self) -> &Nic {
-        &self.inner
-    }
-
-    /// Posts `message` at doorbell time `at`, riding out any injected
-    /// faults; the returned delivery reflects the *successful* attempt.
-    pub fn post(&mut self, at: SimTime, message: Message) -> Delivery {
-        let seq = self.seq;
-        self.seq += 1;
-        self.stats.posted += 1;
-
-        // SQ-full backpressure: the doorbell blocks until the queue has a
-        // free slot.
-        let mut at = at + self.plan.straggle(message.src);
-        if let Some(depth) = self.plan.sq_depth() {
-            while self.in_flight.len() >= depth {
-                let head = self.in_flight.pop_front().expect("non-empty at capacity");
-                if head > at {
-                    at = head;
-                    self.stats.sq_stalls += 1;
-                }
-            }
-        }
-
-        let mut attempt: u32 = 0;
-        loop {
-            let delivery = self.inner.post(at, message);
-            let flap_hit = self.plan.link_down_at(delivery.sq_complete);
-            let action = if flap_hit {
-                FaultAction::Drop
-            } else {
-                self.plan
-                    .decide(message.src, message.dst, message.tag, seq, attempt)
-            };
-            let final_attempt = attempt >= self.max_retries;
-            match action {
-                FaultAction::Corrupt(ev) => {
-                    self.stats.corrupt_injected += 1;
-                    if ev.kind.wire_detectable() && !final_attempt {
-                        // Link-level CRC fails on arrival: NAK, RTO,
-                        // go-back-N retransmit — priced like a drop.
-                        self.stats.corrupt_detected += 1;
-                        self.stats.retransmitted_bytes += message.bytes;
-                        let resume = delivery.sq_complete + self.rto;
-                        self.inner.stall_until(resume);
-                        at = at.max(resume);
-                        attempt += 1;
-                    } else {
-                        // Self-consistent corruption: the bad payload is
-                        // delivered on time with a matching checksum;
-                        // only an end-to-end check can see it. (A
-                        // wire-detected corruption out of retries is
-                        // still *detected* — the forced final delivery
-                        // just mirrors the drop path's termination
-                        // guarantee.)
-                        if ev.kind.wire_detectable() {
-                            self.stats.corrupt_detected += 1;
-                        } else {
-                            self.stats.corrupt_escaped += 1;
-                        }
-                        self.in_flight.push_back(delivery.sq_complete);
-                        return delivery;
-                    }
-                }
-                FaultAction::Drop if !final_attempt => {
-                    // Lost on the wire: charge the wasted serialization,
-                    // wait out the RTO, go-back-N from here.
-                    self.stats.drops += 1;
-                    if flap_hit {
-                        self.stats.flap_drops += 1;
-                    }
-                    self.stats.retransmitted_bytes += message.bytes;
-                    let resume = delivery.sq_complete + self.rto;
-                    self.inner.stall_until(resume);
-                    at = at.max(resume);
-                    attempt += 1;
-                }
-                FaultAction::Delay(extra) => {
-                    self.stats.delays += 1;
-                    // Transport stall: the message (and the QP behind it)
-                    // sits for `extra` before completing.
-                    let done = Delivery {
-                        sq_complete: delivery.sq_complete + extra,
-                        arrival: delivery.arrival + extra,
-                        message,
-                    };
-                    self.inner.stall_until(done.sq_complete);
-                    self.in_flight.push_back(done.sq_complete);
-                    return done;
-                }
-                FaultAction::Duplicate => {
-                    // Delivered, then delivered again: the second copy
-                    // costs wire time behind the first.
-                    self.stats.dups += 1;
-                    self.stats.retransmitted_bytes += message.bytes;
-                    let dup = self.inner.post(at, message);
-                    self.in_flight.push_back(dup.sq_complete);
-                    return delivery;
-                }
-                FaultAction::Deliver | FaultAction::Drop => {
-                    self.in_flight.push_back(delivery.sq_complete);
-                    return delivery;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nic::MessageKind;
+    use crate::link::LinkSpec;
+    use crate::nic::{Message, MessageKind, Nic};
 
     fn msg(bytes: u64, tag: u64) -> Message {
         Message {
@@ -654,6 +489,15 @@ mod tests {
 
     fn ns(v: u64) -> SimTime {
         SimTime::from_nanos(v)
+    }
+
+    /// A one-QP InfiniBand NIC under `plan`.
+    fn under(plan: FaultPlan) -> Nic {
+        Nic::new(LinkSpec::infiniband_20gbs()).with_faults(plan)
+    }
+
+    fn stats_of(nic: &Nic) -> FaultStats {
+        nic.fault_stats().expect("the NIC runs under a plan")
     }
 
     #[test]
@@ -687,14 +531,14 @@ mod tests {
     #[test]
     fn fault_free_plan_matches_plain_nic() {
         let mut plain = Nic::new(LinkSpec::infiniband_20gbs());
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), FaultPlan::new(1));
+        let mut faulty = under(FaultPlan::new(1));
         for i in 0..20 {
             let a = plain.post(ns(i * 500), msg(4096, i));
             let b = faulty.post(ns(i * 500), msg(4096, i));
             assert_eq!(a, b, "message {i}");
         }
         assert_eq!(
-            faulty.stats(),
+            stats_of(&faulty),
             FaultStats {
                 posted: 20,
                 ..FaultStats::default()
@@ -705,7 +549,7 @@ mod tests {
     #[test]
     fn drops_cost_rto_and_preserve_fifo() {
         let plan = FaultPlan::new(11).with_drop_rate(0.4);
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), plan).with_rto(ns(10_000));
+        let mut faulty = under(plan);
         let mut clean = Nic::new(LinkSpec::infiniband_20gbs());
         let mut last = SimTime::ZERO;
         for i in 0..100 {
@@ -715,7 +559,7 @@ mod tests {
             assert!(d.arrival > last, "FIFO: message {i} overtook");
             last = d.arrival;
         }
-        let stats = faulty.stats();
+        let stats = stats_of(&faulty);
         assert!(stats.drops > 10, "expected drops, got {stats:?}");
         assert_eq!(stats.retransmitted_bytes, stats.drops * 2048);
     }
@@ -723,29 +567,47 @@ mod tests {
     #[test]
     fn total_drop_plan_still_terminates() {
         let plan = FaultPlan::new(2).with_drop_rate(1.0);
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), plan).with_rto(ns(1_000));
+        let mut faulty = under(plan);
         let d = faulty.post(ns(0), msg(1024, 0));
-        // 16 retries of ~1 us RTO each, then the forced final attempt.
-        assert!(d.arrival >= ns(16_000));
-        assert_eq!(faulty.stats().drops, 16);
+        // 16 retries of a 20 us RTO each, then the forced final attempt.
+        assert!(d.arrival >= ns(16 * 20_000));
+        assert_eq!(stats_of(&faulty).drops, 16);
     }
 
     #[test]
     fn link_flap_window_drops_and_recovers() {
         let plan = FaultPlan::new(5).with_link_flap(ns(0), ns(50_000));
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), plan).with_rto(ns(20_000));
+        let mut faulty = under(plan);
         let d = faulty.post(ns(0), msg(1024, 0));
         // Attempts inside the window die; delivery lands after it.
         assert!(d.sq_complete >= ns(50_000), "{d:?}");
-        let stats = faulty.stats();
+        let stats = stats_of(&faulty);
         assert!(stats.flap_drops >= 1);
         assert_eq!(stats.flap_drops, stats.drops);
     }
 
     #[test]
+    fn arrivals_stay_fifo_under_any_delay_schedule() {
+        // Whatever the delay schedule and message mix, a FIFO SQ never
+        // reorders: arrivals are strictly increasing in post order.
+        for seed in 0..4 {
+            let plan = FaultPlan::new(seed).with_delay(0.3, SimTime::from_micros(7));
+            let mut nic = under(plan);
+            let mut last = SimTime::ZERO;
+            for i in 0..32 {
+                let bytes = if i % 2 == 0 { 100 } else { 1 << 16 };
+                let d = nic.post(ns(i * 50), msg(bytes, i));
+                assert!(d.arrival > last, "message {i} overtook (seed {seed})");
+                last = d.arrival;
+            }
+            assert!(stats_of(&nic).delays > 0, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn duplicates_charge_extra_wire_time() {
         let plan = FaultPlan::new(9).with_dup_rate(1.0);
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), plan);
+        let mut faulty = under(plan);
         let first = faulty.post(ns(0), msg(20_000, 0));
         let second = faulty.post(ns(0), msg(20_000, 1));
         // The duplicate of message 0 serializes before message 1 starts.
@@ -753,25 +615,26 @@ mod tests {
         clean.post(ns(0), msg(20_000, 0));
         let clean_second = clean.post(ns(0), msg(20_000, 1));
         assert!(second.arrival > clean_second.arrival);
-        assert_eq!(faulty.stats().dups, 2);
+        assert_eq!(stats_of(&faulty).dups, 2);
         assert!(first.arrival < second.arrival);
     }
 
     #[test]
     fn sq_backpressure_stalls_doorbells() {
         let plan = FaultPlan::new(4).with_sq_depth(2);
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), plan);
+        let mut faulty = under(plan);
         // All doorbells at t=0: the third and later must wait for slots.
         for i in 0..8 {
             faulty.post(ns(0), msg(1 << 20, i));
         }
-        assert!(faulty.stats().sq_stalls >= 6 - 2, "{:?}", faulty.stats());
+        let stats = stats_of(&faulty);
+        assert!(stats.sq_stalls >= 6 - 2, "{stats:?}");
     }
 
     #[test]
     fn straggler_delays_every_send() {
         let plan = FaultPlan::new(6).with_straggler(0, ns(7_000));
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), plan);
+        let mut faulty = under(plan);
         let mut clean = Nic::new(LinkSpec::infiniband_20gbs());
         let d = faulty.post(ns(0), msg(1024, 0));
         let c = clean.post(ns(0), msg(1024, 0));
@@ -857,14 +720,14 @@ mod tests {
     #[test]
     fn wire_detectable_corruption_retransmits_like_a_drop() {
         let plan = FaultPlan::new(8).with_corrupt_only(0.5, CorruptKind::BitFlip);
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), plan).with_rto(ns(10_000));
+        let mut faulty = under(plan);
         let mut clean = Nic::new(LinkSpec::infiniband_20gbs());
         for i in 0..100 {
             let d = faulty.post(ns(0), msg(2048, i));
             let c = clean.post(ns(0), msg(2048, i));
             assert!(d.arrival >= c.arrival, "detection only ever delays");
         }
-        let stats = faulty.stats();
+        let stats = stats_of(&faulty);
         assert!(stats.corrupt_injected > 10, "{stats:?}");
         assert_eq!(stats.corrupt_detected, stats.corrupt_injected);
         assert_eq!(stats.corrupt_escaped, 0);
@@ -877,14 +740,14 @@ mod tests {
     #[test]
     fn self_consistent_corruption_escapes_the_wire_check() {
         let plan = FaultPlan::new(8).with_corrupt_only(0.5, CorruptKind::StaleReplay);
-        let mut faulty = FaultyNic::new(LinkSpec::infiniband_20gbs(), plan);
+        let mut faulty = under(plan);
         let mut clean = Nic::new(LinkSpec::infiniband_20gbs());
         for i in 0..100 {
             let d = faulty.post(ns(i * 500), msg(2048, i));
             let c = clean.post(ns(i * 500), msg(2048, i));
             assert_eq!(d, c, "escaped corruption costs no wire time");
         }
-        let stats = faulty.stats();
+        let stats = stats_of(&faulty);
         assert!(stats.corrupt_injected > 10, "{stats:?}");
         assert_eq!(stats.corrupt_escaped, stats.corrupt_injected);
         assert_eq!(stats.corrupt_detected, 0);

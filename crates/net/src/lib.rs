@@ -12,6 +12,8 @@
 //!   `max(bytes/bandwidth, min_message_gap)`. The gap term is the message-
 //!   rate bottleneck that makes tiny slices lose (Figure 12); FIFO ordering
 //!   is what the fused kernel's payload→fence→flag sequence relies on.
+//!   Queue pairs and a [`fault::FaultPlan`] are properties of the one
+//!   [`Nic`].
 //! * [`topology`] — the system shapes above plus the scale-out fabrics
 //!   (fat-tree, dragonfly, multi-rail).
 //! * [`analytic`] — closed-form collective costs on those shapes, used by
@@ -29,7 +31,6 @@ pub mod diff;
 pub mod fabric;
 pub mod fault;
 pub mod flow;
-pub mod inject;
 pub mod link;
 pub mod nic;
 pub mod presets;
@@ -38,13 +39,10 @@ pub mod topology;
 
 pub use diff::{DiffReport, DiffTolerance};
 pub use fabric::{FabricDelivery, FabricSim, Injection, PacketFabric, Routing};
-pub use fault::{
-    CorruptEvent, CorruptKind, CrashPoint, FaultAction, FaultPlan, FaultStats, FaultyNic,
-};
+pub use fault::{CorruptEvent, CorruptKind, CrashPoint, FaultAction, FaultPlan, FaultStats};
 pub use flow::{
     FlowFabric, FlowSpan, FlowStats, FlowTrace, FlowViolation, InjectedBug, LinkUtilSample,
 };
-pub use inject::JitteryNic;
 pub use link::LinkSpec;
-pub use nic::{Delivery, Message, MessageKind, MultiQpNic, Nic};
+pub use nic::{Delivery, Message, MessageKind, Nic};
 pub use topology::Topology;

@@ -12,10 +12,31 @@
 //! wire. FIFO-per-QP is a semantic guarantee, not just a timing choice: the
 //! fused kernel's `PUT(payload); fence; PUT(flag)` correctness depends on
 //! the flag never overtaking the payload.
+//!
+//! Queue pairs and faults are properties of the one [`Nic`]:
+//! [`Nic::with_qps`] spreads messages over several queue pairs sharing the
+//! wire, and [`Nic::with_faults`] puts the NIC under a [`FaultPlan`] with
+//! RoCE-style go-back-N recovery.
+
+use std::collections::VecDeque;
 
 use fcc_sim::SimTime;
 
+use crate::fault::{FaultAction, FaultPlan, FaultStats};
 use crate::link::LinkSpec;
+
+/// Doorbell-to-SQ-processing overhead: time between the GPU thread ringing
+/// the doorbell and the NIC starting on the packet (PCIe/IF register write
+/// + WQE fetch).
+const DOORBELL: SimTime = SimTime::from_nanos(150);
+
+/// Retransmission timeout charged per lost attempt: a conservative
+/// RoCE-style value.
+const RTO: SimTime = SimTime::from_micros(20);
+
+/// Retransmissions of one message before the final attempt is forced
+/// through, so a 100%-drop plan still terminates.
+const MAX_RETRIES: u32 = 16;
 
 /// Payload classification, used by consumers to distinguish slice data
 /// from `sliceRdy` flag writes.
@@ -36,7 +57,7 @@ pub struct Message {
     pub dst: u32,
     /// RDMA length in bytes.
     pub bytes: u64,
-    /// Caller tag (slice index etc.).
+    /// Caller tag (slice index etc.); it also picks the queue pair.
     pub tag: u64,
     pub kind: MessageKind,
 }
@@ -51,10 +72,28 @@ pub struct Delivery {
     pub message: Message,
 }
 
-/// One endpoint's NIC: a single queue pair serializing all egress.
+/// One endpoint's NIC: queue pairs serializing onto one wire, optionally
+/// under a fault plan.
 ///
-/// State is just the transmit engine's busy-until time, so posting is O(1)
-/// and deterministic. Multi-QP NICs can be modeled with one `Nic` per QP.
+/// A message rides queue pair `tag % num_qps`, so messages with the same
+/// tag (a slice's payload and its flag) share a QP and its FIFO order.
+/// With one QP (the default) the send engine owns the wire and a message
+/// occupies it for `max(bytes/bandwidth, min_message_gap)`. ROC_SHMEM
+/// gives workgroups their own communication contexts, so with several QPs
+/// each pays the per-message gap on its own while the bytes serialize on
+/// the wire they share: the message-rate limit divides across QPs, the
+/// bandwidth does not.
+///
+/// Under a [`FaultPlan`], a lost attempt occupies the wire, vanishes, and
+/// the sender waits a retransmission timeout before re-serializing; because
+/// a reliable connection replays in order, everything queued behind it on
+/// its QP waits too. Delivered timestamps therefore only ever move later
+/// under faults, and FIFO per QP is preserved, so a `sliceRdy` flag still
+/// cannot overtake its payload no matter the schedule. Decisions come from
+/// [`FaultPlan::decide`] keyed by the NIC's message sequence number, so a
+/// faulty run is deterministic end to end.
+///
+/// Posting is O(1) and deterministic.
 ///
 /// ```
 /// use fcc_net::{LinkSpec, Message, MessageKind, Nic};
@@ -73,60 +112,103 @@ pub struct Delivery {
 #[derive(Debug, Clone)]
 pub struct Nic {
     link: LinkSpec,
-    busy_until: SimTime,
-    /// Doorbell-to-SQ-processing overhead: time between the GPU thread
-    /// ringing the doorbell and the NIC starting on the packet.
-    doorbell_overhead: SimTime,
+    /// When each queue pair's send engine frees up.
+    qps: Vec<SimTime>,
+    /// When the wire shared by several queue pairs frees up.
+    wire: SimTime,
+    /// The fault plan and its go-back-N state; `None` is a clean NIC.
+    faults: Option<Box<Faults>>,
     posted: u64,
     bytes_sent: u64,
 }
 
+/// A fault plan's state on one NIC.
+#[derive(Debug, Clone)]
+struct Faults {
+    plan: FaultPlan,
+    /// Completion times of in-flight messages, for SQ backpressure.
+    in_flight: VecDeque<SimTime>,
+    stats: FaultStats,
+}
+
 impl Nic {
-    /// A NIC attached to a link, with a default 150 ns doorbell-processing
-    /// overhead (PCIe/IF register write + WQE fetch).
+    /// A clean NIC with one queue pair attached to `link`.
     pub fn new(link: LinkSpec) -> Nic {
         Nic {
             link,
-            busy_until: SimTime::ZERO,
-            doorbell_overhead: SimTime::from_nanos(150),
+            qps: vec![SimTime::ZERO],
+            wire: SimTime::ZERO,
+            faults: None,
             posted: 0,
             bytes_sent: 0,
         }
     }
 
-    /// Overrides the doorbell overhead.
-    pub fn with_doorbell_overhead(mut self, overhead: SimTime) -> Nic {
-        self.doorbell_overhead = overhead;
+    /// The NIC with `num_qps` queue pairs.
+    ///
+    /// # Panics
+    /// Panics if `num_qps == 0`.
+    pub fn with_qps(mut self, num_qps: usize) -> Nic {
+        assert!(num_qps > 0, "need at least one QP");
+        self.qps = vec![SimTime::ZERO; num_qps];
         self
     }
 
-    /// The attached link.
-    pub fn link(&self) -> &LinkSpec {
-        &self.link
+    /// The NIC under `plan`, riding out its faults go-back-N style.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Nic {
+        self.faults = Some(Box::new(Faults {
+            plan,
+            in_flight: VecDeque::new(),
+            stats: FaultStats::default(),
+        }));
+        self
     }
 
-    /// Messages posted so far.
+    /// Messages serialized so far, retransmissions and duplicates included.
     pub fn posted(&self) -> u64 {
         self.posted
     }
 
-    /// Total payload bytes serialized so far.
+    /// Total bytes serialized so far, retransmissions and duplicates
+    /// included.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
     }
 
-    /// Instant at which the transmit engine frees up.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
+    /// Fault counters so far; `None` unless the NIC runs under a plan.
+    pub fn fault_stats(&self) -> Option<FaultStats> {
+        self.faults.as_ref().map(|f| f.stats)
     }
 
-    /// Posts `message` at doorbell time `at`. Messages must be posted in
-    /// non-decreasing doorbell order (FIFO SQ).
+    /// Posts `message` at doorbell time `at` on its queue pair, riding out
+    /// any injected faults; the returned delivery reflects the successful
+    /// attempt. Messages must be posted in non-decreasing doorbell order
+    /// (FIFO SQ).
     pub fn post(&mut self, at: SimTime, message: Message) -> Delivery {
-        let ready = at + self.doorbell_overhead;
-        let start = ready.max(self.busy_until);
-        let finish = start + self.link.occupancy(message.bytes);
-        self.busy_until = finish;
+        let qp = (message.tag % self.qps.len() as u64) as usize;
+        let Some(mut faults) = self.faults.take() else {
+            return self.send(qp, at, message);
+        };
+        let delivery = self.ride_out(&mut faults, qp, at, message);
+        self.faults = Some(faults);
+        delivery
+    }
+
+    /// One attempt of `message` on queue pair `qp`, fault-free.
+    #[inline]
+    fn send(&mut self, qp: usize, at: SimTime, message: Message) -> Delivery {
+        let start = (at + DOORBELL).max(self.qps[qp]);
+        let finish = if self.qps.len() == 1 {
+            self.qps[qp] = start + self.link.occupancy(message.bytes);
+            self.qps[qp]
+        } else {
+            // The QP pays the message gap, then the bytes serialize on the
+            // shared wire, at least 1 ns each so ordering stays strict.
+            self.qps[qp] = start + self.link.min_message_gap;
+            let bytes = SimTime::from_nanos_f64(message.bytes as f64 / self.link.bandwidth);
+            self.wire = self.qps[qp].max(self.wire) + bytes.max(SimTime::from_nanos(1));
+            self.wire
+        };
         self.posted += 1;
         self.bytes_sent += message.bytes;
         Delivery {
@@ -136,98 +218,99 @@ impl Nic {
         }
     }
 
-    /// Forces the transmit engine busy until at least `until` (used by
-    /// congestion injection to model a paused queue pair).
-    pub fn stall_until(&mut self, until: SimTime) {
-        self.busy_until = self.busy_until.max(until);
+    /// Holds queue pair `qp` busy until at least `until`: everything
+    /// queued behind a stalled message waits.
+    fn stall(&mut self, qp: usize, until: SimTime) {
+        self.qps[qp] = self.qps[qp].max(until);
     }
 
-    /// Resets the NIC to idle (between independent experiments).
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.posted = 0;
-        self.bytes_sent = 0;
-    }
-}
+    /// Posts `message` on `qp` under `f`'s plan: SQ backpressure, then
+    /// attempts until one is delivered.
+    fn ride_out(&mut self, f: &mut Faults, qp: usize, at: SimTime, message: Message) -> Delivery {
+        let seq = f.stats.posted;
+        f.stats.posted += 1;
 
-/// A NIC exposing several queue pairs, messages spread round-robin.
-///
-/// ROC_SHMEM gives workgroups their own communication contexts, so
-/// messages from different WGs can be in flight on different QPs — the
-/// per-QP message-rate limit then divides across them while the shared
-/// wire bandwidth does not. [`MultiQpNic`] models exactly that: each QP
-/// serializes its own messages at the per-QP gap, but all QPs share the
-/// link's bandwidth (enforced by a link-level busy time for the bytes
-/// term).
-#[derive(Debug, Clone)]
-pub struct MultiQpNic {
-    qps: Vec<Nic>,
-    /// Wire-bandwidth serialization shared by all QPs.
-    wire_busy_until: SimTime,
-    link: LinkSpec,
-    next_qp: usize,
-}
-
-impl MultiQpNic {
-    /// A NIC with `num_qps` queue pairs on `link`.
-    ///
-    /// # Panics
-    /// Panics if `num_qps == 0`.
-    pub fn new(link: LinkSpec, num_qps: usize) -> MultiQpNic {
-        assert!(num_qps > 0, "need at least one QP");
-        // Per-QP processing pays the message gap; the shared wire pays the
-        // bytes. Give each QP a gap-only link and keep bandwidth here.
-        let qp_link = LinkSpec {
-            bandwidth: f64::INFINITY,
-            ..link
-        };
-        MultiQpNic {
-            qps: (0..num_qps).map(|_| Nic::new(qp_link)).collect(),
-            wire_busy_until: SimTime::ZERO,
-            link,
-            next_qp: 0,
+        // SQ-full backpressure: the doorbell blocks until the queue has a
+        // free slot.
+        let mut at = at + f.plan.straggle(message.src);
+        if let Some(depth) = f.plan.sq_depth() {
+            while f.in_flight.len() >= depth {
+                let head = f.in_flight.pop_front().expect("non-empty at capacity");
+                if head > at {
+                    at = head;
+                    f.stats.sq_stalls += 1;
+                }
+            }
         }
-    }
 
-    /// Number of queue pairs.
-    pub fn num_qps(&self) -> usize {
-        self.qps.len()
-    }
-
-    /// Total messages posted across QPs.
-    pub fn posted(&self) -> u64 {
-        self.qps.iter().map(Nic::posted).sum()
-    }
-
-    /// Total payload bytes serialized across QPs (each message counts
-    /// once — QPs never share a message).
-    pub fn bytes_sent(&self) -> u64 {
-        self.qps.iter().map(Nic::bytes_sent).sum()
-    }
-
-    /// Posts on the next QP round-robin. FIFO holds *per QP*, not across
-    /// QPs — callers needing payload→flag ordering must pin both to the
-    /// same QP via [`post_on`](Self::post_on).
-    pub fn post(&mut self, at: SimTime, message: Message) -> Delivery {
-        let qp = self.next_qp;
-        self.next_qp = (self.next_qp + 1) % self.qps.len();
-        self.post_on(qp, at, message)
-    }
-
-    /// Posts on a specific QP (the per-WG-context pattern).
-    pub fn post_on(&mut self, qp: usize, at: SimTime, message: Message) -> Delivery {
-        // QP processing: doorbell + per-message gap.
-        let processed = self.qps[qp].post(at, message);
-        // Shared wire: the bytes serialize across all QPs. Every message
-        // advances the wire by at least 1 ns so ordering stays strict.
-        let wire_start = processed.sq_complete.max(self.wire_busy_until);
-        let wire_time = SimTime::from_nanos_f64(message.bytes as f64 / self.link.bandwidth)
-            .max(SimTime::from_nanos(1));
-        self.wire_busy_until = wire_start + wire_time;
-        Delivery {
-            sq_complete: self.wire_busy_until,
-            arrival: self.wire_busy_until + self.link.latency,
-            message,
+        let mut attempt: u32 = 0;
+        loop {
+            let delivery = self.send(qp, at, message);
+            let flap_hit = f.plan.link_down_at(delivery.sq_complete);
+            let action = if flap_hit {
+                FaultAction::Drop
+            } else {
+                f.plan
+                    .decide(message.src, message.dst, message.tag, seq, attempt)
+            };
+            let final_attempt = attempt >= MAX_RETRIES;
+            let lost = match action {
+                FaultAction::Corrupt(ev) => {
+                    // A wire-detectable corruption fails the link-level
+                    // CRC on arrival: NAK, RTO, go-back-N retransmit —
+                    // priced like a drop. A self-consistent one is
+                    // delivered on time with a matching checksum; only an
+                    // end-to-end check can see it.
+                    f.stats.corrupt_injected += 1;
+                    if ev.kind.wire_detectable() {
+                        f.stats.corrupt_detected += 1;
+                    } else {
+                        f.stats.corrupt_escaped += 1;
+                    }
+                    ev.kind.wire_detectable()
+                }
+                FaultAction::Drop => {
+                    if !final_attempt {
+                        f.stats.drops += 1;
+                        f.stats.flap_drops += u64::from(flap_hit);
+                    }
+                    true
+                }
+                FaultAction::Delay(extra) => {
+                    f.stats.delays += 1;
+                    // Transport stall: the message (and the QP behind it)
+                    // sits for `extra` before completing.
+                    let done = Delivery {
+                        sq_complete: delivery.sq_complete + extra,
+                        arrival: delivery.arrival + extra,
+                        message,
+                    };
+                    self.stall(qp, done.sq_complete);
+                    f.in_flight.push_back(done.sq_complete);
+                    return done;
+                }
+                FaultAction::Duplicate => {
+                    // Delivered, then delivered again: the second copy
+                    // costs wire time behind the first.
+                    f.stats.dups += 1;
+                    f.stats.retransmitted_bytes += message.bytes;
+                    let dup = self.send(qp, at, message);
+                    f.in_flight.push_back(dup.sq_complete);
+                    return delivery;
+                }
+                FaultAction::Deliver => false,
+            };
+            if !lost || final_attempt {
+                f.in_flight.push_back(delivery.sq_complete);
+                return delivery;
+            }
+            // Lost on the wire: charge the wasted serialization, wait out
+            // the RTO, go-back-N from here.
+            f.stats.retransmitted_bytes += message.bytes;
+            let resume = delivery.sq_complete + RTO;
+            self.stall(qp, resume);
+            at = at.max(resume);
+            attempt += 1;
         }
     }
 }
@@ -314,10 +397,11 @@ mod tests {
 
     #[test]
     fn multi_qp_relieves_message_rate() {
-        // 1024 tiny messages: one QP is gap-bound; 8 QPs divide the gap
-        // cost while the (tiny) wire cost stays negligible.
+        // 1024 tiny messages, tags spreading them round-robin: one QP is
+        // gap-bound; 8 QPs divide the gap cost while the (tiny) wire cost
+        // stays negligible.
         let run = |qps: usize| {
-            let mut nic = MultiQpNic::new(LinkSpec::infiniband_20gbs(), qps);
+            let mut nic = Nic::new(LinkSpec::infiniband_20gbs()).with_qps(qps);
             let mut last = SimTime::ZERO;
             for i in 0..1024 {
                 last = nic.post(ns(0), msg(64, i)).arrival;
@@ -334,7 +418,7 @@ mod tests {
 
     #[test]
     fn multi_qp_accounts_bytes_once_across_qps() {
-        let mut nic = MultiQpNic::new(LinkSpec::infiniband_20gbs(), 4);
+        let mut nic = Nic::new(LinkSpec::infiniband_20gbs()).with_qps(4);
         for i in 0..10 {
             nic.post(ns(0), msg(1_000, i));
         }
@@ -347,7 +431,7 @@ mod tests {
         // Large messages: the shared wire is the bottleneck regardless of
         // QP count.
         let run = |qps: usize| {
-            let mut nic = MultiQpNic::new(LinkSpec::infiniband_20gbs(), qps);
+            let mut nic = Nic::new(LinkSpec::infiniband_20gbs()).with_qps(qps);
             let mut last = SimTime::ZERO;
             for i in 0..64 {
                 last = nic.post(ns(0), msg(1 << 20, i)).arrival;
@@ -363,24 +447,48 @@ mod tests {
 
     #[test]
     fn same_qp_preserves_fifo() {
-        let mut nic = MultiQpNic::new(LinkSpec::infiniband_20gbs(), 4);
-        let payload = nic.post_on(2, ns(0), msg(1 << 20, 0));
-        let flag = nic.post_on(
-            2,
+        let mut nic = Nic::new(LinkSpec::infiniband_20gbs()).with_qps(4);
+        let payload = nic.post(ns(0), msg(1 << 20, 2));
+        let flag = nic.post(
             ns(0),
             Message {
                 bytes: 8,
                 kind: MessageKind::Flag,
-                ..msg(8, 0)
+                ..msg(8, 2)
             },
         );
         assert!(flag.arrival > payload.arrival);
     }
 
     #[test]
+    fn faults_ride_every_queue_pair() {
+        // A fault-free plan prices like the clean NIC on several QPs, and
+        // drops there delay but never reorder a QP's messages.
+        let link = LinkSpec::infiniband_20gbs();
+        let mut clean = Nic::new(link).with_qps(4);
+        let mut free = Nic::new(link).with_qps(4).with_faults(FaultPlan::new(1));
+        let mut lossy = Nic::new(link)
+            .with_qps(4)
+            .with_faults(FaultPlan::new(11).with_drop_rate(0.4));
+        let mut last = [SimTime::ZERO; 4];
+        for i in 0..100 {
+            let c = clean.post(ns(0), msg(2048, i));
+            assert_eq!(free.post(ns(0), msg(2048, i)), c, "message {i}");
+            let d = lossy.post(ns(0), msg(2048, i));
+            assert!(d.arrival >= c.arrival, "faults only ever delay");
+            let qp = &mut last[i as usize % 4];
+            assert!(d.arrival > *qp, "FIFO per QP: message {i} overtook");
+            *qp = d.arrival;
+        }
+        assert_eq!(free.fault_stats().map(|s| s.drops), Some(0));
+        assert!(lossy.fault_stats().expect("under a plan").drops > 10);
+        assert_eq!(clean.fault_stats(), None);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one QP")]
     fn zero_qps_rejected() {
-        MultiQpNic::new(LinkSpec::xgmi(), 0);
+        Nic::new(LinkSpec::xgmi()).with_qps(0);
     }
 
     #[test]
@@ -390,8 +498,5 @@ mod tests {
         nic.post(ns(0), msg(200, 1));
         assert_eq!(nic.posted(), 2);
         assert_eq!(nic.bytes_sent(), 300);
-        nic.reset();
-        assert_eq!(nic.posted(), 0);
-        assert_eq!(nic.busy_until(), SimTime::ZERO);
     }
 }

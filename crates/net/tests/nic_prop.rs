@@ -50,11 +50,11 @@ proptest! {
         let link = LinkSpec::infiniband_20gbs();
         let mut nic = Nic::new(link);
         let mut total_occupancy = 0u64;
+        let mut busy = 0;
         for (i, &bytes) in sizes.iter().enumerate() {
-            nic.post(SimTime::ZERO, msg(bytes, i as u64));
+            busy = nic.post(SimTime::ZERO, msg(bytes, i as u64)).sq_complete.as_nanos();
             total_occupancy += link.occupancy(bytes).as_nanos();
         }
-        let busy = nic.busy_until().as_nanos();
         // Upper bound: doorbell + all occupancies (posts at t=0 queue).
         prop_assert!(busy <= 150 + total_occupancy);
         // Lower bound: total bytes at line rate.

@@ -6,7 +6,7 @@
 //! * [`shmem`] — SHMEM-style symmetric heap, functional (threaded); the
 //!   simulators in [`core`] price its protocol on [`net`]'s NIC model.
 //! * [`net`] — link/NIC/topology models, the packet-level fabric, and the
-//!   fault-injection layer ([`net::FaultPlan`], [`net::FaultyNic`]).
+//!   fault-injection layer ([`net::FaultPlan`], ridden out by [`net::Nic`]).
 //! * [`gpu`] — GPU execution model (persistent work-groups, occupancy).
 //! * [`sim`] — deterministic discrete-event simulation substrate.
 //! * [`collectives`] — host-initiated baseline collectives (the bulk
@@ -46,8 +46,8 @@ pub use fcc_core::{
 };
 pub use fcc_dlrm::{CheckpointVault, DlrmConfig};
 pub use fcc_net::{
-    CorruptEvent, CorruptKind, CrashPoint, FaultAction, FaultPlan, FaultStats, FaultyNic,
-    JitteryNic, LinkSpec, Nic, Topology,
+    CorruptEvent, CorruptKind, CrashPoint, FaultAction, FaultPlan, FaultStats, LinkSpec, Nic,
+    Topology,
 };
 pub use fcc_serve::{
     check_serve_trace, serve, BatchPolicy, DegradeController, DegradeLevel, FusedExecutor,
