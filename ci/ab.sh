@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired A/B on the yardstick: the working tree against PARENT_REV.
 #
-#   ci/ab.sh PARENT_REV [PAIRS=10] [WORKLOAD...]
+#   ci/ab.sh [--trace] PARENT_REV [PAIRS=10] [WORKLOAD...]
 #
 # Exports PARENT_REV with `git archive` (no worktree is registered), puts
 # this tree's benchmark/ into the export so both sides run byte-identical
@@ -17,8 +17,17 @@
 # the builds as parent.jsonl / change.jsonl, in `run_set.sh` format, so
 # `--agree parent.jsonl change.jsonl` reads them too.
 #
+# With --trace, a final step runs one `--trace 1` pass per side for each
+# workload and prints, side by side, the bit-identity witnesses
+# (`core.sim.digest`, `core.sim.paper_gap_pp`) and the per-layer spans
+# that attribute a simulator change (`core.sim.*_ms_per_point`,
+# `astra.pass_ms`, `gpu.exec.tasks_per_s`). With PAIRS=0 the summary is empty
+# and this step is all that runs.
+#
 # Everything is written under ${CARGO_TARGET_DIR:-.bench_build}/ab.
 set -euo pipefail
+trace=0
+[[ ${1:-} == --trace ]] && { trace=1; shift; }
 [[ $# -ge 1 ]] || { sed -n '2,5p' "$0" >&2; exit 2; }
 parent_rev=$1
 pairs=${2:-10}
@@ -121,3 +130,15 @@ awk -v metrics="$(echo $metrics)" '
     }
   }
 ' "$work/parent.jsonl" "$work/change.jsonl"
+
+traced() { # the per-layer lines --trace prints for the simulators
+  "$1" --workload "$2" --seed 1 --seconds "$seconds" --trace 1 |
+    grep -E '^(core\.sim\.(digest|paper_gap_pp|[a-z_]+_ms_per_point)|astra\.pass_ms|gpu\.exec\.tasks_per_s) '
+}
+if ((trace)); then
+  for workload in "${workloads[@]}"; do
+    printf '%-18s %-34s %18s %18s\n' workload "traced metric" parent change
+    paste <(traced "$parent_bin" "$workload") <(traced "$change_bin" "$workload") |
+      awk -v w="$workload" '{ printf "%-18s %-34s %18s %18s %s\n", w, $1, $2, $5, $3 }'
+  done
+fi

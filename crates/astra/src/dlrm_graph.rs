@@ -8,6 +8,8 @@
 //! fused operator (the backward pass stays unfused in both modes — the
 //! paper leaves backward fusion to future work, and so do we).
 
+use std::cell::OnceCell;
+
 use fcc_collectives::baseline::BaselineCosts;
 use fcc_core::sim::FusedTuning;
 use fcc_dlrm::DlrmConfig;
@@ -122,17 +124,22 @@ pub fn build_pass_with_wire(
     let top_bwd = SimTime::from_nanos(top_fwd.as_nanos() * 2);
 
     // Embedding forward, per-table kernels (the baseline granularity —
-    // also reused for backward scatter in both modes).
-    let emb_kernel = mem_kernel_time(
-        gpu,
-        KernelResources::embedding_baseline(),
-        cfg.bytes_per_pooled_lookup(),
-        cfg.global_batch as u64,
-    );
-    let emb_fwd = SimTime::from_nanos(
-        (emb_kernel + gpu.kernel_launch_overhead).as_nanos() * cfg.tables_per_pe as u64,
-    );
-    let emb_bwd = emb_fwd; // gradient scatter moves the same bytes
+    // also the unfused backward scatter, which moves the same bytes).
+    // Each kernel below is priced only in the modes that read it, once.
+    let emb = OnceCell::new();
+    let per_table_embedding = || {
+        *emb.get_or_init(|| {
+            let kernel = mem_kernel_time(
+                gpu,
+                KernelResources::embedding_baseline(),
+                cfg.bytes_per_pooled_lookup(),
+                cfg.global_batch as u64,
+            );
+            SimTime::from_nanos(
+                (kernel + gpu.kernel_launch_overhead).as_nanos() * cfg.tables_per_pe as u64,
+            )
+        })
+    };
 
     let mut a2a = BaselineCosts::alltoall(gpu, topo, cfg.alltoall_bytes_per_pair());
     if let Some(w) = a2a_wire {
@@ -158,15 +165,12 @@ pub fn build_pass_with_wire(
         .sum();
     let allreduce = BaselineCosts::allreduce(gpu, topo, (mlp_params * 4) as u64);
 
-    // The fused forward operator: one persistent kernel; the All-to-All
-    // wire time spreads across it, so the duration is the max of compute
-    // and wire plus the GPU-initiated networking overheads.
-    let fused_compute = mem_kernel_time(
-        gpu,
-        KernelResources::embedding_fused(),
-        cfg.bytes_per_pooled_lookup(),
-        cfg.outputs_per_pe() as u64,
-    );
+    // A fused operator is one persistent kernel; the All-to-All wire time
+    // spreads across it, so the duration is the max of compute and wire
+    // plus the GPU-initiated networking overheads. The forward one pools
+    // every output; the backward one's gradient scatter reads each
+    // gradient row and read-modify-writes the pooled rows, overlapped with
+    // the reverse All-to-All of the same byte volume.
     let wire = a2a_wire.unwrap_or_else(|| analytic::alltoall(topo, cfg.alltoall_bytes_per_pair()));
     let slices = (cfg.outputs_per_pe() / 32).max(1) as u64; // slice = 32 embeddings
     let n_persistent =
@@ -174,31 +178,28 @@ pub fn build_pass_with_wire(
     let api_tail = SimTime::from_nanos(
         (tuning.bookkeeping + tuning.api_latency).as_nanos() * slices / n_persistent.max(1) as u64,
     );
-    let fused_fwd =
-        gpu.kernel_launch_overhead + fused_compute.max(wire) + api_tail + tuning.drain_poll;
-
-    // The backward fused operator: the gradient scatter reads each
-    // gradient row and read-modify-writes the pooled rows, overlapped with
-    // the reverse All-to-All of the same byte volume.
+    let fused = |bytes_per_task| {
+        let compute = mem_kernel_time(
+            gpu,
+            KernelResources::embedding_fused(),
+            bytes_per_task,
+            cfg.outputs_per_pe() as u64,
+        );
+        gpu.kernel_launch_overhead + compute.max(wire) + api_tail + tuning.drain_poll
+    };
     let scatter_bytes = ((2 * cfg.pooling + 1) * cfg.dim * 4) as f64;
-    let fused_bwd_compute = mem_kernel_time(
-        gpu,
-        KernelResources::embedding_fused(),
-        scatter_bytes,
-        cfg.outputs_per_pe() as u64,
-    );
-    let fused_bwd =
-        gpu.kernel_launch_overhead + fused_bwd_compute.max(wire) + api_tail + tuning.drain_poll;
 
     // --- Graph ----------------------------------------------------------
     let mut g = ExecGraph::new();
     let bot = g.add("bottom_mlp_fwd", NodeKind::Compute, bot_fwd, &[]);
     let exchange = match mode {
         OperatorMode::Baseline => {
+            let emb_fwd = per_table_embedding();
             let emb = g.add("embedding_fwd", NodeKind::Compute, emb_fwd, &[]);
             g.add("alltoall_fwd", NodeKind::Communication, a2a.total(), &[emb])
         }
         OperatorMode::Fused | OperatorMode::FusedForwardBackward => {
+            let fused_fwd = fused(cfg.bytes_per_pooled_lookup());
             g.add("fused_emb_alltoall_fwd", NodeKind::Fused, fused_fwd, &[])
         }
     };
@@ -215,7 +216,7 @@ pub fn build_pass_with_wire(
         OperatorMode::FusedForwardBackward => g.add(
             "fused_grad_alltoall_emb_bwd",
             NodeKind::Fused,
-            fused_bwd,
+            fused(scatter_bytes),
             &[interb],
         ),
         _ => {
@@ -225,6 +226,7 @@ pub fn build_pass_with_wire(
                 a2a.total(),
                 &[interb],
             );
+            let emb_bwd = per_table_embedding();
             g.add("embedding_bwd", NodeKind::Compute, emb_bwd, &[a2ab])
         }
     };

@@ -9,6 +9,7 @@
 use fcc_collectives::baseline::BaselineCosts;
 use fcc_dlrm::DlrmConfig;
 use fcc_gpu::config::GpuConfig;
+use fcc_gpu::exec::run_kernel;
 use fcc_gpu::host::{HostTimeline, PhaseKind};
 use fcc_gpu::kernel::KernelDesc;
 use fcc_net::Topology;
@@ -43,6 +44,23 @@ pub fn simulate_baseline(
     topo: &Topology,
     launch: EmbeddingLaunch,
 ) -> BaselineResult {
+    let tl = timeline(cfg, gpu, topo, launch);
+    BaselineResult {
+        embedding: tl.total(PhaseKind::Kernel),
+        overheads: tl.total(PhaseKind::Launch) + tl.total(PhaseKind::Sync),
+        alltoall: tl.total(PhaseKind::Communication),
+        total: tl.now(),
+    }
+}
+
+/// The baseline pass on the host timeline: the embedding launches, a
+/// stream sync, the bulk All-to-All.
+fn timeline<'g>(
+    cfg: &DlrmConfig,
+    gpu: &'g GpuConfig,
+    topo: &Topology,
+    launch: EmbeddingLaunch,
+) -> HostTimeline<'g> {
     let mut tl = HostTimeline::new(gpu);
     match launch {
         EmbeddingLaunch::PerTable => {
@@ -52,8 +70,10 @@ pub fn simulate_baseline(
                 cfg.dim as u32,
                 cfg.pooling as u32,
             );
+            // Every table's kernel is the same kernel: price it once.
+            let timing = run_kernel(gpu, &desc, None);
             for _ in 0..cfg.tables_per_pe {
-                tl.launch_kernel(&desc, None);
+                tl.launch_priced(&desc, timing);
             }
         }
         EmbeddingLaunch::Batched => {
@@ -70,13 +90,7 @@ pub fn simulate_baseline(
 
     let a2a = BaselineCosts::alltoall(gpu, topo, cfg.alltoall_bytes_per_pair());
     tl.communication("rccl all-to-all", a2a.total());
-
-    BaselineResult {
-        embedding: tl.total(PhaseKind::Kernel),
-        overheads: tl.total(PhaseKind::Launch) + tl.total(PhaseKind::Sync),
-        alltoall: a2a.total(),
-        total: tl.now(),
-    }
+    tl
 }
 
 #[cfg(test)]
@@ -97,6 +111,24 @@ mod tests {
             EmbeddingLaunch::PerTable,
         );
         assert_eq!(r.embedding + r.overheads + r.alltoall, r.total);
+    }
+
+    #[test]
+    fn per_table_launches_every_table_and_prices_one_kernel() {
+        let (c, gpu) = (cfg(), GpuConfig::mi210());
+        let topo = presets::dual_node_ib();
+        let tl = timeline(&c, &gpu, &topo, EmbeddingLaunch::PerTable);
+        // A launch and a kernel phase per table, the sync, the All-to-All.
+        assert_eq!(tl.phases().len(), 2 * c.tables_per_pe + 2);
+        let desc = KernelDesc::embedding_pooling(
+            "EmbeddingBag_updateOutputKernel_sum_mean",
+            c.global_batch as u64,
+            c.dim as u32,
+            c.pooling as u32,
+        );
+        let kernel = run_kernel(&gpu, &desc, None).duration.as_nanos();
+        let r = simulate_baseline(&c, &gpu, &topo, EmbeddingLaunch::PerTable);
+        assert_eq!(r.embedding.as_nanos(), c.tables_per_pe as u64 * kernel);
     }
 
     #[test]

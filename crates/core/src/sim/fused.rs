@@ -11,7 +11,12 @@
 //!    protocol step on the timed backend (`sim/timed.rs`): `WG_Done`
 //!    bookkeeping for every task, SHMEM API latency for the elected last
 //!    finisher of a network slice, whose publication joins the replay
-//!    list.
+//!    list. Each distinct PE is simulated once: under a static deal, a PE
+//!    whose inputs are an already simulated PE's up to a relabelling of
+//!    slices (`isomorphism`) takes that PE's run, relabelled — the
+//!    executor sees only work and overheads, and the step's overheads
+//!    depend only on a slice's length and class, so the two runs are the
+//!    same floating-point event sequence.
 //! 2. **Network** — each NIC replays its PEs' publications (the slice's
 //!    row PUTs + fence as one payload message, then the `sliceRdy` flag)
 //!    in issue order, yielding per-slice arrival times at every
@@ -35,7 +40,7 @@ use fcc_sim::SimTime;
 use fcc_telemetry::trace::{TrackId, TID_WIRE};
 use fcc_telemetry::{union_intervals, OverlapStats, Telemetry, TraceRecord};
 
-use crate::op::protocol::Slice;
+use crate::op::protocol::{Backend, Slice, SliceTable};
 use crate::schedule::{self, ScheduleKind};
 use crate::slice::SliceMap;
 
@@ -272,47 +277,10 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
     let timed = Timed::new(&table, params.cfg.dim, params.tuning, &params.topo);
     let tel = &params.telemetry;
 
-    // `sliceRdy` arrivals by flag index, read by the drain (stage 3).
-    let mut arrivals = vec![SimTime::ZERO; table.num_flags()];
-    let mut runs: Vec<PeRun> = Vec::with_capacity(params.cfg.n_pes);
-    let mut fault_stats: Vec<FaultStats> = Vec::new();
-    for pes in timed.nics() {
-        // Stage 1: each PE's persistent WGs step the protocol per task.
-        let mut puts: Vec<(SimTime, Slice)> = Vec::new();
-        for pe in pes {
-            // Metrics derive slice latency and overlap from the recorded
-            // compute spans, so any enabled part of telemetry records.
-            let mut st = timed.pe(pe, tel.is_enabled());
-            let exec = pe_exec(params, &map, pe, n_persistent).run(|c| timed.complete(&mut st, c));
-            puts.append(&mut st.puts);
-            runs.push(PeRun {
-                compute_end: exec.makespan,
-                tail: timed.p2p_tail(&st, exec.makespan),
-                steals: exec.steals,
-                wg_busy: exec.wg_busy,
-                records: st.records.unwrap_or_default(),
-                ..PeRun::default()
-            });
-        }
-
-        // Stage 2: the NIC replays its PEs' publications merged by issue
-        // time (within a PE, completion order: already chronological).
-        puts.sort_by_key(|&(issue, _)| issue);
-        let mut nic = params.nic();
-        for (issue, s) in puts {
-            let before = (nic.posted(), nic.bytes_sent());
-            let (_, flag) = timed.publish(&mut nic, issue, &s);
-            arrivals[s.flag] = flag.arrival;
-            let run = &mut runs[s.src];
-            run.messages += nic.posted() - before.0;
-            run.wire_bytes += nic.bytes_sent() - before.1;
-            run.payload_bytes += timed.payload_bytes(&s);
-            if tel.is_enabled() {
-                run.put_spans.push((issue, flag.arrival));
-            }
-        }
-        fault_stats.extend(nic.fault_stats());
-    }
+    // Stage 1: each PE's persistent WGs step the protocol per task.
+    let mut runs = compute(params, &map, &timed, n_persistent);
+    // Stage 2: each NIC replays its PEs' publications.
+    let (arrivals, fault_stats) = replay(params, &timed, &mut runs);
 
     // Stage 3: a PE's kernel ends once its own task loop has drained, its
     // direct stores have left, and every slice destined to it has arrived.
@@ -350,11 +318,153 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
     }
 }
 
-/// PE `pe`'s `n` persistent WGs on its HBM, running its [`wg_plans`];
-/// under [`WgSchedule::Stealing`] each PE thieves from its own
+/// Stage 1 for every PE, in PE order. Under [`WgSchedule::Static`], a PE
+/// whose inputs are isomorphic to an already simulated PE's takes that
+/// PE's run, relabelled; every other PE is simulated ([`run_pe`]).
+/// Stealing draws a per-PE stream and the oracle breaks ties by task id,
+/// so under those deals every PE is simulated.
+fn compute(params: &FusedParams, map: &SliceMap, timed: &Timed, n: u32) -> Vec<PeRun> {
+    let mut runs: Vec<PeRun> = Vec::with_capacity(params.cfg.n_pes);
+    // The simulated PEs a later PE may share with, and their orders.
+    let mut simulated: Vec<(usize, Vec<u32>)> = Vec::new();
+    let shares = params.wg_schedule == WgSchedule::Static;
+    for pe in 0..params.cfg.n_pes {
+        let order = schedule::order(map, pe as u32, params.schedule);
+        let shared = simulated.iter().find_map(|(p, of_p)| {
+            Some((*p, isomorphism(params, map, timed, *p, of_p, pe, &order)?))
+        });
+        let run = match shared {
+            Some((p, sigma)) => runs[p].relabel(pe, &sigma, timed.table),
+            None => {
+                let run = run_pe(params, map, timed, pe, &order, n);
+                if shares {
+                    simulated.push((pe, order));
+                }
+                run
+            }
+        };
+        runs.push(run);
+    }
+    runs
+}
+
+/// Stage 2: each NIC replays its PEs' publications, merged by issue time
+/// (within a PE, completion order: already chronological), and adds its
+/// PEs' NIC totals to their runs. Returns the `sliceRdy` arrivals by flag
+/// index, which the drain reads, and each NIC's fault stats.
+fn replay(
+    params: &FusedParams,
+    timed: &Timed,
+    runs: &mut [PeRun],
+) -> (Vec<SimTime>, Vec<FaultStats>) {
+    let record = params.telemetry.is_enabled();
+    let mut arrivals = vec![SimTime::ZERO; timed.table.num_flags()];
+    let mut fault_stats: Vec<FaultStats> = Vec::new();
+    for pes in timed.nics() {
+        let mut puts: Vec<(SimTime, Slice)> = (runs[pes].iter_mut())
+            .flat_map(|run| std::mem::take(&mut run.puts))
+            .collect();
+        puts.sort_by_key(|&(issue, _)| issue);
+        let mut nic = params.nic();
+        for (issue, s) in puts {
+            let before = (nic.posted(), nic.bytes_sent());
+            let (_, flag) = timed.publish(&mut nic, issue, &s);
+            arrivals[s.flag] = flag.arrival;
+            let run = &mut runs[s.src];
+            run.messages += nic.posted() - before.0;
+            run.wire_bytes += nic.bytes_sent() - before.1;
+            run.payload_bytes += timed.payload_bytes(&s);
+            if record {
+                run.put_spans.push((issue, flag.arrival));
+            }
+        }
+        fault_stats.extend(nic.fault_stats());
+    }
+    (arrivals, fault_stats)
+}
+
+/// PE `pe`'s stage 1, simulated: its `n` persistent WGs run `order` and
+/// step the protocol on every task completion.
+fn run_pe(
+    params: &FusedParams,
+    map: &SliceMap,
+    timed: &Timed,
+    pe: usize,
+    order: &[u32],
+    n: u32,
+) -> PeRun {
+    // Metrics derive slice latency and overlap from the recorded compute
+    // spans, so any enabled part of telemetry records.
+    let mut st = timed.pe(pe, params.telemetry.is_enabled());
+    let exec = pe_exec(params, map, pe, order, n).run(|c| timed.complete(&mut st, c));
+    PeRun {
+        compute_end: exec.makespan,
+        tail: timed.p2p_tail(&st, exec.makespan),
+        steals: exec.steals,
+        wg_busy: exec.wg_busy,
+        puts: st.puts,
+        records: st.records.unwrap_or_default(),
+        ..PeRun::default()
+    }
+}
+
+/// Whether PE `q`'s stage-1 inputs are PE `p`'s up to a relabelling of
+/// slices, given both PEs' task orders; if so, the relabelling `σ`: PE
+/// `q`'s slice `σ[k]` plays PE `p`'s slice `k`.
+///
+/// Both orders are dealt onto the same persistent WGs, so position `i` of
+/// either is the same WG's same iteration. The inputs are isomorphic if
+/// every position holds bit-equal work and the positions' slices
+/// correspond one to one, keeping `len` and class (own, P2P or network).
+/// That is all the timed run reads: the executor sees work and the
+/// step's overheads, and a step's overhead depends only on whether its
+/// slice's `WG_Done` count reached `len` and on the slice's class.
+fn isomorphism(
+    params: &FusedParams,
+    map: &SliceMap,
+    timed: &Timed,
+    p: usize,
+    order_p: &[u32],
+    q: usize,
+    order_q: &[u32],
+) -> Option<Vec<u32>> {
+    const UNSET: u32 = u32::MAX;
+    let (slices_p, slices_q) = (timed.table.slices(p), timed.table.slices(q));
+    let class = |s: &Slice| (s.dst == s.src, timed.is_p2p(s));
+    let mut sigma = vec![UNSET; slices_p.len()];
+    let mut taken = vec![false; slices_q.len()];
+    for (&wp, &wq) in order_p.iter().zip(order_q) {
+        if task_work(params, p, wp).to_bits() != task_work(params, q, wq).to_bits() {
+            return None;
+        }
+        let (a, b) = (map.slice_of_wg(wp).id as usize, map.slice_of_wg(wq).id);
+        match sigma[a] {
+            UNSET => {
+                let (sa, sb) = (&slices_p[a], &slices_q[b as usize]);
+                if taken[b as usize] || sa.len != sb.len || class(sa) != class(sb) {
+                    return None;
+                }
+                sigma[a] = b;
+                taken[b as usize] = true;
+            }
+            mapped if mapped != b => return None,
+            _ => {}
+        }
+    }
+    Some(sigma)
+}
+
+/// PE `pe`'s `n` persistent WGs on its HBM, running its [`wg_plans`] for
+/// `order`; under [`WgSchedule::Stealing`] each PE thieves from its own
 /// deterministic stream.
-pub(super) fn pe_exec(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -> PersistentExec {
-    let exec = hbm_exec(&params.gpu, wg_plans(params, map, pe, n));
+pub(super) fn pe_exec(
+    params: &FusedParams,
+    map: &SliceMap,
+    pe: usize,
+    order: &[u32],
+    n: u32,
+) -> PersistentExec {
+    let exec = hbm_exec(&params.gpu, wg_plans(params, map, pe, order, n));
     match params.wg_schedule {
         WgSchedule::Stealing { seed } => {
             exec.with_stealing(seed ^ (pe as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f))
@@ -363,23 +473,28 @@ pub(super) fn pe_exec(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -
     }
 }
 
-/// PE `pe`'s persistent-WG plans: its logical WGs in `params.schedule`
-/// order, dealt under `params.wg_schedule`, each priced by the skew.
-fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -> Vec<WgPlan> {
-    let order = schedule::order(map, pe as u32, params.schedule);
+/// The work of PE `pe`'s logical WG `wg`, priced by the skew.
+fn task_work(params: &FusedParams, pe: usize, wg: u32) -> f64 {
     let bytes_per_task = params.cfg.bytes_per_pooled_lookup();
+    match &params.skew {
+        Some(skew) => bytes_per_task * skew.multiplier(pe as u32, wg),
+        None => bytes_per_task,
+    }
+}
+
+/// PE `pe`'s persistent-WG plans: its logical WGs in `order` (its
+/// `params.schedule` order), dealt under `params.wg_schedule`, each priced
+/// by the skew.
+fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, order: &[u32], n: u32) -> Vec<WgPlan> {
     let task = |wg: u32| TaskUnit {
         id: map.task(wg),
-        work: match &params.skew {
-            Some(skew) => bytes_per_task * skew.multiplier(pe as u32, wg),
-            None => bytes_per_task,
-        },
+        work: task_work(params, pe, wg),
     };
     match params.wg_schedule {
         // Static and Stealing deal the priority order round-robin;
         // stealing then rebalances at runtime from the queue tails.
         WgSchedule::Static | WgSchedule::Stealing { .. } => {
-            let deal = schedule::assign_to_persistent(&order, n as usize);
+            let deal = schedule::assign_to_persistent(order, n as usize);
             let plan = |wgs: Vec<u32>| WgPlan {
                 tasks: wgs.into_iter().map(task).collect(),
             };
@@ -406,13 +521,15 @@ fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -> Vec<WgPl
 }
 
 /// One PE's stage-1 outcome and stage-2 NIC totals.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct PeRun {
     compute_end: SimTime,
     /// Direct-store egress past `compute_end`.
     tail: SimTime,
     steals: u64,
     wg_busy: Vec<SimTime>,
+    /// Network publications in issue order, until stage 2 replays them.
+    puts: Vec<(SimTime, Slice)>,
     /// The timed clock's records, when telemetry is on.
     records: Vec<TraceRecord>,
     wire_bytes: u64,
@@ -420,6 +537,38 @@ struct PeRun {
     payload_bytes: u64,
     /// Per-put [issue, arrival) intervals, when telemetry is on.
     put_spans: Vec<(SimTime, SimTime)>,
+}
+
+impl PeRun {
+    /// This stage-1 run as PE `q`'s, whose slice `sigma[k]` plays this
+    /// PE's slice `k` (see [`isomorphism`]): the same times, with every
+    /// put and record moved onto `q` and its slices.
+    fn relabel(&self, q: usize, sigma: &[u32], table: &SliceTable) -> PeRun {
+        let slice = |k: usize| table.slices(q)[sigma[k] as usize];
+        let record = |r: &TraceRecord| {
+            let mut r = r.clone();
+            if let TraceRecord::Span { track, tag, .. } | TraceRecord::Instant { track, tag, .. } =
+                &mut r
+            {
+                track.pid = q as u32;
+                *tag = tag.map(|k| u64::from(sigma[k as usize]));
+            }
+            r
+        };
+        PeRun {
+            compute_end: self.compute_end,
+            tail: self.tail,
+            steals: self.steals,
+            wg_busy: self.wg_busy.clone(),
+            puts: self
+                .puts
+                .iter()
+                .map(|&(t, s)| (t, slice(s.index)))
+                .collect(),
+            records: self.records.iter().map(record).collect(),
+            ..PeRun::default()
+        }
+    }
 }
 
 /// Publishes one PE's metrics and trace tracks.
@@ -908,6 +1057,110 @@ mod tests {
                 Some(out.steals as f64)
             );
         }
+    }
+
+    /// Checks `p`'s stage 1 as the shared path prices it against every
+    /// PE simulated directly, through `pe_exec` and the timed step, and
+    /// the NIC replay of both; returns how many PEs the shared path took
+    /// from an isomorphic PE.
+    fn shared_matches_direct(p: &FusedParams) -> usize {
+        let (map, n) = p.shape();
+        let table = map.table();
+        let timed = Timed::new(&table, p.cfg.dim, p.tuning, &p.topo);
+        let orders: Vec<Vec<u32>> = (0..p.cfg.n_pes)
+            .map(|pe| schedule::order(&map, pe as u32, p.schedule))
+            .collect();
+        let mut direct: Vec<PeRun> = (0..p.cfg.n_pes)
+            .map(|pe| {
+                let mut st = timed.pe(pe, p.telemetry.is_enabled());
+                let exec = pe_exec(p, &map, pe, &orders[pe], n).run(|c| timed.complete(&mut st, c));
+                PeRun {
+                    compute_end: exec.makespan,
+                    tail: timed.p2p_tail(&st, exec.makespan),
+                    steals: exec.steals,
+                    wg_busy: exec.wg_busy,
+                    puts: st.puts,
+                    records: st.records.unwrap_or_default(),
+                    ..PeRun::default()
+                }
+            })
+            .collect();
+        let mut shared = compute(p, &map, &timed, n);
+        assert_eq!(shared, direct);
+        assert_eq!(
+            replay(p, &timed, &mut shared),
+            replay(p, &timed, &mut direct)
+        );
+        assert_eq!(shared, direct, "NIC totals");
+        let static_deal = p.wg_schedule == WgSchedule::Static;
+        (0..p.cfg.n_pes)
+            .filter(|&q| {
+                static_deal
+                    && (0..q).any(|pe| {
+                        isomorphism(p, &map, &timed, pe, &orders[pe], q, &orders[q]).is_some()
+                    })
+            })
+            .count()
+    }
+
+    #[test]
+    fn comm_aware_pes_share_their_compute_stage() {
+        assert_eq!(shared_matches_direct(&small_params()), 1);
+        let mut p = small_params();
+        p.telemetry = Telemetry::enabled();
+        assert_eq!(shared_matches_direct(&p), 1, "records relabel too");
+    }
+
+    #[test]
+    fn nic_sharing_pes_share_within_isomorphism_classes() {
+        // 4 PEs behind 2 NICs: PE 0's P2P peer is PE 1, PE 2's is PE 3.
+        // Comm-aware, PE 1 plays PE 0 and PE 3 plays PE 2; PE 2 computes
+        // its P2P slices where PE 0 computes network ones.
+        let mut cfg = DlrmConfig::hw_eval(4, 64, 4);
+        cfg.pooling = 8;
+        let mut p = FusedParams {
+            slice_embeddings: 8,
+            occupancy_cap: Some(16),
+            ..FusedParams::new(cfg, GpuConfig::mi210(), presets::dual_node_ib())
+        };
+        assert_eq!(shared_matches_direct(&p), 2);
+        p.telemetry = Telemetry::enabled();
+        assert_eq!(shared_matches_direct(&p), 2);
+    }
+
+    #[test]
+    fn oblivious_pes_do_not_share() {
+        // Fig. 13's skew: PE 0 starts on its own shard, PE 1 on a remote one.
+        let mut p = small_params();
+        p.schedule = ScheduleKind::Oblivious;
+        assert_eq!(shared_matches_direct(&p), 0);
+    }
+
+    #[test]
+    fn skewed_stealing_and_oracle_pes_do_not_share() {
+        let mut throttled = small_params();
+        throttled.skew = Some(SkewSpec {
+            pe_mult: vec![1.0, 2.0],
+            straggler_rate: 0.0,
+            straggler_factor: 1.0,
+            seed: 0,
+        });
+        assert_eq!(shared_matches_direct(&throttled), 0);
+        for wg_schedule in [WgSchedule::Stealing { seed: 3 }, WgSchedule::Oracle] {
+            let p = FusedParams {
+                wg_schedule,
+                ..small_params()
+            };
+            assert_eq!(shared_matches_direct(&p), 0, "{wg_schedule:?}");
+        }
+    }
+
+    #[test]
+    fn faulty_pes_share_compute_and_keep_per_nic_fault_stats() {
+        let mut p = small_params();
+        p.faults = Some(FaultPlan::new(42).with_drop_rate(0.3));
+        assert_eq!(shared_matches_direct(&p), 1);
+        assert!(simulate_fused(&p).fault_stats.iter().all(|s| s.drops > 0));
     }
 
     #[test]

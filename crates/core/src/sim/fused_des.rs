@@ -38,6 +38,8 @@ use fcc_gpu::exec::PersistentExec;
 use fcc_net::Nic;
 use fcc_sim::SimTime;
 
+use crate::schedule;
+
 use super::fused::{pe_exec, FusedParams, PeOutcome};
 use super::timed::{Timed, TimedPe};
 
@@ -76,7 +78,8 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
 
     let mut pes: Vec<Pe> = (0..n_pes)
         .map(|pe| {
-            let mut exec = pe_exec(params, &map, pe, n_persistent);
+            let order = schedule::order(&map, pe as u32, params.schedule);
+            let mut exec = pe_exec(params, &map, pe, &order, n_persistent);
             exec.start();
             Pe {
                 exec,

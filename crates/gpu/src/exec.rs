@@ -17,8 +17,7 @@
 //! the capacity curve, such as incoming writes into the same HBM.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use fcc_sim::{splitmix64, JobId, PsResource, SimTime};
 
@@ -88,14 +87,18 @@ impl ExecResult {
     }
 }
 
-/// A task in flight: who runs it, where it came from, and when it began.
+/// A workgroup's task in flight: where it came from and when it began.
 struct Started {
-    wg: u32,
     seq: u32,
     id: u64,
     start: SimTime,
     stolen: bool,
 }
+
+/// `PersistentExec::job_wg` marks: a job that is no workgroup's task, and
+/// a completed job.
+const INSERTED: u32 = u32::MAX;
+const DONE: u32 = u32::MAX - 1;
 
 /// Executes persistent workgroups over their task plans.
 ///
@@ -107,7 +110,14 @@ pub struct PersistentExec {
     plans: Vec<WgPlan>,
     /// (resume time, wg) for workgroups waiting out hook overhead.
     pending: BinaryHeap<Reverse<(SimTime, u32)>>,
-    job_owner: HashMap<JobId, Started>,
+    /// Each workgroup's task in flight (a workgroup runs one at a time).
+    running: Vec<Option<Started>>,
+    /// The workgroup running each job from `first_job` on — [`INSERTED`]
+    /// for a job that is no task, [`DONE`] once completed — trimmed from
+    /// the front as jobs complete. Job ids are sequential, so this is a
+    /// window over the live ids, not a map.
+    job_wg: VecDeque<u32>,
+    first_job: u64,
     /// Owner end of each workgroup's queue (next own task to start).
     front: Vec<u32>,
     /// Thief end (exclusive): tasks in `front..back` are stealable.
@@ -130,7 +140,9 @@ impl PersistentExec {
             back: plans.iter().map(|p| p.tasks.len() as u32).collect(),
             remaining: plans.iter().map(|p| p.tasks.len()).sum(),
             pending: BinaryHeap::new(),
-            job_owner: HashMap::new(),
+            running: plans.iter().map(|_| None).collect(),
+            job_wg: VecDeque::new(),
+            first_job: 0,
             steal: None,
             result: ExecResult {
                 wg_finish: vec![SimTime::ZERO; plans.len()],
@@ -158,17 +170,7 @@ impl PersistentExec {
             self.front[w] += 1;
             self.remaining -= 1;
             let task = self.plans[w].tasks[seq as usize];
-            let job = self.ps.insert(now, task.work);
-            self.job_owner.insert(
-                job,
-                Started {
-                    wg,
-                    seq,
-                    id: task.id,
-                    start: now,
-                    stolen: false,
-                },
-            );
+            self.launch(wg, seq, task, now, false);
             return;
         }
         let n = self.plans.len();
@@ -194,19 +196,28 @@ impl PersistentExec {
             self.result.steals += 1;
             let seq = self.back[v];
             let task = self.plans[v].tasks[seq as usize];
-            let job = self.ps.insert(now, task.work);
-            self.job_owner.insert(
-                job,
-                Started {
-                    wg,
-                    seq,
-                    id: task.id,
-                    start: now,
-                    stolen: true,
-                },
-            );
+            self.launch(wg, seq, task, now, true);
             return;
         }
+    }
+
+    /// Starts `task` (position `seq` of its plan) on `wg` at `now`.
+    fn launch(&mut self, wg: u32, seq: u32, task: TaskUnit, now: SimTime, stolen: bool) {
+        self.submit(now, task.work, wg);
+        self.running[wg as usize] = Some(Started {
+            seq,
+            id: task.id,
+            start: now,
+            stolen,
+        });
+    }
+
+    /// Inserts a job of `work` units at `now`, run by workgroup `wg`.
+    fn submit(&mut self, now: SimTime, work: f64, wg: u32) -> JobId {
+        let job = self.ps.insert(now, work);
+        debug_assert_eq!(job.0, self.first_job + self.job_wg.len() as u64);
+        self.job_wg.push_back(wg);
+        job
     }
 
     /// Whether `wg` could start another task right now.
@@ -253,10 +264,15 @@ impl PersistentExec {
         let dt = done?;
         assert!(dt < SimTime::MAX, "executor starved: zero capacity");
         let job = self.ps.complete_next(dt);
-        let Some(s) = self.job_owner.remove(&job) else {
+        let wg = std::mem::replace(&mut self.job_wg[(job.0 - self.first_job) as usize], DONE);
+        while self.job_wg.front() == Some(&DONE) {
+            self.job_wg.pop_front();
+            self.first_job += 1;
+        }
+        if wg == INSERTED {
             return Some(Some(job));
-        };
-        let wg = s.wg;
+        }
+        let s = self.running[wg as usize].take().expect("a task in flight");
         let overhead = hook(&TaskCompletion {
             wg,
             seq: s.seq,
@@ -283,7 +299,7 @@ impl PersistentExec {
     /// but shares the capacity curve with them; [`step`](Self::step)
     /// returns its id when it completes.
     pub fn insert(&mut self, now: SimTime, work: f64) -> JobId {
-        self.ps.insert(now, work)
+        self.submit(now, work, INSERTED)
     }
 
     /// The run's outcome so far; after a drained run, its final one.
@@ -544,9 +560,9 @@ mod tests {
 
     #[test]
     fn oversubscription_contention_visible_through_kernel() {
-        // With the MI210 curve, running at 87.5 % occupancy should beat
-        // running at 100 %... no: hw max is 832 and contention starts at
-        // 624 (75 %). Check 75 % beats both 25 % and 100 %.
+        // On the MI210 curve the hardware maximum is 832 WGs and
+        // contention starts at 624 (75 %): 75 % beats both 25 % (too few
+        // WGs to saturate HBM) and 100 % (contended).
         let gpu = GpuConfig::mi210();
         let desc = KernelDesc {
             name: "k".into(),

@@ -68,14 +68,22 @@ impl<'g> HostTimeline<'g> {
     /// Launches and executes `desc` (launch overhead + device time).
     /// Returns the device-side timing.
     pub fn launch_kernel(&mut self, desc: &KernelDesc, grid_cap: Option<u32>) -> KernelTiming {
+        let timing = run_kernel(self.gpu, desc, grid_cap);
+        self.launch_priced(desc, timing);
+        timing
+    }
+
+    /// Launches `desc` whose device time `timing` is already priced: the
+    /// phases of [`launch_kernel`](Self::launch_kernel), without running
+    /// the kernel model again. [`run_kernel`] is pure in its inputs, so
+    /// repeated identical launches share one timing.
+    pub fn launch_priced(&mut self, desc: &KernelDesc, timing: KernelTiming) {
         self.push(
             format!("launch {}", desc.name),
             PhaseKind::Launch,
             self.gpu.kernel_launch_overhead,
         );
-        let timing = run_kernel(self.gpu, desc, grid_cap);
         self.push(desc.name.clone(), PhaseKind::Kernel, timing.duration);
-        timing
     }
 
     /// Records a device interval whose duration was computed elsewhere
