@@ -40,7 +40,7 @@ pub struct Attribution {
 }
 
 impl Attribution {
-    /// Multiplicative change, `after / before`, floored at [`EPS`].
+    /// Multiplicative change, `after / before`, floored at `EPS` (1e-9).
     pub fn ratio(&self) -> Option<f64> {
         match (self.before, self.after) {
             (Some(b), Some(a)) => Some(a.abs().max(EPS) / b.abs().max(EPS)),

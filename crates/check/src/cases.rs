@@ -18,9 +18,9 @@
 //!
 //! Every operator variant also carries a *steal* dimension
 //! ([`ProtocolCase::run_with_steal`]): a seeded
-//! [`StealPolicy`](fcc_core::StealPolicy) overriding how the plan's task
+//! [`StealPolicy`] overriding how the plan's task
 //! loop maps onto persistent WGs. [`crate::explore_steal`] walks that
-//! dimension the same way [`crate::explore`] walks delivery orders.
+//! dimension the same way [`crate::explore()`] walks delivery orders.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -238,7 +238,7 @@ const STEAL_STALE_CUTOFF: u32 = 400;
 /// The schedule a `(tasks, workers, seed)` triple realizes is computable
 /// without running the operator, so duplicate seeds are skipped for
 /// free: [`Report::runs`] counts only runs on *distinct* steal
-/// schedules. When [`STEAL_STALE_CUTOFF`] consecutive seeds realize
+/// schedules. When `STEAL_STALE_CUTOFF` (400) consecutive seeds realize
 /// nothing new, the reachable space (bounded by the scheduler's
 /// interleavings, far below `tasks!`) is saturated and the report says
 /// [`Report::space_exhausted`] — the small-space analogue of fully

@@ -18,7 +18,7 @@
 //! * **Conformance** ([`cases`]) — the operator's output is bit-compared
 //!   against the sequential unfused reference, per destination PE.
 //!
-//! The explorer ([`explore`]) enumerates the put-deferral space
+//! The explorer ([`explore()`]) enumerates the put-deferral space
 //! exhaustively for small key sets and tops up with seeded pseudo-random
 //! schedules, counting *distinct* realized schedules by signature. Run it
 //! from the workspace root with:

@@ -11,7 +11,7 @@
 //! * [`slice`](mod@slice) — the slice partition of the embedding output and the
 //!   paper's `{local batch, tables × dim}` destination layout.
 //! * [`schedule`] — communication-aware vs. communication-oblivious
-//!   logical-WG ordering, and the strided deal onto persistent WGs.
+//!   logical-WG ordering, and work stealing over persistent WGs.
 //! * [`progress`] — the recovery policy/counters of the fault-tolerant
 //!   path.
 //! * [`op`] — **functional** operators over the `fcc-shmem` runtime. One

@@ -13,7 +13,7 @@
 //! (§3.5's generality, as an API instead of an example). When computation
 //! depends on the exchange instead, [`GenericFusedPlan::execute_consuming`]
 //! hands every arriving row to it as the drain sees its slice flag; the
-//! `crate::ext` operators are [`RowCopy`] producers drained that way.
+//! `crate::ext` operators are `RowCopy` producers drained that way.
 
 use std::ops::ControlFlow;
 

@@ -43,41 +43,26 @@ pub enum ScheduleKind {
 /// assert_eq!(map.slice_of_wg(aware[0]).dst_pe, 1);
 /// ```
 pub fn order(map: &SliceMap, me: u32, kind: ScheduleKind) -> Vec<u32> {
-    let sample_major = (0..map.num_wgs()).map(|i| {
-        let tables = map.num_wgs() / map.global_batch();
-        let (sample, table) = (i / tables, i % tables);
-        map.encode_wg(table, sample)
-    });
+    let (batch, local) = (map.global_batch(), map.local_batch());
+    let tables = map.num_wgs() / batch;
+    let mut order = Vec::with_capacity(map.num_wgs() as usize);
+    let mut walk = |samples: std::ops::Range<u32>| {
+        for sample in samples {
+            order.extend((0..tables).map(|table| map.encode_wg(table, sample)));
+        }
+    };
     match kind {
-        ScheduleKind::Oblivious => sample_major.collect(),
+        ScheduleKind::Oblivious => walk(0..batch),
         ScheduleKind::CommAware => {
-            let mut remote = Vec::new();
-            let mut local = Vec::new();
-            for wg in sample_major {
-                if map.slice_of_wg(wg).dst_pe == me {
-                    local.push(wg);
-                } else {
-                    remote.push(wg);
-                }
-            }
-            remote.extend(local);
-            remote
+            // Sample `s` goes to PE `s / local`, so the partition moves
+            // `me`'s whole shard to the back.
+            let shard = me * local..(me + 1) * local;
+            walk(0..shard.start);
+            walk(shard.end..batch);
+            walk(shard);
         }
     }
-}
-
-/// Deals an execution order onto `n_persistent` persistent workgroups,
-/// strided: `order[i]` runs as iteration `i / n` of persistent WG `i % n`.
-///
-/// # Panics
-/// Panics if `n_persistent == 0`.
-pub fn assign_to_persistent(order: &[u32], n_persistent: usize) -> Vec<Vec<u32>> {
-    assert!(n_persistent > 0, "need at least one persistent WG");
-    let mut plans = vec![Vec::with_capacity(order.len() / n_persistent + 1); n_persistent];
-    for (i, &wg) in order.iter().enumerate() {
-        plans[i % n_persistent].push(wg);
-    }
-    plans
+    order
 }
 
 #[cfg(test)]
@@ -156,38 +141,45 @@ mod tests {
         assert_ne!(map.slice_of_wg(o[0]).dst_pe, 1);
     }
 
-    #[test]
-    fn strided_assignment_balances_and_preserves_order() {
-        let order: Vec<u32> = (0..10).collect();
-        let plans = assign_to_persistent(&order, 3);
-        assert_eq!(plans[0], vec![0, 3, 6, 9]);
-        assert_eq!(plans[1], vec![1, 4, 7]);
-        assert_eq!(plans[2], vec![2, 5, 8]);
-        let max = plans.iter().map(Vec::len).max().unwrap();
-        let min = plans.iter().map(Vec::len).min().unwrap();
-        assert!(max - min <= 1);
+    /// The order as first written: decode every WG of the sample-major
+    /// walk, then stably partition by the slice's destination.
+    fn reference(map: &SliceMap, me: u32, kind: ScheduleKind) -> Vec<u32> {
+        let tables = map.num_wgs() / map.global_batch();
+        let sample_major = (0..map.num_wgs()).map(|i| map.encode_wg(i % tables, i / tables));
+        match kind {
+            ScheduleKind::Oblivious => sample_major.collect(),
+            ScheduleKind::CommAware => {
+                let (local, mut remote): (Vec<u32>, Vec<u32>) =
+                    sample_major.partition(|&wg| map.slice_of_wg(wg).dst_pe == me);
+                remote.extend(local);
+                remote
+            }
+        }
     }
 
     #[test]
-    fn assignment_with_more_wgs_than_tasks() {
-        let plans = assign_to_persistent(&[5, 6], 4);
-        assert_eq!(plans[0], vec![5]);
-        assert_eq!(plans[1], vec![6]);
-        assert!(plans[2].is_empty() && plans[3].is_empty());
-    }
-
-    #[test]
-    fn cluster_wgs_land_on_distinct_persistent_wgs() {
-        // A slice of 4 consecutive WGs dealt onto >=4 persistent WGs runs
-        // fully concurrently.
-        let map = SliceMap::new(2, 1, 16, 4);
-        let o = order(&map, 0, ScheduleKind::Oblivious);
-        let plans = assign_to_persistent(&o, 8);
-        // Slice of WGs 0..4: find their persistent WG indices.
-        let owners: Vec<usize> = (0..4)
-            .map(|wg| plans.iter().position(|p| p.contains(&wg)).unwrap())
-            .collect();
-        let unique: std::collections::HashSet<_> = owners.iter().collect();
-        assert_eq!(unique.len(), 4);
+    fn order_matches_the_per_wg_reference() {
+        // (n_pes, tables per PE, global batch, slice width)
+        let shapes = [
+            (1, 1, 1, 1),
+            (1, 3, 8, 2),
+            (2, 1, 8, 2),
+            (2, 2, 8, 3),
+            (3, 4, 12, 5),
+            (4, 3, 16, 1),
+            (2, 5, 64, 8),
+        ];
+        for (pes, tables, batch, slice) in shapes {
+            let map = SliceMap::new(pes, tables, batch, slice);
+            for me in 0..pes as u32 {
+                for kind in [ScheduleKind::Oblivious, ScheduleKind::CommAware] {
+                    assert_eq!(
+                        order(&map, me, kind),
+                        reference(&map, me, kind),
+                        "{pes} PEs x {tables} tables, batch {batch}, slice {slice}, PE {me}, {kind:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Work-stealing execution of a logical-WG order over persistent WGs.
 //!
-//! The static deal (`assign_to_persistent`) costs makespan whenever
+//! The static strided deal costs makespan whenever
 //! execution skews — a straggling WG's tail runs alone while its siblings
 //! idle (Fig. 13's pathology, runtime edition). Here each persistent WG
 //! owns a lock-free Chase–Lev deque seeded with its strided share of the

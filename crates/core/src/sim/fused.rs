@@ -433,8 +433,10 @@ fn isomorphism(
     let class = |s: &Slice| (s.dst == s.src, timed.is_p2p(s));
     let mut sigma = vec![UNSET; slices_p.len()];
     let mut taken = vec![false; slices_q.len()];
+    // Without a skew every task's work is the same constant.
+    let skewed = params.skew.is_some();
     for (&wp, &wq) in order_p.iter().zip(order_q) {
-        if task_work(params, p, wp).to_bits() != task_work(params, q, wq).to_bits() {
+        if skewed && task_work(params, p, wp).to_bits() != task_work(params, q, wq).to_bits() {
             return None;
         }
         let (a, b) = (map.slice_of_wg(wp).id as usize, map.slice_of_wg(wq).id);
@@ -493,12 +495,20 @@ fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, order: &[u32], n: u
     match params.wg_schedule {
         // Static and Stealing deal the priority order round-robin;
         // stealing then rebalances at runtime from the queue tails.
+        // `order[i]` runs as iteration `i / n` of persistent WG `i % n`.
         WgSchedule::Static | WgSchedule::Stealing { .. } => {
-            let deal = schedule::assign_to_persistent(order, n as usize);
-            let plan = |wgs: Vec<u32>| WgPlan {
-                tasks: wgs.into_iter().map(task).collect(),
-            };
-            deal.into_iter().map(plan).collect()
+            let per_wg = order.len().div_ceil(n as usize);
+            let mut plans: Vec<WgPlan> = (0..n)
+                .map(|_| WgPlan {
+                    tasks: Vec::with_capacity(per_wg),
+                })
+                .collect();
+            for round in order.chunks(n as usize) {
+                for (plan, &wg) in plans.iter_mut().zip(round) {
+                    plan.tasks.push(task(wg));
+                }
+            }
+            plans
         }
         // Oracle: longest-processing-time over the true task costs — each
         // task (heaviest first) goes to the least-loaded slot. Task ids
@@ -1161,6 +1171,44 @@ mod tests {
         p.faults = Some(FaultPlan::new(42).with_drop_rate(0.3));
         assert_eq!(shared_matches_direct(&p), 1);
         assert!(simulate_fused(&p).fault_stats.iter().all(|s| s.drops > 0));
+    }
+
+    /// `order` dealt onto `n` persistent WGs by `wg_plans`, read back as the
+    /// logical WGs each plan runs.
+    fn dealt(map: &SliceMap, order: &[u32], n: u32) -> Vec<Vec<u32>> {
+        let wg_of: std::collections::HashMap<u64, u32> =
+            (0..map.num_wgs()).map(|wg| (map.task(wg), wg)).collect();
+        let plans = wg_plans(&small_params(), map, 0, order, n);
+        let wgs = |plan: WgPlan| plan.tasks.iter().map(|t| wg_of[&t.id]).collect();
+        plans.into_iter().map(wgs).collect()
+    }
+
+    #[test]
+    fn static_deal_is_strided_balanced_and_keeps_order() {
+        let map = SliceMap::new(2, 1, 16, 4);
+        let order: Vec<u32> = (0..10).collect();
+        let plans = dealt(&map, &order, 3);
+        assert_eq!(plans, [vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]]);
+    }
+
+    #[test]
+    fn static_deal_with_more_wgs_than_tasks() {
+        let map = SliceMap::new(2, 1, 16, 4);
+        let plans = dealt(&map, &[5, 6], 4);
+        assert_eq!(plans, [vec![5], vec![6], vec![], vec![]]);
+    }
+
+    #[test]
+    fn cluster_wgs_land_on_distinct_persistent_wgs() {
+        // A slice of 4 consecutive WGs dealt onto >=4 persistent WGs runs
+        // fully concurrently.
+        let map = SliceMap::new(2, 1, 16, 4);
+        let o = schedule::order(&map, 0, ScheduleKind::Oblivious);
+        let plans = dealt(&map, &o, 8);
+        let owners: std::collections::HashSet<usize> = (0..4)
+            .map(|wg| plans.iter().position(|p| p.contains(&wg)).unwrap())
+            .collect();
+        assert_eq!(owners.len(), 4);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! GPU's HBM, and those writes steal memory bandwidth from the
 //! destination's still-running pooling workgroups. This driver runs the
 //! decoupled model's own pieces on one clock — per PE the same executor
-//! over the same plans ([`pe_exec`]), the same protocol step
-//! ([`Timed::complete`]) and the same NIC (`FusedParams::nic`) — and
+//! over the same plans (`pe_exec`), the same protocol step
+//! (`Timed::complete`) and the same NIC (`FusedParams::nic`) — and
 //! adds only that coupling:
 //!
 //! * a shipped slice posts on its source's wire at its issue instant, as
@@ -31,12 +31,9 @@
 //! instead of assuming it (ablation 8 and the cross-validation tests
 //! below).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use fcc_gpu::exec::PersistentExec;
 use fcc_net::Nic;
-use fcc_sim::SimTime;
+use fcc_sim::{MinQueue, SimTime};
 
 use crate::schedule;
 
@@ -51,14 +48,14 @@ struct Pe {
     /// Payload bytes posted.
     bytes: u64,
     /// Payloads in flight to this PE: (arrival, post order, bytes).
-    inbound: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    inbound: MinQueue<(SimTime, u64, u64)>,
     /// Latest `sliceRdy` among its inbound slices.
     ready: SimTime,
 }
 
 impl Pe {
     fn next_event(&self) -> Option<SimTime> {
-        let landing = self.inbound.peek().map(|Reverse((at, ..))| *at);
+        let landing = self.inbound.peek().map(|&(at, ..)| at);
         landing.into_iter().chain(self.exec.next_event()).min()
     }
 }
@@ -86,7 +83,7 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
                 protocol: timed.pe(pe, false),
                 nic: params.nic(),
                 bytes: 0,
-                inbound: BinaryHeap::new(),
+                inbound: MinQueue::new(),
                 ready: SimTime::ZERO,
             }
         })
@@ -98,12 +95,8 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
         .min()
     {
         let st = &mut pes[pe];
-        if st
-            .inbound
-            .peek()
-            .is_some_and(|Reverse((at, ..))| *at == now)
-        {
-            let Reverse((_, _, bytes)) = st.inbound.pop().expect("peeked");
+        if st.inbound.peek().is_some_and(|&(at, ..)| at == now) {
+            let (_, _, bytes) = st.inbound.pop().expect("peeked");
             st.exec.insert(now, bytes as f64);
             continue;
         }
@@ -120,7 +113,7 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
             let (payload, flag) = timed.publish(&mut pes[pe].nic, issue, &s);
             pes[pe].bytes += bytes;
             let dst = &mut pes[s.dst];
-            dst.inbound.push(Reverse((payload.arrival, posted, bytes)));
+            dst.inbound.push((payload.arrival, posted, bytes));
             dst.ready = dst.ready.max(flag.arrival);
             posted += 1;
         }

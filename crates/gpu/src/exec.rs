@@ -16,10 +16,9 @@
 //! can [`insert`](PersistentExec::insert) jobs that are not tasks but share
 //! the capacity curve, such as incoming writes into the same HBM.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-use fcc_sim::{splitmix64, JobId, PsResource, SimTime};
+use fcc_sim::{splitmix64, JobId, MinQueue, PsResource, SimTime};
 
 use crate::config::GpuConfig;
 use crate::kernel::KernelDesc;
@@ -108,8 +107,10 @@ const DONE: u32 = u32::MAX - 1;
 pub struct PersistentExec {
     ps: PsResource,
     plans: Vec<WgPlan>,
-    /// (resume time, wg) for workgroups waiting out hook overhead.
-    pending: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// (resume time, wg) for workgroups waiting out hook overhead. Equal
+    /// overheads after completions in time order make resume keys arrive
+    /// in order, so this is mostly a FIFO ([`MinQueue`]).
+    pending: MinQueue<(SimTime, u32)>,
     /// Each workgroup's task in flight (a workgroup runs one at a time).
     running: Vec<Option<Started>>,
     /// The workgroup running each job from `first_job` on — [`INSERTED`]
@@ -139,7 +140,7 @@ impl PersistentExec {
             front: vec![0; plans.len()],
             back: plans.iter().map(|p| p.tasks.len() as u32).collect(),
             remaining: plans.iter().map(|p| p.tasks.len()).sum(),
-            pending: BinaryHeap::new(),
+            pending: MinQueue::new(),
             running: plans.iter().map(|_| None).collect(),
             job_wg: VecDeque::new(),
             first_job: 0,
@@ -236,7 +237,7 @@ impl PersistentExec {
     /// The instant of the next event — a workgroup resuming after its hook
     /// overhead, or a job completing — or `None` once everything drained.
     pub fn next_event(&self) -> Option<SimTime> {
-        let resume = self.pending.peek().map(|&Reverse((t, _))| t);
+        let resume = self.pending.peek().map(|&(t, _)| t);
         resume.into_iter().chain(self.ps.next_completion()).min()
     }
 
@@ -252,12 +253,12 @@ impl PersistentExec {
 
     /// [`step`](Self::step), or `None` if nothing is pending.
     fn advance(&mut self, hook: impl FnOnce(&TaskCompletion) -> SimTime) -> Option<Option<JobId>> {
-        let resume = self.pending.peek().map(|&Reverse((t, _))| t);
+        let resume = self.pending.peek().map(|&(t, _)| t);
         let done = self.ps.next_completion();
         // Resuming a workgroup at or before the next completion keeps
         // capacity accounting exact: it shares bandwidth from that instant.
         if resume.is_some_and(|rt| done.is_none_or(|dt| rt <= dt)) {
-            let Reverse((t, wg)) = self.pending.pop().expect("peeked");
+            let (t, wg) = self.pending.pop().expect("peeked");
             self.start_next_task(wg, t);
             return Some(None);
         }
@@ -289,7 +290,7 @@ impl PersistentExec {
             if overhead == SimTime::ZERO {
                 self.start_next_task(wg, dt);
             } else {
-                self.pending.push(Reverse((free_at, wg)));
+                self.pending.push((free_at, wg));
             }
         }
         Some(None)

@@ -14,6 +14,14 @@ fn staggered(c: &TaskCompletion) -> SimTime {
     SimTime::from_nanos(c.id % 3 * 50)
 }
 
+/// A hook overhead that alternates between a long and a short value across
+/// workgroups and along each workgroup's tasks, so a resume scheduled later
+/// often lands before resumes already queued.
+fn alternating(c: &TaskCompletion) -> SimTime {
+    let long = (c.wg + c.seq).is_multiple_of(2);
+    SimTime::from_nanos(if long { 700 } else { 30 })
+}
+
 /// `run`, its completions collected by the hook.
 fn run_logged(exec: PersistentExec, hook: Hook) -> (ExecResult, Vec<TaskCompletion>) {
     let mut done = Vec::new();
@@ -127,16 +135,39 @@ proptest! {
         prop_assert_eq!(delta, overhead_ns * works.len() as u64);
     }
 
+    /// With equal task work, tasks complete in launch order, so the
+    /// completions list the launches. With `alternating` overheads a later
+    /// completion resumes before resumes already queued, yet workgroups
+    /// resume in `(time, wg)` order.
+    #[test]
+    fn workgroups_resume_in_time_then_wg_order(
+        wgs in 1usize..12,
+        tasks in 1usize..12,
+        contended in prop::strategy::AnyBool,
+    ) {
+        let capacity = move |n: usize| if contended { 2.0 } else { n as f64 };
+        let plans = plans_from(&vec![vec![99u16; tasks]; wgs]);
+        let (_, done) = run_logged(PersistentExec::new(capacity, plans), alternating);
+        prop_assert_eq!(done.len(), wgs * tasks);
+        for pair in done.windows(2) {
+            let (a, b) = ((pair[0].start, pair[0].wg), (pair[1].start, pair[1].wg));
+            prop_assert!(a < b, "launch {:?} before {:?}", b, a);
+        }
+    }
+
     /// Driving `start` / `next_event` / `step` / `finish` by hand is `run`:
     /// the same completions in the same order, finish and busy times,
-    /// makespan and steals, with and without stealing.
+    /// makespan and steals, with and without stealing, under either
+    /// varying hook overhead.
     #[test]
     fn driven_executor_is_run(
         raw in prop::collection::vec(prop::collection::vec(0u16..300, 0..10), 1..6),
         seed in 0u64..1_000,
         stealing in prop::strategy::AnyBool,
         contended in prop::strategy::AnyBool,
+        alternate in prop::strategy::AnyBool,
     ) {
+        let hook: Hook = if alternate { alternating } else { staggered };
         let exec = || {
             let capacity = move |n: usize| if contended { 2.0 } else { n as f64 };
             let exec = PersistentExec::new(capacity, plans_from(&raw));
@@ -146,8 +177,8 @@ proptest! {
                 exec
             }
         };
-        let (run, run_done) = run_logged(exec(), staggered);
-        let (driven, driven_done) = drive_logged(exec(), staggered);
+        let (run, run_done) = run_logged(exec(), hook);
+        let (driven, driven_done) = drive_logged(exec(), hook);
         prop_assert_eq!(run_done, driven_done);
         prop_assert_eq!(run.wg_finish, driven.wg_finish);
         prop_assert_eq!(run.wg_busy, driven.wg_busy);

@@ -10,8 +10,9 @@
 //!   request would have to be shed. This is deadline *propagation*: the
 //!   per-request SLO reaches back into the batching decision.
 //! * **Age** — the oldest request has waited `max_wait_us` (shrunk by the
-//!   degrade ladder's [`wait_divisor`](crate::degrade::DegradeLevel::
-//!   wait_divisor)); bounded staleness under trickle load.
+//!   degrade ladder's
+//!   [`wait_divisor`](crate::degrade::DegradeLevel::wait_divisor));
+//!   bounded staleness under trickle load.
 //!
 //! The decision function is pure — `(queue summary, now, floor, level)`
 //! in, close-now-or-wait-until out — which is what makes the batch-close

@@ -8,10 +8,17 @@
 //! Determinism: events scheduled for the same instant are delivered in the
 //! order they were scheduled (a monotonically increasing sequence number
 //! breaks ties), so a model's behaviour is a pure function of its inputs.
+//!
+//! The queue is a [`MinQueue`] on `(time, sequence)`: an event scheduled
+//! at or after the latest queued one costs `O(1)`, one scheduled before it
+//! a heap's `O(log n)`. The packet fabric, this engine's one user, mostly
+//! schedules before: each hop's `Depart` is scheduled at its `Arrive`,
+//! below `Arrive`s already queued for later instants. On an 8x8 torus
+//! all-to-all 84% of its pushes take the heap, and the in-order 16% are
+//! mostly the injections at t = 0, so there the queue costs what a heap
+//! does.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
+use crate::queue::MinQueue;
 use crate::time::SimTime;
 
 /// A discrete-event simulation model.
@@ -58,7 +65,8 @@ impl<E> Ord for Entry<E> {
 pub struct Scheduler<E> {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<Entry<E>>>,
+    /// Pending events keyed `(at, seq)`.
+    queue: MinQueue<Entry<E>>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -73,7 +81,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: MinQueue::new(),
         }
     }
 
@@ -103,7 +111,7 @@ impl<E> Scheduler<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Entry { at, seq, event }));
+        self.queue.push(Entry { at, seq, event });
     }
 
     /// Schedules `event` after a delay of `delay` from now.
@@ -119,7 +127,7 @@ impl<E> Scheduler<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     fn pop(&mut self) -> Option<E> {
-        self.queue.pop().map(|Reverse(entry)| {
+        self.queue.pop().map(|entry| {
             debug_assert!(entry.at >= self.now);
             self.now = entry.at;
             entry.event
@@ -128,7 +136,7 @@ impl<E> Scheduler<E> {
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(e)| e.at)
+        self.queue.peek().map(|e| e.at)
     }
 }
 

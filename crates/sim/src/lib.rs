@@ -11,8 +11,12 @@
 //! * [`ps`] — a *processor-sharing* resource: `n` concurrent jobs share an
 //!   aggregate capacity `C(n)` that may itself depend on `n` (bandwidth
 //!   saturation and contention curves). Completions are computed with the
-//!   virtual-time technique so each insert/complete costs `O(log n)`
-//!   regardless of how many jobs are in flight.
+//!   virtual-time technique so each insert/complete costs `O(1)` while
+//!   finish keys arrive in order and `O(log n)` otherwise, regardless of
+//!   how many jobs are in flight.
+//! * [`queue::MinQueue`] — the one event list behind the engine, the
+//!   processor-sharing resource and the GPU executor: a FIFO while keys
+//!   arrive in order, a heap for the keys that do not.
 //! * [`stats`] — small summary-statistics helpers for the benchmark harness.
 //! * [`splitmix64`] — the one seeded 64-bit mixer behind every
 //!   deterministic hash and random stream in the workspace.
@@ -23,11 +27,13 @@
 
 pub mod engine;
 pub mod ps;
+pub mod queue;
 pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use ps::{JobId, PsResource};
+pub use queue::MinQueue;
 pub use time::SimTime;
 
 /// SplitMix64: advances `state` by the golden-ratio increment and returns

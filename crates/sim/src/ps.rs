@@ -11,11 +11,12 @@
 //! time `n` changes — `O(n)` per event — we track a *virtual time* `V(t)`
 //! with `dV/dt = C(n)/n`. A job inserted at virtual time `v0` with `work`
 //! units finishes when `V` reaches `v0 + work`, so completions are just a
-//! min-heap on virtual finish times and every operation is `O(log n)`.
+//! min-queue on virtual finish times ([`MinQueue`]). `V` never decreases,
+//! so jobs of equal work arrive with nondecreasing finish keys: each
+//! operation is `O(1)` while keys arrive in order and `O(log n)` for a
+//! key that arrives below the latest one.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
+use crate::queue::MinQueue;
 use crate::time::SimTime;
 
 /// Identifier of a job inside a [`PsResource`]. Allocated sequentially.
@@ -70,7 +71,8 @@ pub struct PsResource {
     anchor: SimTime,
     /// Current per-job rate, in work units per nanosecond.
     per_job_rate: f64,
-    heap: BinaryHeap<Reverse<(VirtualInstant, JobId)>>,
+    /// Active jobs keyed by virtual finish time; the id makes keys unique.
+    jobs: MinQueue<(VirtualInstant, JobId)>,
     next_id: u64,
     generation: u64,
 }
@@ -99,7 +101,7 @@ impl PsResource {
             vnow: 0.0,
             anchor: SimTime::ZERO,
             per_job_rate: 0.0,
-            heap: BinaryHeap::new(),
+            jobs: MinQueue::new(),
             next_id: 0,
             generation: 0,
         }
@@ -113,7 +115,7 @@ impl PsResource {
     /// Number of active jobs.
     #[inline]
     pub fn active(&self) -> usize {
-        self.heap.len()
+        self.jobs.len()
     }
 
     /// Mutation counter. Bumped by [`insert`](Self::insert) and
@@ -134,7 +136,7 @@ impl PsResource {
     }
 
     fn refresh_rate(&mut self) {
-        let n = self.heap.len();
+        let n = self.jobs.len();
         self.per_job_rate = if n == 0 {
             0.0
         } else {
@@ -160,8 +162,7 @@ impl PsResource {
         self.advance_to(now);
         let id = JobId(self.next_id);
         self.next_id += 1;
-        self.heap
-            .push(Reverse((VirtualInstant(self.vnow + work), id)));
+        self.jobs.push((VirtualInstant(self.vnow + work), id));
         self.refresh_rate();
         self.generation += 1;
         id
@@ -171,7 +172,7 @@ impl PsResource {
     /// further insertions. `None` if idle; `SimTime::MAX` if capacity is
     /// currently zero (starved).
     pub fn next_completion(&self) -> Option<SimTime> {
-        let &Reverse((VirtualInstant(finish_v), _)) = self.heap.peek()?;
+        let &(VirtualInstant(finish_v), _) = self.jobs.peek()?;
         if self.per_job_rate <= 0.0 {
             return Some(SimTime::MAX);
         }
@@ -188,8 +189,8 @@ impl PsResource {
     /// Panics if the resource is idle.
     pub fn complete_next(&mut self, now: SimTime) -> JobId {
         self.advance_to(now);
-        let Reverse((VirtualInstant(finish_v), id)) =
-            self.heap.pop().expect("complete_next on idle resource");
+        let (VirtualInstant(finish_v), id) =
+            self.jobs.pop().expect("complete_next on idle resource");
         // Nanosecond rounding can leave vnow marginally short of finish_v;
         // snap forward so later jobs are not credited phantom work.
         if finish_v > self.vnow {
@@ -210,7 +211,7 @@ impl PsResource {
     /// `(completion time, id)` pairs. Useful for closed workloads where no
     /// further arrivals occur.
     pub fn drain(&mut self) -> Vec<(SimTime, JobId)> {
-        let mut out = Vec::with_capacity(self.heap.len());
+        let mut out = Vec::with_capacity(self.jobs.len());
         while let Some(at) = self.next_completion() {
             assert!(at < SimTime::MAX, "drain would never finish: zero capacity");
             let id = self.complete_next(at);

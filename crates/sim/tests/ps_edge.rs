@@ -128,3 +128,23 @@ fn arrival_exactly_at_a_completion_instant_is_order_independent() {
     assert_eq!(first_arrival.next_completion(), Some(ns(200)));
     assert_eq!(first_arrival.complete_next(ns(200)), b2);
 }
+
+#[test]
+fn a_short_job_under_an_equal_work_burst_finishes_in_key_order() {
+    // Four jobs of 100 at t=0 (finish keys V=100, arriving in order) and,
+    // at t=40 (V=10), a job of 20 whose key V=30 falls below them: the
+    // in-order keys and the late short one are queued side by side.
+    let mut ps = PsResource::with_constant_capacity(1.0);
+    let burst: Vec<JobId> = (0..4).map(|_| ps.insert(ns(0), 100.0)).collect();
+    let short = ps.insert(ns(40), 20.0);
+    // Five jobs at 0.2/ns: the short one's 20 units take 100 ns.
+    assert_eq!(ps.next_completion(), Some(ns(140)));
+    assert_eq!(ps.complete_next(ns(140)), short);
+    // A job of 80 at V=30 keys V=110, behind the burst. Five jobs again:
+    // the burst's last 70 units take 350 ns, then the late job runs alone
+    // for its last 10.
+    let late = ps.insert(ns(140), 80.0);
+    let mut want: Vec<(SimTime, JobId)> = burst.iter().map(|&id| (ns(490), id)).collect();
+    want.push((ns(500), late));
+    assert_eq!(ps.drain(), want);
+}

@@ -17,7 +17,7 @@
 //! * [`astra`] — trace export for external simulators.
 //! * [`telemetry`] — unified metrics registry, trace sink, Chrome-trace
 //!   export, and overlap-efficiency derivation (DESIGN.md §9).
-//! * [`serve`] — the online-serving frontend: request queueing,
+//! * [`serve`](mod@serve) — the online-serving frontend: request queueing,
 //!   continuous batching into fused executions, admission control,
 //!   deadline-aware load shedding, and the graceful-degradation ladder
 //!   (DESIGN.md §12).
