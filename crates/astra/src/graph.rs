@@ -98,16 +98,6 @@ impl ExecGraph {
         self.nodes[id.0].duration
     }
 
-    /// Total duration attributed to a kind (sum over nodes, ignoring
-    /// overlap).
-    pub fn total_of_kind(&self, kind: NodeKind) -> SimTime {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind == kind)
-            .map(|n| n.duration)
-            .sum()
-    }
-
     /// Schedules the graph: each node starts at the max end of its deps.
     pub fn schedule(&self) -> Schedule {
         let mut times: Vec<(SimTime, SimTime)> = Vec::with_capacity(self.nodes.len());
@@ -200,17 +190,6 @@ mod tests {
         let s = g.schedule();
         assert_eq!(s.makespan, ms(7));
         assert_eq!(s.critical_path, vec![src, slow, sink]);
-    }
-
-    #[test]
-    fn totals_by_kind() {
-        let mut g = ExecGraph::new();
-        g.add("a", NodeKind::Compute, ms(2), &[]);
-        g.add("b", NodeKind::Communication, ms(3), &[]);
-        g.add("c", NodeKind::Compute, ms(4), &[]);
-        assert_eq!(g.total_of_kind(NodeKind::Compute), ms(6));
-        assert_eq!(g.total_of_kind(NodeKind::Communication), ms(3));
-        assert_eq!(g.total_of_kind(NodeKind::Fused), SimTime::ZERO);
     }
 
     #[test]

@@ -85,16 +85,16 @@ pub struct Report {
     /// Whether the exhaustive pass covered the *entire* put-deferral
     /// cube (the program had no more keys than the budget's bits).
     pub space_exhausted: bool,
-    /// Invariant breaches, capped at [`Report::KEPT`]; see
+    /// Invariant breaches, capped at `Report::KEPT`; see
     /// `violations_total` for the full count.
     pub violations: Vec<Violation>,
     /// Total invariant breaches across all runs.
     pub violations_total: usize,
-    /// Causal-coverage breaches, capped at [`Report::KEPT`].
+    /// Causal-coverage breaches, capped at `Report::KEPT`.
     pub ctx_violations: Vec<CtxViolation>,
     /// Total causal-coverage breaches across all runs.
     pub ctx_violations_total: usize,
-    /// Reference mismatches, capped at [`Report::KEPT`].
+    /// Reference mismatches, capped at `Report::KEPT`.
     pub mismatches: Vec<String>,
     /// Total reference mismatches across all runs.
     pub mismatches_total: usize,
@@ -102,7 +102,7 @@ pub struct Report {
 
 impl Report {
     /// How many violations/mismatches a report stores verbatim.
-    pub const KEPT: usize = 16;
+    const KEPT: usize = 16;
 
     fn new(case: String) -> Report {
         Report {
@@ -209,14 +209,6 @@ pub fn explore(case: &dyn ProtocolCase, budget: &Budget) -> Report {
         seed += 1;
     }
     report
-}
-
-/// Explores the full [`crate::standard_cases`] suite at `n_pes` PEs.
-pub fn explore_all(n_pes: usize, budget: &Budget) -> Vec<Report> {
-    crate::cases::standard_cases(n_pes)
-        .iter()
-        .map(|case| explore(case.as_ref(), budget))
-        .collect()
 }
 
 /// Consecutive duplicate steal seeds after which the reachable

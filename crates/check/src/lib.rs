@@ -37,5 +37,5 @@ pub use cases::{
     FusedCase, GenericCase, MoeCase, ProtocolCase, ResilientCase, UnfencedFlagCase, ZeroCopyCase,
 };
 pub use ctx::{check_ctx_trace, CtxViolation};
-pub use explore::{explore, explore_all, explore_steal, Budget, Report};
+pub use explore::{explore, explore_steal, Budget, Report};
 pub use invariants::{check_trace, CheckConfig, Violation};

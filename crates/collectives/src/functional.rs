@@ -82,48 +82,6 @@ impl<T: Pod> AllToAllPlan<T> {
     }
 }
 
-/// A reusable AllGather: every PE contributes `per_pe` elements; everyone
-/// ends with the `n_pes × per_pe` concatenation.
-#[derive(Debug, Clone, Copy)]
-pub struct AllGatherPlan<T> {
-    /// Contribution buffer: `per_pe` elements.
-    pub src: SymSlice<T>,
-    /// Gather buffer: `n_pes × per_pe` elements in PE order.
-    pub dst: SymSlice<T>,
-    arrivals: SymFlags,
-    per_pe: usize,
-    n_pes: usize,
-}
-
-impl<T: Pod> AllGatherPlan<T> {
-    /// Allocates buffers and flags in `layout`.
-    pub fn plan(layout: &mut HeapLayout, n_pes: usize, per_pe: usize) -> Self {
-        AllGatherPlan {
-            src: layout.alloc::<T>(per_pe),
-            dst: layout.alloc::<T>(n_pes * per_pe),
-            arrivals: layout.alloc_flags(1),
-            per_pe,
-            n_pes,
-        }
-    }
-
-    /// Executes round `round` (1-based); same calling contract as
-    /// [`AllToAllPlan::execute`].
-    pub fn execute(&self, ctx: &PeCtx<'_>, round: u64) {
-        assert!(round >= 1, "rounds are 1-based");
-        assert_eq!(ctx.n_pes(), self.n_pes, "plan/world size mismatch");
-        let me = ctx.me();
-        let mut staged = vec![unsafe { std::mem::zeroed() }; self.per_pe];
-        ctx.get(&mut staged, self.src, 0, me);
-        for p in 0..self.n_pes {
-            ctx.put(self.dst, me * self.per_pe, &staged, p);
-            ctx.fence();
-            ctx.flag_fetch_add(self.arrivals, 0, 1, p);
-        }
-        ctx.wait_until(self.arrivals, 0, |v| v >= round * self.n_pes as u64);
-    }
-}
-
 #[cfg(test)]
 // Indexing several parallel collections by PE reads clearer than nested
 // iterator adaptors in these comparisons.
@@ -187,48 +145,6 @@ mod tests {
     #[test]
     fn alltoall_reusable_across_rounds() {
         run_alltoall(4, 4, 5);
-    }
-
-    #[test]
-    fn allgather_matches_reference() {
-        let n = 4;
-        let per = 6;
-        let mut layout = HeapLayout::new();
-        let plan = AllGatherPlan::<u64>::plan(&mut layout, n, per);
-        let mut world = ShmemWorld::new(n, layout);
-        let inputs: Vec<Vec<u64>> = (0..n)
-            .map(|pe| (0..per).map(|i| (pe * 10 + i) as u64).collect())
-            .collect();
-        for (pe, input) in inputs.iter().enumerate() {
-            world.write(pe, plan.src, 0, input);
-        }
-        world.run(|ctx| plan.execute(ctx, 1));
-        let expect = reference::allgather(&inputs);
-        for pe in 0..n {
-            assert_eq!(world.read(pe, plan.dst), expect[pe], "PE {pe}");
-        }
-    }
-
-    #[test]
-    fn allgather_reusable_across_rounds() {
-        let n = 3;
-        let per = 2;
-        let mut layout = HeapLayout::new();
-        let plan = AllGatherPlan::<u64>::plan(&mut layout, n, per);
-        let mut world = ShmemWorld::new(n, layout);
-        for round in 1..=4u64 {
-            let inputs: Vec<Vec<u64>> = (0..n as u64)
-                .map(|pe| vec![round * 100 + pe * 10, round * 100 + pe * 10 + 1])
-                .collect();
-            for (pe, input) in inputs.iter().enumerate() {
-                world.write(pe, plan.src, 0, input);
-            }
-            world.run(|ctx| plan.execute(ctx, round));
-            let expect = reference::allgather(&inputs);
-            for pe in 0..n {
-                assert_eq!(world.read(pe, plan.dst), expect[pe]);
-            }
-        }
     }
 
     #[test]

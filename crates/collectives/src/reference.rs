@@ -32,12 +32,6 @@ pub fn alltoall<T: Copy>(inputs: &[Vec<T>], per_pair: usize) -> Vec<Vec<T>> {
         .collect()
 }
 
-/// AllGather: every output is the concatenation of all inputs in PE order.
-pub fn allgather<T: Copy>(inputs: &[Vec<T>]) -> Vec<Vec<T>> {
-    let concat: Vec<T> = inputs.iter().flatten().copied().collect();
-    vec![concat; inputs.len()]
-}
-
 /// AllReduce (sum): element-wise sum of equally sized inputs, replicated.
 ///
 /// # Panics
@@ -92,16 +86,6 @@ mod tests {
     fn alltoall_single_pe_is_identity() {
         let inputs = vec![vec![9, 8, 7]];
         assert_eq!(alltoall(&inputs, 3), inputs);
-    }
-
-    #[test]
-    fn allgather_concatenates() {
-        let inputs = vec![vec![1, 2], vec![3, 4], vec![5, 6]];
-        let out = allgather(&inputs);
-        assert_eq!(out.len(), 3);
-        for o in out {
-            assert_eq!(o, vec![1, 2, 3, 4, 5, 6]);
-        }
     }
 
     #[test]

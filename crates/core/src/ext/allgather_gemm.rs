@@ -39,11 +39,6 @@ fn shards(n_pes: usize, rows: usize, in_dim: usize, shard: &[f32]) -> RowCopy<'_
 }
 
 impl AllGatherGemmPlan {
-    /// Rows per shard.
-    pub fn shard_rows(&self) -> usize {
-        self.rows
-    }
-
     /// Allocates the gathered-weight buffer and per-shard flags: one slice
     /// per (shard, destination).
     ///

@@ -84,52 +84,15 @@ impl BackwardFusedPlan {
         exec: u64,
     ) {
         assert_eq!(local_tables.len(), self.cfg.tables_per_pe, "table shard");
-        self.execute_with(ctx, grads, gen, exec, |lt, bag, grad| {
-            embedding_backward_sgd(&mut local_tables[lt], bag, mode, grad, lr);
-        });
-    }
-
-    /// [`execute`](Self::execute) with row-wise Adagrad instead of SGD —
-    /// the optimizer production DLRM uses for sparse parameters.
-    ///
-    /// `states[lt]` is table `lt`'s accumulator state.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_adagrad(
-        &self,
-        ctx: &PeCtx<'_>,
-        grads: &[f32],
-        local_tables: &mut [EmbeddingTable],
-        states: &mut [fcc_dlrm::RowwiseAdagrad],
-        gen: &BatchGenerator,
-        mode: PoolingMode,
-        exec: u64,
-    ) {
-        assert_eq!(local_tables.len(), self.cfg.tables_per_pe, "table shard");
-        assert_eq!(states.len(), self.cfg.tables_per_pe, "state shard");
-        self.execute_with(ctx, grads, gen, exec, |lt, bag, grad| {
-            states[lt].update(&mut local_tables[lt], bag, mode, grad);
-        });
-    }
-
-    /// The transport skeleton shared by both optimizers: ship gradient
-    /// slices to their owners, then hand each arriving `(table, bag,
-    /// gradient-row)` to `apply` in a deterministic (sender-major, then
-    /// table, then sample) order.
-    pub fn execute_with(
-        &self,
-        ctx: &PeCtx<'_>,
-        grads: &[f32],
-        gen: &BatchGenerator,
-        exec: u64,
-        mut apply: impl FnMut(usize, &[u32], &[f32]),
-    ) {
         let (tpp, lb) = (self.cfg.tables_per_pe, self.cfg.local_batch());
         let sends = gradients(&self.cfg, grads);
         assert_eq!(grads.len(), sends.items * self.cfg.dim, "gradient shape");
+        // Each arriving `(table, bag, gradient-row)` is applied in a
+        // deterministic (sender-major, then table, then sample) order.
         let optimizer = |src, item, grad: &[f32], bag: &mut Vec<u32>| {
             let (table, ls) = (item / lb, item % lb);
             gen.bag_into(table, src * lb + ls, bag);
-            apply(table % tpp, bag, grad);
+            embedding_backward_sgd(&mut local_tables[table % tpp], bag, mode, grad, lr);
         };
         self.scatter.execute_consuming(ctx, &sends, exec, optimizer);
     }
@@ -246,75 +209,6 @@ mod tests {
     #[test]
     fn backward_fused_single_pe() {
         check(1, 4, 2, 2);
-    }
-
-    #[test]
-    fn backward_fused_adagrad_matches_sequential_adagrad() {
-        use fcc_dlrm::RowwiseAdagrad;
-        let n_pes = 2;
-        let tables_per_pe = 2;
-        let cfg = tiny_cfg(n_pes, 8, tables_per_pe);
-        let gen = reference::build_generator(&cfg);
-        let grads: Vec<Vec<f32>> = (0..n_pes).map(|p| grads_for(&cfg, p)).collect();
-
-        // Oracle: sequential Adagrad in the same (sender, sample) order
-        // the fused scatter applies.
-        let mut oracle = reference::build_tables(&cfg);
-        let mut oracle_states: Vec<RowwiseAdagrad> = (0..oracle.len())
-            .map(|_| RowwiseAdagrad::new(cfg.table_rows, 0.05))
-            .collect();
-        let total = n_pes * tables_per_pe;
-        for (shard, grad) in grads.iter().enumerate() {
-            for ls in 0..cfg.local_batch() {
-                let sample = shard * cfg.local_batch() + ls;
-                for gt in 0..total {
-                    let off = ls * total * cfg.dim + gt * cfg.dim;
-                    let bag = gen.bag(gt, sample);
-                    oracle_states[gt].update(
-                        &mut oracle[gt],
-                        &bag,
-                        PoolingMode::Sum,
-                        &grad[off..off + cfg.dim],
-                    );
-                }
-            }
-        }
-
-        // Distributed Adagrad through the fused operator.
-        let shards: Vec<Mutex<(Vec<EmbeddingTable>, Vec<RowwiseAdagrad>)>> = {
-            let all = reference::build_tables(&cfg);
-            (0..n_pes)
-                .map(|p| {
-                    Mutex::new((
-                        all[p * tables_per_pe..(p + 1) * tables_per_pe].to_vec(),
-                        (0..tables_per_pe)
-                            .map(|_| RowwiseAdagrad::new(cfg.table_rows, 0.05))
-                            .collect(),
-                    ))
-                })
-                .collect()
-        };
-        let mut layout = HeapLayout::new();
-        let plan = BackwardFusedPlan::plan(&mut layout, &cfg, 2);
-        let world = ShmemWorld::new(n_pes, layout);
-        world.run(|ctx| {
-            let me = ctx.me();
-            let mut guard = shards[me].lock().unwrap();
-            let (tables, states) = &mut *guard;
-            plan.execute_adagrad(ctx, &grads[me], tables, states, &gen, PoolingMode::Sum, 1);
-        });
-
-        for p in 0..n_pes {
-            let guard = shards[p].lock().unwrap();
-            for (lt, table) in guard.0.iter().enumerate() {
-                let want = &oracle[p * tables_per_pe + lt];
-                for r in 0..cfg.table_rows {
-                    for (a, b) in table.row(r as u32).iter().zip(want.row(r as u32)) {
-                        assert!((a - b).abs() < 1e-4, "PE {p} table {lt} row {r}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl MoePlan {
 }
 
 /// The per-expert affine parameters (shared with the oracle).
-pub fn expert_params(expert: usize) -> (f32, f32) {
+fn expert_params(expert: usize) -> (f32, f32) {
     (1.0 + expert as f32 * 0.5, expert as f32 * 0.125)
 }
 

@@ -126,7 +126,7 @@ impl ElasticFusedPlan {
     }
 
     /// The global slice id of `(table, dst, chunk)`.
-    pub fn slice_id(&self, table: usize, dst: usize, chunk: usize) -> usize {
+    fn slice_id(&self, table: usize, dst: usize, chunk: usize) -> usize {
         debug_assert!(chunk < self.slices_per_shard);
         (table * self.cfg.n_pes + dst) * self.slices_per_shard + chunk
     }
@@ -139,7 +139,7 @@ impl ElasticFusedPlan {
     /// The founding-team table placement: PE `p` owns the contiguous band
     /// `p·tables_per_pe ..`, matching the paper's layout and the unfused
     /// reference.
-    pub fn canonical_assignment(cfg: &DlrmConfig) -> Vec<Vec<usize>> {
+    fn canonical_assignment(cfg: &DlrmConfig) -> Vec<Vec<usize>> {
         (0..cfg.n_pes)
             .map(|pe| (pe * cfg.tables_per_pe..(pe + 1) * cfg.tables_per_pe).collect())
             .collect()

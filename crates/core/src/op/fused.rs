@@ -6,8 +6,8 @@
 //!
 //! * every logical WG pools one output vector;
 //! * WGs contributing to a **P2P-reachable** destination store their vector
-//!   straight into the destination buffer (`store_direct`, the zero-copy
-//!   path of §3.3) — no staging, no copy kernel;
+//!   straight into the destination buffer (a `put` to a P2P peer, the
+//!   zero-copy path of §3.3) — no staging, no copy kernel;
 //! * WGs contributing to a **network** destination write into a local
 //!   staging buffer; the slice's last finisher (elected through an atomic
 //!   `WG_Done` update, no inter-WG barrier) PUTs the whole slice, fences,
@@ -132,11 +132,6 @@ impl FusedPlan {
     /// Replaces the work-stealing policy in place (call before running).
     pub fn set_steal(&mut self, steal: StealPolicy) {
         self.core.set_steal(steal);
-    }
-
-    /// The active work-stealing policy.
-    pub fn steal_policy(&self) -> StealPolicy {
-        self.core.steal_policy()
     }
 
     /// Deque sets built because the arena had no pooled fit; flat across

@@ -330,10 +330,6 @@ impl FusedCore {
         self.workspaces = Workspaces::sized(n_pes, workers, self.dim, self.bag_len, payload);
     }
 
-    pub(crate) fn steal_policy(&self) -> StealPolicy {
-        self.steal
-    }
-
     /// Deque sets built because the arena had no pooled fit.
     pub(crate) fn steal_misses(&self) -> u64 {
         self.steal_arena.misses()

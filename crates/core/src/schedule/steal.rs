@@ -303,7 +303,7 @@ impl WorkerDeque {
 
 /// A matched set of per-worker deques, pooled by [`StealArena`].
 #[derive(Debug)]
-pub struct StealSet {
+struct StealSet {
     deques: Vec<WorkerDeque>,
     cap: usize,
 }
@@ -324,7 +324,7 @@ impl StealSet {
     }
 
     /// The per-worker deques.
-    pub fn deques(&self) -> &[WorkerDeque] {
+    fn deques(&self) -> &[WorkerDeque] {
         &self.deques
     }
 
@@ -350,7 +350,7 @@ impl StealSet {
     }
 }
 
-/// Pool of [`StealSet`]s: executions after the first reuse their deques, so the stealing steady
+/// Pool of deque sets: executions after the first reuse their deques, so the stealing steady
 /// state is allocation-free (asserted by a counting-allocator test).
 #[derive(Debug, Default)]
 pub struct StealArena {
@@ -369,7 +369,7 @@ impl StealArena {
 
     /// Takes a set with `workers` deques of at least `cap` slots each,
     /// building one (a *miss*) only when the pool has no fit.
-    pub fn take(&self, workers: usize, cap: usize) -> StealSetGuard<'_> {
+    fn take(&self, workers: usize, cap: usize) -> StealSetGuard<'_> {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         let set = if let Some(i) = pool.iter().position(|s| s.fits(workers, cap)) {
             pool.swap_remove(i)
@@ -407,7 +407,7 @@ impl StealArena {
 
 /// RAII loan of a [`StealSet`]; returns it to the arena on drop.
 #[derive(Debug)]
-pub struct StealSetGuard<'a> {
+struct StealSetGuard<'a> {
     arena: &'a StealArena,
     set: Option<StealSet>,
 }

@@ -173,11 +173,6 @@ impl SliceMap {
         (dst_pe, offset)
     }
 
-    /// Payload bytes of a slice with `len` output vectors of width `dim`.
-    pub fn slice_bytes(len: u32, dim: usize) -> u64 {
-        len as u64 * dim as u64 * 4
-    }
-
     /// The protocol's slice table: every source has this partition, whose
     /// slices are listed in WG-id order, so slice `k` of the table is
     /// [`SliceInfo`] `k` and its lengths alone place it.
@@ -280,11 +275,6 @@ mod tests {
         let map = SliceMap::new(4, 1, 8, 64); // local batch 2 < 64
         assert_eq!(map.slice_embeddings(), 2);
         assert!(map.slices().iter().all(|s| s.len == 2));
-    }
-
-    #[test]
-    fn slice_bytes_formula() {
-        assert_eq!(SliceMap::slice_bytes(32, 256), 32 * 1024);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl TeamView {
         self.n_pes
     }
 
-    /// The monotone suspect mask identifying this view.
-    pub fn suspects(&self) -> u64 {
-        self.suspects
-    }
-
     /// The membership epoch: number of evictions so far. Derived from the
     /// mask, so two survivors that agree on the mask agree on the epoch —
     /// even if one of them processed several evictions in a single
@@ -168,7 +163,7 @@ impl RecoveryBoard {
     }
 
     /// This PE's current suspect mask (its own blackboard word).
-    pub fn my_suspects(&self, ctx: &PeCtx<'_>) -> u64 {
+    fn my_suspects(&self, ctx: &PeCtx<'_>) -> u64 {
         ctx.flag_load(self.suspects, 0, ctx.me())
     }
 
@@ -386,7 +381,7 @@ mod tests {
     #[test]
     fn out_of_range_suspect_bits_are_masked_off() {
         let view = TeamView::with_suspects(4, !0u64);
-        assert_eq!(view.suspects(), 0b1111);
+        assert_eq!(view.suspects, 0b1111);
         assert!(view.is_empty());
     }
 

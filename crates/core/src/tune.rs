@@ -88,7 +88,7 @@ impl TunerSignals {
     /// Prices `params` once with telemetry on and distills the signals.
     /// The caller's own telemetry is not disturbed — the measurement runs
     /// on a private registry.
-    pub fn measure(params: &FusedParams) -> TunerSignals {
+    fn measure(params: &FusedParams) -> TunerSignals {
         let mut p = params.clone();
         p.telemetry = Telemetry::enabled();
         let result = simulate_fused(&p);
@@ -123,6 +123,9 @@ impl TunerSignals {
 /// phase.
 const QPS_FIRST_DRAIN_FRAC: f64 = 0.2;
 
+/// Minimum relative improvement for the anchor to move.
+const HYSTERESIS: f64 = 0.02;
+
 /// Which knob the climber is currently working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -143,8 +146,6 @@ pub struct AutoTuner {
     slice_ladder: Vec<usize>,
     qps_ladder: Vec<usize>,
     occ_ladder: Vec<Option<u32>>,
-    /// Minimum relative improvement for the anchor to move.
-    hysteresis: f64,
     /// Phase sequence, picked from the anchor measurement's signals
     /// (QPs first when the anchor is NIC-bound).
     order: [Phase; 3],
@@ -199,7 +200,6 @@ impl AutoTuner {
             slice_ladder,
             qps_ladder,
             occ_ladder,
-            hysteresis: 0.02,
             order: [Phase::Slice, Phase::Qps, Phase::Occupancy],
             order_pos: 0,
             phase: Phase::Slice,
@@ -216,28 +216,9 @@ impl AutoTuner {
         }
     }
 
-    /// Overrides the hysteresis band (default 2%). A candidate must beat
-    /// the anchor by more than this fraction to become the new anchor.
-    pub fn with_hysteresis(mut self, hysteresis: f64) -> AutoTuner {
-        assert!(hysteresis >= 0.0, "hysteresis is a fraction");
-        self.hysteresis = hysteresis;
-        self
-    }
-
-    /// The configuration whose measurement the next [`step`](Self::step)
-    /// call expects.
-    pub fn current(&self) -> Knobs {
-        self.current
-    }
-
     /// Cheapest `(knobs, makespan_ns)` observed so far.
     pub fn best(&self) -> Option<(Knobs, f64)> {
         self.best
-    }
-
-    /// Whether the climb has finished every phase.
-    pub fn converged(&self) -> bool {
-        self.phase == Phase::Done
     }
 
     /// Measurements consumed so far.
@@ -353,8 +334,9 @@ impl AutoTuner {
         }
     }
 
-    /// Reports the measurement of [`current`](Self::current) and returns
-    /// the next configuration to measure (`None` once converged).
+    /// Reports the measurement of the configuration last returned (the
+    /// starting knobs, first) and returns the next configuration to
+    /// measure (`None` once converged).
     pub fn step(&mut self, signals: &TunerSignals) -> Option<Knobs> {
         let cost = signals.makespan_ns;
         self.evals += 1;
@@ -377,7 +359,7 @@ impl AutoTuner {
                 self.anchor = self.current;
             }
             Some(idx) => {
-                if cost < self.anchor_cost * (1.0 - self.hysteresis) {
+                if cost < self.anchor_cost * (1.0 - HYSTERESIS) {
                     // Clear win: move the anchor, keep climbing this way.
                     self.anchor_idx = idx;
                     self.anchor_cost = cost;
@@ -496,7 +478,7 @@ mod tests {
         let iters = drive(init, &mut tuner, 20, cost);
         let (best, _) = tuner.best().unwrap();
         assert_eq!(best.slice_embeddings, 64);
-        assert!(tuner.converged());
+        assert_eq!(tuner.phase, Phase::Done);
         assert!(iters <= 10, "took {iters} iterations");
     }
 
@@ -573,7 +555,7 @@ mod tests {
         let (best, _) = tuner.best().unwrap();
         assert_eq!(best.num_qps, 4);
         assert_eq!(best.occupancy_cap, Some(16));
-        assert!(tuner.converged());
+        assert_eq!(tuner.phase, Phase::Done);
     }
 
     #[test]
@@ -581,7 +563,7 @@ mod tests {
         let init = knobs(32);
         let mut tuner = AutoTuner::new(init, 512, vec![None]);
         let iters = drive(init, &mut tuner, 50, |_| 1000.0);
-        assert!(tuner.converged());
+        assert_eq!(tuner.phase, Phase::Done);
         assert!(iters < 50, "must not exhaust the budget on a flat surface");
     }
 

@@ -120,11 +120,6 @@ impl DlrmConfig {
         ((self.pooling + 1) * self.dim * 4) as f64
     }
 
-    /// Total embedding HBM traffic per PE per batch.
-    pub fn embedding_bytes_per_pe(&self) -> f64 {
-        self.outputs_per_pe() as f64 * self.bytes_per_pooled_lookup()
-    }
-
     /// FLOPs of the bottom MLP per sample.
     pub fn bottom_mlp_flops_per_sample(&self) -> f64 {
         mlp_flops(&self.bottom_mlp)
@@ -189,7 +184,6 @@ mod tests {
         let a = DlrmConfig::hw_eval(2, 512, 64);
         let b = DlrmConfig::hw_eval(2, 1024, 64);
         assert_eq!(2 * a.alltoall_bytes_per_pair(), b.alltoall_bytes_per_pair());
-        assert_eq!(2.0 * a.embedding_bytes_per_pe(), b.embedding_bytes_per_pe());
     }
 
     #[test]

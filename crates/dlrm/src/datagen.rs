@@ -58,12 +58,6 @@ impl BatchGenerator {
         out.clear();
         out.extend((0..self.pooling).map(|_| rng.gen_range(0..self.table_rows as u32)));
     }
-
-    /// All bags for one table across a batch: `batch` rows of `pooling`
-    /// indices.
-    pub fn table_batch(&self, table: usize, batch: usize) -> Vec<Vec<u32>> {
-        (0..batch).map(|s| self.bag(table, s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -118,15 +112,6 @@ mod tests {
                 assert!(g.bag(table, sample).iter().all(|&i| (i as usize) < 17));
             }
         }
-    }
-
-    #[test]
-    fn table_batch_shape() {
-        let g = BatchGenerator::new(5, 100, 8);
-        let batch = g.table_batch(2, 12);
-        assert_eq!(batch.len(), 12);
-        assert!(batch.iter().all(|bag| bag.len() == 8));
-        assert_eq!(batch[4], g.bag(2, 4));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! embedding tables model-parallel across GPUs and the top MLP
 //! data-parallel, joined by the All-to-All this whole project is about.
 //!
-//! This crate implements the *numeric* operators for real (f32 on CPU,
-//! rayon-parallel where it matters), plus the synthetic data generator the
+//! This crate implements the *numeric* operators for real (f32 on CPU),
+//! plus the synthetic data generator the
 //! DLRM repository provides, plus the byte/FLOP accounting the timing
 //! models consume:
 //!
@@ -27,7 +27,6 @@ pub mod datagen;
 pub mod embedding;
 pub mod interaction;
 pub mod mlp;
-pub mod optim;
 pub mod sharding;
 
 pub use backward::{embedding_backward_sgd, interaction_backward, DenseGrad, MlpCache};
@@ -37,5 +36,4 @@ pub use datagen::BatchGenerator;
 pub use embedding::{EmbeddingTable, PoolingMode};
 pub use interaction::interact;
 pub use mlp::Mlp;
-pub use optim::RowwiseAdagrad;
 pub use sharding::{plan_table_shards, ShardingPlan, TableCost};

@@ -2,7 +2,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// One dense layer: `out_dim × in_dim` weights (row-major) and a bias.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,21 +183,6 @@ impl Mlp {
         }
         cur
     }
-
-    /// Forward pass for a batch (rows of `in_dim`), rayon-parallel over
-    /// samples.
-    pub fn forward_batch(&self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        xs.par_iter().map(|x| self.forward(x)).collect()
-    }
-
-    /// Multiply-accumulate FLOPs for one sample (2 per weight) — the
-    /// timing model's `flops_per_task`.
-    pub fn flops_per_sample(&self) -> f64 {
-        self.layers
-            .iter()
-            .map(|l| 2.0 * (l.in_dim * l.out_dim) as f64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -247,25 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_forward_matches_single() {
-        let mlp = Mlp::new_random(&[8, 16, 4], 11);
-        let xs: Vec<Vec<f32>> = (0..10)
-            .map(|i| (0..8).map(|j| (i * 8 + j) as f32 * 0.01).collect())
-            .collect();
-        let batch = mlp.forward_batch(&xs);
-        for (x, y) in xs.iter().zip(&batch) {
-            assert_eq!(&mlp.forward(x), y);
-        }
-    }
-
-    #[test]
-    fn dims_and_flops() {
+    fn dims() {
         let mlp = Mlp::new_random(&[13, 512, 256, 64], 0);
         assert_eq!(mlp.in_dim(), 13);
         assert_eq!(mlp.out_dim(), 64);
         assert_eq!(mlp.num_layers(), 3);
-        let expect = 2.0 * (13.0 * 512.0 + 512.0 * 256.0 + 256.0 * 64.0);
-        assert_eq!(mlp.flops_per_sample(), expect);
     }
 
     #[test]

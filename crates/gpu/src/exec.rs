@@ -74,18 +74,6 @@ pub struct ExecResult {
     pub steals: u64,
 }
 
-impl ExecResult {
-    /// Fraction of `[0, makespan]` workgroup `wg` spent busy; `None` for
-    /// an unknown workgroup or a zero makespan.
-    pub fn wg_utilization(&self, wg: usize) -> Option<f64> {
-        if self.makespan == SimTime::ZERO {
-            return None;
-        }
-        let busy = self.wg_busy.get(wg)?;
-        Some(busy.as_nanos_f64() / self.makespan.as_nanos_f64())
-    }
-}
-
 /// A workgroup's task in flight: where it came from and when it began.
 struct Started {
     seq: u32,
@@ -475,10 +463,7 @@ mod tests {
         let result = exec.run(|c| if c.wg == 0 { ns(50) } else { SimTime::ZERO });
         assert_eq!(result.wg_busy[0], ns(300)); // 2*100 work + 2*50 overhead
         assert_eq!(result.wg_busy[1], ns(200));
-        assert_eq!(result.wg_utilization(0), Some(1.0)); // makespan 300
-        let u1 = result.wg_utilization(1).unwrap();
-        assert!((u1 - 200.0 / 300.0).abs() < 1e-12);
-        assert_eq!(result.wg_utilization(9), None);
+        assert_eq!(result.makespan, ns(300));
     }
 
     #[test]

@@ -86,12 +86,6 @@ impl<'g> HostTimeline<'g> {
         self.push(desc.name.clone(), PhaseKind::Kernel, timing.duration);
     }
 
-    /// Records a device interval whose duration was computed elsewhere
-    /// (e.g. a persistent fused kernel simulated by `fcc-core`).
-    pub fn device_interval(&mut self, label: impl Into<String>, duration: SimTime) {
-        self.push(label, PhaseKind::Kernel, duration);
-    }
-
     /// Records a stream synchronization (GPU→CPU control transfer).
     pub fn sync(&mut self) {
         self.push(

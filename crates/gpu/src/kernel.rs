@@ -109,11 +109,6 @@ impl KernelDesc {
             num_tasks: num_outputs,
         }
     }
-
-    /// Total work units over all tasks.
-    pub fn total_work(&self) -> f64 {
-        self.shape.work_per_task() * self.num_tasks as f64
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +138,6 @@ mod tests {
             }
             _ => panic!("expected memory-bound"),
         }
-        assert_eq!(k.total_work(), 10.0 * 33.0 * 1024.0);
     }
 
     #[test]

@@ -20,19 +20,6 @@ pub struct Occupancy {
     pub wgs_per_device: u32,
     /// Wavefronts resident per CU.
     pub waves_per_cu: u32,
-    /// Which resource bounds the result.
-    pub limiter: Limiter,
-}
-
-/// The binding constraint for an occupancy result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Limiter {
-    /// Hardware wavefront-slot or workgroup-slot cap.
-    WaveSlots,
-    /// Vector register file.
-    Registers,
-    /// Local data share capacity.
-    Lds,
 }
 
 impl Occupancy {
@@ -74,19 +61,10 @@ pub fn occupancy(gpu: &GpuConfig, res: &KernelResources) -> Occupancy {
         gpu.name
     );
 
-    let limiter = if wgs_per_cu == by_slots && by_slots <= by_regs && by_slots <= by_lds {
-        Limiter::WaveSlots
-    } else if by_regs <= by_lds {
-        Limiter::Registers
-    } else {
-        Limiter::Lds
-    };
-
     Occupancy {
         wgs_per_cu,
         wgs_per_device: wgs_per_cu * gpu.num_cus,
         waves_per_cu: wgs_per_cu * waves_per_wg,
-        limiter,
     }
 }
 
@@ -110,7 +88,6 @@ mod tests {
         let occ = occupancy(&g, &res(256, 32, 0));
         assert_eq!(occ.wgs_per_cu, 8);
         assert_eq!(occ.wgs_per_device, 832);
-        assert_eq!(occ.limiter, Limiter::WaveSlots);
         assert!((occ.fraction(&g) - 1.0).abs() < 1e-12);
     }
 
@@ -121,7 +98,6 @@ mod tests {
         // 4 waves each: the paper's 12.5% occupancy loss (8 -> 7).
         let occ = occupancy(&g, &res(256, 73, 0));
         assert_eq!(occ.wgs_per_cu, 7);
-        assert_eq!(occ.limiter, Limiter::Registers);
         assert!((occ.fraction(&g) - 0.875).abs() < 1e-12);
     }
 
@@ -131,7 +107,6 @@ mod tests {
         // 20 KiB LDS per WG -> 3 WGs per CU on a 64 KiB LDS.
         let occ = occupancy(&g, &res(256, 32, 20 * 1024));
         assert_eq!(occ.wgs_per_cu, 3);
-        assert_eq!(occ.limiter, Limiter::Lds);
     }
 
     #[test]

@@ -163,15 +163,6 @@ fn ring_allreduce_time(topo: &Topology, k: u64, bytes: u64) -> SimTime {
 /// Ring AllGather: each endpoint contributes `bytes` and ends with
 /// `n × bytes`.
 pub fn allgather(topo: &Topology, bytes: u64) -> SimTime {
-    gather_family(topo, bytes)
-}
-
-/// Ring ReduceScatter: symmetric to AllGather in wire cost.
-pub fn reduce_scatter(topo: &Topology, bytes: u64) -> SimTime {
-    gather_family(topo, bytes)
-}
-
-fn gather_family(topo: &Topology, bytes: u64) -> SimTime {
     let n = topo.endpoints() as u64;
     if n < 2 || bytes == 0 {
         return SimTime::ZERO;
@@ -308,12 +299,6 @@ mod tests {
         let wire = 2.0 * 0.75 * bytes as f64 / 20.0;
         assert!(cost.as_nanos_f64() >= wire);
         assert!(cost.as_nanos_f64() < wire * 1.2, "latency should be minor");
-    }
-
-    #[test]
-    fn allgather_equals_reduce_scatter() {
-        let t = torus(4, 4);
-        assert_eq!(allgather(&t, 1 << 20), reduce_scatter(&t, 1 << 20));
     }
 
     #[test]

@@ -224,7 +224,7 @@ pub fn simulate(topo: &Topology, injections: &[Injection]) -> Vec<FabricDelivery
 }
 
 /// [`simulate`] with an explicit routing policy.
-pub fn simulate_with_routing(
+fn simulate_with_routing(
     topo: &Topology,
     injections: &[Injection],
     routing: Routing,

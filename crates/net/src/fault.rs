@@ -1,21 +1,24 @@
 //! Deterministic fault injection for the communication substrate.
 //!
-//! Real fabrics lose, duplicate, and delay packets; links flap; NIC send
-//! queues fill; whole endpoints die or straggle. [`FaultPlan`] describes
-//! such a fault schedule *declaratively* and hands out bit-reproducible
-//! per-message decisions, so every layer of the stack — the functional
-//! SHMEM runtime, the timed NIC model, property tests — can inject the
-//! same faults and agree on them:
+//! Real fabrics lose, duplicate, delay and corrupt packets; whole
+//! endpoints die or straggle. [`FaultPlan`] describes such a fault
+//! schedule *declaratively* and hands out bit-reproducible per-message
+//! decisions:
 //!
 //! * **Statelessness** — a decision is a pure hash of
 //!   `(seed, src, dst, tag, exec, attempt)`. No draw order, no shared RNG
 //!   stream, so the multi-threaded functional layer gets identical fault
 //!   schedules regardless of thread interleaving, and a retry of the same
 //!   message (`attempt + 1`) gets an independent decision.
-//! * **Composability** — drop/duplicate/delay probabilities, link-flap
-//!   windows, fail-stop PE crashes, and straggler PEs combine in one
-//!   plan; each knob defaults to off, so `FaultPlan::new(seed)` is a
-//!   fault-free plan.
+//! * **Composability** — drop/duplicate/delay/corrupt probabilities,
+//!   fail-stop PE crashes, and straggler PEs combine in one plan; each
+//!   knob defaults to off, so `FaultPlan::new(seed)` is a fault-free plan.
+//!
+//! The two clocks key [`FaultPlan::decide`] differently. The functional
+//! SHMEM runtime passes `(me, dst, slice, exec, attempt)`; the timed NIC
+//! passes `(src, dst, tag, seq, attempt)`, where `seq` is the NIC's
+//! posting count. One plan therefore yields different fault schedules on
+//! the two clocks.
 //!
 //! [`Nic::with_faults`](crate::Nic::with_faults) applies a plan to the
 //! timed NIC model with RoCE-style go-back-N recovery: a lost message costs
@@ -95,13 +98,13 @@ impl CorruptEvent {
     }
 
     /// A non-zero XOR mask for the flipped bit.
-    pub fn bit_mask(&self) -> u8 {
+    fn bit_mask(&self) -> u8 {
         1u8 << (splitmix64(&mut (self.salt ^ 0xF11B)) % 8)
     }
 
     /// How many bytes of an `len`-byte torn put actually arrive
     /// (strictly fewer than `len` when `len > 0`).
-    pub fn torn_len(&self, len: usize) -> usize {
+    fn torn_len(&self, len: usize) -> usize {
         if len <= 1 {
             0
         } else {
@@ -136,14 +139,6 @@ impl CorruptEvent {
     }
 }
 
-/// An interval during which a link is down and every attempt on it is
-/// lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFlap {
-    pub from: SimTime,
-    pub until: SimTime,
-}
-
 /// Where within the crashing execution (training step) a fail-stop crash
 /// lands. Crash-schedule property tests sweep this to hit every phase of
 /// the fused pipeline: before any work, mid-scatter, after compute but
@@ -173,14 +168,14 @@ pub enum CrashPoint {
 /// fallback collective. A full host death would need consensus machinery
 /// out of scope here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeCrash {
-    pub pe: u32,
+struct PeCrash {
+    pe: u32,
     /// First execution index (1-based, matching the operators' `exec`
     /// argument) at which the PE's sends start vanishing.
-    pub from_exec: u64,
+    from_exec: u64,
     /// Where within execution `from_exec` the PE dies. Later executions
     /// are always [`CrashPoint::Start`]: the PE is already gone.
-    pub point: CrashPoint,
+    point: CrashPoint,
 }
 
 /// A slow endpoint: every send it makes is delayed by `delay`.
@@ -218,15 +213,10 @@ pub struct FaultPlan {
     dup_t: u64,
     delay_t: u64,
     max_delay: SimTime,
-    corrupt_t: u64,
-    /// Restricts corruption to one kind (for targeted tests); `None`
-    /// lets the hash pick among all four.
-    corrupt_kind: Option<CorruptKind>,
-    flaps: Vec<LinkFlap>,
+    /// Corruption threshold and the one kind every corruption takes.
+    corrupt: Option<(u64, CorruptKind)>,
     crashes: Vec<PeCrash>,
     stragglers: Vec<Straggler>,
-    /// NIC send-queue depth; posts beyond it back-pressure the doorbell.
-    sq_depth: Option<usize>,
 }
 
 impl FaultPlan {
@@ -261,32 +251,14 @@ impl FaultPlan {
     }
 
     /// Each attempt is independently corrupted in flight with
-    /// probability `p`; the hash picks uniformly among the four
-    /// [`CorruptKind`]s.
-    pub fn with_corrupt_rate(mut self, p: f64) -> FaultPlan {
-        self.corrupt_t = threshold(p);
-        self.corrupt_kind = None;
-        self
-    }
-
-    /// Like [`with_corrupt_rate`](Self::with_corrupt_rate) but every
-    /// corruption is of the given kind.
+    /// probability `p`, always as `kind`.
     pub fn with_corrupt_only(mut self, p: f64, kind: CorruptKind) -> FaultPlan {
-        self.corrupt_t = threshold(p);
-        self.corrupt_kind = Some(kind);
+        self.corrupt = Some((threshold(p), kind));
         self
     }
 
-    /// The link is down during `[from, until)`; attempts in that window
-    /// are lost.
-    pub fn with_link_flap(mut self, from: SimTime, until: SimTime) -> FaultPlan {
-        assert!(from < until, "empty flap window");
-        self.flaps.push(LinkFlap { from, until });
-        self
-    }
-
-    /// PE `pe` fail-stops at execution `from_exec` (see [`PeCrash`]),
-    /// dying before doing any work in that execution.
+    /// PE `pe` fail-stops at execution `from_exec`: from then on nothing
+    /// it sends arrives. It dies before doing any work in that execution.
     pub fn with_pe_crash(self, pe: u32, from_exec: u64) -> FaultPlan {
         self.with_pe_crash_at(pe, from_exec, CrashPoint::Start)
     }
@@ -311,25 +283,9 @@ impl FaultPlan {
         self
     }
 
-    /// Caps the NIC send queue at `depth` outstanding messages; further
-    /// doorbells stall until a slot frees (SQ-full backpressure).
-    ///
-    /// # Panics
-    /// Panics if `depth == 0`.
-    pub fn with_sq_depth(mut self, depth: usize) -> FaultPlan {
-        assert!(depth > 0, "SQ depth must be positive");
-        self.sq_depth = Some(depth);
-        self
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Configured send-queue depth, if any.
-    pub fn sq_depth(&self) -> Option<usize> {
-        self.sq_depth
     }
 
     /// True if `pe`'s sends vanish at execution `exec`.
@@ -374,11 +330,6 @@ impl FaultPlan {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// True if wall-clock `at` falls inside a link-down window.
-    pub fn link_down_at(&self, at: SimTime) -> bool {
-        self.flaps.iter().any(|f| at >= f.from && at < f.until)
-    }
-
     /// The fate of one transmission attempt, as a pure function of its
     /// coordinates. `exec` is the operator execution index (use 0 where
     /// there is none) and `attempt` the retry count, so resends re-roll.
@@ -398,19 +349,13 @@ impl FaultPlan {
         if self.drop_t > 0 && splitmix64(&mut (base ^ 0xD509)) < self.drop_t {
             return FaultAction::Drop;
         }
-        if self.corrupt_t > 0 && splitmix64(&mut (base ^ 0xC042)) < self.corrupt_t {
-            let kind =
-                self.corrupt_kind
-                    .unwrap_or_else(|| match splitmix64(&mut (base ^ 0xC1D5)) % 4 {
-                        0 => CorruptKind::BitFlip,
-                        1 => CorruptKind::Torn,
-                        2 => CorruptKind::StaleReplay,
-                        _ => CorruptKind::Misroute,
-                    });
-            return FaultAction::Corrupt(CorruptEvent {
-                kind,
-                salt: splitmix64(&mut (base ^ 0x5A17)),
-            });
+        if let Some((corrupt_t, kind)) = self.corrupt {
+            if corrupt_t > 0 && splitmix64(&mut (base ^ 0xC042)) < corrupt_t {
+                return FaultAction::Corrupt(CorruptEvent {
+                    kind,
+                    salt: splitmix64(&mut (base ^ 0x5A17)),
+                });
+            }
         }
         if self.delay_t > 0 && splitmix64(&mut (base ^ 0xDE1A)) < self.delay_t {
             // Deterministic delay in (0, max_delay], scaled by the hash.
@@ -423,24 +368,6 @@ impl FaultPlan {
         }
         FaultAction::Deliver
     }
-
-    /// Just the corruption verdict for one attempt: `Some(event)` iff
-    /// [`decide`](Self::decide) would return [`FaultAction::Corrupt`].
-    /// Integrity layers that only care about payload damage (not timing
-    /// faults) key off this.
-    pub fn corruption(
-        &self,
-        src: u32,
-        dst: u32,
-        tag: u64,
-        exec: u64,
-        attempt: u32,
-    ) -> Option<CorruptEvent> {
-        match self.decide(src, dst, tag, exec, attempt) {
-            FaultAction::Corrupt(ev) => Some(ev),
-            _ => None,
-        }
-    }
 }
 
 /// Fault counters accumulated by a [`Nic`](crate::Nic) under a plan.
@@ -448,18 +375,14 @@ impl FaultPlan {
 pub struct FaultStats {
     /// Messages the caller posted.
     pub posted: u64,
-    /// Attempts lost (random drops + flap hits) and retransmitted.
+    /// Attempts lost and retransmitted.
     pub drops: u64,
-    /// Attempts lost to link-flap windows (subset of `drops`).
-    pub flap_drops: u64,
     /// Messages delivered twice.
     pub dups: u64,
     /// Messages delivered late.
     pub delays: u64,
     /// Bytes serialized more than once due to loss or duplication.
     pub retransmitted_bytes: u64,
-    /// Doorbells that stalled on a full send queue.
-    pub sq_stalls: u64,
     /// Attempts whose payload the plan corrupted in flight.
     pub corrupt_injected: u64,
     /// Corruptions the wire checksum caught (link-level CRC fail →
@@ -575,18 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn link_flap_window_drops_and_recovers() {
-        let plan = FaultPlan::new(5).with_link_flap(ns(0), ns(50_000));
-        let mut faulty = under(plan);
-        let d = faulty.post(ns(0), msg(1024, 0));
-        // Attempts inside the window die; delivery lands after it.
-        assert!(d.sq_complete >= ns(50_000), "{d:?}");
-        let stats = stats_of(&faulty);
-        assert!(stats.flap_drops >= 1);
-        assert_eq!(stats.flap_drops, stats.drops);
-    }
-
-    #[test]
     fn arrivals_stay_fifo_under_any_delay_schedule() {
         // Whatever the delay schedule and message mix, a FIFO SQ never
         // reorders: arrivals are strictly increasing in post order.
@@ -617,18 +528,6 @@ mod tests {
         assert!(second.arrival > clean_second.arrival);
         assert_eq!(stats_of(&faulty).dups, 2);
         assert!(first.arrival < second.arrival);
-    }
-
-    #[test]
-    fn sq_backpressure_stalls_doorbells() {
-        let plan = FaultPlan::new(4).with_sq_depth(2);
-        let mut faulty = under(plan);
-        // All doorbells at t=0: the third and later must wait for slots.
-        for i in 0..8 {
-            faulty.post(ns(0), msg(1 << 20, i));
-        }
-        let stats = stats_of(&faulty);
-        assert!(stats.sq_stalls >= 6 - 2, "{stats:?}");
     }
 
     #[test]
@@ -671,7 +570,7 @@ mod tests {
 
     #[test]
     fn corruption_decisions_are_pure_and_roughly_honoured() {
-        let plan = FaultPlan::new(21).with_corrupt_rate(0.25);
+        let plan = FaultPlan::new(21).with_corrupt_only(0.25, CorruptKind::Misroute);
         let hits = (0..4000)
             .filter(|&t| matches!(plan.decide(0, 1, t, 0, 0), FaultAction::Corrupt(_)))
             .count();
@@ -679,20 +578,14 @@ mod tests {
         for t in 0..50 {
             assert_eq!(plan.decide(0, 1, t, 1, 0), plan.decide(0, 1, t, 1, 0));
         }
-        // All four kinds show up under the uniform kind hash.
-        let mut kinds = std::collections::HashSet::new();
-        for t in 0..4000 {
-            if let FaultAction::Corrupt(ev) = plan.decide(0, 1, t, 0, 0) {
-                kinds.insert(ev.kind);
-            }
-        }
-        assert_eq!(kinds.len(), 4, "{kinds:?}");
     }
 
     #[test]
     fn corrupt_event_mutates_deterministically() {
         let plan = FaultPlan::new(33).with_corrupt_only(1.0, CorruptKind::BitFlip);
-        let ev = plan.corruption(0, 1, 9, 1, 0).expect("p=1.0 corrupts");
+        let FaultAction::Corrupt(ev) = plan.decide(0, 1, 9, 1, 0) else {
+            panic!("p=1.0 corrupts");
+        };
         let clean = vec![7u8; 64];
         let mut a = clean.clone();
         let mut b = clean.clone();

@@ -70,12 +70,6 @@ impl LinkSpec {
     pub fn message_time(&self, bytes: u64) -> SimTime {
         self.occupancy(bytes) + self.latency
     }
-
-    /// Effective bytes/ns achieved by back-to-back messages of `bytes`
-    /// (the Figure 12 efficiency metric: tiny messages are gap-bound).
-    pub fn effective_bandwidth(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.occupancy(bytes).as_nanos_f64()
-    }
 }
 
 #[cfg(test)]
@@ -101,18 +95,6 @@ mod tests {
         let l = LinkSpec::xgmi();
         // 8000 B at 80/3 B/ns = 300 ns of wire, + 500 ns latency.
         assert_eq!(l.message_time(8_000).as_nanos(), 300 + 500);
-    }
-
-    #[test]
-    fn effective_bandwidth_improves_with_message_size() {
-        let l = LinkSpec::infiniband_20gbs();
-        let small = l.effective_bandwidth(4 * 1024);
-        let large = l.effective_bandwidth(64 * 1024);
-        assert!(small < large);
-        assert!(large <= l.bandwidth + 1e-9);
-        // 4 KiB slices are gap-bound (204.8 ns of wire < 450 ns gap);
-        // 64 KiB messages run at essentially line rate.
-        assert!((large - l.bandwidth).abs() / l.bandwidth < 0.01);
     }
 
     #[test]

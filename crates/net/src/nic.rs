@@ -18,8 +18,6 @@
 //! wire, and [`Nic::with_faults`] puts the NIC under a [`FaultPlan`] with
 //! RoCE-style go-back-N recovery.
 
-use std::collections::VecDeque;
-
 use fcc_sim::SimTime;
 
 use crate::fault::{FaultAction, FaultPlan, FaultStats};
@@ -126,8 +124,6 @@ pub struct Nic {
 #[derive(Debug, Clone)]
 struct Faults {
     plan: FaultPlan,
-    /// Completion times of in-flight messages, for SQ backpressure.
-    in_flight: VecDeque<SimTime>,
     stats: FaultStats,
 }
 
@@ -158,7 +154,6 @@ impl Nic {
     pub fn with_faults(mut self, plan: FaultPlan) -> Nic {
         self.faults = Some(Box::new(Faults {
             plan,
-            in_flight: VecDeque::new(),
             stats: FaultStats::default(),
         }));
         self
@@ -224,35 +219,18 @@ impl Nic {
         self.qps[qp] = self.qps[qp].max(until);
     }
 
-    /// Posts `message` on `qp` under `f`'s plan: SQ backpressure, then
-    /// attempts until one is delivered.
+    /// Posts `message` on `qp` under `f`'s plan: attempts until one is
+    /// delivered.
     fn ride_out(&mut self, f: &mut Faults, qp: usize, at: SimTime, message: Message) -> Delivery {
         let seq = f.stats.posted;
         f.stats.posted += 1;
-
-        // SQ-full backpressure: the doorbell blocks until the queue has a
-        // free slot.
         let mut at = at + f.plan.straggle(message.src);
-        if let Some(depth) = f.plan.sq_depth() {
-            while f.in_flight.len() >= depth {
-                let head = f.in_flight.pop_front().expect("non-empty at capacity");
-                if head > at {
-                    at = head;
-                    f.stats.sq_stalls += 1;
-                }
-            }
-        }
-
         let mut attempt: u32 = 0;
         loop {
             let delivery = self.send(qp, at, message);
-            let flap_hit = f.plan.link_down_at(delivery.sq_complete);
-            let action = if flap_hit {
-                FaultAction::Drop
-            } else {
-                f.plan
-                    .decide(message.src, message.dst, message.tag, seq, attempt)
-            };
+            let action = f
+                .plan
+                .decide(message.src, message.dst, message.tag, seq, attempt);
             let final_attempt = attempt >= MAX_RETRIES;
             let lost = match action {
                 FaultAction::Corrupt(ev) => {
@@ -272,7 +250,6 @@ impl Nic {
                 FaultAction::Drop => {
                     if !final_attempt {
                         f.stats.drops += 1;
-                        f.stats.flap_drops += u64::from(flap_hit);
                     }
                     true
                 }
@@ -286,7 +263,6 @@ impl Nic {
                         message,
                     };
                     self.stall(qp, done.sq_complete);
-                    f.in_flight.push_back(done.sq_complete);
                     return done;
                 }
                 FaultAction::Duplicate => {
@@ -294,14 +270,12 @@ impl Nic {
                     // costs wire time behind the first.
                     f.stats.dups += 1;
                     f.stats.retransmitted_bytes += message.bytes;
-                    let dup = self.send(qp, at, message);
-                    f.in_flight.push_back(dup.sq_complete);
+                    self.send(qp, at, message);
                     return delivery;
                 }
                 FaultAction::Deliver => false,
             };
             if !lost || final_attempt {
-                f.in_flight.push_back(delivery.sq_complete);
                 return delivery;
             }
             // Lost on the wire: charge the wasted serialization, wait out

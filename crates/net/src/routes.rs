@@ -13,7 +13,7 @@
 //!   path from `src` to `dst` and emits one *dense* link id per hop.
 //!   Dense ids index flat arrays in the flow engine; a `HashMap` per
 //!   lookup would dominate its runtime at 8k nodes.
-//! * [`tag_hash`] — the per-message hash (splitmix64) behind ECMP spine
+//! * `tag_hash` — the per-message hash (splitmix64) behind ECMP spine
 //!   selection and rail selection. It keys on the tag alone because
 //!   packet-sim chunks carry only `(tag, dst)`; both sims therefore make
 //!   the same choice by construction.
@@ -26,7 +26,7 @@ use crate::topology::Topology;
 
 /// Upper bound on simultaneous productive next hops: one per dimension
 /// of the largest torus (3D).
-pub const MAX_CANDIDATES: usize = 3;
+const MAX_CANDIDATES: usize = 3;
 
 /// Fixed-capacity buffer of candidate next hops — the `SmallVec`-style
 /// replacement for the `Vec<u32>` the router used to allocate per hop.
@@ -79,7 +79,7 @@ impl HopBuf {
 /// and rail selection. Depends on the tag only (chunks don't carry their
 /// source), so the packet and flow models pick identical paths.
 #[inline]
-pub fn tag_hash(mut tag: u64) -> u64 {
+fn tag_hash(mut tag: u64) -> u64 {
     fcc_sim::splitmix64(&mut tag)
 }
 

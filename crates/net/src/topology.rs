@@ -253,64 +253,6 @@ impl Topology {
         let k = (toward + groups - group - 1) % groups;
         k % routers_per_group
     }
-
-    /// Average hop count over all ordered pairs of distinct endpoints.
-    pub fn average_hops(&self) -> f64 {
-        let n = self.endpoints();
-        if n < 2 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        for s in 0..n {
-            for d in 0..n {
-                if s != d {
-                    total += self.hops(s, d) as u64;
-                }
-            }
-        }
-        total as f64 / (n as f64 * (n - 1) as f64)
-    }
-
-    /// Bisection bandwidth in bytes/ns (for capacity sanity checks).
-    pub fn bisection_bandwidth(&self) -> f64 {
-        let bw = self.link().bandwidth;
-        match *self {
-            Topology::FullyConnected { endpoints, .. } => {
-                // Cutting n endpoints in half severs (n/2)^2 links.
-                let half = (endpoints / 2) as f64;
-                half * half * bw
-            }
-            Topology::Switched { endpoints, .. } => (endpoints / 2) as f64 * bw,
-            Topology::Torus2D { dims, .. } => {
-                // Cut across the longer dimension: 2 links per row/column
-                // of the other dimension (wraparound doubles the cut).
-                let (a, b) = (dims.0 as f64, dims.1 as f64);
-                2.0 * a.min(b) * bw
-            }
-            Topology::Torus3D { dims, .. } => {
-                // Cut perpendicular to the longest dimension: 2 links per
-                // endpoint of the cross-section plane.
-                let (a, b, c) = (dims.0 as f64, dims.1 as f64, dims.2 as f64);
-                let longest = a.max(b).max(c);
-                2.0 * (a * b * c / longest) * bw
-            }
-            Topology::FatTree { leaves, spines, .. } => {
-                // Cutting the leaves in half severs (leaves/2) x spines
-                // leaf-spine links on each side; the narrower count wins.
-                (leaves / 2) as f64 * spines as f64 * bw
-            }
-            Topology::Dragonfly { groups, .. } => {
-                // Cutting the groups in half severs the global links
-                // between the halves: (g/2) x (g - g/2) ordered pairs per
-                // direction -> one link each way, count one direction.
-                let half = (groups / 2) as f64;
-                half * (groups as f64 - half) * bw
-            }
-            Topology::MultiRail {
-                endpoints, rails, ..
-            } => (endpoints / 2) as f64 * rails as f64 * bw,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -371,17 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn average_hops_of_ring_matches_formula() {
-        // 1D ring embedded as a k x 1 torus: average distance of a ring of
-        // k nodes is k/4 for even k (= k^2/4 / (k-1) ... exact: (k/2)^2 /
-        // (k-1) for even k).
-        let k = 8u32;
-        let t = torus(k, 1);
-        let exact = (k as f64 / 2.0).powi(2) / (k as f64 - 1.0);
-        assert!((t.average_hops() - exact).abs() < 1e-12);
-    }
-
-    #[test]
     fn hops_symmetry() {
         let t = torus(5, 7);
         for s in 0..35 {
@@ -417,17 +348,6 @@ mod tests {
                 assert_eq!(t.hops(s, d), t.hops(d, s));
             }
         }
-    }
-
-    #[test]
-    fn bisection_bandwidth_sane() {
-        let f = Topology::FullyConnected {
-            endpoints: 4,
-            link: LinkSpec::xgmi(),
-        };
-        assert_eq!(f.bisection_bandwidth(), 4.0 * LinkSpec::xgmi().bandwidth);
-        let t = torus(16, 8);
-        assert_eq!(t.bisection_bandwidth(), 2.0 * 8.0 * 25.0);
     }
 
     #[test]
@@ -504,31 +424,5 @@ mod tests {
         assert_eq!(t.graph_nodes(), 12);
         assert_eq!(t.hops(0, 7), 2);
         assert_eq!(t.hops(3, 3), 0);
-    }
-
-    #[test]
-    fn new_fabric_bisection_sane() {
-        let link = LinkSpec::infiniband_20gbs();
-        let bw = link.bandwidth;
-        let ft = Topology::FatTree {
-            leaves: 4,
-            hosts_per_leaf: 4,
-            spines: 4,
-            link,
-        };
-        assert_eq!(ft.bisection_bandwidth(), 2.0 * 4.0 * bw);
-        let df = Topology::Dragonfly {
-            groups: 4,
-            routers_per_group: 2,
-            hosts_per_router: 2,
-            link,
-        };
-        assert_eq!(df.bisection_bandwidth(), 4.0 * bw);
-        let mr = Topology::MultiRail {
-            endpoints: 8,
-            rails: 2,
-            link,
-        };
-        assert_eq!(mr.bisection_bandwidth(), 8.0 * bw);
     }
 }

@@ -47,7 +47,7 @@ pub struct BatchPolicy {
 
 impl BatchPolicy {
     /// The batching window at `level`.
-    pub fn effective_wait_us(&self, level: DegradeLevel) -> u64 {
+    fn effective_wait_us(&self, level: DegradeLevel) -> u64 {
         (self.max_wait_us / level.wait_divisor()).max(1)
     }
 }

@@ -120,7 +120,7 @@ impl ModelExecutor {
     }
 
     /// The modeled cost of a batch of `n` at `level`, µs.
-    pub fn cost_us(&self, n: usize, level: DegradeLevel) -> u64 {
+    fn cost_us(&self, n: usize, level: DegradeLevel) -> u64 {
         match level {
             DegradeLevel::Bulk => self.bulk_base_us + self.bulk_per_req_us * n as u64,
             _ => self.fused_base_us + self.fused_per_req_us * n as u64,

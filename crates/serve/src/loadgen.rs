@@ -60,7 +60,7 @@ pub struct LoadSpec {
 
 impl LoadSpec {
     /// Instantaneous rate at `t`, requests/sec.
-    pub fn rate_at(&self, t_us: u64) -> f64 {
+    fn rate_at(&self, t_us: u64) -> f64 {
         match self.pattern {
             LoadPattern::Poisson => self.rps,
             LoadPattern::Diurnal { period_us, depth } => {
@@ -82,7 +82,7 @@ impl LoadSpec {
     }
 
     /// Peak rate over the horizon (the thinning envelope).
-    pub fn peak_rate(&self) -> f64 {
+    fn peak_rate(&self) -> f64 {
         match self.pattern {
             LoadPattern::Poisson => self.rps,
             LoadPattern::Diurnal { depth, .. } => self.rps * (1.0 + depth.abs()),

@@ -89,27 +89,6 @@ impl AdmissionQueue {
         removed
     }
 
-    /// Removes the requests at `indices` (positions in queue order) and
-    /// returns them in queue order. Positions not in `indices` keep their
-    /// relative order.
-    pub fn take_indices(&mut self, indices: &[usize]) -> Vec<Request> {
-        let mut marks = vec![false; self.inner.len()];
-        for &i in indices {
-            marks[i] = true;
-        }
-        let mut taken = Vec::with_capacity(indices.len());
-        let mut kept = VecDeque::with_capacity(self.inner.len());
-        for (i, req) in self.inner.drain(..).enumerate() {
-            if marks[i] {
-                taken.push(req);
-            } else {
-                kept.push_back(req);
-            }
-        }
-        self.inner = kept;
-        taken
-    }
-
     /// Queue-order view of the waiting requests.
     pub fn iter(&self) -> impl Iterator<Item = &Request> {
         self.inner.iter()
@@ -160,17 +139,6 @@ mod tests {
         let removed = q.drain_failing(|r| r.id % 2 == 0);
         assert_eq!(removed.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 3]);
         assert_eq!(q.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 2, 4]);
-    }
-
-    #[test]
-    fn take_indices_preserves_order() {
-        let mut q = AdmissionQueue::new(8);
-        for i in 0..5 {
-            q.try_admit(req(i, i, 100)).unwrap();
-        }
-        let taken = q.take_indices(&[4, 0, 2]);
-        assert_eq!(taken.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 2, 4]);
-        assert_eq!(q.iter().map(|r| r.id).collect::<Vec<_>>(), [1, 3]);
     }
 
     #[test]

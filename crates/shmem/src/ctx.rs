@@ -35,7 +35,7 @@ thread_local! {
 /// The symmetric heap is shared mutable memory. The runtime guarantees:
 ///
 /// * flag operations are atomic with the documented orderings;
-/// * `put`/`get`/`store_direct` are plain byte copies.
+/// * `put`/`get` are plain byte copies.
 ///
 /// The *program* must guarantee that a plain-copied region is never
 /// concurrently accessed by another PE except through a happens-before
@@ -379,19 +379,6 @@ impl<'w> PeCtx<'w> {
         }
     }
 
-    /// Direct peer store — the zero-copy path. Functionally identical to
-    /// [`put`](Self::put), but panics unless `pe` is a P2P peer, modelling
-    /// that plain loads/stores only work over xGMI/NVLink, not the NIC.
-    pub fn store_direct<T: Pod>(&self, dst: SymSlice<T>, offset: usize, src: &[T], pe: usize) {
-        assert!(
-            self.is_p2p(pe),
-            "PE {} is not a P2P peer of {}; direct stores require roc_shmem_ptr() != NULL",
-            pe,
-            self.me
-        );
-        self.put(dst, offset, src, pe);
-    }
-
     /// Orders preceding puts before subsequent puts *to the same PE* (the
     /// `roc_shmem_fence` analogue): waits until every entry published so
     /// far in this PE's rings is copied out — stronger than the per-dst
@@ -451,12 +438,6 @@ impl<'w> PeCtx<'w> {
         PendingPut {
             gauge: self.gauge(),
         }
-    }
-
-    /// Puts issued by this PE that have not yet completed delivery —
-    /// deliberately deferred deliveries plus undrained ring entries.
-    pub fn outstanding_puts(&self) -> u64 {
-        self.gauge().load(Ordering::Acquire) + self.world.rings.occupancy_src(self.me)
     }
 
     fn flag_ref(&self, pe: usize, flags: SymFlags, idx: usize) -> &AtomicU64 {
@@ -703,6 +684,12 @@ mod tests {
     use super::*;
     use crate::heap::HeapLayout;
 
+    /// Puts `ctx` issued that have not completed delivery: deliberately
+    /// deferred deliveries plus undrained ring entries.
+    fn outstanding(ctx: &PeCtx) -> u64 {
+        ctx.gauge().load(Ordering::Acquire) + ctx.world.rings.occupancy_src(ctx.me())
+    }
+
     #[test]
     fn put_flag_get_handshake() {
         let mut layout = HeapLayout::new();
@@ -791,34 +778,20 @@ mod tests {
     }
 
     #[test]
-    fn store_direct_works_for_p2p_peers() {
+    fn put_works_for_p2p_peers() {
         let mut layout = HeapLayout::new();
         let buf = layout.alloc::<f32>(4);
         let world = ShmemWorld::new(2, layout); // default: all P2P
         world.run(|ctx| {
             if ctx.me() == 0 {
-                ctx.store_direct(buf, 0, &[1.0f32, 2.0, 3.0, 4.0], 1);
+                assert!(ctx.is_p2p(1));
+                ctx.put(buf, 0, &[1.0f32, 2.0, 3.0, 4.0], 1);
             }
             ctx.barrier_all();
             if ctx.me() == 1 {
                 let mut out = [0.0f32; 4];
                 ctx.get(&mut out, buf, 0, 1);
                 assert_eq!(out, [1.0, 2.0, 3.0, 4.0]);
-            }
-        });
-    }
-
-    #[test]
-    // The PE thread panics with "not a P2P peer"; std::thread::scope
-    // surfaces it as its own payload.
-    #[should_panic(expected = "a scoped thread panicked")]
-    fn store_direct_rejects_remote_pes() {
-        let mut layout = HeapLayout::new();
-        let buf = layout.alloc::<f32>(1);
-        let world = ShmemWorld::new(2, layout).with_p2p_groups(vec![0, 1]);
-        world.run(|ctx| {
-            if ctx.me() == 0 {
-                ctx.store_direct(buf, 0, &[1.0f32], 1);
             }
         });
     }
@@ -953,7 +926,7 @@ mod tests {
             }
             let a = ctx.begin_deferred_put();
             let b = ctx.begin_deferred_put();
-            assert_eq!(ctx.outstanding_puts(), 2);
+            assert_eq!(outstanding(ctx), 2);
             let err = ctx
                 .quiet_timeout(Duration::from_millis(2))
                 .expect_err("two deliveries still in flight");
@@ -969,7 +942,7 @@ mod tests {
                 other => panic!("wrong error {other:?}"),
             }
             drop(a);
-            assert_eq!(ctx.outstanding_puts(), 1);
+            assert_eq!(outstanding(ctx), 1);
             drop(b);
             assert_eq!(ctx.quiet_timeout(Duration::ZERO), Ok(()));
         });
@@ -988,7 +961,7 @@ mod tests {
                     drop(guard);
                 });
                 ctx.quiet();
-                assert_eq!(ctx.outstanding_puts(), 0);
+                assert_eq!(outstanding(ctx), 0);
                 let guard = ctx.begin_deferred_put();
                 s.spawn(move || {
                     std::thread::sleep(Duration::from_millis(3));
@@ -1102,11 +1075,11 @@ mod tests {
         world.run(|ctx| {
             if ctx.me() == 0 {
                 ctx.put(buf, 0, &[7u64; 4], 1);
-                assert_eq!(ctx.outstanding_puts(), 1, "delivery deferred");
+                assert_eq!(outstanding(ctx), 1, "delivery deferred");
                 // quiet is an ordering point: it drains the ring itself.
                 ctx.quiet_timeout(Duration::from_secs(5))
                     .expect("quiet drains its own deferred deliveries");
-                assert_eq!(ctx.outstanding_puts(), 0);
+                assert_eq!(outstanding(ctx), 0);
             }
         });
         assert_eq!(world.read(1, buf), vec![7u64; 4]);

@@ -237,7 +237,7 @@ impl ScheduleLog {
 /// SplitMix64 finalizer — the deterministic hash behind seeded
 /// strategies and schedule signatures.
 #[inline]
-pub fn mix64(mut x: u64) -> u64 {
+fn mix64(mut x: u64) -> u64 {
     fcc_sim::splitmix64(&mut x)
 }
 

@@ -183,13 +183,8 @@ impl DetectionModel {
         DetectionModel { period, misses }
     }
 
-    /// The heartbeat period.
-    pub fn period(&self) -> SimTime {
-        self.period
-    }
-
     /// The instant a crash at `crash_at` is detected.
-    pub fn detect_at(&self, crash_at: SimTime) -> SimTime {
+    fn detect_at(&self, crash_at: SimTime) -> SimTime {
         let periods = crash_at.as_nanos() / self.period.as_nanos();
         SimTime::from_nanos((periods + self.misses as u64) * self.period.as_nanos())
     }

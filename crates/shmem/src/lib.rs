@@ -46,7 +46,7 @@ pub use heap::{SymFlags, SymSlice};
 pub use integrity::{checksum, IntegrityStats, PoisonRecord};
 pub use lease::{DetectionModel, FailureDetector, HeartbeatBoard, Verdict};
 pub use pod::Pod;
-pub use trace::{current_ctx, scoped_ctx, set_ctx, CtxScope, RmwOp, TimedEvent, TraceEvent};
+pub use trace::{current_ctx, scoped_ctx, CtxScope, RmwOp, TimedEvent, TraceEvent};
 pub use world::{RingStats, SenseBarrier, ShmemWorld};
 
 // Re-exported so operator crates name the causal vocabulary through one

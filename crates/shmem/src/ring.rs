@@ -160,7 +160,8 @@ impl Ring {
     }
 
     /// Entries enqueued but not yet delivered.
-    pub fn occupancy(&self) -> u64 {
+    #[cfg(test)]
+    fn occupancy(&self) -> u64 {
         let tail = self.tail.0.load(Ordering::Acquire);
         tail.saturating_sub(self.head.0.load(Ordering::Acquire))
     }
@@ -392,7 +393,8 @@ impl RingPlane {
     }
 
     /// Undelivered entries across `src`'s rings.
-    pub fn occupancy_src(&self, src: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn occupancy_src(&self, src: usize) -> u64 {
         self.rings[src * self.n_pes..(src + 1) * self.n_pes]
             .iter()
             .flatten()

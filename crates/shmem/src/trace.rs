@@ -37,11 +37,9 @@ pub fn current_ctx() -> TraceCtx {
     AMBIENT_CTX.with(Cell::get)
 }
 
-/// Replaces the ambient context, returning the previous one. Prefer
-/// [`scoped_ctx`] unless the non-scoped form is genuinely needed (e.g.
-/// seeding a worker thread for its whole lifetime).
+/// Replaces the ambient context, returning the previous one.
 #[inline]
-pub fn set_ctx(ctx: TraceCtx) -> TraceCtx {
+fn set_ctx(ctx: TraceCtx) -> TraceCtx {
     AMBIENT_CTX.with(|c| c.replace(ctx))
 }
 

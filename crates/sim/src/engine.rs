@@ -133,14 +133,9 @@ impl<E> Scheduler<E> {
             entry.event
         })
     }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|e| e.at)
-    }
 }
 
-/// Drives a [`Model`] until its event queue drains (or a horizon is hit).
+/// Drives a [`Model`] until its event queue drains.
 ///
 /// ```
 /// use fcc_sim::{Engine, Model, Scheduler, SimTime};
@@ -198,21 +193,6 @@ impl<E> Engine<E> {
     /// Runs until the queue is empty. Returns the final simulated time.
     pub fn run<M: Model<Event = E>>(&mut self, model: &mut M) -> SimTime {
         while let Some(event) = self.sched.pop() {
-            self.events_processed += 1;
-            model.handle(event, &mut self.sched);
-        }
-        self.sched.now()
-    }
-
-    /// Runs until the queue is empty or the next event would be after
-    /// `horizon`. Events exactly at `horizon` are delivered. Returns the
-    /// final simulated time (≤ `horizon`).
-    pub fn run_until<M: Model<Event = E>>(&mut self, model: &mut M, horizon: SimTime) -> SimTime {
-        while let Some(at) = self.sched.peek_time() {
-            if at > horizon {
-                break;
-            }
-            let event = self.sched.pop().expect("peeked event must exist");
             self.events_processed += 1;
             model.handle(event, &mut self.sched);
         }
@@ -292,24 +272,6 @@ mod tests {
         engine.run(&mut model);
         let tags: Vec<u32> = model.log.iter().map(|&(_, t)| t).collect();
         assert_eq!(tags, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut engine = Engine::new();
-        engine.scheduler().schedule_at(SimTime::ZERO, Ev::Tick);
-        let mut model = Countdown {
-            remaining: 100,
-            log: vec![],
-        };
-        let t = engine.run_until(&mut model, SimTime::from_nanos(25));
-        // Ticks at 0, 10, 20 delivered; 30 is beyond the horizon.
-        assert_eq!(model.log.len(), 3);
-        assert_eq!(t, SimTime::from_nanos(20));
-        // Resuming picks up where we left off.
-        let t2 = engine.run_until(&mut model, SimTime::from_nanos(30));
-        assert_eq!(t2, SimTime::from_nanos(30));
-        assert_eq!(model.log.len(), 4);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Summary statistics for the benchmark harness.
 //!
 //! The figure generators report means, extrema, and ratios over sets of
-//! simulated execution times; [`Summary`] computes those in one pass and
-//! [`geo_mean`] / [`normalize`] cover the normalized-to-baseline charts.
+//! simulated execution times; [`Summary`] computes those in one pass.
 
 /// One-pass summary of a sample of `f64` values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,49 +43,6 @@ impl Summary {
             std_dev,
         })
     }
-}
-
-/// Geometric mean of strictly positive values. `None` if empty or any value
-/// is non-positive.
-pub fn geo_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.iter().any(|&v| v <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    Some((log_sum / values.len() as f64).exp())
-}
-
-/// Element-wise `value / baseline`, the paper's "normalized execution time".
-///
-/// # Panics
-/// Panics if lengths differ or any baseline entry is zero.
-pub fn normalize(values: &[f64], baselines: &[f64]) -> Vec<f64> {
-    assert_eq!(values.len(), baselines.len(), "length mismatch");
-    values
-        .iter()
-        .zip(baselines)
-        .map(|(&v, &b)| {
-            assert!(b != 0.0, "zero baseline");
-            v / b
-        })
-        .collect()
-}
-
-/// Percentile via linear interpolation on a sorted copy. `p` in `[0, 100]`.
-pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if values.is_empty() || !(0.0..=100.0).contains(&p) {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    if sorted.len() == 1 {
-        return Some(sorted[0]);
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
 /// A fixed-width histogram over `[lo, hi)` with overflow/underflow bins.
@@ -339,38 +295,5 @@ mod tests {
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.min, 3.5);
         assert_eq!(s.max, 3.5);
-    }
-
-    #[test]
-    fn geo_mean_basics() {
-        assert!((geo_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert!((geo_mean(&[8.0]).unwrap() - 8.0).abs() < 1e-12);
-        assert!(geo_mean(&[]).is_none());
-        assert!(geo_mean(&[1.0, 0.0]).is_none());
-        assert!(geo_mean(&[-1.0]).is_none());
-    }
-
-    #[test]
-    fn normalize_divides_elementwise() {
-        assert_eq!(
-            normalize(&[1.0, 4.0, 9.0], &[2.0, 4.0, 3.0]),
-            vec![0.5, 1.0, 3.0]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn normalize_rejects_length_mismatch() {
-        normalize(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let data = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&data, 0.0), Some(10.0));
-        assert_eq!(percentile(&data, 100.0), Some(40.0));
-        assert_eq!(percentile(&data, 50.0), Some(25.0));
-        assert!(percentile(&[], 50.0).is_none());
-        assert!(percentile(&data, 101.0).is_none());
     }
 }

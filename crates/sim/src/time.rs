@@ -104,15 +104,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked subtraction; `None` if `rhs > self`.
-    #[inline]
-    pub const fn checked_sub(self, rhs: SimTime) -> Option<SimTime> {
-        match self.0.checked_sub(rhs.0) {
-            Some(v) => Some(SimTime(v)),
-            None => None,
-        }
-    }
-
     /// The larger of two instants.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -211,8 +202,6 @@ mod tests {
         assert_eq!((a + b).as_nanos(), 140);
         assert_eq!((a - b).as_nanos(), 60);
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
-        assert_eq!(a.checked_sub(b), Some(SimTime::from_nanos(60)));
-        assert_eq!(b.checked_sub(a), None);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
     }

@@ -43,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// Allocations and reallocations counted so far, on every thread.
-pub fn allocations() -> u64 {
+fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 

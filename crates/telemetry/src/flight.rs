@@ -11,13 +11,11 @@
 //! and each record path is a single branch (asserted by the counting-
 //! allocator test in `tests/recorder_alloc.rs` and the throughput bench).
 //!
-//! Dumping is the slow path: [`FlightRecorder::dump_to`] snapshots the
-//! ring (skipping torn slots via a seqlock-style re-read), attaches a
-//! metrics snapshot when a [`Registry`] is supplied, and writes one
+//! Dumping is the slow path: the panic hook
+//! ([`FlightRecorder::install_panic_hook`]) snapshots the ring (skipping
+//! torn slots via a seqlock-style re-read) and writes one
 //! Perfetto-loadable Chrome trace. A one-shot latch makes the first
-//! trigger win — panic hooks, chaos failures, SLO breaches, and integrity
-//! quarantines can all race to dump without stomping each other's
-//! artifact.
+//! trigger win, so racing panics do not stomp each other's artifact.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,7 +26,6 @@ use fcc_sim::time::SimTime;
 
 use crate::chrome::export_chrome_trace;
 use crate::ctx::TraceCtx;
-use crate::registry::Registry;
 use crate::trace::{TraceSink, TrackId};
 
 /// What a flight-recorder event describes. The discriminant is stored
@@ -243,35 +240,21 @@ impl FlightRecorder {
         out
     }
 
-    /// Renders the current window (plus an optional metrics snapshot) as
-    /// a Perfetto-loadable Chrome trace. Events become instants on one
-    /// lane per [`FlightKind`]; registry counters become counter samples
-    /// at the window's end.
-    pub fn to_chrome_trace(&self, registry: Option<&Registry>) -> String {
+    /// Renders the current window as a Perfetto-loadable Chrome trace.
+    /// Events become instants on one lane per [`FlightKind`].
+    fn to_chrome_trace(&self) -> String {
         let events = self.snapshot();
         let sink = TraceSink::enabled();
         sink.name_process(FLIGHT_PID, "flight");
-        let mut end = SimTime::ZERO;
         for e in &events {
             let tid = e.kind as u32;
             sink.name_thread(FLIGHT_PID, tid, e.kind.name());
-            let at = SimTime::from_nanos(e.at_ns);
-            end = end.max(at);
             sink.instant(
                 TrackId::new(FLIGHT_PID, tid),
                 &format!("{} [{}]", e.kind.name(), e.ctx),
-                at,
+                SimTime::from_nanos(e.at_ns),
                 Some(e.a),
             );
-        }
-        if let Some(reg) = registry {
-            let snap = reg.snapshot();
-            let tid = 255;
-            sink.name_thread(FLIGHT_PID, tid, "metrics");
-            let track = TrackId::new(FLIGHT_PID, tid);
-            for (key, value) in crate::snapshot::BenchSnapshot::flatten_metrics(&snap) {
-                sink.counter_sample(track, &key, end, value);
-            }
         }
         export_chrome_trace(&sink.data())
     }
@@ -280,12 +263,7 @@ impl FlightRecorder {
     /// the first trigger wins the latch, later triggers are no-ops
     /// returning the original artifact path. Returns `None` when disabled
     /// or the write failed.
-    pub fn dump_to(
-        &self,
-        dir: &Path,
-        reason: &str,
-        registry: Option<&Registry>,
-    ) -> Option<PathBuf> {
+    fn dump_to(&self, dir: &Path, reason: &str) -> Option<PathBuf> {
         let inner = self.inner.as_ref()?;
         if inner.dumped.swap(true, Ordering::SeqCst) {
             return inner
@@ -299,7 +277,7 @@ impl FlightRecorder {
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
         let path = dir.join(format!("flight_{safe}.json"));
-        let trace = self.to_chrome_trace(registry);
+        let trace = self.to_chrome_trace();
         if std::fs::create_dir_all(dir).is_err() || std::fs::write(&path, trace).is_err() {
             return None;
         }
@@ -308,13 +286,6 @@ impl FlightRecorder {
         }
         eprintln!("flight recorder: dumped {} ({reason})", path.display());
         Some(path)
-    }
-
-    /// Whether a dump has already been latched.
-    pub fn dumped(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.dumped.load(Ordering::SeqCst))
     }
 
     /// Installs a panic hook that dumps this recorder's window to `dir`
@@ -327,7 +298,7 @@ impl FlightRecorder {
         let recorder = self.clone();
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            recorder.dump_to(&dir, "panic", None);
+            recorder.dump_to(&dir, "panic");
             previous(info);
         }));
     }
@@ -354,7 +325,7 @@ mod tests {
         r.record(FlightKind::NetPut, TraceCtx::step(1), 0, 64);
         assert_eq!(r.recorded(), 0);
         assert!(r.snapshot().is_empty());
-        assert!(r.dump_to(Path::new("/tmp"), "x", None).is_none());
+        assert!(r.dump_to(Path::new("/tmp"), "x").is_none());
     }
 
     #[test]
@@ -399,9 +370,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fcc_flight_test_{}", std::process::id()));
         let r = FlightRecorder::enabled(64);
         r.record(FlightKind::Quarantine, TraceCtx::request(9), 0, 1);
-        let first = r.dump_to(&dir, "integrity quarantine", None).expect("dump");
-        assert!(r.dumped());
-        let second = r.dump_to(&dir, "panic", None).expect("latched path");
+        let first = r.dump_to(&dir, "integrity quarantine").expect("dump");
+        let second = r.dump_to(&dir, "panic").expect("latched path");
         assert_eq!(first, second, "second trigger must not write a new file");
         let text = std::fs::read_to_string(&first).expect("artifact readable");
         let report = crate::check_chrome_trace(&text).expect("artifact is a valid trace");
@@ -419,7 +389,6 @@ mod tests {
         // a sibling test's intentional panic racing us is harmless.
         let caught = std::panic::catch_unwind(|| panic!("induced failure"));
         assert!(caught.is_err());
-        assert!(r.dumped(), "panic hook must latch a dump");
         let text =
             std::fs::read_to_string(dir.join("flight_panic.json")).expect("artifact written");
         let report = crate::check_chrome_trace(&text).expect("artifact is a valid trace");
@@ -428,15 +397,12 @@ mod tests {
     }
 
     #[test]
-    fn dumped_trace_validates_and_carries_metrics() {
+    fn dumped_trace_validates_with_one_lane_per_kind() {
         let r = FlightRecorder::enabled(64);
         r.record(FlightKind::Shed, TraceCtx::request(3), 2, 3);
         r.record(FlightKind::BatchClose, TraceCtx::step(1), 1, 32);
-        let reg = Registry::enabled();
-        reg.counter("serve.shed", &[]).add(1);
-        let trace = r.to_chrome_trace(Some(&reg));
+        let trace = r.to_chrome_trace();
         let report = crate::check_chrome_trace(&trace).expect("valid");
         assert!(report.tracks.iter().any(|t| t == "flight/shed"));
-        assert!(report.tracks.iter().any(|t| t == "flight/metrics"));
     }
 }

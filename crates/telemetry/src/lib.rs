@@ -9,7 +9,6 @@
 //! * [`TraceSink`] — an append-only sink of spans / instants / counter
 //!   samples on the shared [`SimTime`] clock, organized into Perfetto-style
 //!   tracks (`pid` = process lane, `tid` = thread lane), behind one lock.
-//!   [`ScopedSpan`] gives hierarchical (strictly nested) spans per track.
 //!   The timed simulator records its per-WG compute spans and slice
 //!   publications here, and [`TraceData`] renders them as the paper's
 //!   Fig. 9 chart and per-WG compute utilization.
@@ -63,12 +62,12 @@ pub use saturation::SaturationWindow;
 pub use snapshot::{BenchSnapshot, VariantProfile};
 pub use summary::render_summary;
 pub use timeseries::{SeriesSet, TID_SERIES};
-pub use trace::{FlowPhase, ScopedSpan, TraceData, TraceRecord, TraceSink, TrackId};
+pub use trace::{FlowPhase, TraceData, TraceRecord, TraceSink, TrackId};
 
 use fcc_sim::time::SimTime;
 
 /// Default flight-recorder capacity used by [`Telemetry::enabled`].
-pub const FLIGHT_CAPACITY: usize = 4096;
+const FLIGHT_CAPACITY: usize = 4096;
 
 /// Bundle of a metrics [`Registry`], a [`TraceSink`], and a
 /// [`FlightRecorder`] — the one value instrumented code paths accept.

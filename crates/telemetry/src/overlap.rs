@@ -79,15 +79,6 @@ impl OverlapStats {
         }
         self.comm_hidden_ns as f64 / self.comm_total_ns as f64
     }
-
-    /// Merges per-PE stats into an aggregate (sums, not averages, so big
-    /// transfers weigh more than small ones).
-    pub fn merge(&self, other: &OverlapStats) -> OverlapStats {
-        OverlapStats {
-            comm_total_ns: self.comm_total_ns + other.comm_total_ns,
-            comm_hidden_ns: self.comm_hidden_ns + other.comm_hidden_ns,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -137,20 +128,5 @@ mod tests {
     fn no_communication_is_perfect_overlap() {
         let s = OverlapStats::derive(&[], &[iv(0, 10)]);
         assert_eq!(s.efficiency(), 1.0);
-    }
-
-    #[test]
-    fn merge_sums_components() {
-        let a = OverlapStats {
-            comm_total_ns: 100,
-            comm_hidden_ns: 50,
-        };
-        let b = OverlapStats {
-            comm_total_ns: 300,
-            comm_hidden_ns: 300,
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.comm_total_ns, 400);
-        assert!((m.efficiency() - 0.875).abs() < 1e-12);
     }
 }

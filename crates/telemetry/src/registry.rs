@@ -142,7 +142,7 @@ impl HistogramHandle {
     }
 
     /// Snapshot of count / tails / quantile estimates.
-    pub fn summary(&self) -> HistogramSummary {
+    fn summary(&self) -> HistogramSummary {
         match &self.0 {
             None => HistogramSummary::default(),
             Some(h) => HistogramSummary::of(&h.lock().expect("histogram poisoned")),

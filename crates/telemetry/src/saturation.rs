@@ -93,28 +93,12 @@ impl SaturationWindow {
         self.saturated
     }
 
-    /// Current debounced state without feeding an observation.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
-    }
-
     /// Whether the window has seen enough observations to judge — both
     /// entering saturation and (for callers layering their own
     /// transitions, like the serve degrade ladder) confidently exiting
     /// require a full window.
     pub fn is_full(&self) -> bool {
         self.filled == self.ring.len()
-    }
-
-    /// Fraction of the window currently hot (over the full window size,
-    /// so a half-filled window can report at most 0.5).
-    pub fn hot_fraction(&self) -> f64 {
-        self.ring
-            .iter()
-            .take(self.filled)
-            .filter(|&&u| u >= self.hot_threshold)
-            .count() as f64
-            / self.ring.len() as f64
     }
 
     /// Clears history and state, e.g. after a degrade-ladder transition
@@ -151,31 +135,27 @@ mod tests {
     #[test]
     fn hysteresis_band_prevents_flapping() {
         let mut w = SaturationWindow::new(4, 0.9, 0.75, 0.25);
-        for _ in 0..4 {
+        for _ in 0..3 {
             w.observe(1.0);
         }
-        assert!(w.is_saturated());
+        assert!(w.observe(1.0));
         // Hot fraction 3/4 is above exit_frac 1/4: still saturated.
-        w.observe(0.0);
-        assert!(w.is_saturated(), "one cool tick must not exit");
+        assert!(w.observe(0.0), "one cool tick must not exit");
         // Two more cool ticks: hot = 1/4 <= exit_frac, exits.
         w.observe(0.0);
-        w.observe(0.0);
-        assert!(!w.is_saturated());
+        assert!(!w.observe(0.0));
         // And re-entry needs a full hot window again, not one hot tick.
-        w.observe(1.0);
-        assert!(!w.is_saturated());
+        assert!(!w.observe(1.0));
     }
 
     #[test]
     fn reset_clears_state() {
         let mut w = SaturationWindow::new(2, 0.5, 0.9, 0.1);
         w.observe(1.0);
-        w.observe(1.0);
-        assert!(w.is_saturated());
+        assert!(w.observe(1.0));
         w.reset();
-        assert!(!w.is_saturated());
-        assert_eq!(w.hot_fraction(), 0.0);
+        assert!(!w.saturated);
+        assert_eq!(w.filled, 0);
         assert!(!w.observe(1.0), "post-reset window is partial again");
     }
 

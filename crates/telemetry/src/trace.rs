@@ -301,18 +301,6 @@ impl TraceSink {
         }
     }
 
-    /// Opens a hierarchical scoped span on `track`; closing order is
-    /// enforced by the [`ScopedSpan`] stack discipline.
-    pub fn scoped<'a>(&'a self, track: TrackId, name: &str, start: SimTime) -> ScopedSpan<'a> {
-        ScopedSpan {
-            sink: self,
-            track,
-            name: name.to_string(),
-            start,
-            children: Vec::new(),
-        }
-    }
-
     /// Owned copy of the collected data (empty when disabled).
     pub fn data(&self) -> TraceData {
         self.with(|d| d.clone()).unwrap_or_default()
@@ -322,67 +310,6 @@ impl TraceSink {
 impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "TraceSink(enabled={})", self.is_enabled())
-    }
-}
-
-/// A hierarchical scoped span: children open inside the parent and must
-/// close (with an `end` time) before the parent does, producing the
-/// strictly nested structure the Chrome `B`/`E` exporter requires.
-pub struct ScopedSpan<'a> {
-    sink: &'a TraceSink,
-    track: TrackId,
-    name: String,
-    start: SimTime,
-    children: Vec<TraceRecord>,
-}
-
-impl<'a> ScopedSpan<'a> {
-    /// Opens a child scope at `start`.
-    pub fn child(&self, name: &str, start: SimTime) -> ScopedSpan<'a> {
-        ScopedSpan {
-            sink: self.sink,
-            track: self.track,
-            name: name.to_string(),
-            start: start.max(self.start),
-            children: Vec::new(),
-        }
-    }
-
-    /// Closes a child scope at `end`, folding its records into the parent.
-    pub fn close_child(&mut self, child: ScopedSpan<'_>, end: SimTime) {
-        let end = end.max(child.start);
-        self.children.push(TraceRecord::Span {
-            track: child.track,
-            name: child.name.clone(),
-            start: child.start,
-            end,
-            tag: None,
-        });
-        self.children.extend(child.children);
-    }
-
-    /// Closes this scope at `end`, emitting the span (clamped so it always
-    /// encloses its children) followed by all child spans.
-    pub fn close(self, end: SimTime) {
-        let child_max = (self.children.iter())
-            .map(|r| r.extent().1)
-            .max()
-            .unwrap_or(self.start);
-        let end = end.max(self.start).max(child_max);
-        self.sink
-            .span(self.track, &self.name, self.start, end, None);
-        for r in self.children {
-            if let TraceRecord::Span {
-                track,
-                name,
-                start,
-                end,
-                tag,
-            } = r
-            {
-                self.sink.span(track, &name, start, end, tag);
-            }
-        }
     }
 }
 
@@ -423,34 +350,6 @@ mod tests {
         s.span(TrackId::new(0, 0), "x", ns(10), ns(5), None);
         match &s.data().records[0] {
             TraceRecord::Span { start, end, .. } => assert_eq!((*start, *end), (ns(10), ns(10))),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn scoped_spans_nest() {
-        let s = TraceSink::enabled();
-        let mut outer = s.scoped(TrackId::new(0, 0), "step", ns(0));
-        let inner = outer.child("slice", ns(2));
-        outer.close_child(inner, ns(8));
-        outer.close(ns(6)); // parent end clamps up to enclose the child
-        let d = s.data();
-        assert_eq!(d.records.len(), 2);
-        match (&d.records[0], &d.records[1]) {
-            (
-                TraceRecord::Span {
-                    name: n0, end: e0, ..
-                },
-                TraceRecord::Span {
-                    name: n1,
-                    start: s1,
-                    end: e1,
-                    ..
-                },
-            ) => {
-                assert_eq!((n0.as_str(), *e0), ("step", ns(8)));
-                assert_eq!((n1.as_str(), *s1, *e1), ("slice", ns(2), ns(8)));
-            }
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -12,33 +12,21 @@
 //! file is compiled into the binary, so a bad key is a build-content bug,
 //! not a runtime condition, and the unit tests below fail fast on it.
 
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// The raw contents of `ci/timeouts.env`, compiled into the crate.
-pub const RAW: &str = include_str!("../ci/timeouts.env");
+const RAW: &str = include_str!("../ci/timeouts.env");
 
-/// Look up `key` in [`RAW`] and parse the value as `u64`.
+/// Look up `key` in [`RAW`] and parse its value.
 ///
 /// Panics (with the key name) when the key is absent or unparseable —
 /// see the module docs for why this is an assertion, not a `Result`.
-pub fn get(key: &str) -> u64 {
-    for line in RAW.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        let Some((k, v)) = line.split_once('=') else {
-            continue;
-        };
-        if k.trim() == key {
-            return v
-                .trim()
-                .parse()
-                .unwrap_or_else(|e| panic!("ci/timeouts.env: {key}={:?}: {e}", v.trim()));
-        }
-    }
-    panic!("ci/timeouts.env: missing key {key}");
-}
-
-/// Look up `key` and parse the value as `f64` (for ratio knobs).
-pub fn get_f64(key: &str) -> f64 {
+fn get<T: FromStr>(key: &str) -> T
+where
+    T::Err: Display,
+{
     for line in RAW.lines() {
         let line = line.split('#').next().unwrap_or("").trim();
         let Some((k, v)) = line.split_once('=') else {
@@ -125,17 +113,17 @@ pub fn crash_tick() -> Duration {
 
 /// Virtual duration of the CI serving smoke run, in microseconds.
 pub fn serving_smoke_duration_us() -> u64 {
-    get("SERVING_SMOKE_DURATION_MS") * 1_000
+    get::<u64>("SERVING_SMOKE_DURATION_MS") * 1_000
 }
 
 /// Per-request SLO of the CI serving smoke run, in microseconds.
 pub fn serving_smoke_slo_us() -> u64 {
-    get("SERVING_SMOKE_SLO_MS") * 1_000
+    get::<u64>("SERVING_SMOKE_SLO_MS") * 1_000
 }
 
 /// Shed-rate ceiling enforced by the CI serving smoke gate.
 pub fn serving_smoke_shed_ceiling() -> f64 {
-    get_f64("SERVING_SMOKE_SHED_CEILING")
+    get("SERVING_SMOKE_SHED_CEILING")
 }
 
 #[cfg(test)]
@@ -167,7 +155,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "missing key")]
     fn missing_key_panics_with_name() {
-        get("NO_SUCH_KEY");
+        get::<u64>("NO_SUCH_KEY");
     }
 
     #[test]
@@ -206,6 +194,6 @@ mod tests {
     fn comments_and_blanks_are_ignored() {
         assert!(RAW.lines().any(|l| l.trim_start().starts_with('#')));
         // A commented-out key must not resolve.
-        assert_eq!(get("CHAOS_SMOKE_TIMEOUT_SECS"), 120);
+        assert_eq!(get::<u64>("CHAOS_SMOKE_TIMEOUT_SECS"), 120);
     }
 }
