@@ -22,8 +22,11 @@
 # (`core.sim.digest`, `core.sim.paper_gap_pp`) and the per-layer spans
 # that attribute a simulator change (`core.sim.*_ms_per_point`,
 # `astra.pass_ms`, `gpu.exec.tasks_per_s`, and the substrate probes
-# `sim.ps.ns_per_job` and `sim.engine.events_per_s`). With PAIRS=0 the
-# summary is empty and this step is all that runs.
+# `sim.ps.ns_per_job` and `sim.engine.events_per_s`), and for the flow
+# fabric its span `net.flow.run_s` and `ns_per_refresh_flow` beside the
+# exact counts `net.flow.{events,refreshes,max_active}` that must not
+# move when only the engine's speed does. With PAIRS=0 the summary is
+# empty and this step is all that runs.
 #
 # Everything is written under ${CARGO_TARGET_DIR:-.bench_build}/ab.
 set -euo pipefail
@@ -134,7 +137,7 @@ awk -v metrics="$(echo $metrics)" '
 
 traced() { # the per-layer lines --trace prints for the simulators
   "$1" --workload "$2" --seed 1 --seconds "$seconds" --trace 1 |
-    grep -E '^(core\.sim\.(digest|paper_gap_pp|[a-z_]+_ms_per_point)|astra\.pass_ms|gpu\.exec\.tasks_per_s|sim\.ps\.ns_per_job|sim\.engine\.events_per_s) '
+    grep -E '^(core\.sim\.(digest|paper_gap_pp|[a-z_]+_ms_per_point)|astra\.pass_ms|gpu\.exec\.tasks_per_s|sim\.ps\.ns_per_job|sim\.engine\.events_per_s|net\.flow\.(run_s|events|refreshes|max_active|ns_per_refresh_flow)) '
 }
 if ((trace)); then
   for workload in "${workloads[@]}"; do

@@ -266,3 +266,174 @@ fn the_clean_twin_passes_every_conviction_scenario() {
     )
     .expect("bottleneck scenario must pass clean");
 }
+
+// ---------------------------------------------------------------------
+// The same convictions on a local refresh. Each crafted case is the
+// bug's trigger plus a quiet background of long flows on disjoint links,
+// admitted first: the trigger's events then change counts on a few links
+// that few live flows cross, so the engine re-rates and re-checks only
+// those. The pass an event takes depends only on per-link counts, which
+// none of the bugs moves before it is caught, so the clean twin's passes
+// are the bugged run's.
+// ---------------------------------------------------------------------
+
+/// Long background flows, one per hop from `first`.
+const BACKGROUND: u32 = 24;
+
+/// The background at t = 0, then a short primer flow on the next hop at
+/// t = 500. Both events take the full refresh: the first touches every
+/// live flow, and the engine builds its link→flows transpose only once
+/// full refreshes have walked one path per flow of the batch more than
+/// local ones would have — the primer's event walks about half that, the
+/// first trigger event the rest. Triggers enter from t = 1000.
+fn background(first: u32) -> Vec<Injection> {
+    let mut batch: Vec<Injection> = (0..BACKGROUND)
+        .map(|i| inj(0, first + i, first + i + 1, 4 << 20, 10 + i as u64))
+        .collect();
+    let primer = first + BACKGROUND;
+    batch.push(inj(500, primer, primer + 1, 8 * 1024, 9));
+    batch
+}
+
+/// The clean twin convicts nothing, and no event after the primer's took
+/// the full refresh. The first two events re-rate `2 * BACKGROUND + 1`
+/// flows; a full refresh while the background is live re-rates at least
+/// `BACKGROUND` more, while the local ones re-rate only trigger flows —
+/// fewer than `BACKGROUND` over the whole case.
+fn assert_local_after_the_primer(topo: &Topology, batch: &[Injection]) {
+    compare_fabric(topo, batch, &DiffTolerance::default(), &FlowFabric::new())
+        .expect("the clean twin must pass");
+    let (_, stats) = FlowFabric::new().run_checked(topo, batch).expect("clean");
+    assert!(
+        stats.rerated < 3 * BACKGROUND as u64 + 1,
+        "an event after the primer took the full refresh: {stats:?}"
+    );
+}
+
+fn switched() -> Topology {
+    Topology::Switched {
+        endpoints: 32,
+        link: LinkSpec::infiniband_20gbs(),
+    }
+}
+
+#[test]
+fn skipped_rate_refresh_is_convicted_on_a_local_refresh() {
+    let mut batch = background(2);
+    batch.extend([
+        inj(1_000, 0, 1, 256 * 1024, 0),
+        inj(2_000, 0, 1, 256 * 1024, 1),
+    ]);
+    assert_local_after_the_primer(&switched(), &batch);
+    let err = diff_against(
+        &FlowFabric::with_bug(InjectedBug::SkipRateRefresh),
+        &switched(),
+        &batch,
+    );
+    assert!(
+        matches!(
+            err,
+            DiffError::Violation(FlowViolation::ShareExceeded { tag: 0, .. })
+        ),
+        "the stale flow must trip its link's share check, got {err}"
+    );
+}
+
+#[test]
+fn bottleneck_overallocation_is_convicted_on_a_local_refresh() {
+    // Ring of 40: flow 0 spans 0->1->2, flow 1 congests 1->2; the
+    // background runs on the far side of the ring.
+    let topo = Topology::Torus2D {
+        dims: (1, 40),
+        link: LinkSpec::torus_200gbps(),
+    };
+    let mut batch = background(8);
+    batch.extend([
+        inj(1_000, 0, 2, 256 * 1024, 0),
+        inj(1_000, 1, 2, 256 * 1024, 1),
+    ]);
+    assert_local_after_the_primer(&topo, &batch);
+    let err = diff_against(
+        &FlowFabric::with_bug(InjectedBug::OverAllocateBottleneck),
+        &topo,
+        &batch,
+    );
+    assert!(
+        matches!(
+            err,
+            DiffError::Violation(FlowViolation::ShareExceeded { tag: 0, .. })
+        ),
+        "rating flow 0 off its first link must trip the share check downstream, got {err}"
+    );
+}
+
+#[test]
+fn dropped_flow_is_convicted_after_a_local_refresh() {
+    let mut batch = background(2);
+    batch.extend([
+        inj(1_000, 0, 1, 32 * 1024, 0),
+        inj(2_000, 1, 0, 32 * 1024, 7),
+    ]);
+    assert_local_after_the_primer(&switched(), &batch);
+    let err = diff_against(
+        &FlowFabric::with_bug(InjectedBug::DropFlow),
+        &switched(),
+        &batch,
+    );
+    assert_eq!(
+        err,
+        DiffError::Violation(FlowViolation::MissingDelivery { tag: 7 })
+    );
+}
+
+#[test]
+fn an_unlisted_flow_is_convicted_by_the_count_check() {
+    // The first admitted flow (tag 10, 2->3) is missing from its link's
+    // list; the trigger joins that link while it is live.
+    let mut batch = background(2);
+    batch.push(inj(1_000, 2, 3, 256 * 1024, 0));
+    assert_local_after_the_primer(&switched(), &batch);
+    let err = diff_against(
+        &FlowFabric::with_bug(InjectedBug::UnlistedFlow),
+        &switched(),
+        &batch,
+    );
+    assert_eq!(
+        err,
+        DiffError::Violation(FlowViolation::LinkCountMismatch {
+            link: 2 * 32 + 3,
+            listed: 1,
+            counted: 2,
+        })
+    );
+}
+
+/// The rate bugs' minimal crafted cases above convict on the full
+/// refresh: each of their events changes the counts of links that every
+/// live flow crosses, so the clean twin re-rates exactly what the traced
+/// run — full at every event — re-rates. (A dropped flow is convicted by
+/// the end-of-run conservation check, whichever refresh its events take.)
+#[test]
+fn the_minimal_rate_bug_cases_take_the_full_refresh() {
+    let cases = [
+        (
+            Topology::Switched {
+                endpoints: 2,
+                link: LinkSpec::infiniband_20gbs(),
+            },
+            vec![inj(0, 0, 1, 256 * 1024, 0), inj(1_000, 0, 1, 256 * 1024, 1)],
+        ),
+        (
+            Topology::Torus2D {
+                dims: (1, 4),
+                link: LinkSpec::torus_200gbps(),
+            },
+            vec![inj(0, 0, 2, 256 * 1024, 0), inj(0, 1, 2, 256 * 1024, 1)],
+        ),
+    ];
+    for (topo, batch) in cases {
+        let (_, checked) = FlowFabric::new().run_checked(&topo, &batch).expect("clean");
+        let (_, traced, _) = FlowFabric::new().run_traced(&topo, &batch).expect("clean");
+        assert_eq!(checked.rerated, traced.rerated, "{topo:?}");
+    }
+}
