@@ -1,8 +1,9 @@
 //! Regenerates the paper's Figure 15 — and, with `--fast`, extends the
-//! scale-out study to 1k–8k nodes on the flow-level fabric.
+//! scale-out study to 1k–8k nodes and more fabrics. Both price the
+//! All-to-All wire on the flow-level fabric (`scaleout::measure_wire`).
 //!
 //! ```text
-//! fig15_scaleout                     # packet-sim Fig 15 (16–128 nodes)
+//! fig15_scaleout                     # Fig 15 (16–128-node tori)
 //! fig15_scaleout --fast              # full 16-8192 sweep, all fabrics,
 //!                                    # writes results/BENCH_scaleout.json
 //! fig15_scaleout --fast --point N    # one node count (all fabrics)

@@ -43,26 +43,27 @@ pub enum ScheduleKind {
 /// assert_eq!(map.slice_of_wg(aware[0]).dst_pe, 1);
 /// ```
 pub fn order(map: &SliceMap, me: u32, kind: ScheduleKind) -> Vec<u32> {
-    let (batch, local) = (map.global_batch(), map.local_batch());
-    let tables = map.num_wgs() / batch;
     let mut order = Vec::with_capacity(map.num_wgs() as usize);
-    let mut walk = |samples: std::ops::Range<u32>| {
-        for sample in samples {
-            order.extend((0..tables).map(|table| map.encode_wg(table, sample)));
-        }
-    };
-    match kind {
-        ScheduleKind::Oblivious => walk(0..batch),
-        ScheduleKind::CommAware => {
-            // Sample `s` goes to PE `s / local`, so the partition moves
-            // `me`'s whole shard to the back.
-            let shard = me * local..(me + 1) * local;
-            walk(0..shard.start);
-            walk(shard.end..batch);
-            walk(shard);
-        }
+    for sample in samples(map, me, kind) {
+        order.extend(map.sample_wgs(sample).map(|(wg, _)| wg));
     }
     order
+}
+
+/// The samples [`order`] walks, in order; each contributes its logical
+/// WGs in table order ([`SliceMap::sample_wgs`]).
+pub(crate) fn samples(map: &SliceMap, me: u32, kind: ScheduleKind) -> impl Iterator<Item = u32> {
+    let (batch, local) = (map.global_batch(), map.local_batch());
+    let ranges = match kind {
+        ScheduleKind::Oblivious => [0..batch, 0..0, 0..0],
+        // Sample `s` goes to PE `s / local`, so the partition moves `me`'s
+        // whole shard to the back.
+        ScheduleKind::CommAware => {
+            let shard = me * local..(me + 1) * local;
+            [0..shard.start, shard.end..batch, shard]
+        }
+    };
+    ranges.into_iter().flatten()
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ use crate::op::protocol::{Backend, Slice, SliceTable};
 use crate::schedule::{self, ScheduleKind};
 use crate::slice::SliceMap;
 
-use super::timed::{hbm_exec, persistent_wgs, Timed};
+use super::timed::{hbm, persistent_wgs, Timed};
 use super::FusedTuning;
 
 /// How logical WGs map onto persistent WG slots at runtime.
@@ -325,22 +325,19 @@ pub fn simulate_fused(params: &FusedParams) -> FusedResult {
 /// so under those deals every PE is simulated.
 fn compute(params: &FusedParams, map: &SliceMap, timed: &Timed, n: u32) -> Vec<PeRun> {
     let mut runs: Vec<PeRun> = Vec::with_capacity(params.cfg.n_pes);
-    // The simulated PEs a later PE may share with, and their orders.
-    let mut simulated: Vec<(usize, Vec<u32>)> = Vec::new();
+    // The simulated PEs a later PE may share with.
+    let mut simulated: Vec<usize> = Vec::new();
     let shares = params.wg_schedule == WgSchedule::Static;
     for pe in 0..params.cfg.n_pes {
-        let order = schedule::order(map, pe as u32, params.schedule);
-        let shared = simulated.iter().find_map(|(p, of_p)| {
-            Some((*p, isomorphism(params, map, timed, *p, of_p, pe, &order)?))
-        });
+        let shared =
+            (simulated.iter()).find_map(|&p| Some((p, isomorphism(params, map, timed, p, pe)?)));
         let run = match shared {
             Some((p, sigma)) => runs[p].relabel(pe, &sigma, timed.table),
             None => {
-                let run = run_pe(params, map, timed, pe, &order, n);
                 if shares {
-                    simulated.push((pe, order));
+                    simulated.push(pe);
                 }
-                run
+                run_pe(params, map, timed, pe, n)
             }
         };
         runs.push(run);
@@ -383,20 +380,13 @@ fn replay(
     (arrivals, fault_stats)
 }
 
-/// PE `pe`'s stage 1, simulated: its `n` persistent WGs run `order` and
+/// PE `pe`'s stage 1, simulated: its `n` persistent WGs run its order and
 /// step the protocol on every task completion.
-fn run_pe(
-    params: &FusedParams,
-    map: &SliceMap,
-    timed: &Timed,
-    pe: usize,
-    order: &[u32],
-    n: u32,
-) -> PeRun {
+fn run_pe(params: &FusedParams, map: &SliceMap, timed: &Timed, pe: usize, n: u32) -> PeRun {
     // Metrics derive slice latency and overlap from the recorded compute
     // spans, so any enabled part of telemetry records.
     let mut st = timed.pe(pe, params.telemetry.is_enabled());
-    let exec = pe_exec(params, map, pe, order, n).run(|c| timed.complete(&mut st, c));
+    let exec = pe_exec(params, map, pe, n).run(|c| timed.complete(&mut st, c));
     PeRun {
         compute_end: exec.makespan,
         tail: timed.p2p_tail(&st, exec.makespan),
@@ -409,24 +399,22 @@ fn run_pe(
 }
 
 /// Whether PE `q`'s stage-1 inputs are PE `p`'s up to a relabelling of
-/// slices, given both PEs' task orders; if so, the relabelling `σ`: PE
-/// `q`'s slice `σ[k]` plays PE `p`'s slice `k`.
+/// slices; if so, the relabelling `σ`: PE `q`'s slice `σ[k]` plays PE
+/// `p`'s slice `k`.
 ///
-/// Both orders are dealt onto the same persistent WGs, so position `i` of
-/// either is the same WG's same iteration. The inputs are isomorphic if
-/// every position holds bit-equal work and the positions' slices
-/// correspond one to one, keeping `len` and class (own, P2P or network).
-/// That is all the timed run reads: the executor sees work and the
-/// step's overheads, and a step's overhead depends only on whether its
+/// Both PEs' orders are dealt onto the same persistent WGs, so position
+/// `i` of either is the same WG's same iteration. The inputs are
+/// isomorphic if every position holds bit-equal work and the positions'
+/// slices correspond one to one, keeping `len` and class (own, P2P or
+/// network). That is all the timed run reads: the executor sees work and
+/// the step's overheads, and a step's overhead depends only on whether its
 /// slice's `WG_Done` count reached `len` and on the slice's class.
 fn isomorphism(
     params: &FusedParams,
     map: &SliceMap,
     timed: &Timed,
     p: usize,
-    order_p: &[u32],
     q: usize,
-    order_q: &[u32],
 ) -> Option<Vec<u32>> {
     const UNSET: u32 = u32::MAX;
     let (slices_p, slices_q) = (timed.table.slices(p), timed.table.slices(q));
@@ -435,38 +423,40 @@ fn isomorphism(
     let mut taken = vec![false; slices_q.len()];
     // Without a skew every task's work is the same constant.
     let skewed = params.skew.is_some();
-    for (&wp, &wq) in order_p.iter().zip(order_q) {
-        if skewed && task_work(params, p, wp).to_bits() != task_work(params, q, wq).to_bits() {
-            return None;
-        }
-        let (a, b) = (map.slice_of_wg(wp).id as usize, map.slice_of_wg(wq).id);
-        match sigma[a] {
-            UNSET => {
-                let (sa, sb) = (&slices_p[a], &slices_q[b as usize]);
-                if taken[b as usize] || sa.len != sb.len || class(sa) != class(sb) {
-                    return None;
-                }
-                sigma[a] = b;
-                taken[b as usize] = true;
+    let kind = params.schedule;
+    let samples =
+        schedule::samples(map, p as u32, kind).zip(schedule::samples(map, q as u32, kind));
+    for (sp, sq) in samples {
+        for ((wp, a), (wq, b)) in map.sample_wgs(sp).zip(map.sample_wgs(sq)) {
+            if skewed && task_work(params, p, wp).to_bits() != task_work(params, q, wq).to_bits() {
+                return None;
             }
-            mapped if mapped != b => return None,
-            _ => {}
+            match sigma[a as usize] {
+                UNSET => {
+                    let (sa, sb) = (&slices_p[a as usize], &slices_q[b as usize]);
+                    if taken[b as usize] || sa.len != sb.len || class(sa) != class(sb) {
+                        return None;
+                    }
+                    sigma[a as usize] = b;
+                    taken[b as usize] = true;
+                }
+                mapped if mapped != b => return None,
+                _ => {}
+            }
         }
     }
     Some(sigma)
 }
 
-/// PE `pe`'s `n` persistent WGs on its HBM, running its [`wg_plans`] for
-/// `order`; under [`WgSchedule::Stealing`] each PE thieves from its own
-/// deterministic stream.
-pub(super) fn pe_exec(
-    params: &FusedParams,
-    map: &SliceMap,
-    pe: usize,
-    order: &[u32],
-    n: u32,
-) -> PersistentExec {
-    let exec = hbm_exec(&params.gpu, wg_plans(params, map, pe, order, n));
+/// PE `pe`'s `n` persistent WGs on its HBM, running its logical WGs in
+/// its `params.schedule` order, dealt by [`deal`]; under
+/// [`WgSchedule::Stealing`] each PE thieves from its own deterministic
+/// stream.
+pub(super) fn pe_exec(params: &FusedParams, map: &SliceMap, pe: usize, n: u32) -> PersistentExec {
+    let tasks = schedule::samples(map, pe as u32, params.schedule).flat_map(|sample| {
+        (map.sample_wgs(sample)).map(move |(wg, slice)| task(params, pe, wg, slice))
+    });
+    let exec = deal(params, tasks, n);
     match params.wg_schedule {
         WgSchedule::Stealing { seed } => {
             exec.with_stealing(seed ^ (pe as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f))
@@ -484,37 +474,30 @@ fn task_work(params: &FusedParams, pe: usize, wg: u32) -> f64 {
     }
 }
 
-/// PE `pe`'s persistent-WG plans: its logical WGs in `order` (its
-/// `params.schedule` order), dealt under `params.wg_schedule`, each priced
-/// by the skew.
-fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, order: &[u32], n: u32) -> Vec<WgPlan> {
-    let task = |wg: u32| TaskUnit {
-        id: map.task(wg),
+/// PE `pe`'s task for logical WG `wg` of slice `slice`, priced by the
+/// skew.
+fn task(params: &FusedParams, pe: usize, wg: u32, slice: u32) -> TaskUnit {
+    TaskUnit {
+        id: SliceTable::task(slice as usize, wg as usize),
         work: task_work(params, pe, wg),
-    };
+    }
+}
+
+/// A PE's `tasks`, in its order, dealt under `params.wg_schedule` onto
+/// `n` persistent WGs sharing the HBM.
+fn deal(params: &FusedParams, tasks: impl IntoIterator<Item = TaskUnit>, n: u32) -> PersistentExec {
     match params.wg_schedule {
         // Static and Stealing deal the priority order round-robin;
         // stealing then rebalances at runtime from the queue tails.
         // `order[i]` runs as iteration `i / n` of persistent WG `i % n`.
         WgSchedule::Static | WgSchedule::Stealing { .. } => {
-            let per_wg = order.len().div_ceil(n as usize);
-            let mut plans: Vec<WgPlan> = (0..n)
-                .map(|_| WgPlan {
-                    tasks: Vec::with_capacity(per_wg),
-                })
-                .collect();
-            for round in order.chunks(n as usize) {
-                for (plan, &wg) in plans.iter_mut().zip(round) {
-                    plan.tasks.push(task(wg));
-                }
-            }
-            plans
+            PersistentExec::dealt(hbm(&params.gpu), tasks, n)
         }
         // Oracle: longest-processing-time over the true task costs — each
         // task (heaviest first) goes to the least-loaded slot. Task ids
         // order like WG ids, so ties break as by WG.
         WgSchedule::Oracle => {
-            let mut tasks: Vec<TaskUnit> = order.iter().map(|&wg| task(wg)).collect();
+            let mut tasks: Vec<TaskUnit> = tasks.into_iter().collect();
             tasks.sort_by(|a, b| b.work.total_cmp(&a.work).then(a.id.cmp(&b.id)));
             let mut plans = vec![WgPlan::default(); n as usize];
             let mut loads = vec![0.0f64; n as usize];
@@ -525,7 +508,7 @@ fn wg_plans(params: &FusedParams, map: &SliceMap, pe: usize, order: &[u32], n: u
                 loads[slot] += t.work;
                 plans[slot].tasks.push(t);
             }
-            plans
+            PersistentExec::new(hbm(&params.gpu), plans)
         }
     }
 }
@@ -1077,13 +1060,10 @@ mod tests {
         let (map, n) = p.shape();
         let table = map.table();
         let timed = Timed::new(&table, p.cfg.dim, p.tuning, &p.topo);
-        let orders: Vec<Vec<u32>> = (0..p.cfg.n_pes)
-            .map(|pe| schedule::order(&map, pe as u32, p.schedule))
-            .collect();
         let mut direct: Vec<PeRun> = (0..p.cfg.n_pes)
             .map(|pe| {
                 let mut st = timed.pe(pe, p.telemetry.is_enabled());
-                let exec = pe_exec(p, &map, pe, &orders[pe], n).run(|c| timed.complete(&mut st, c));
+                let exec = pe_exec(p, &map, pe, n).run(|c| timed.complete(&mut st, c));
                 PeRun {
                     compute_end: exec.makespan,
                     tail: timed.p2p_tail(&st, exec.makespan),
@@ -1105,10 +1085,7 @@ mod tests {
         let static_deal = p.wg_schedule == WgSchedule::Static;
         (0..p.cfg.n_pes)
             .filter(|&q| {
-                static_deal
-                    && (0..q).any(|pe| {
-                        isomorphism(p, &map, &timed, pe, &orders[pe], q, &orders[q]).is_some()
-                    })
+                static_deal && (0..q).any(|pe| isomorphism(p, &map, &timed, pe, q).is_some())
             })
             .count()
     }
@@ -1173,14 +1150,17 @@ mod tests {
         assert!(simulate_fused(&p).fault_stats.iter().all(|s| s.drops > 0));
     }
 
-    /// `order` dealt onto `n` persistent WGs by `wg_plans`, read back as the
-    /// logical WGs each plan runs.
+    /// `order` dealt onto `n` persistent WGs by `deal`, read back from a
+    /// run as the logical WGs each persistent WG ran.
     fn dealt(map: &SliceMap, order: &[u32], n: u32) -> Vec<Vec<u32>> {
-        let wg_of: std::collections::HashMap<u64, u32> =
-            (0..map.num_wgs()).map(|wg| (map.task(wg), wg)).collect();
-        let plans = wg_plans(&small_params(), map, 0, order, n);
-        let wgs = |plan: WgPlan| plan.tasks.iter().map(|t| wg_of[&t.id]).collect();
-        plans.into_iter().map(wgs).collect()
+        let p = small_params();
+        let tasks = (order.iter()).map(|&wg| task(&p, 0, wg, map.slice_of_wg(wg).id));
+        let mut ran = vec![Vec::new(); n as usize];
+        deal(&p, tasks, n).run(|c| {
+            ran[c.wg as usize].push(c.id as u32);
+            SimTime::ZERO
+        });
+        ran
     }
 
     #[test]
@@ -1209,6 +1189,26 @@ mod tests {
             .map(|wg| plans.iter().position(|p| p.contains(&wg)).unwrap())
             .collect();
         assert_eq!(owners.len(), 4);
+    }
+
+    #[test]
+    fn design_point_completes_tasks_in_batches() {
+        // Equal-work tasks that start together finish together: PE 0's
+        // 262,144 tasks complete and resume at 2,721 instants, about 96
+        // tasks a batch.
+        let cfg = DlrmConfig::hw_eval(2, 1024, 256);
+        let p = FusedParams::new(cfg, GpuConfig::mi210(), presets::dual_node_ib());
+        let (map, n) = p.shape();
+        let table = map.table();
+        let timed = Timed::new(&table, p.cfg.dim, p.tuning, &p.topo);
+        let mut st = timed.pe(0, false);
+        let exec = pe_exec(&p, &map, 0, n).run(|c| timed.complete(&mut st, c));
+        let tasks = u64::from(map.num_wgs());
+        assert!(
+            exec.batches * 50 <= tasks,
+            "{} batches for {tasks} tasks",
+            exec.batches
+        );
     }
 
     #[test]

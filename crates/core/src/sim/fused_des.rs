@@ -21,21 +21,21 @@
 //!   slice is ready.
 //!
 //! At one instant a PE takes an arriving write first, then its own
-//! resumes and completions in the executor's order.
+//! resumes and completions in the executor's order, one batch per step;
+//! the slices a step shipped are posted after it.
 //!
 //! The decoupled model stays the workhorse for sweeps: the feedback is
 //! small (incoming bytes are a few percent of local traffic at the
-//! paper's shapes) and a co-simulated point costs ~1.3x the decoupled
-//! one (ablation 8's `1024|256` point: ~140 ms vs ~110 ms of wall time
-//! on a 2-vCPU Xeon). The co-simulation exists to *measure* that error
-//! instead of assuming it (ablation 8 and the cross-validation tests
-//! below).
+//! paper's shapes) and a co-simulated point costs ~1.5x the decoupled
+//! one (ablation 8's `1024|256` point: ~40 ms vs ~25 ms of wall time on
+//! a 2-vCPU Xeon; it simulates both PEs, where the decoupled model
+//! relabels PE 0's run as PE 1's). The co-simulation exists to *measure*
+//! that error instead of assuming it (ablation 8 and the
+//! cross-validation tests below).
 
 use fcc_gpu::exec::PersistentExec;
 use fcc_net::Nic;
 use fcc_sim::{MinQueue, SimTime};
-
-use crate::schedule;
 
 use super::fused::{pe_exec, FusedParams, PeOutcome};
 use super::timed::{Timed, TimedPe};
@@ -75,8 +75,7 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
 
     let mut pes: Vec<Pe> = (0..n_pes)
         .map(|pe| {
-            let order = schedule::order(&map, pe as u32, params.schedule);
-            let mut exec = pe_exec(params, &map, pe, &order, n_persistent);
+            let mut exec = pe_exec(params, &map, pe, n_persistent);
             exec.start();
             Pe {
                 exec,
@@ -100,13 +99,14 @@ pub fn simulate_fused_integrated(params: &FusedParams) -> Vec<PeOutcome> {
             st.exec.insert(now, bytes as f64);
             continue;
         }
+        // One step is one batch: the completions it steps may have
+        // shipped slices, even when it ends on a landed inbound write.
         if st
             .exec
             .step(|c| timed.complete(&mut st.protocol, c))
             .is_some()
         {
             st.ready = st.ready.max(now); // an inbound write landed
-            continue;
         }
         for (issue, s) in std::mem::take(&mut st.protocol.puts) {
             let bytes = timed.payload_bytes(&s);

@@ -9,13 +9,13 @@
 //! step, on the timed backend.
 
 use fcc_gpu::config::GpuConfig;
-use fcc_gpu::exec::{TaskUnit, WgPlan};
+use fcc_gpu::exec::{PersistentExec, TaskUnit};
 use fcc_gpu::kernel::KernelResources;
 use fcc_net::{Message, MessageKind, Nic, Topology};
 use fcc_sim::SimTime;
 
 use crate::op::generic::{FusedProducer, GenericFusedPlan};
-use crate::sim::timed::{hbm_exec, persistent_wgs, Timed};
+use crate::sim::timed::{hbm, persistent_wgs, Timed};
 use crate::sim::FusedTuning;
 
 /// Cost annotations for a producer: how much work each item is.
@@ -57,24 +57,21 @@ pub fn price_producer(
 ) -> GenericTiming {
     let (table, tasks) = GenericFusedPlan::slicing(n_pes, producer, items_per_slice);
     let n_items = producer.num_items(me);
-    let n_persistent = persistent_wgs(gpu, &producer.resources(), None, n_items) as usize;
+    let n_persistent = persistent_wgs(gpu, &producer.resources(), None, n_items);
     // Strided deal of `(task id, item)`s onto the persistent WGs.
     let deal = |tasks: &mut dyn Iterator<Item = (u64, usize)>| {
-        let mut plans = vec![WgPlan::default(); n_persistent];
-        for (i, (id, item)) in tasks.enumerate() {
-            let work = producer.work_bytes(me, item);
-            plans[i % n_persistent].tasks.push(TaskUnit { id, work });
-        }
-        plans
+        let tasks = tasks.map(|(id, item)| TaskUnit {
+            id,
+            work: producer.work_bytes(me, item),
+        });
+        PersistentExec::dealt(hbm(gpu), tasks, n_persistent)
     };
 
     // Fused: the plan's remote-first tasks, PUTs overlapped through the NIC.
     let timed = Timed::new(&table, producer.dim(), *tuning, topo);
     let mut pe = timed.pe(me, false);
-    let plans = deal(&mut tasks[me].iter().map(|&t| (t, table.step_of(me, t).1)));
-    let compute = hbm_exec(gpu, plans)
-        .run(|c| timed.complete(&mut pe, c))
-        .makespan;
+    let exec = deal(&mut tasks[me].iter().map(|&t| (t, table.step_of(me, t).1)));
+    let compute = exec.run(|c| timed.complete(&mut pe, c)).makespan;
     let mut nic = Nic::new(*topo.link());
     let last_arrival = pe.puts.iter().fold(SimTime::ZERO, |last, (issue, s)| {
         let (_, flag) = timed.publish(&mut nic, *issue, s);
@@ -86,8 +83,8 @@ pub fn price_producer(
         + tuning.drain_poll;
 
     // Unfused: same compute (no per-slice overheads), then bulk shipping.
-    let plans = deal(&mut (0..n_items).map(|item| (item as u64, item)));
-    let compute_only = hbm_exec(gpu, plans).run(|_| SimTime::ZERO).makespan;
+    let exec = deal(&mut (0..n_items).map(|item| (item as u64, item)));
+    let compute_only = exec.run(|_| SimTime::ZERO).makespan;
     let mut nic = Nic::new(*topo.link());
     let mut bulk_done = compute_only;
     for s in table.slices(me).iter().filter(|s| s.dst != me) {

@@ -16,7 +16,7 @@
 //! of a NIC's PEs serialize on it.
 
 use fcc_gpu::config::GpuConfig;
-use fcc_gpu::exec::{PersistentExec, TaskCompletion, WgPlan};
+use fcc_gpu::exec::TaskCompletion;
 use fcc_gpu::kernel::KernelResources;
 use fcc_gpu::occupancy::occupancy;
 use fcc_net::{Delivery, LinkSpec, Message, MessageKind, Nic, Topology};
@@ -44,10 +44,10 @@ pub(crate) fn persistent_wgs(
     (n as u64).min(items as u64).max(1) as u32
 }
 
-/// Persistent WGs running `plans` on `gpu`'s shared HBM.
-pub(crate) fn hbm_exec(gpu: &GpuConfig, plans: Vec<WgPlan>) -> PersistentExec {
+/// `gpu`'s shared HBM: the capacity curve every persistent WG draws on.
+pub(crate) fn hbm(gpu: &GpuConfig) -> impl Fn(usize) -> f64 + Send + 'static {
     let hbm = gpu.hbm.clone();
-    PersistentExec::new(move |n| hbm.aggregate(n), plans)
+    move |n| hbm.aggregate(n)
 }
 
 /// The timed clock over one run's slice table.

@@ -160,6 +160,19 @@ impl SliceMap {
         &self.slices[idx as usize]
     }
 
+    /// The logical WGs of global sample `sample` in table order, each
+    /// with the id of its slice: [`slice_of_wg`](Self::slice_of_wg) for a
+    /// whole sample at one division.
+    pub(crate) fn sample_wgs(&self, sample: u32) -> impl Iterator<Item = (u32, u32)> {
+        debug_assert!(sample < self.global_batch);
+        let shard = sample / self.local_batch;
+        let within = (sample - shard * self.local_batch) / self.slice_embeddings;
+        let slice = shard * self.slices_per_shard + within;
+        let stride = self.n_pes * self.slices_per_shard;
+        let batch = self.global_batch;
+        (0..self.tables_per_pe).map(move |t| (t * batch + sample, t * stride + slice))
+    }
+
     /// Element offset (in f32s) of `(src_pe, local table, global sample)`'s
     /// output vector inside the *destination* PE's output buffer of shape
     /// `{local_batch, total_tables × dim}`. Returns `(dst_pe, offset)`.
@@ -211,6 +224,20 @@ mod tests {
         }
         for (i, &c) in counts.iter().enumerate() {
             assert_eq!(c, map.slices()[i].len, "slice {i}");
+        }
+    }
+
+    #[test]
+    fn sample_walk_matches_slice_of_wg() {
+        for map in [SliceMap::new(2, 3, 8, 2), SliceMap::new(4, 2, 32, 3)] {
+            for sample in 0..map.global_batch() {
+                let tables = map.sample_wgs(sample).map(|(wg, slice)| {
+                    assert_eq!(map.slice_of_wg(wg).id, slice, "wg {wg}");
+                    map.decode_wg(wg)
+                });
+                let want: Vec<(u32, u32)> = (0..map.tables_per_pe).map(|t| (t, sample)).collect();
+                assert_eq!(tables.collect::<Vec<_>>(), want);
+            }
         }
     }
 

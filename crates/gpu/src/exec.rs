@@ -9,8 +9,20 @@
 //! which is how the fused operator models `WG_Done` bookkeeping and the
 //! GPU-initiated networking API latency of the last-finishing workgroup.
 //!
+//! The executor's unit of work is an *instant*, not a task: equal-work
+//! tasks that start together finish together, so a design point's 262,144
+//! task completions fall on 1,349 instants. Each
+//! [`step`](PersistentExec::step) processes one batch: every resume due at
+//! the earliest resume instant, or every completion at the next completion
+//! instant. That reorders nothing. Resuming at `t` inserts a job at `t`,
+//! so no completion precedes a resume due at the same instant; a
+//! completion's hook either restarts its workgroup at once, in completion
+//! order, or pushes a resume strictly later. The same floating-point
+//! operations run at the same instants with the same job counts as one
+//! event per step would run.
+//!
 //! [`PersistentExec::run`] drives the executor alone. A caller that couples
-//! it to other clocks drives it event by event instead
+//! it to other clocks drives it batch by batch instead
 //! ([`start`](PersistentExec::start), [`next_event`](PersistentExec::next_event),
 //! [`step`](PersistentExec::step), [`finish`](PersistentExec::finish)) and
 //! can [`insert`](PersistentExec::insert) jobs that are not tasks but share
@@ -72,6 +84,10 @@ pub struct ExecResult {
     /// Tasks executed by a workgroup other than the one whose plan held
     /// them (zero unless stealing was enabled).
     pub steals: u64,
+    /// Batches processed: instants at which workgroups resumed, plus
+    /// instants at which jobs completed (an instant's completions split
+    /// after each completed [`insert`](PersistentExec::insert)ed job).
+    pub batches: u64,
 }
 
 /// A workgroup's task in flight: where it came from and when it began.
@@ -87,6 +103,50 @@ struct Started {
 const INSERTED: u32 = u32::MAX;
 const DONE: u32 = u32::MAX - 1;
 
+/// Tasks per block of [`Tasks`] (64 KiB).
+const BLOCK: usize = 1 << 12;
+
+/// Every workgroup's tasks in one sequence, stored in 64 KiB blocks. A
+/// design point holds a quarter million tasks. As one multi-megabyte
+/// array, allocated and freed point after point, they raised a design
+/// sweep's peak RSS by 5%: an allocation that large gets its own mapping,
+/// so its pages are not reused by the next allocations. Blocks below that
+/// size are, as the per-workgroup plans were.
+#[derive(Default)]
+struct Tasks {
+    blocks: Vec<Vec<TaskUnit>>,
+}
+
+impl Tasks {
+    fn push(&mut self, task: TaskUnit) {
+        match self.blocks.last_mut() {
+            Some(block) if block.len() < BLOCK => block.push(task),
+            _ => {
+                let mut block = Vec::with_capacity(BLOCK);
+                block.push(task);
+                self.blocks.push(block);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> TaskUnit {
+        self.blocks[i / BLOCK][i % BLOCK]
+    }
+}
+
+impl FromIterator<TaskUnit> for Tasks {
+    fn from_iter<I: IntoIterator<Item = TaskUnit>>(iter: I) -> Self {
+        let mut tasks = Tasks::default();
+        iter.into_iter().for_each(|t| tasks.push(t));
+        tasks
+    }
+}
+
 /// Executes persistent workgroups over their task plans.
 ///
 /// `capacity(n)` is the aggregate work rate with `n` workgroups actively
@@ -94,7 +154,12 @@ const DONE: u32 = u32::MAX - 1;
 /// bookkeeping and SHMEM API calls are not memory traffic).
 pub struct PersistentExec {
     ps: PsResource,
-    plans: Vec<WgPlan>,
+    /// Every workgroup's tasks: task `seq` of workgroup `w` is
+    /// `tasks[first[w] + seq * stride]`. A round-robin deal is stored in
+    /// dealt order, so the task loops read it front to back.
+    tasks: Tasks,
+    first: Vec<u32>,
+    stride: u32,
     /// (resume time, wg) for workgroups waiting out hook overhead. Equal
     /// overheads after completions in time order make resume keys arrive
     /// in order, so this is mostly a FIFO ([`MinQueue`]).
@@ -123,23 +188,66 @@ pub struct PersistentExec {
 impl PersistentExec {
     /// Creates an executor for `plans` over the given capacity curve.
     pub fn new(capacity: impl Fn(usize) -> f64 + Send + 'static, plans: Vec<WgPlan>) -> Self {
+        let mut first = Vec::with_capacity(plans.len());
+        let mut lens = Vec::with_capacity(plans.len());
+        let mut tasks = Tasks::default();
+        for plan in &plans {
+            first.push(tasks.len() as u32);
+            lens.push(plan.tasks.len() as u32);
+            plan.tasks.iter().for_each(|&t| tasks.push(t));
+        }
+        Self::with_layout(capacity, tasks, first, 1, lens)
+    }
+
+    /// Creates an executor for `tasks` dealt round-robin onto `wgs`
+    /// workgroups: task `i` runs as iteration `i / wgs` of workgroup
+    /// `i % wgs`. The same as [`new`](Self::new) with those plans, without
+    /// building them.
+    pub fn dealt(
+        capacity: impl Fn(usize) -> f64 + Send + 'static,
+        tasks: impl IntoIterator<Item = TaskUnit>,
+        wgs: u32,
+    ) -> Self {
+        assert!(wgs > 0, "a deal needs a workgroup");
+        let tasks: Tasks = tasks.into_iter().collect();
+        let len = tasks.len() as u32;
+        let lens = (0..wgs).map(|w| (len + wgs - 1 - w) / wgs).collect();
+        Self::with_layout(capacity, tasks, (0..wgs).collect(), wgs, lens)
+    }
+
+    fn with_layout(
+        capacity: impl Fn(usize) -> f64 + Send + 'static,
+        tasks: Tasks,
+        first: Vec<u32>,
+        stride: u32,
+        lens: Vec<u32>,
+    ) -> Self {
+        let wgs = lens.len();
         PersistentExec {
             ps: PsResource::new(capacity),
-            front: vec![0; plans.len()],
-            back: plans.iter().map(|p| p.tasks.len() as u32).collect(),
-            remaining: plans.iter().map(|p| p.tasks.len()).sum(),
+            front: vec![0; wgs],
+            remaining: lens.iter().map(|&l| l as usize).sum(),
+            back: lens,
             pending: MinQueue::new(),
-            running: plans.iter().map(|_| None).collect(),
+            running: (0..wgs).map(|_| None).collect(),
             job_wg: VecDeque::new(),
             first_job: 0,
             steal: None,
             result: ExecResult {
-                wg_finish: vec![SimTime::ZERO; plans.len()],
-                wg_busy: vec![SimTime::ZERO; plans.len()],
+                wg_finish: vec![SimTime::ZERO; wgs],
+                wg_busy: vec![SimTime::ZERO; wgs],
                 ..ExecResult::default()
             },
-            plans,
+            tasks,
+            first,
+            stride,
         }
+    }
+
+    /// Task `seq` of workgroup `w`'s plan.
+    #[inline]
+    fn task(&self, w: usize, seq: u32) -> TaskUnit {
+        self.tasks.get((self.first[w] + seq * self.stride) as usize)
     }
 
     /// Enables work stealing: a workgroup that drains its own queue robs
@@ -158,11 +266,11 @@ impl PersistentExec {
             let seq = self.front[w];
             self.front[w] += 1;
             self.remaining -= 1;
-            let task = self.plans[w].tasks[seq as usize];
+            let task = self.task(w, seq);
             self.launch(wg, seq, task, now, false);
             return;
         }
-        let n = self.plans.len();
+        let n = self.front.len();
         if n <= 1 || self.remaining == 0 {
             return;
         }
@@ -184,7 +292,7 @@ impl PersistentExec {
             self.remaining -= 1;
             self.result.steals += 1;
             let seq = self.back[v];
-            let task = self.plans[v].tasks[seq as usize];
+            let task = self.task(v, seq);
             self.launch(wg, seq, task, now, true);
             return;
         }
@@ -217,7 +325,7 @@ impl PersistentExec {
 
     /// Starts every workgroup's first task at time zero.
     pub fn start(&mut self) {
-        for wg in 0..self.plans.len() as u32 {
+        for wg in 0..self.front.len() as u32 {
             self.start_next_task(wg, SimTime::ZERO);
         }
     }
@@ -229,37 +337,82 @@ impl PersistentExec {
         resume.into_iter().chain(self.ps.next_completion()).min()
     }
 
-    /// Processes the event at [`next_event`](Self::next_event). A task
-    /// completion goes through `hook` (see [`run`](Self::run)); a completed
-    /// [`insert`](Self::insert)ed job is returned.
+    /// Processes the batch of events at [`next_event`](Self::next_event):
+    /// every workgroup resuming then, or else every job completing then,
+    /// up to and including the first completed [`insert`](Self::insert)ed
+    /// job, which is returned. Each task completion goes through `hook`
+    /// (see [`run`](Self::run)), in completion order.
     ///
     /// # Panics
     /// Panics if nothing is pending or capacity is zero.
-    pub fn step(&mut self, hook: impl FnOnce(&TaskCompletion) -> SimTime) -> Option<JobId> {
-        self.advance(hook).expect("step on a drained executor")
+    pub fn step(&mut self, mut hook: impl FnMut(&TaskCompletion) -> SimTime) -> Option<JobId> {
+        self.advance(&mut hook).expect("step on a drained executor")
     }
 
     /// [`step`](Self::step), or `None` if nothing is pending.
-    fn advance(&mut self, hook: impl FnOnce(&TaskCompletion) -> SimTime) -> Option<Option<JobId>> {
-        let resume = self.pending.peek().map(|&(t, _)| t);
+    fn advance(
+        &mut self,
+        hook: &mut impl FnMut(&TaskCompletion) -> SimTime,
+    ) -> Option<Option<JobId>> {
         let done = self.ps.next_completion();
         // Resuming a workgroup at or before the next completion keeps
         // capacity accounting exact: it shares bandwidth from that instant.
-        if resume.is_some_and(|rt| done.is_none_or(|dt| rt <= dt)) {
-            let (t, wg) = self.pending.pop().expect("peeked");
-            self.start_next_task(wg, t);
-            return Some(None);
+        // Its job starts at `t`, so every completion stays at or after `t`
+        // and the other resumes due at `t` go first too.
+        if let Some(&(t, _)) = self.pending.peek() {
+            if done.is_none_or(|dt| t <= dt) {
+                self.result.batches += 1;
+                while let Some(&(rt, wg)) = self.pending.peek() {
+                    if rt != t {
+                        break;
+                    }
+                    self.pending.pop();
+                    self.start_next_task(wg, t);
+                }
+                return Some(None);
+            }
         }
         let dt = done?;
         assert!(dt < SimTime::MAX, "executor starved: zero capacity");
-        let job = self.ps.complete_next(dt);
-        let wg = std::mem::replace(&mut self.job_wg[(job.0 - self.first_job) as usize], DONE);
-        while self.job_wg.front() == Some(&DONE) {
-            self.job_wg.pop_front();
-            self.first_job += 1;
+        self.result.batches += 1;
+        // Hooks push resumes strictly later than `dt`, so until the next
+        // completion moves past `dt` no resume comes before it.
+        let mut job = self.ps.complete_next(dt);
+        loop {
+            if let Some(job) = self.complete(job, dt, hook) {
+                return Some(Some(job));
+            }
+            match self.ps.complete_at(dt) {
+                Some(next) => job = next,
+                None => return Some(None),
+            }
         }
+    }
+
+    /// Accounts `job`, completed at `dt`: an inserted job's id is
+    /// returned; a task goes through `hook`, and its workgroup restarts at
+    /// once or resumes after the overhead.
+    fn complete(
+        &mut self,
+        job: JobId,
+        dt: SimTime,
+        hook: &mut impl FnMut(&TaskCompletion) -> SimTime,
+    ) -> Option<JobId> {
+        let wg = match (job.0 - self.first_job) as usize {
+            // Jobs mostly complete in id order: the oldest live one.
+            0 => {
+                let wg = self.job_wg.pop_front().expect("a live job");
+                self.first_job += 1;
+                while self.job_wg.front() == Some(&DONE) {
+                    self.job_wg.pop_front();
+                    self.first_job += 1;
+                }
+                wg
+            }
+            i => std::mem::replace(&mut self.job_wg[i], DONE),
+        };
         if wg == INSERTED {
-            return Some(Some(job));
+            return Some(job);
         }
         let s = self.running[wg as usize].take().expect("a task in flight");
         let overhead = hook(&TaskCompletion {
@@ -281,7 +434,7 @@ impl PersistentExec {
                 self.pending.push((free_at, wg));
             }
         }
-        Some(None)
+        None
     }
 
     /// Starts a job of `work` units at `now` that is no workgroup's task
@@ -337,14 +490,8 @@ pub fn run_kernel(gpu: &GpuConfig, desc: &KernelDesc, grid_cap: Option<u32>) -> 
     // Deal tasks round-robin across slots; identical tasks make the deal
     // order irrelevant to the makespan.
     let work = desc.shape.work_per_task();
-    let mut plans = vec![WgPlan::default(); slots as usize];
-    for t in 0..desc.num_tasks {
-        plans[(t % slots as u64) as usize]
-            .tasks
-            .push(TaskUnit { id: t, work });
-    }
-
-    let exec = PersistentExec::new(desc.shape.capacity_fn(gpu), plans);
+    let tasks = (0..desc.num_tasks).map(|id| TaskUnit { id, work });
+    let exec = PersistentExec::dealt(desc.shape.capacity_fn(gpu), tasks, slots);
     let result = exec.run(|_| SimTime::ZERO);
     KernelTiming {
         duration: result.makespan,
@@ -495,6 +642,56 @@ mod tests {
         assert_eq!(exec.step(|_| SimTime::ZERO), None);
         assert_eq!(exec.next_event(), None);
         assert_eq!(exec.finish().makespan, ns(150));
+    }
+
+    #[test]
+    fn a_deal_runs_as_its_plans() {
+        // 11 tasks of two works dealt onto 4 WGs: plans of 3, 3, 3, 2.
+        let tasks: Vec<TaskUnit> = (0..11)
+            .map(|id| TaskUnit {
+                id,
+                work: if id % 3 == 0 { 150.0 } else { 100.0 },
+            })
+            .collect();
+        let mut plans = vec![WgPlan::default(); 4];
+        for (i, &t) in tasks.iter().enumerate() {
+            plans[i % 4].tasks.push(t);
+        }
+        let overhead = |c: &TaskCompletion| ns(c.id % 2 * 40);
+        for steal in [None, Some(5)] {
+            let with = |exec: PersistentExec| match steal {
+                Some(seed) => exec.with_stealing(seed),
+                None => exec,
+            };
+            let (dealt, dealt_done) = logged(
+                with(PersistentExec::dealt(
+                    |n| 2.0 * n as f64 / (n as f64 + 1.0),
+                    tasks.clone(),
+                    4,
+                )),
+                overhead,
+            );
+            let (planned, planned_done) = logged(
+                with(PersistentExec::new(
+                    |n| 2.0 * n as f64 / (n as f64 + 1.0),
+                    plans.clone(),
+                )),
+                overhead,
+            );
+            assert_eq!(dealt_done, planned_done);
+            assert_eq!(dealt.wg_finish, planned.wg_finish);
+            assert_eq!(dealt.wg_busy, planned.wg_busy);
+            assert_eq!(dealt.batches, planned.batches);
+        }
+    }
+
+    #[test]
+    fn equal_tasks_complete_in_one_batch_per_instant() {
+        // 4 WGs x 3 equal tasks under a 50 ns hook: every round completes
+        // at one instant and resumes at another.
+        let exec = PersistentExec::new(|_| 1.0, uniform_plans(4, 3, 100.0));
+        let result = exec.run(|_| ns(50));
+        assert_eq!(result.batches, 3 + 2);
     }
 
     #[test]
