@@ -11,7 +11,6 @@
 
 use fcc_astra::{simulate_run_with_recovery, InputPipeline, OperatorMode, RecoverySpec};
 use fcc_bench::report::{print_recovery_counters, print_table, write_json, FigureRecord, Series};
-use fcc_collectives::bruck::{bruck_time, pairwise_time};
 use fcc_core::sim::baseline::{simulate_baseline, EmbeddingLaunch};
 use fcc_core::sim::fused::{simulate_fused, FusedParams};
 use fcc_core::sim::tiled::simulate_tiled;
@@ -19,7 +18,7 @@ use fcc_core::sim::FusedTuning;
 use fcc_core::{ElasticTrainer, TrainerConfig};
 use fcc_dlrm::DlrmConfig;
 use fcc_gpu::config::GpuConfig;
-use fcc_net::{analytic, fabric, presets, CorruptKind, FaultPlan, LinkSpec};
+use fcc_net::{analytic, fabric, presets, CorruptKind, FaultPlan, LinkSpec, Topology};
 
 fn tiling_study() -> Series {
     let cfg = DlrmConfig::hw_eval(2, 1024, 64);
@@ -85,12 +84,16 @@ fn launch_study() -> Series {
 fn bruck_study() -> Series {
     let link = LinkSpec::infiniband_20gbs();
     let n = 64;
+    let switched = Topology::Switched {
+        endpoints: n as u32,
+        link,
+    };
     let mut rows = Vec::new();
     let mut series = Series::new("bruck_over_pairwise");
     for shift in [6u32, 10, 14, 18, 22] {
         let bytes = 1u64 << shift;
-        let b = bruck_time(&link, n, bytes);
-        let p = pairwise_time(&link, n, bytes);
+        let b = analytic::bruck_alltoall(&link, n, bytes);
+        let p = analytic::alltoall(&switched, bytes);
         let ratio = b.as_nanos_f64() / p.as_nanos_f64();
         rows.push(vec![
             format!("{} B", bytes),

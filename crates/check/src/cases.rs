@@ -701,15 +701,15 @@ impl ProtocolCase for AllGatherGemmCase {
 
 /// The fused backward operator ([`BackwardFusedPlan`]): gradient rows
 /// return to their table owners, whose SGD step consumes each on arrival.
-pub struct BackwardCase {
+struct BackwardCase {
     /// Number of PEs.
-    pub n_pes: usize,
+    n_pes: usize,
     /// Global batch size (must divide by `n_pes`).
-    pub batch: usize,
+    batch: usize,
     /// Tables owned per PE.
-    pub tables_per_pe: usize,
+    tables_per_pe: usize,
     /// Gradient rows per communication slice.
-    pub slice_embeddings: usize,
+    slice_embeddings: usize,
 }
 
 impl ProtocolCase for BackwardCase {

@@ -67,16 +67,6 @@ impl BaselineCosts {
             exit_overhead: gpu.stream_sync_overhead,
         }
     }
-
-    /// Prices a bulk AllGather of `bytes` contributed per endpoint.
-    pub fn allgather(gpu: &GpuConfig, topo: &Topology, bytes: u64) -> BaselineCosts {
-        BaselineCosts {
-            entry_overhead: gpu.stream_sync_overhead + gpu.kernel_launch_overhead,
-            wire: analytic::allgather(topo, bytes),
-            copy_kernel: SimTime::ZERO,
-            exit_overhead: gpu.stream_sync_overhead,
-        }
-    }
 }
 
 /// Device time for a memory-bound copy kernel moving `bytes` through HBM.
@@ -136,10 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_and_allgather_priced() {
+    fn allreduce_priced() {
         let gpu = GpuConfig::mi210();
         let t = presets::torus_128();
         assert!(BaselineCosts::allreduce(&gpu, &t, 1 << 22).total() > SimTime::ZERO);
-        assert!(BaselineCosts::allgather(&gpu, &t, 1 << 22).total() > SimTime::ZERO);
     }
 }

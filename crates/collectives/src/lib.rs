@@ -1,31 +1,28 @@
 //! `fcc-collectives` — host-initiated collective communication, the
 //! RCCL-style baseline the paper compares against.
 //!
-//! Two views of the same collectives:
+//! The baseline is "embedding kernels + All-to-All at the kernel
+//! boundary", and the fused operator's degrade path is the same bulk
+//! exchange, so the crate holds one collective, seen three ways:
 //!
-//! * [`functional`] / [`ring`] — real data movement over `fcc-shmem` PEs:
-//!   pairwise All-to-All with counter-flag completion, ring
-//!   ReduceScatter/AllGather/AllReduce with per-round flag handshakes.
-//!   These are the *reference semantics* the fused operator must match,
-//!   and they are exercised for real on threads.
+//! * [`functional`] — real data movement over `fcc-shmem` PEs: pairwise
+//!   All-to-All with counter-flag completion, exercised for real on
+//!   threads. The resilient operator's fallback and the serving
+//!   frontend's bulk path run it.
 //! * [`baseline`] — the *timing* of the bulk-synchronous baseline: kernel
 //!   boundary → stream sync → CPU triggers the collective → wire time from
 //!   `fcc-net`'s analytic models → sync back. This is the denominator of
-//!   every normalized figure in the paper.
-//! * [`reference`](mod@reference) — sequential oracles used by tests across the
-//!   workspace.
+//!   every normalized figure in the paper; it also prices the AllReduce
+//!   of the scale-out training pass.
+//! * [`reference`](mod@reference) — the sequential All-to-All oracle used
+//!   by tests across the workspace.
+//!
+//! Other collectives are priced only as closed forms in
+//! `fcc_net::analytic`.
 
 pub mod baseline;
-pub mod broadcast;
-pub mod bruck;
 pub mod functional;
-pub mod gather;
 pub mod reference;
-pub mod ring;
 
 pub use baseline::BaselineCosts;
-pub use broadcast::{BroadcastPlan, ReduceScatterPlan};
-pub use bruck::BruckAllToAllPlan;
 pub use functional::AllToAllPlan;
-pub use gather::{GatherPlan, ScatterPlan};
-pub use ring::RingAllReducePlan;

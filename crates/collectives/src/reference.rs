@@ -1,8 +1,8 @@
-//! Sequential oracles for collective semantics.
+//! Sequential oracle for All-to-All semantics.
 //!
-//! Every functional implementation in this workspace — the SHMEM
-//! collectives and the fused operator — is tested against these plain,
-//! obviously-correct reference functions.
+//! Every functional exchange in this workspace — the SHMEM All-to-All and
+//! the fused operator — is tested against this plain, obviously-correct
+//! reference function.
 
 /// All-to-All: `inputs[src]` is partitioned into `n` equal chunks of
 /// `per_pair` elements; chunk `dst` of PE `src` lands in output `dst` at
@@ -29,33 +29,6 @@ pub fn alltoall<T: Copy>(inputs: &[Vec<T>], per_pair: usize) -> Vec<Vec<T>> {
             }
             out
         })
-        .collect()
-}
-
-/// AllReduce (sum): element-wise sum of equally sized inputs, replicated.
-///
-/// # Panics
-/// Panics if input lengths differ.
-pub fn allreduce_sum(inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-    let len = inputs.first().map_or(0, |v| v.len());
-    let mut acc = vec![0.0f32; len];
-    for input in inputs {
-        assert_eq!(input.len(), len, "mismatched AllReduce input lengths");
-        for (a, &v) in acc.iter_mut().zip(input) {
-            *a += v;
-        }
-    }
-    vec![acc; inputs.len()]
-}
-
-/// ReduceScatter (sum): the element-wise sum, partitioned so PE `i`
-/// receives chunk `i` of `chunk` elements.
-pub fn reduce_scatter_sum(inputs: &[Vec<f32>], chunk: usize) -> Vec<Vec<f32>> {
-    let n = inputs.len();
-    let summed = allreduce_sum(inputs).pop().unwrap_or_default();
-    assert_eq!(summed.len(), n * chunk, "length must be n*chunk");
-    (0..n)
-        .map(|pe| summed[pe * chunk..(pe + 1) * chunk].to_vec())
         .collect()
 }
 
@@ -86,23 +59,6 @@ mod tests {
     fn alltoall_single_pe_is_identity() {
         let inputs = vec![vec![9, 8, 7]];
         assert_eq!(alltoall(&inputs, 3), inputs);
-    }
-
-    #[test]
-    fn allreduce_sums_elementwise() {
-        let inputs = vec![vec![1.0, 2.0], vec![10.0, 20.0], vec![100.0, 200.0]];
-        let out = allreduce_sum(&inputs);
-        for o in out {
-            assert_eq!(o, vec![111.0, 222.0]);
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_partitions_the_sum() {
-        let inputs = vec![vec![1.0, 2.0, 3.0, 4.0], vec![4.0, 3.0, 2.0, 1.0]];
-        let out = reduce_scatter_sum(&inputs, 2);
-        assert_eq!(out[0], vec![5.0, 5.0]);
-        assert_eq!(out[1], vec![5.0, 5.0]);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use fcc_sim::SimTime;
 
+use crate::link::LinkSpec;
 use crate::topology::Topology;
 
 /// Messages each peer-payload is split into (RCCL-like chunking).
@@ -108,6 +109,26 @@ pub fn alltoall(topo: &Topology, bytes_per_pair: u64) -> SimTime {
     }
 }
 
+/// Cost of Bruck's All-to-All among `n` endpoints with one NIC each:
+/// `⌈log₂ n⌉` dependent rounds, each one message of `⌈n/2⌉ ×
+/// bytes_per_pair` plus a latency. Against [`alltoall`] on a
+/// [`Topology::Switched`] fabric of the same link it posts far fewer
+/// messages for ~(log n)/2 × the bytes, so it wins only where the
+/// per-message cost dominates.
+pub fn bruck_alltoall(link: &LinkSpec, n: usize, bytes_per_pair: u64) -> SimTime {
+    if n < 2 || bytes_per_pair == 0 {
+        return SimTime::ZERO;
+    }
+    let round_bytes = n.div_ceil(2) as u64 * bytes_per_pair;
+    let per_round = link.occupancy(round_bytes) + link.latency;
+    SimTime::from_nanos(per_round.as_nanos() * bruck_rounds(n))
+}
+
+/// Bruck's round count for `n ≥ 2` endpoints: `⌈log₂ n⌉`.
+fn bruck_rounds(n: usize) -> u64 {
+    u64::from(usize::BITS - (n - 1).leading_zeros())
+}
+
 /// Peak-link-load time for a uniform all-to-all among `k` nodes on a
 /// bidirectional ring with `bytes_per_pair` per ordered pair.
 fn ring_alltoall_time(topo: &Topology, k: u64, bytes_per_pair: u64) -> SimTime {
@@ -184,7 +205,7 @@ pub fn allgather(topo: &Topology, bytes: u64) -> SimTime {
     }
 }
 
-fn ring_gather_time(link: &crate::link::LinkSpec, k: u64, bytes: u64) -> SimTime {
+fn ring_gather_time(link: &LinkSpec, k: u64, bytes: u64) -> SimTime {
     if k < 2 || bytes == 0 {
         return SimTime::ZERO;
     }
@@ -197,7 +218,6 @@ fn ring_gather_time(link: &crate::link::LinkSpec, k: u64, bytes: u64) -> SimTime
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkSpec;
 
     fn switched(n: u32) -> Topology {
         Topology::Switched {
@@ -325,5 +345,50 @@ mod tests {
             assert!(large > small, "{topo:?}");
             assert!(allreduce(&topo, 1 << 20) > allreduce(&topo, 1 << 10));
         }
+    }
+
+    #[test]
+    fn round_counts_are_logarithmic() {
+        assert_eq!(bruck_rounds(2), 1);
+        assert_eq!(bruck_rounds(5), 3);
+        assert_eq!(bruck_rounds(8), 3);
+        assert_eq!(bruck_rounds(9), 4);
+    }
+
+    #[test]
+    fn bruck_wins_pairwise_for_tiny_messages() {
+        // Message-rate-bound regime (the Fig. 12 pathology): 64-endpoint
+        // exchange of 64 B per pair. Pairwise posts 63 gap-bound
+        // messages; Bruck posts 6 larger ones.
+        let bruck = bruck_alltoall(&LinkSpec::infiniband_20gbs(), 64, 64);
+        let pairwise = alltoall(&switched(64), 64);
+        assert!(bruck < pairwise, "bruck {bruck} !< pairwise {pairwise}");
+    }
+
+    #[test]
+    fn pairwise_wins_bruck_for_large_messages() {
+        // Bandwidth-bound regime: Bruck's ~(log n)/2 x n byte inflation
+        // loses.
+        let bytes = 4 << 20;
+        let bruck = bruck_alltoall(&LinkSpec::infiniband_20gbs(), 64, bytes);
+        let pairwise = alltoall(&switched(64), bytes);
+        assert!(pairwise < bruck, "pairwise {pairwise} !< bruck {bruck}");
+    }
+
+    #[test]
+    fn crossover_exists() {
+        // Somewhere between the regimes the two strategies cross — the
+        // slice-size story in one assertion.
+        let link = LinkSpec::infiniband_20gbs();
+        let winners: Vec<bool> = (4..=22)
+            .map(|shift| {
+                let bytes = 1u64 << shift;
+                bruck_alltoall(&link, 64, bytes) < alltoall(&switched(64), bytes)
+            })
+            .collect();
+        assert!(
+            winners.windows(2).any(|w| w[0] != w[1]),
+            "expected a bruck/pairwise crossover"
+        );
     }
 }

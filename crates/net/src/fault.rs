@@ -180,9 +180,9 @@ struct PeCrash {
 
 /// A slow endpoint: every send it makes is delayed by `delay`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Straggler {
-    pub pe: u32,
-    pub delay: SimTime,
+struct Straggler {
+    pe: u32,
+    delay: SimTime,
 }
 
 /// Converts a probability to a 64-bit threshold for hash comparison.

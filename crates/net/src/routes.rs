@@ -98,8 +98,8 @@ fn torus_step(x: u32, tx: u32, k: u32) -> u32 {
 /// per unfinished dimension in DOR order (innermost dimension first);
 /// every other topology is single-path, so exactly one candidate.
 ///
-/// `node` may be an interior switch/router id
-/// (`endpoints()..graph_nodes()`) on the switched fabrics.
+/// `node` may be an interior switch/router id (at or above
+/// `endpoints()`) on the switched fabrics.
 pub fn candidates(topo: &Topology, node: u32, dst: u32, tag: u64, out: &mut HopBuf) {
     out.clear();
     match *topo {

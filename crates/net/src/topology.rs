@@ -27,11 +27,10 @@
 //!   paper's Figure 1b leans on).
 //!
 //! Fat-tree, dragonfly and multi-rail model their switches as *graph
-//! nodes*: node ids `0..endpoints()` are hosts, ids
-//! `endpoints()..graph_nodes()` are switches/routers. Both fabric
-//! simulators route through those interior nodes via the shared
-//! [`crate::routes`] module, so the packet-level and flow-level models
-//! traverse bit-identical paths.
+//! nodes*: node ids `0..endpoints()` are hosts, higher ids are
+//! switches/routers. Both fabric simulators route through those interior
+//! nodes via the shared [`crate::routes`] module, so the packet-level and
+//! flow-level models traverse bit-identical paths.
 
 use crate::link::LinkSpec;
 
@@ -104,7 +103,8 @@ impl Topology {
 
     /// Total graph nodes: endpoints plus interior switches/routers.
     /// Node ids `endpoints()..graph_nodes()` are interior.
-    pub fn graph_nodes(&self) -> u32 {
+    #[cfg(test)]
+    fn graph_nodes(&self) -> u32 {
         let n = self.endpoints();
         match *self {
             Topology::FatTree { leaves, spines, .. } => n + leaves + spines,

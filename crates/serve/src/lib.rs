@@ -78,8 +78,6 @@ pub use exec::{BatchExecutor, ExecReport, FusedExecutor, ModelExecutor};
 pub use loadgen::{LoadPattern, LoadSpec};
 pub use queue::AdmissionQueue;
 pub use request::{Outcome, Priority, Request, Response, ShedReason};
-pub use server::{
-    serve, BatchRecord, ServeReport, ServerConfig, SERVE_PID, TID_BATCHES, TID_REQUESTS,
-};
+pub use server::{serve, BatchRecord, ServeReport, ServerConfig};
 pub use shed::select_victims;
 pub use trace::{check_serve_trace, ServeEvent, TraceStats, TraceViolation};

@@ -43,11 +43,11 @@ use crate::shed::select_victims;
 use crate::trace::ServeEvent;
 
 /// Process lane the serving loop's trace records land in.
-pub const SERVE_PID: u32 = 9_000;
+const SERVE_PID: u32 = 9_000;
 /// Thread lane carrying request-lifecycle flow bindings.
-pub const TID_REQUESTS: u32 = 1;
+const TID_REQUESTS: u32 = 1;
 /// Thread lane carrying batch execution spans.
-pub const TID_BATCHES: u32 = 2;
+const TID_BATCHES: u32 = 2;
 /// Window width of the serving time-series buckets, µs of timeline.
 const SERIES_BUCKET_US: u64 = 1_000;
 

@@ -45,11 +45,11 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 
 /// One quarantined delivery: where the corrupt payload was headed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoisonRecord {
+struct PoisonRecord {
     /// Absolute destination address the payload never reached.
-    pub addr: usize,
+    addr: usize,
     /// Payload length in bytes.
-    pub len: usize,
+    len: usize,
 }
 
 struct PoisonCell {

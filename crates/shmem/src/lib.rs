@@ -43,7 +43,7 @@ pub use delivery::{
 };
 pub use error::ShmemError;
 pub use heap::{SymFlags, SymSlice};
-pub use integrity::{checksum, IntegrityStats, PoisonRecord};
+pub use integrity::{checksum, IntegrityStats};
 pub use lease::{DetectionModel, FailureDetector, HeartbeatBoard, Verdict};
 pub use pod::Pod;
 pub use trace::{current_ctx, scoped_ctx, CtxScope, RmwOp, TimedEvent, TraceEvent};

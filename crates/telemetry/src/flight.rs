@@ -138,7 +138,7 @@ struct Inner {
 }
 
 /// Process lane the dumped flight events land on.
-pub const FLIGHT_PID: u32 = 9_900;
+const FLIGHT_PID: u32 = 9_900;
 
 /// Bounded lock-free event ring. `Default` is disabled.
 #[derive(Clone, Default)]

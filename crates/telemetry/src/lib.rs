@@ -52,7 +52,7 @@ mod json;
 
 pub use chrome::{check_chrome_trace, export_chrome_trace, TraceCheckReport};
 pub use ctx::{CtxKind, TraceCtx};
-pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_PID};
+pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use overlap::{union_intervals, OverlapStats};
 pub use registry::{
     Counter, Gauge, HistogramHandle, HistogramSummary, MetricKey, MetricValue, MetricsSnapshot,
@@ -61,7 +61,7 @@ pub use registry::{
 pub use saturation::SaturationWindow;
 pub use snapshot::{BenchSnapshot, VariantProfile};
 pub use summary::render_summary;
-pub use timeseries::{SeriesSet, TID_SERIES};
+pub use timeseries::SeriesSet;
 pub use trace::{FlowPhase, TraceData, TraceRecord, TraceSink, TrackId};
 
 use fcc_sim::time::SimTime;

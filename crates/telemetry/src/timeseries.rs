@@ -21,7 +21,7 @@ use fcc_sim::time::SimTime;
 use crate::trace::{TraceSink, TrackId};
 
 /// First `tid` used for exported series lanes.
-pub const TID_SERIES: u32 = 20_000;
+const TID_SERIES: u32 = 20_000;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Bucket {
@@ -96,7 +96,7 @@ impl SeriesSet {
     /// lane `pid`: `<name>` carries the per-bucket mean and `<name>.max`
     /// the per-bucket max (emitted only when it differs from the mean
     /// anywhere, to keep flat gauges to one lane). Lane ids are assigned
-    /// in series-name order from [`TID_SERIES`], so the export is
+    /// in series-name order from `TID_SERIES`, so the export is
     /// deterministic for the golden tests.
     pub fn export_into(&self, sink: &TraceSink, pid: u32) {
         if !sink.is_enabled() {

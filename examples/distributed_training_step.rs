@@ -8,8 +8,10 @@
 //! 3. **embedding backward**: the backward fused operator (the paper's
 //!    future work) — gradient All-to-All overlapped with the SGD scatter
 //!    into the owning tables;
-//! 4. **data-parallel sync**: ring AllReduce of the MLP gradients, keeping
-//!    the MLP replicas bit-identical.
+//! 4. **data-parallel sync**: an all-gather of the MLP gradients on the
+//!    pairwise All-to-All (every PE sends its whole gradient to every
+//!    PE), summed in PE order on each replica, keeping the MLP replicas
+//!    bit-identical.
 //!
 //! The check is the one that matters for a training system: the loss goes
 //! down, and the MLP replicas never diverge.
@@ -20,7 +22,7 @@
 
 use std::sync::Mutex;
 
-use fused_collectives::collectives::ring::RingAllReducePlan;
+use fused_collectives::collectives::AllToAllPlan;
 use fused_collectives::core::ext::backward_fused::BackwardFusedPlan;
 use fused_collectives::core::op::reference;
 use fused_collectives::core::{FusedPlan, ScheduleKind};
@@ -59,12 +61,11 @@ fn main() {
     let mut layout = HeapLayout::new();
     let fwd = FusedPlan::plan(&mut layout, &cfg, 2);
     let bwd = BackwardFusedPlan::plan(&mut layout, &cfg, 2);
-    // Ring AllReduce over the flattened MLP gradients (padded to n_pes).
+    // All-gather of the flattened MLP gradients: one whole copy per pair.
     let probe_bottom = Mlp::new_random(&cfg.bottom_mlp, 0);
     let probe_top = Mlp::new_random(&cfg.top_mlp, 0);
     let grad_len = probe_bottom.num_params() + probe_top.num_params();
-    let chunk = grad_len.div_ceil(n_pes);
-    let ring = RingAllReducePlan::<f32>::plan(&mut layout, n_pes, chunk);
+    let gather = AllToAllPlan::<f32>::plan(&mut layout, n_pes, grad_len);
     let world = ShmemWorld::new(n_pes, layout).with_p2p_groups(vec![0, 1]);
 
     // --- Model state: per-PE table shards, replicated MLPs ---------------
@@ -156,8 +157,9 @@ fn main() {
             // 3. Backward fused: gradient All-to-All + embedding SGD.
             bwd.execute(ctx, &grads, &mut tables, &gen, PoolingMode::Sum, lr, step);
 
-            // 4. Data-parallel MLP sync: ring AllReduce of gradients, then
-            // an identical SGD step on every replica.
+            // 4. Data-parallel MLP sync: all-gather the gradients, sum the
+            // copies in PE order (the same sum on every replica), then an
+            // identical SGD step on every replica.
             let bot_acc = bot_grad_acc
                 .as_ref()
                 .expect("local_batch >= 1, so the shard accumulated bottom gradients");
@@ -166,19 +168,25 @@ fn main() {
                 .expect("local_batch >= 1, so the shard accumulated top gradients");
             let mut flat = bottom.flatten_grads(bot_acc);
             flat.extend(top.flatten_grads(top_acc));
-            flat.resize(n_pes * chunk, 0.0);
-            ctx.put(ring.buf, 0, &flat, me);
-            ctx.barrier_all(); // ring staging reuse across steps
-            ring.execute(ctx, step);
-            let mut summed = vec![0.0f32; n_pes * chunk];
-            ctx.get(&mut summed, ring.buf, 0, me);
+            ctx.put(gather.src, 0, &flat.repeat(n_pes), me);
+            gather.execute(ctx, step);
+            let mut copies = vec![0.0f32; n_pes * grad_len];
+            ctx.get(&mut copies, gather.dst, 0, me);
+            // Start from PE 0's copy, not from 0.0, so that -0.0 survives.
+            let (first, rest) = copies.split_at(grad_len);
+            let mut summed = first.to_vec();
+            for copy in rest.chunks_exact(grad_len) {
+                for (s, v) in summed.iter_mut().zip(copy) {
+                    *s += v;
+                }
+            }
             let scale = 1.0 / cfg.global_batch as f32;
             for v in summed.iter_mut() {
                 *v *= scale;
             }
             let nb = bottom.num_params();
             let bot_mean = bottom.unflatten_grads(&summed[..nb]);
-            let top_mean = top.unflatten_grads(&summed[nb..grad_len]);
+            let top_mean = top.unflatten_grads(&summed[nb..]);
             bottom.sgd_step(&bot_mean, lr);
             top.sgd_step(&top_mean, lr);
         });
