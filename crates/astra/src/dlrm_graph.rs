@@ -141,7 +141,7 @@ pub fn build_pass_with_wire(
         })
     };
 
-    let mut a2a = BaselineCosts::alltoall(gpu, topo, cfg.alltoall_bytes_per_pair());
+    let mut a2a = BaselineCosts::alltoall(gpu, topo, cfg.n_pes, cfg.alltoall_bytes_per_pair());
     if let Some(w) = a2a_wire {
         a2a.wire = w;
     }

@@ -13,7 +13,6 @@ use fcc_astra::{simulate_run_with_recovery, InputPipeline, OperatorMode, Recover
 use fcc_bench::report::{print_recovery_counters, print_table, write_json, FigureRecord, Series};
 use fcc_core::sim::baseline::{simulate_baseline, EmbeddingLaunch};
 use fcc_core::sim::fused::{simulate_fused, FusedParams};
-use fcc_core::sim::tiled::simulate_tiled;
 use fcc_core::sim::FusedTuning;
 use fcc_core::{ElasticTrainer, TrainerConfig};
 use fcc_dlrm::DlrmConfig;
@@ -24,13 +23,14 @@ fn tiling_study() -> Series {
     let cfg = DlrmConfig::hw_eval(2, 1024, 64);
     let gpu = GpuConfig::mi210();
     let topo = presets::dual_node_ib();
-    let bulk = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::Batched).total;
+    let tiled = |k| simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::Batched(k)).total;
+    let bulk = tiled(1);
     let mut rows = Vec::new();
     let mut series = Series::new("normalized_to_bulk");
     rows.push(vec!["bulk (K=1)".into(), format!("{bulk}"), "1.000".into()]);
     series.push("bulk", 1.0);
     for k in [2u32, 4, 8, 16, 64, 256] {
-        let t = simulate_tiled(&cfg, &gpu, &topo, k).total;
+        let t = tiled(k);
         let norm = t.as_nanos_f64() / bulk.as_nanos_f64();
         rows.push(vec![
             format!("tiled K={k}"),
@@ -63,7 +63,7 @@ fn launch_study() -> Series {
     for batch in [256usize, 1024, 4096] {
         let cfg = DlrmConfig::hw_eval(2, batch, 128);
         let per = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::PerTable);
-        let bat = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::Batched);
+        let bat = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::Batched(1));
         let ratio = per.total.as_nanos_f64() / bat.total.as_nanos_f64();
         rows.push(vec![
             format!("{batch}|128"),
@@ -214,14 +214,13 @@ fn multi_qp_study() -> Series {
 fn gpus_per_nic_study() -> Series {
     // The Fig. 1a -> 1b system trend, quantified: same 8 GPUs, varying how
     // many share each NIC (PEs beyond the topology's endpoints share one).
-    use fcc_core::sim::hierarchical::hierarchical_baseline;
     let gpu = GpuConfig::mi210();
     let cfg = DlrmConfig::hw_eval(8, 512, 32);
     let mut rows = Vec::new();
     let mut series = Series::new("fused_over_baseline");
     for (nodes, g) in [(8, 1), (4, 2), (2, 4)] {
         let topo = fcc_bench::runs::ib_nodes(nodes);
-        let baseline = hierarchical_baseline(&cfg, &gpu, &topo);
+        let baseline = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::PerTable).total;
         let fused = simulate_fused(&FusedParams::new(cfg.clone(), gpu.clone(), topo)).makespan();
         let normalized = fused.as_nanos_f64() / baseline.as_nanos_f64();
         rows.push(vec![
@@ -371,7 +370,7 @@ fn fault_tolerance_study() -> Series {
     let cfg = DlrmConfig::hw_eval(2, 1024, 64);
     let gpu = GpuConfig::mi210();
     let topo = presets::dual_node_ib();
-    let baseline = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::Batched).total;
+    let baseline = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::Batched(1)).total;
     let mut rows = Vec::new();
     let mut series = Series::new("fused_over_clean_baseline");
     for rate in [0.0f64, 0.05, 0.1, 0.2, 0.4] {
@@ -477,7 +476,7 @@ fn corruption_study() -> Series {
     let cfg = DlrmConfig::hw_eval(2, 1024, 64);
     let gpu = GpuConfig::mi210();
     let topo = presets::dual_node_ib();
-    let baseline = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::Batched).total;
+    let baseline = simulate_baseline(&cfg, &gpu, &topo, EmbeddingLaunch::Batched(1)).total;
     let clean = simulate_fused(&FusedParams::new(cfg.clone(), gpu.clone(), topo.clone()));
     let mut rows = Vec::new();
     let mut series = Series::new("fused_over_clean_baseline");

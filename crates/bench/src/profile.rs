@@ -113,7 +113,7 @@ fn baseline_variant(pes: usize, payload_bytes: u64) -> VariantProfile {
     let base = simulate_baseline(
         &cfg,
         &GpuConfig::mi210(),
-        &presets::dual_node_ib(),
+        &ib_nodes(pes),
         EmbeddingLaunch::PerTable,
     );
     VariantProfile {

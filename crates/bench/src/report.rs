@@ -4,7 +4,6 @@
 //! (`fcc_telemetry::artifact`), and [`write_result`] is the one place
 //! that puts a file into the results directory.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 
 use fcc_core::RecoverySnapshot;
@@ -80,31 +79,24 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let _ = writeln!(out, "\n== {title} ==");
+    // `println!`, not a locked `io::stdout()`: the test harness captures
+    // only the former.
+    println!("\n== {title} ==");
     let header_line: Vec<String> = headers
         .iter()
         .zip(&widths)
         .map(|(h, w)| format!("{h:>w$}"))
         .collect();
-    let _ = writeln!(out, "{}", header_line.join("  "));
-    let _ = writeln!(
-        out,
-        "{}",
-        widths
-            .iter()
-            .map(|w| "-".repeat(*w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    );
+    println!("{}", header_line.join("  "));
+    let rules: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    println!("{}", rules.join("  "));
     for row in rows {
         let line: Vec<String> = row
             .iter()
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}"))
             .collect();
-        let _ = writeln!(out, "{}", line.join("  "));
+        println!("{}", line.join("  "));
     }
 }
 

@@ -22,7 +22,7 @@ use fcc_telemetry::artifact::{field, Artifact, Point, Value};
 use crate::gate::{Rule, Rules};
 
 /// Node counts in the fast scale-out sweep. The small end overlaps the
-/// packet-sim Fig. 15 grid so the committed artifact holds one priced
+/// flow-fabric Fig. 15 grid so the committed artifact holds one priced
 /// curve from 16 to 8192 nodes; fabrics whose preset needs more
 /// endpoints than a size provides skip it ([`fabric_min_nodes`]).
 pub const FAST_NODES: [u32; 7] = [16, 64, 256, 1024, 2048, 4096, 8192];

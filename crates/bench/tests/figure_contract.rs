@@ -12,6 +12,7 @@ use std::path::Path;
 use std::process::Command;
 
 use fcc_bench::figures;
+use fcc_bench::gate::violations;
 use fcc_bench::report::FigureRecord;
 
 /// The committed record `<id>.json`.
@@ -22,15 +23,33 @@ fn committed(id: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// The first ten leaves that moved between the two records, with their
+/// committed and regenerated values, one per line.
+fn moved(committed: &str, fresh: &str) -> String {
+    let found = violations(committed, fresh, &[], true)
+        .unwrap_or_else(|e| panic!("the committed record is {e}"));
+    let show = |v: Option<f64>| v.map_or_else(|| "absent".to_string(), |v| v.to_string());
+    found
+        .iter()
+        .take(10)
+        .map(|a| {
+            let (before, after) = (show(a.before), show(a.after));
+            format!("\n  {}: committed {before}, regenerated {after}", a.key)
+        })
+        .collect()
+}
+
 /// Regenerates `figure` and holds it to its committed record.
 fn holds(figure: fn() -> FigureRecord) {
     let record = figure();
+    let (fresh, committed) = (record.artifact().to_json(), committed(&record.id));
     assert!(
-        record.artifact().to_json() == committed(&record.id),
+        fresh == committed,
         "{} no longer matches results/{}.json; regenerate it with `all_figures` only for a \
-         deliberate model change",
+         deliberate model change. Moved:{}",
         record.id,
-        record.id
+        record.id,
+        moved(&committed, &fresh)
     );
 }
 
@@ -51,10 +70,12 @@ fn ablations_hold() {
         String::from_utf8_lossy(&out.stderr)
     );
     let written = std::fs::read_to_string(dir.join("ablations.json")).expect("ablations.json");
+    let committed = committed("ablations");
     assert!(
-        written == committed("ablations"),
+        written == committed,
         "ablations no longer matches results/ablations.json; regenerate it with `ablations` \
-         only for a deliberate model change"
+         only for a deliberate model change. Moved:{}",
+        moved(&committed, &written)
     );
 }
 

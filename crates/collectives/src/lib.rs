@@ -11,7 +11,8 @@
 //!   frontend's bulk path run it.
 //! * [`baseline`] — the *timing* of the bulk-synchronous baseline: kernel
 //!   boundary → stream sync → CPU triggers the collective → wire time from
-//!   `fcc-net`'s analytic models → sync back. This is the denominator of
+//!   `fcc-net`'s analytic models, or a shared NIC's serialization → sync
+//!   back. This is the denominator of
 //!   every normalized figure in the paper; it also prices the AllReduce
 //!   of the scale-out training pass.
 //! * [`reference`](mod@reference) — the sequential All-to-All oracle used

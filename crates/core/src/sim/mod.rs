@@ -3,13 +3,14 @@
 //! The functional layer (`crate::op`) proves the algorithms move the right
 //! bytes; this layer prices them. The fused kernels are priced by running
 //! the functional operators' own protocol step on a timed backend
-//! (`timed`): one step, two clocks. Seven simulations:
+//! (`timed`): one step, two clocks. Five simulations:
 //!
 //! * [`fused::simulate_fused`] — the persistent fused kernel with
 //!   GPU-initiated slice PUTs (Figs. 9, 10, 11, 12, 13), including GPUs
 //!   that share a NIC when the topology has fewer endpoints than PEs.
 //! * [`baseline::simulate_baseline`] — per-table embedding kernels plus a
-//!   bulk-synchronous All-to-All (the denominator everywhere).
+//!   bulk-synchronous All-to-All (the denominator everywhere), including
+//!   GPUs that share a NIC and the kernel-granular tiled pipeline.
 //! * [`intranode::simulate_zero_copy`] — per-table zero-copy fused kernels
 //!   on an all-P2P node (Fig. 14).
 //! * [`fused_des::simulate_fused_integrated`] — the same pipeline on one
@@ -19,18 +20,12 @@
 //! * [`generic::price_producer`] — fused vs unfused for any
 //!   [`FusedProducer`](crate::op::FusedProducer), on the plan's own slice
 //!   table and task order.
-//! * [`hierarchical::hierarchical_baseline`] — the bulk baseline when
-//!   several GPUs share a node's NIC.
-//! * [`tiled::simulate_tiled`] — kernel-granular tiling, the pipelined
-//!   alternative to slice-granular fusion.
 
 pub mod baseline;
 pub mod fused;
 pub mod fused_des;
 pub mod generic;
-pub mod hierarchical;
 pub mod intranode;
-pub mod tiled;
 pub(crate) mod timed;
 
 use fcc_sim::SimTime;

@@ -19,12 +19,9 @@
 //!   kernels both reduce to "N concurrent workgroups sharing `eff_bw(n)`
 //!   while a task queue drains", evaluated exactly with the
 //!   processor-sharing resource from `fcc-sim`.
-//! * [`host`] — host-side composition: streams of kernel launches with
-//!   launch-overhead gaps, the structure of the bulk-synchronous baseline.
 
 pub mod config;
 pub mod exec;
-pub mod host;
 pub mod kernel;
 pub mod occupancy;
 
